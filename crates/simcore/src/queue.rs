@@ -18,9 +18,16 @@
 //! a steady-state simulation stops allocating entirely.
 //!
 //! Cancellation stays lazy: cancelled entries remain in the heap and are
-//! skipped when popped.  The MFC simulations cancel only a tiny fraction of
-//! events (mostly request timeouts), so lazy deletion is both simple and
-//! fast.
+//! skipped when popped.  Cancellation is *not* rare in the MFC simulations.
+//! After every dispatched event, the server engine's session
+//! (`EngineSession::reschedule_cpu`/`reschedule_net` in `mfc-webserver`)
+//! cancels its pending CPU and network completion checks and schedules
+//! them again at the resources' new next-completion times.  So a run
+//! cancels up to two events per event it delivers.  The cancelled checks
+//! stay in the heap until their time comes, which makes the heap larger
+//! than the live event count and makes every pop skip stale entries.  Each
+//! operation is still O(log n) in the heap size, with no per-event
+//! allocation once the heap and slab have grown.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -511,12 +511,14 @@ impl FluidLink {
             Some(bits) => Bound::Excluded((bits, FlowId(u64::MAX))),
             None => Bound::Unbounded,
         };
-        let to_share: Vec<(u64, FlowId)> = self
+        // Each flip leaves the index it is found in, so taking the first
+        // entry of the range until it is empty visits the flips in cap order
+        // without collecting them first.
+        while let Some(&(cap_bits, id)) = self
             .capped_by_cap
             .range((unfreeze_from, Bound::Unbounded))
-            .copied()
-            .collect();
-        for (cap_bits, id) in to_share {
+            .next()
+        {
             self.capped_by_cap.remove(&(cap_bits, id));
             let flow = self.flows.get_mut(&id).expect("indexed flow exists");
             let Regime::Capped {
@@ -538,12 +540,12 @@ impl FluidLink {
         // Sharing flows whose cap sank below the (raised) water level are
         // frozen at their cap.
         if let Some(bits) = wl.threshold_bits {
-            let to_freeze: Vec<(u64, FlowId)> = self
+            let freeze_to = Bound::Included((bits, FlowId(u64::MAX)));
+            while let Some(&(cap_bits, id)) = self
                 .sharing_by_cap
-                .range((Bound::Unbounded, Bound::Included((bits, FlowId(u64::MAX)))))
-                .copied()
-                .collect();
-            for (cap_bits, id) in to_freeze {
+                .range((Bound::Unbounded, freeze_to))
+                .next()
+            {
                 self.sharing_by_cap.remove(&(cap_bits, id));
                 let flow = self.flows.get_mut(&id).expect("indexed flow exists");
                 let Regime::Sharing { v_finish } = flow.regime else {

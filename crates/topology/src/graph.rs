@@ -158,6 +158,45 @@ pub struct NetworkGraph {
     /// Flows with zero bytes remaining, completing "now".
     drained: BTreeSet<FlowId>,
     last_event: SimTime,
+    scratch: Scratch,
+}
+
+/// Working buffers of [`NetworkGraph::reallocate`], kept between calls so a
+/// flow event allocates nothing once they have grown to the graph's size.
+/// Their contents mean nothing outside a reallocation.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Fixed demand contributed to each link by routes frozen at lower
+    /// levels.
+    fixed: Vec<f64>,
+    saturated: Vec<bool>,
+    frozen: Vec<bool>,
+    new_level: Vec<f64>,
+    new_bottleneck: Vec<Option<LinkId>>,
+    /// Indexes of the unfrozen routes through the link being examined.
+    live: Vec<usize>,
+}
+
+impl Scratch {
+    /// Resets every per-link and per-route buffer to its starting value.
+    fn reset(&mut self, link_count: usize, route_count: usize) {
+        fn fill<T: Clone>(buffer: &mut Vec<T>, len: usize, value: T) {
+            buffer.clear();
+            buffer.resize(len, value);
+        }
+        fill(&mut self.fixed, link_count, 0.0);
+        fill(&mut self.saturated, link_count, false);
+        fill(&mut self.frozen, route_count, false);
+        fill(&mut self.new_level, route_count, f64::INFINITY);
+        fill(&mut self.new_bottleneck, route_count, None);
+    }
+}
+
+impl Clone for Scratch {
+    /// A clone starts with empty buffers: copying them would only allocate.
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
 }
 
 impl NetworkGraph {
@@ -606,10 +645,9 @@ impl NetworkGraph {
     /// O(L² · R_ℓ · log² C) plus O(log C) per flow that actually flips.
     fn reallocate(&mut self) {
         // Degenerate graph (one link, one route): the allocation is exactly
-        // FluidLink's single water-level query — skip the round machinery
-        // and its scratch allocations.  This is the shape every
-        // pre-topology scenario (a direct `TopologySpec`) runs on each
-        // flow event, so it must stay O(log C).
+        // FluidLink's single water-level query — skip the round machinery.
+        // This is the shape every pre-topology scenario (a direct
+        // `TopologySpec`) runs on each flow event, so it must stay O(log C).
         if self.links.len() == 1 && self.routes.len() == 1 {
             let route = &self.routes[0];
             let (level, bottleneck) = if route.active() == 0 {
@@ -628,15 +666,16 @@ impl NetworkGraph {
             self.apply_levels(&[level], &[bottleneck]);
             return;
         }
-        let link_count = self.links.len();
-        let route_count = self.routes.len();
-        // Fixed demand contributed to each link by routes frozen at lower
-        // levels.
-        let mut fixed = vec![0.0f64; link_count];
-        let mut saturated = vec![false; link_count];
-        let mut frozen = vec![false; route_count];
-        let mut new_level = vec![f64::INFINITY; route_count];
-        let mut new_bottleneck: Vec<Option<LinkId>> = vec![None; route_count];
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.reset(self.links.len(), self.routes.len());
+        let Scratch {
+            fixed,
+            saturated,
+            frozen,
+            new_level,
+            new_bottleneck,
+            live,
+        } = &mut scratch;
         // Routes with no active flows are permanently frozen at ∞ so they
         // never contribute demand.
         for (index, route) in self.routes.iter().enumerate() {
@@ -651,20 +690,23 @@ impl NetworkGraph {
                 if saturated[link_index] {
                     continue;
                 }
-                let live: Vec<&Route> = link
-                    .routes
-                    .iter()
-                    .filter(|r| !frozen[r.0 as usize])
-                    .map(|r| &self.routes[r.0 as usize])
-                    .collect();
+                live.clear();
+                live.extend(
+                    link.routes
+                        .iter()
+                        .map(|r| r.0 as usize)
+                        .filter(|&r| !frozen[r]),
+                );
                 if live.is_empty() {
                     continue;
                 }
+                let routes = &self.routes;
+                let live_routes = || live.iter().map(|&r| &routes[r]);
                 // A link whose total demand never reaches its capacity
                 // cannot saturate.
-                let inf_any = live.iter().any(|r| r.inf_count > 0);
+                let inf_any = live_routes().any(|r| r.inf_count > 0);
                 if !inf_any {
-                    let total: f64 = live.iter().map(|r| r.caps.sum()).sum();
+                    let total: f64 = live_routes().map(|r| r.caps.sum()).sum();
                     if fixed[link_index] + total <= link.capacity {
                         continue;
                     }
@@ -675,11 +717,11 @@ impl NetworkGraph {
                 let capacity = link.capacity;
                 let fixed_in = fixed[link_index];
                 let pred = |c: f64| {
-                    let demand: f64 = live.iter().map(|r| r.demand_at(c)).sum();
+                    let demand: f64 = live_routes().map(|r| r.demand_at(c)).sum();
                     fixed_in + demand <= capacity
                 };
                 let mut threshold: Option<u64> = None;
-                for route in &live {
+                for route in live_routes() {
                     if let Some(bits) = route.caps.partition_max(pred) {
                         threshold = Some(match threshold {
                             Some(t) => t.max(bits),
@@ -688,13 +730,13 @@ impl NetworkGraph {
                     }
                 }
                 let (sat_count, sat_sum) = match threshold {
-                    Some(bits) => live.iter().fold((0u64, 0.0f64), |(c, s), r| {
+                    Some(bits) => live_routes().fold((0u64, 0.0f64), |(c, s), r| {
                         let (rc, rs) = r.caps.prefix(bits);
                         (c + rc, s + rs)
                     }),
                     None => (0, 0.0),
                 };
-                let total_active: u64 = live.iter().map(|r| r.active()).sum();
+                let total_active: u64 = live_routes().map(|r| r.active()).sum();
                 let unsat = total_active - sat_count;
                 if unsat == 0 {
                     // Every flow through the link is frozen at its cap below
@@ -711,8 +753,8 @@ impl NetworkGraph {
                 break;
             };
             saturated[link_index] = true;
-            for position in 0..self.links[link_index].routes.len() {
-                let index = self.links[link_index].routes[position].0 as usize;
+            for &route_id in &self.links[link_index].routes {
+                let index = route_id.0 as usize;
                 if frozen[index] {
                     continue;
                 }
@@ -728,7 +770,8 @@ impl NetworkGraph {
             }
         }
 
-        self.apply_levels(&new_level, &new_bottleneck);
+        self.apply_levels(&scratch.new_level, &scratch.new_bottleneck);
+        self.scratch = scratch;
     }
 
     /// Applies freshly computed per-route water levels: flips flows
@@ -743,15 +786,15 @@ impl NetworkGraph {
 
             // Capped flows whose cap rose above the (lowered) level go back
             // to sharing.
-            let to_share: Vec<(u64, FlowId)> = route
+            // Each flip leaves the index it is found in, so taking the
+            // first entry of the range until it is empty visits the flips in
+            // cap order without collecting them first.
+            let unfreeze_from = Bound::Excluded((level_bits, FlowId(u64::MAX)));
+            while let Some(&(cap_bits, id)) = route
                 .capped_by_cap
-                .range((
-                    Bound::Excluded((level_bits, FlowId(u64::MAX))),
-                    Bound::Unbounded,
-                ))
-                .copied()
-                .collect();
-            for (cap_bits, id) in to_share {
+                .range((unfreeze_from, Bound::Unbounded))
+                .next()
+            {
                 route.capped_by_cap.remove(&(cap_bits, id));
                 let flow = self.flows.get_mut(&id).expect("indexed flow exists");
                 let Regime::Capped {
@@ -772,15 +815,12 @@ impl NetworkGraph {
 
             // Sharing flows whose cap sank to or below the level freeze at
             // their cap (an infinite level freezes every finite-cap flow).
-            let to_freeze: Vec<(u64, FlowId)> = route
+            let freeze_to = Bound::Included((level_bits, FlowId(u64::MAX)));
+            while let Some(&(cap_bits, id)) = route
                 .sharing_by_cap
-                .range((
-                    Bound::Unbounded,
-                    Bound::Included((level_bits, FlowId(u64::MAX))),
-                ))
-                .copied()
-                .collect();
-            for (cap_bits, id) in to_freeze {
+                .range((Bound::Unbounded, freeze_to))
+                .next()
+            {
                 route.sharing_by_cap.remove(&(cap_bits, id));
                 let flow = self.flows.get_mut(&id).expect("indexed flow exists");
                 let Regime::Sharing { v_finish } = flow.regime else {

@@ -30,7 +30,7 @@ use mfc_workload::{
 };
 use serde::{Deserialize, Serialize};
 
-use crate::content::ContentCatalog;
+use crate::content::{ContentCatalog, ObjectSpec};
 use crate::request::{RequestClass, ServerRequest};
 
 /// Mix of request classes in the background workload, as weights.
@@ -156,24 +156,39 @@ impl BackgroundTraffic {
 pub struct CatalogSampler<'a> {
     catalog: &'a ContentCatalog,
     background: bool,
+    /// Static objects below the Large Object bound, in catalog order.
+    small_static: Vec<&'a ObjectSpec>,
+    /// The catalog's Large Objects, in catalog order.
+    large: Vec<&'a ObjectSpec>,
+    /// The catalog's Small Queries, in catalog order.
+    queries: Vec<&'a ObjectSpec>,
 }
 
 impl<'a> CatalogSampler<'a> {
     /// A sampler producing *background* requests (the non-MFC traffic the
     /// server serves alongside the probes).
     pub fn background(catalog: &'a ContentCatalog) -> Self {
-        CatalogSampler {
-            catalog,
-            background: true,
-        }
+        Self::new(catalog, true)
     }
 
     /// A sampler producing foreground requests (workload-as-subject
     /// experiments that drive the engine directly).
     pub fn foreground(catalog: &'a ContentCatalog) -> Self {
+        Self::new(catalog, false)
+    }
+
+    /// Buckets the catalog once, so sampling a request filters nothing.
+    fn new(catalog: &'a ContentCatalog, background: bool) -> Self {
         CatalogSampler {
             catalog,
-            background: false,
+            background,
+            small_static: catalog
+                .objects()
+                .iter()
+                .filter(|o| !o.kind.is_dynamic() && !o.is_large_object())
+                .collect(),
+            large: catalog.large_objects(),
+            queries: catalog.small_queries(),
         }
     }
 
@@ -188,41 +203,16 @@ impl<'a> CatalogSampler<'a> {
         fallback: RequestClass,
         rng: &mut SimRng,
     ) -> (RequestClass, String) {
-        let base_page = |class: RequestClass| (class, self.catalog.base_page().path.clone());
-        match kind {
-            RequestKind::BasePage => base_page(fallback),
-            RequestKind::StaticSmall => {
-                let small: Vec<&crate::content::ObjectSpec> = self
-                    .catalog
-                    .objects()
-                    .iter()
-                    .filter(|o| !o.kind.is_dynamic() && !o.is_large_object())
-                    .collect();
-                if small.is_empty() {
-                    base_page(fallback)
-                } else {
-                    let index = rng.index(small.len());
-                    (RequestClass::Static, small[index].path.clone())
-                }
-            }
-            RequestKind::StaticLarge => {
-                let large = self.catalog.large_objects();
-                if large.is_empty() {
-                    base_page(fallback)
-                } else {
-                    let index = rng.index(large.len());
-                    (RequestClass::Static, large[index].path.clone())
-                }
-            }
-            RequestKind::Dynamic => {
-                let queries = self.catalog.small_queries();
-                if queries.is_empty() {
-                    base_page(fallback)
-                } else {
-                    let index = rng.index(queries.len());
-                    (RequestClass::Dynamic, queries[index].path.clone())
-                }
-            }
+        let (class, bucket) = match kind {
+            RequestKind::BasePage => (fallback, &[][..]),
+            RequestKind::StaticSmall => (RequestClass::Static, &self.small_static[..]),
+            RequestKind::StaticLarge => (RequestClass::Static, &self.large[..]),
+            RequestKind::Dynamic => (RequestClass::Dynamic, &self.queries[..]),
+        };
+        if bucket.is_empty() {
+            (fallback, self.catalog.base_page().path.clone())
+        } else {
+            (class, bucket[rng.index(bucket.len())].path.clone())
         }
     }
 

@@ -23,6 +23,7 @@
 //! MFC layer above only ever sees the resulting response times.
 
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 use mfc_simcore::{EventHandle, EventQueue, SimDuration, SimTime, TimeWeighted};
 use mfc_simnet::{Bandwidth, FlowId};
@@ -30,7 +31,7 @@ use mfc_topology::{BuiltTopology, TopologySpec};
 
 use crate::cache::CacheState;
 use crate::config::{DynamicHandler, ServerConfig};
-use crate::content::ContentCatalog;
+use crate::content::{ContentCatalog, ObjectSpec};
 use crate::control::ServerControl;
 use crate::request::{ArrivalRecord, RequestClass, RequestOutcome, RequestStatus, ServerRequest};
 use crate::resource::{FifoResource, MemoryTracker, PsResource, SlotPool};
@@ -76,6 +77,11 @@ pub struct ServerEngine {
     config: ServerConfig,
     catalog: ContentCatalog,
     topology: TopologySpec,
+    /// The WAN graph every session starts from: `topology` built around the
+    /// access link, with its persistent cross traffic already running.
+    /// Built on the first [`ServerEngine::session`] and cloned by every
+    /// session after it.
+    network: OnceLock<BuiltTopology>,
 }
 
 impl ServerEngine {
@@ -87,6 +93,7 @@ impl ServerEngine {
             config,
             catalog,
             topology: TopologySpec::direct(),
+            network: OnceLock::new(),
         }
     }
 
@@ -103,6 +110,7 @@ impl ServerEngine {
     pub fn set_topology(&mut self, topology: TopologySpec) {
         topology.validate().expect("invalid topology spec");
         self.topology = topology;
+        self.network = OnceLock::new();
     }
 
     /// The server configuration.
@@ -202,7 +210,25 @@ impl ServerEngine {
     /// the cache state for its duration; [`EngineSession::finish`] hands it
     /// back warmed.
     pub fn session(&self, cache: CacheState) -> EngineSession<'_> {
-        EngineSession::new(&self.config, &self.catalog, &self.topology, cache)
+        let net = self.network.get_or_init(|| self.build_network()).clone();
+        EngineSession::new(&self.config, &self.catalog, &self.topology, net, cache)
+    }
+
+    /// Instantiates the topology around the access link and starts its
+    /// persistent cross traffic, which occupies the transit links from the
+    /// start of time; the flows never complete and never surface as
+    /// request completions.
+    fn build_network(&self) -> BuiltTopology {
+        let mut net = self.topology.build(self.config.access_link);
+        let mut cross_seq = CROSS_FLOW_BASE;
+        for &(route, count, rate) in &net.cross {
+            for _ in 0..count {
+                net.graph
+                    .start_flow(FlowId(cross_seq), route, f64::INFINITY, rate, SimTime::ZERO);
+                cross_seq += 1;
+            }
+        }
+        net
     }
 }
 
@@ -229,8 +255,11 @@ enum Phase {
 }
 
 #[derive(Debug, Clone)]
-struct InFlight {
+struct InFlight<'a> {
     req: ServerRequest,
+    /// The catalog object the request names, resolved once at arrival;
+    /// `None` for HEAD requests and unknown paths.
+    object: Option<&'a ObjectSpec>,
     phase: Phase,
     body_bytes: u64,
     /// Memory charged for a fork-per-request handler, released at the end.
@@ -295,7 +324,7 @@ pub struct EngineSession<'a> {
     catalog: &'a ContentCatalog,
     cache: CacheState,
     queue: EventQueue<Event>,
-    requests: Vec<InFlight>,
+    requests: Vec<InFlight<'a>>,
     workers: SlotPool,
     listen_queue: VecDeque<usize>,
     handler_pool: SlotPool,
@@ -335,6 +364,7 @@ impl<'a> EngineSession<'a> {
         config: &'a ServerConfig,
         catalog: &'a ContentCatalog,
         topology: &'a TopologySpec,
+        net: BuiltTopology,
         cache: CacheState,
     ) -> Self {
         let handler_capacity = match config.dynamic_handler {
@@ -347,18 +377,6 @@ impl<'a> EngineSession<'a> {
             memory.allocate(pool_memory);
         }
         let cpu_capacity = f64::from(config.hardware.cpu_cores) * config.hardware.cpu_speed;
-        let mut net = topology.build(config.access_link);
-        // Persistent cross traffic occupies its transit links from the
-        // start of time; the flows never complete and never surface as
-        // request completions.
-        let mut cross_seq = CROSS_FLOW_BASE;
-        for &(route, count, rate) in &net.cross {
-            for _ in 0..count {
-                net.graph
-                    .start_flow(FlowId(cross_seq), route, f64::INFINITY, rate, SimTime::ZERO);
-                cross_seq += 1;
-            }
-        }
         EngineSession {
             config,
             catalog,
@@ -406,6 +424,7 @@ impl<'a> EngineSession<'a> {
         self.queue.schedule(request.arrival, Event::Arrival(idx));
         self.requests.push(InFlight {
             req: request,
+            object: None,
             phase: Phase::AwaitWorker,
             body_bytes: 0,
             fork_memory: 0,
@@ -549,25 +568,21 @@ impl<'a> EngineSession<'a> {
     }
 
     fn on_arrival(&mut self, idx: usize) {
-        let (id, background, class, path) = {
-            let inflight = &self.requests[idx];
-            (
-                inflight.req.id,
-                inflight.req.background,
-                inflight.req.class,
-                inflight.req.path.clone(),
-            )
-        };
+        let req = &self.requests[idx].req;
         self.arrival_log.push(ArrivalRecord {
-            id,
+            id: req.id,
             arrival: self.now,
-            background,
+            background: req.background,
         });
         // Unknown paths are rejected before consuming a worker; HEAD
         // requests are always served against the base page.
-        if class != RequestClass::Head && self.catalog.lookup(&path).is_none() {
-            self.complete(idx, RequestStatus::NotFound, self.now, 0);
-            return;
+        if req.class != RequestClass::Head {
+            let object = self.catalog.lookup(&req.path);
+            if object.is_none() {
+                self.complete(idx, RequestStatus::NotFound, self.now, 0);
+                return;
+            }
+            self.requests[idx].object = object;
         }
         if self.workers.try_acquire(idx as u64) {
             self.admit(idx);
@@ -590,7 +605,9 @@ impl<'a> EngineSession<'a> {
         // server to render the base page, so they carry its generation
         // cost in addition to the per-request protocol overhead.
         let base_page_cost = if self.requests[idx].req.class == RequestClass::Head
-            || self.requests[idx].req.path == self.catalog.base_page().path
+            || self.requests[idx]
+                .object
+                .is_some_and(|object| std::ptr::eq(object, self.catalog.base_page()))
         {
             self.config.workers.base_page_cpu
         } else {
@@ -629,15 +646,15 @@ impl<'a> EngineSession<'a> {
                 self.complete(idx, RequestStatus::Ok, completion, 0);
             }
             RequestClass::Static => {
-                let (path, size) = {
-                    let object = self
-                        .catalog
-                        .lookup(&self.requests[idx].req.path)
-                        .expect("static path verified at arrival");
-                    (object.path.clone(), object.size_bytes)
-                };
+                let object = self.requests[idx]
+                    .object
+                    .expect("static path resolved at arrival");
+                let size = object.size_bytes;
                 self.requests[idx].body_bytes = size;
-                if self.cache.object_lookup(&path, &self.config.object_cache) {
+                if self
+                    .cache
+                    .object_lookup(&object.path, &self.config.object_cache)
+                {
                     self.start_transfer(idx);
                 } else {
                     let service_secs = self.config.hardware.disk_seek.as_secs_f64()
@@ -648,27 +665,19 @@ impl<'a> EngineSession<'a> {
                 }
             }
             RequestClass::Dynamic => {
-                let (size, rows, cacheable, path) = {
-                    let object = self
-                        .catalog
-                        .lookup(&self.requests[idx].req.path)
-                        .expect("dynamic path verified at arrival");
-                    (
-                        object.size_bytes,
-                        object.db_rows,
-                        object.cacheable,
-                        object.path.clone(),
-                    )
-                };
-                self.requests[idx].body_bytes = size;
+                let object = self.requests[idx]
+                    .object
+                    .expect("dynamic path resolved at arrival");
+                let (rows, cacheable, path) = (object.db_rows, object.cacheable, &object.path);
+                self.requests[idx].body_bytes = object.size_bytes;
                 // Pre-compute the database work so the query-cache decision
                 // is made at classification time (the hit/miss counters then
                 // reflect what the back end actually did).
                 let db = &self.config.database;
-                let work = if self.cache.query_lookup(&path, cacheable, db) {
+                let work = if self.cache.query_lookup(path, cacheable, db) {
                     db.cache_hit_cpu
                 } else {
-                    self.cache.query_insert(&path, cacheable, db);
+                    self.cache.query_insert(path, cacheable, db);
                     db.base_query_cpu + rows as f64 / 1_000.0 * db.cpu_per_1k_rows
                 };
                 self.requests[idx].pending_db_work = work;
@@ -740,12 +749,12 @@ impl<'a> EngineSession<'a> {
     }
 
     fn on_disk_done(&mut self, idx: usize) {
-        let (path, size) = {
-            let inflight = &self.requests[idx];
-            (inflight.req.path.clone(), inflight.body_bytes)
-        };
-        self.cache
-            .object_insert(&path, size, &self.config.object_cache);
+        let inflight = &self.requests[idx];
+        self.cache.object_insert(
+            &inflight.req.path,
+            inflight.body_bytes,
+            &self.config.object_cache,
+        );
         self.start_transfer(idx);
     }
 
@@ -1284,27 +1293,114 @@ mod tests {
             .with_topology(TopologySpec::star(&[mbps(8.0)]));
         let congested = ServerEngine::new(config, ContentCatalog::lab_validation())
             .with_topology(TopologySpec::star(&[mbps(8.0)]).with_cross_traffic(0, 3, 200_000.0));
+        // The first session warms the object cache; every later one starts
+        // from the engine's cached graph and must still carry the cross
+        // traffic.
         let run = |engine: &ServerEngine| {
             let mut cache = CacheState::new();
-            engine.run(
-                vec![static_request(0, 0, "/objects/large_100k.bin")],
-                &mut cache,
-            );
-            let result = engine.run(
-                vec![static_request(1, 0, "/objects/large_100k.bin")],
-                &mut cache,
-            );
-            result.outcomes[0].latency()
+            (0..5)
+                .map(|id| {
+                    let request = static_request(id, 0, "/objects/large_100k.bin");
+                    engine.run(vec![request], &mut cache).outcomes[0].latency()
+                })
+                .skip(1)
+                .collect::<Vec<_>>()
         };
-        let clean_latency = run(&clean);
-        let congested_latency = run(&congested);
-        // 100 KB at 1 MB/s vs at the 400 kB/s the cross traffic leaves:
-        // the transfer alone slows by ~150 ms.
+        let clean_latencies = run(&clean);
+        let congested_latencies = run(&congested);
+        for (clean_latency, congested_latency) in
+            clean_latencies.into_iter().zip(congested_latencies)
+        {
+            // 100 KB at 1 MB/s vs at the 400 kB/s the cross traffic leaves:
+            // the transfer alone slows by ~150 ms.
+            assert!(
+                congested_latency > clean_latency + SimDuration::from_millis(100),
+                "cross traffic must visibly squeeze the transfer: \
+                 {clean_latency} vs {congested_latency}"
+            );
+        }
+    }
+
+    /// A 4-group star behind a backbone, with cross traffic on group 0's
+    /// transit: every kind of link the cached graph carries.
+    fn wan_engine() -> ServerEngine {
+        let config = ServerConfig {
+            access_link: mbps(100.0),
+            ..ServerConfig::lab_apache()
+        };
+        let topology = TopologySpec::star(&[mbps(8.0), mbps(50.0), mbps(50.0), mbps(50.0)])
+            .with_backbone(mbps(60.0))
+            .with_cross_traffic(0, 3, 200_000.0);
+        ServerEngine::new(config, ContentCatalog::lab_validation()).with_topology(topology)
+    }
+
+    /// A mixed batch over every vantage group plus background clients.
+    fn wan_batch() -> Vec<ServerRequest> {
+        (0..24u64)
+            .map(|i| {
+                let mut r = match i % 4 {
+                    0 => head_request(i, i * 3),
+                    1 => query_request(i, i * 3, "/cgi/stats?table=t1"),
+                    _ => static_request(i, i * 3, "/objects/large_100k.bin"),
+                };
+                r.background = i % 5 == 0;
+                r
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cached_network_matches_a_fresh_build() {
+        let seasoned = wan_engine();
+        // Serve many sessions first, some of which reshape their own copy
+        // of the access link mid-run; none of that may leak into the graph
+        // later sessions start from.
+        for round in 0..12u64 {
+            let mut session = seasoned.session(CacheState::new());
+            for request in wan_batch() {
+                session.push_request(request);
+            }
+            if round % 3 == 0 {
+                session.set_access_link(mbps(1.0), SimTime::ZERO);
+            }
+            session.finish();
+        }
+        let again = seasoned.run(wan_batch(), &mut CacheState::new());
+        let fresh = wan_engine().run(wan_batch(), &mut CacheState::new());
+        assert_eq!(again.outcomes, fresh.outcomes);
+        assert_eq!(again.utilization, fresh.utilization);
+        assert_eq!(again.arrival_log, fresh.arrival_log);
+    }
+
+    #[test]
+    fn set_topology_replaces_the_cached_network() {
+        let config = ServerConfig {
+            access_link: mbps(100.0),
+            ..ServerConfig::lab_apache()
+        };
+        let clean_spec = TopologySpec::star(&[mbps(8.0)]);
+        let mut engine = ServerEngine::new(config, ContentCatalog::lab_validation())
+            .with_topology(clean_spec.clone());
+        let mut cache = CacheState::new();
+        let mut latency = |engine: &ServerEngine, id: u64| {
+            engine
+                .run(
+                    vec![static_request(id, 0, "/objects/large_100k.bin")],
+                    &mut cache,
+                )
+                .outcomes[0]
+                .latency()
+        };
+        latency(&engine, 0); // warms the object cache
+        let clean = latency(&engine, 1);
+        engine.set_topology(clean_spec.clone().with_cross_traffic(0, 3, 200_000.0));
+        let congested = latency(&engine, 2);
         assert!(
-            congested_latency > clean_latency + SimDuration::from_millis(100),
-            "cross traffic must visibly squeeze the transfer: \
-             {clean_latency} vs {congested_latency}"
+            congested > clean + SimDuration::from_millis(100),
+            "the new topology's cross traffic must apply: {clean} vs {congested}"
         );
+        engine.set_topology(clean_spec);
+        assert_eq!(latency(&engine, 3), clean, "back on the clean graph");
     }
 
     #[test]
