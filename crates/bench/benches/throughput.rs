@@ -9,11 +9,11 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mfc_bench::experiments::rank_figs;
 use mfc_bench::Scale;
 use mfc_core::types::Stage;
+use mfc_dynamics::DefenseConfig;
 use mfc_simcore::{EventQueue, SimDuration, SimRng, SimTime};
 use mfc_simnet::{FlowId, FluidLink, NaiveFluidLink};
 use mfc_webserver::{
-    CacheState, ContentCatalog, RequestClass, ServerConfig, ServerEngine, ServerRequest,
-    WorkerConfig,
+    ContentCatalog, RequestClass, ServerCluster, ServerConfig, ServerRequest, WorkerConfig,
 };
 
 /// Schedule/pop churn with a live population of pending events, the access
@@ -110,7 +110,7 @@ fn naive_link_drain(flows: &[(u64, f64, f64, u64)]) -> u64 {
     checksum
 }
 
-/// One engine run of a large-object crowd: `n` concurrent 100KB transfers
+/// One server run of a large-object crowd: `n` concurrent 100KB transfers
 /// through the full server pipeline (workers, CPU, cache, access link).
 fn engine_large_object_crowd(n: u64) -> u64 {
     let config = ServerConfig {
@@ -121,8 +121,7 @@ fn engine_large_object_crowd(n: u64) -> u64 {
         },
         ..ServerConfig::lab_apache()
     };
-    let engine = ServerEngine::new(config, ContentCatalog::lab_validation());
-    let mut cache = CacheState::new();
+    let mut server = ServerCluster::new(config, ContentCatalog::lab_validation(), 1);
     let requests: Vec<ServerRequest> = (0..n)
         .map(|i| ServerRequest {
             id: i,
@@ -135,7 +134,7 @@ fn engine_large_object_crowd(n: u64) -> u64 {
             background: false,
         })
         .collect();
-    let result = engine.run(requests, &mut cache);
+    let result = server.run(requests, &mut DefenseConfig::none().build());
     result.utilization.completed_requests
 }
 

@@ -5,9 +5,10 @@
 //! production web server on the other side of the Internet".  Client
 //! network characteristics come from [`mfc_simnet::WideAreaModel`], control
 //! messages travel over a lossy [`mfc_simnet::ControlChannel`], and the
-//! target is either a single [`mfc_webserver::ServerEngine`] or a
-//! load-balanced [`mfc_webserver::ServerCluster`], optionally serving
-//! background traffic while the MFC runs.
+//! target is a [`mfc_webserver::ServerCluster`] (a single server is a
+//! cluster of one) run under its [`mfc_dynamics::DefenseStack`] (empty for
+//! a static target), optionally serving background traffic while the MFC
+//! runs.
 
 use std::collections::HashMap;
 
@@ -16,8 +17,8 @@ use mfc_simcore::{SimDuration, SimRng, SimTime};
 use mfc_simnet::{ControlChannel, PopulationProfile, WideAreaModel};
 use mfc_topology::TopologySpec;
 use mfc_webserver::{
-    BackgroundTraffic, CacheState, ContentCatalog, RequestClass, RequestStatus, ServerCluster,
-    ServerConfig, ServerEngine, ServerRequest,
+    BackgroundTraffic, ContentCatalog, RequestClass, RequestStatus, ServerCluster, ServerConfig,
+    ServerRequest,
 };
 use serde::{Deserialize, Serialize};
 
@@ -146,14 +147,6 @@ impl SimTargetSpec {
     }
 }
 
-enum Target {
-    Single {
-        engine: ServerEngine,
-        cache: CacheState,
-    },
-    Cluster(ServerCluster),
-}
-
 /// Interned identifier of a request path within one [`SimBackend`].
 ///
 /// Base-time bookkeeping is on the per-request hot path: every epoch command
@@ -194,10 +187,10 @@ pub struct SimBackend {
     spec: SimTargetSpec,
     wan: WideAreaModel,
     control: ControlChannel,
-    target: Target,
-    /// The runtime defense stack, kept across epochs; `None` for static
-    /// targets.
-    defense: Option<DefenseStack>,
+    target: ServerCluster,
+    /// The runtime defense stack, kept across epochs; empty (no tick,
+    /// accepts everything) for static targets.
+    defense: DefenseStack,
     clock: SimTime,
     rng: SimRng,
     /// Base response times recorded by each client during the sequential
@@ -233,12 +226,7 @@ impl SimBackend {
         };
         let wan = WideAreaModel::generate(&population, client_count, &rng);
         let control = ControlChannel::new(spec.control_loss, 0.05, rng.fork("control"));
-        let defended = !spec.defenses.is_static();
-        let replicas = if defended {
-            spec.defenses.initial_replicas(spec.replicas)
-        } else {
-            spec.replicas
-        };
+        let replicas = spec.defenses.initial_replicas(spec.replicas);
         // Shared transit links are instantiated per serving replica, so a
         // fixed-size cluster divides the spec'd capacities to keep the
         // aggregate contention right; a replica count that *changes*
@@ -249,27 +237,9 @@ impl SimBackend {
             "autoscaling behind a shared-path topology is not modelled: transit links are \
              instantiated per replica, so scaling out would multiply the shared capacity"
         );
-        let topology = spec.topology.share_across(replicas);
-        // A defended target always runs through the cluster's controlled
-        // sweep (an autoscaler needs replica routing even when it starts
-        // from one machine).
-        let target = if replicas > 1 || defended {
-            Target::Cluster(
-                ServerCluster::new(spec.server.clone(), spec.catalog.clone(), replicas)
-                    .with_topology(topology),
-            )
-        } else {
-            Target::Single {
-                engine: ServerEngine::new(spec.server.clone(), spec.catalog.clone())
-                    .with_topology(topology),
-                cache: CacheState::new(),
-            }
-        };
-        let defense = if defended {
-            Some(spec.defenses.build())
-        } else {
-            None
-        };
+        let target = ServerCluster::new(spec.server.clone(), spec.catalog.clone(), replicas)
+            .with_topology(spec.topology.share_across(replicas));
+        let defense = spec.defenses.build();
         SimBackend {
             spec,
             wan,
@@ -310,17 +280,6 @@ impl SimBackend {
         }
     }
 
-    fn run_target(&mut self, requests: Vec<ServerRequest>) -> mfc_webserver::engine::RunResult {
-        match (&mut self.target, &mut self.defense) {
-            (Target::Single { engine, cache }, None) => engine.run(requests, cache),
-            (Target::Single { engine, cache }, Some(stack)) => {
-                engine.run_controlled(requests, cache, stack)
-            }
-            (Target::Cluster(cluster), None) => cluster.run(requests),
-            (Target::Cluster(cluster), Some(stack)) => cluster.run_controlled(requests, stack),
-        }
-    }
-
     fn alloc_id(&mut self) -> u64 {
         let id = self.next_request_id;
         self.next_request_id += 1;
@@ -338,6 +297,21 @@ impl SimBackend {
             RequestStatus::Shed => ProbeStatus::HttpError(503),
         }
     }
+}
+
+/// Merges two time-ordered request streams into one, taking from `first`
+/// on a tie.
+fn merge_by_arrival(
+    first: Vec<ServerRequest>,
+    second: impl Iterator<Item = ServerRequest>,
+) -> impl Iterator<Item = ServerRequest> {
+    let mut first = first.into_iter().peekable();
+    let mut second = second.peekable();
+    std::iter::from_fn(move || match (first.peek(), second.peek()) {
+        (Some(a), Some(b)) if b.arrival < a.arrival => second.next(),
+        (Some(_), _) => first.next(),
+        (None, _) => second.next(),
+    })
 }
 
 impl MfcBackend for SimBackend {
@@ -378,7 +352,7 @@ impl MfcBackend for SimBackend {
             client_addr: client.0,
             background: false,
         };
-        let result = self.run_target(vec![server_request]);
+        let result = self.target.run([server_request], &mut self.defense);
         let outcome = &result.outcomes[0];
         let response_time = outcome.completion.saturating_since(send_time);
         let path_id = self.paths.intern(&request.path);
@@ -440,37 +414,43 @@ impl MfcBackend for SimBackend {
         // Background traffic competes over the whole epoch window.  A full
         // workload spec (sessions, diurnal/MMPP/flash-crowd arrivals,
         // traces) streams through the shared merged-heap generator; the
-        // flat `background` model keeps its original draw stream.
+        // flat `background` model keeps its original draw stream.  Both are
+        // time-ordered, so they merge with the sorted probes (probes first
+        // on a tie) straight into the server's sweep.
         let window_end = last_arrival + plan.timeout;
         let mut bg_rng = self.rng.fork_indexed("background", origin.as_micros());
-        let background: Vec<ServerRequest> = match &self.spec.workload {
-            Some(workload) if !workload.is_empty() => mfc_workload::WorkloadStream::new(
+        let id_base = 1_000_000_000 + self.next_request_id;
+        let background: Box<dyn Iterator<Item = ServerRequest> + '_> = match &self.spec.workload {
+            Some(workload) if !workload.is_empty() => Box::new(mfc_workload::WorkloadStream::new(
                 workload,
                 origin,
                 window_end,
-                1_000_000_000 + self.next_request_id,
+                id_base,
                 &bg_rng,
                 mfc_webserver::CatalogSampler::background(&self.spec.catalog),
-            )
-            .collect(),
-            _ => self.spec.background.generate(
-                &self.spec.catalog,
-                origin,
-                window_end,
-                1_000_000_000 + self.next_request_id,
-                &mut bg_rng,
+            )),
+            _ => Box::new(
+                self.spec
+                    .background
+                    .generate(&self.spec.catalog, origin, window_end, id_base, &mut bg_rng)
+                    .into_iter(),
             ),
         };
-        let background_requests = background.len() as u64;
+        mfc_requests.sort_by_key(|r| r.arrival);
+        let result = self.target.run(
+            merge_by_arrival(mfc_requests, background),
+            &mut self.defense,
+        );
+        let background_requests = result.outcomes.iter().filter(|o| o.background).count() as u64;
         self.background_served += background_requests;
 
-        let mut all_requests = mfc_requests;
-        all_requests.extend(background);
-        let result = self.run_target(all_requests);
-
-        // Index outcomes by request id.
-        let outcome_by_id: HashMap<u64, &mfc_webserver::RequestOutcome> =
-            result.outcomes.iter().map(|o| (o.id, o)).collect();
+        // Index the probes' outcomes by request id.
+        let outcome_by_id: HashMap<u64, &mfc_webserver::RequestOutcome> = result
+            .outcomes
+            .iter()
+            .filter(|o| !o.background)
+            .map(|o| (o.id, o))
+            .collect();
 
         let mut observations = Vec::with_capacity(issued.len());
         for (id, client, path_id, send_time) in &issued {

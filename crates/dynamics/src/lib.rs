@@ -20,9 +20,9 @@
 //!   the engine's mid-run `set_capacity` path.
 //!
 //! A [`DefenseStack`] composes any subset of them behind
-//! [`mfc_webserver::ServerControl`], so the same stack can be attached to a
-//! [`mfc_webserver::ServerEngine`] or a [`mfc_webserver::ServerCluster`]
-//! run — and carried across MFC epochs, so bucket fill levels and
+//! [`mfc_webserver::ServerControl`], so the stack hosts a
+//! [`mfc_webserver::ServerCluster`] run (a single server is a cluster of
+//! one) — and is carried across MFC epochs, so bucket fill levels and
 //! provisioning decisions have memory, exactly like a real target.  The
 //! [`DefenseConfig`] serializable description is what scenario matrices
 //! and experiment artifacts record.

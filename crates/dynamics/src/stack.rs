@@ -44,7 +44,8 @@ impl DefenseConfig {
         }
     }
 
-    /// True when no policy is enabled (the run takes the static fast path).
+    /// True when no policy is enabled: the built stack never ticks and
+    /// accepts every request.
     pub fn is_static(&self) -> bool {
         self.autoscaler.is_none()
             && self.admission.is_none()
@@ -191,9 +192,10 @@ impl DefenseConfig {
     }
 }
 
-/// The runtime composition of a target's defenses, host-able by
-/// [`mfc_webserver::ServerEngine::run_controlled`] and
-/// [`mfc_webserver::ServerCluster::run_controlled`].
+/// The runtime composition of a target's defenses, hosted by
+/// [`mfc_webserver::ServerCluster::run`].  The stack built from
+/// [`DefenseConfig::none`] is empty: it never ticks and accepts every
+/// request, which is how a static target runs.
 ///
 /// Verdicts compose conservatively: any policy's `Shed` wins outright, and
 /// concurrent throttles clamp to the lowest rate.  The stack is carried

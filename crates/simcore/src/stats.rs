@@ -400,13 +400,14 @@ impl TimeWeighted {
     }
 
     /// Time-weighted average of the signal from the start of tracking until
-    /// `end`.  Returns the current value if no time has elapsed.
+    /// `end`.  Returns the current value exactly if the signal has held it
+    /// since the start (including when no time has elapsed).
     pub fn average_until(&self, end: SimTime) -> f64 {
-        let end = end.max(self.last_change);
-        let total = (end - self.start).as_secs_f64();
-        if total <= 0.0 {
+        if self.last_change == self.start {
             return self.current;
         }
+        let end = end.max(self.last_change);
+        let total = (end - self.start).as_secs_f64();
         let tail = self.current * (end - self.last_change).as_secs_f64();
         (self.weighted_sum + tail) / total
     }
@@ -551,6 +552,18 @@ mod tests {
     fn time_weighted_no_elapsed_time() {
         let w = TimeWeighted::new(SimTime::ZERO, 7.0);
         assert_eq!(w.average_until(SimTime::ZERO), 7.0);
+    }
+
+    #[test]
+    fn time_weighted_constant_signal_averages_to_itself_exactly() {
+        // 1.25e7 × 21.681882 s / 21.681882 s rounds away from 1.25e7 in
+        // floating point; a signal that never changed must still report its
+        // value bit for bit.
+        let w = TimeWeighted::new(SimTime::ZERO, 1.25e7);
+        assert_eq!(
+            w.average_until(SimTime::ZERO + SimDuration::from_micros(21_681_882)),
+            1.25e7
+        );
     }
 
     #[test]

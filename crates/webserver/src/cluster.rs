@@ -1,21 +1,22 @@
-//! Load-balanced server clusters.
+//! Load-balanced server clusters — the one way to run the server model.
 //!
 //! The production QTP system the authors tested routes all requests for one
 //! IP address to "a specific data center which houses 16 multiprocessor
 //! servers in a load-balanced configuration" (§4.1).  The MFC saw no
 //! response-time impact even with 375 simultaneous requests because the
 //! load spread across those replicas.  [`ServerCluster`] reproduces that
-//! arrangement: a front-end balancer distributes arrivals over `n`
-//! identical [`ServerEngine`]s, each with its own caches, and merges the
-//! results.
+//! arrangement: a front-end dispatcher offers each arrival to a
+//! [`ServerControl`] (admission control, rate limiting), routes it to one
+//! of `n` identical [`ServerEngine`] replicas, each with its own caches,
+//! and merges the results.  A single server is a cluster of one.
 
-use mfc_simcore::{SimDuration, SimTime, TimeWeighted};
+use mfc_simcore::{SimTime, TimeWeighted};
 use mfc_simnet::Bandwidth;
 
 use crate::cache::CacheState;
 use crate::config::ServerConfig;
 use crate::content::ContentCatalog;
-use crate::control::{AdmissionVerdict, ControlAction, NullControl, ServerControl, TickSample};
+use crate::control::{AdmissionVerdict, ControlAction, ServerControl, TickSample};
 use crate::engine::{EngineSession, RunResult, ServerEngine};
 use crate::request::{ArrivalRecord, RequestOutcome, RequestStatus, ServerRequest};
 use crate::telemetry::UtilizationReport;
@@ -55,8 +56,8 @@ pub enum BalancePolicy {
 pub struct ServerCluster {
     engine: ServerEngine,
     replicas: usize,
-    /// Replicas currently routable in controlled runs; persists across
-    /// runs so an autoscaler's provisioning decisions outlive one epoch.
+    /// Replicas currently routable; persists across runs so an
+    /// autoscaler's provisioning decisions outlive one epoch.
     active: usize,
     policy: BalancePolicy,
     caches: Vec<CacheState>,
@@ -97,15 +98,15 @@ impl ServerCluster {
         self
     }
 
-    /// Number of replicas the cluster was configured with.  The plain
-    /// [`ServerCluster::run`] always spreads over all of them.
+    /// Number of replicas the cluster was configured with: the routable
+    /// count [`ServerCluster::run`] starts from until a control loop's
+    /// `SetReplicas` action changes it.
     pub fn replicas(&self) -> usize {
         self.replicas
     }
 
-    /// Replicas currently routable in [`ServerCluster::run_controlled`]
-    /// (changed by `ControlAction::SetReplicas`; starts at the configured
-    /// count).
+    /// Replicas currently routable (changed by `ControlAction::SetReplicas`;
+    /// starts at the configured count).
     pub fn active_replicas(&self) -> usize {
         self.active
     }
@@ -115,233 +116,159 @@ impl ServerCluster {
         &self.caches
     }
 
-    /// Processes one batch of requests under a [`ServerControl`] loop.
+    /// Serves a time-ordered stream of requests under a [`ServerControl`]
+    /// loop and returns the outcomes in arrival order.
     ///
-    /// Requests are swept in arrival order, interleaved deterministically
-    /// with the control's telemetry ticks; each arrival is offered to the
-    /// control (which may shed it with a 503 or clamp its transfer rate)
-    /// and then routed over the currently *active* replicas.  `SetReplicas`
-    /// actions take effect immediately for subsequent arrivals: scale-up
-    /// replicas start cold, scale-down replicas finish their in-flight
-    /// work but stop receiving traffic.  The active count persists to the
-    /// next run.
-    pub fn run_controlled(
-        &mut self,
-        requests: Vec<ServerRequest>,
-        control: &mut dyn ServerControl,
-    ) -> RunResult {
-        drive_controlled(
-            &self.engine,
-            &mut self.caches,
-            &mut self.active,
-            self.policy,
-            /*allow_scaling=*/ true,
-            requests,
-            control,
-        )
-    }
-
-    /// [`ServerCluster::run_controlled`] over a lazily generated,
-    /// time-ordered request stream: requests are consumed one at a time as
-    /// the sweep's virtual clock reaches them, so a workload stream of
-    /// millions of sessions drives the cluster without ever materializing
-    /// the request list.  Outcomes are returned in stream (arrival) order.
+    /// This is the one way to run the server.  A single server is a cluster
+    /// of one, a static target runs under a control with no tick that
+    /// accepts everything, and a batch is a sorted stream.  The stream is
+    /// consumed lazily, so a workload of millions of sessions never has to
+    /// be materialized.
+    ///
+    /// One sweep interleaves the control's telemetry ticks with the
+    /// arrivals; a tick at time *t* sees the server just before anything
+    /// else happens at *t*.  Each arrival is offered to the control, which
+    /// may shed it with a 503 or clamp its transfer rate, and is then routed
+    /// over the currently *active* replicas.  Replica sessions are stepped
+    /// only when something reads them — a tick or least-outstanding routing
+    /// — so a static run costs nothing per replica and arrival.
+    /// `SetReplicas` actions take effect for subsequent arrivals: scale-up
+    /// replicas start cold, scale-down replicas finish their in-flight work
+    /// but stop receiving traffic.  The active count persists to the next
+    /// run.
+    ///
+    /// The report merges the replicas that served the run
+    /// ([`UtilizationReport::merge`]); shed and throttled requests are
+    /// counted at the front door, and `link_capacity` is the time-weighted
+    /// aggregate capacity of the active replicas over the run.
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if the stream is not time-ordered.
-    pub fn run_controlled_streamed<I>(
+    /// Panics if the requests are not in non-decreasing arrival order.
+    pub fn run(
         &mut self,
-        requests: I,
+        requests: impl IntoIterator<Item = ServerRequest>,
         control: &mut dyn ServerControl,
-    ) -> RunResult
-    where
-        I: IntoIterator<Item = ServerRequest>,
-    {
-        drive_controlled_stream(
-            &self.engine,
-            &mut self.caches,
-            &mut self.active,
-            self.policy,
-            /*allow_scaling=*/ true,
-            requests.into_iter(),
-            control,
-        )
-    }
-
-    /// Processes one batch of requests, spreading them over the replicas,
-    /// and returns the merged result.
-    ///
-    /// Outcomes are returned in the order requests were submitted, exactly
-    /// like [`ServerEngine::run`].  The utilization report aggregates the
-    /// replicas: CPU utilization and worker occupancy are averaged, byte and
-    /// operation counters are summed, and peak memory is the maximum of any
-    /// single replica (that is the machine that would start swapping first).
-    pub fn run(&mut self, requests: Vec<ServerRequest>) -> RunResult {
-        if self.policy == BalancePolicy::LeastOutstanding {
-            // Least-connections routing needs the replicas' live in-flight
-            // counts, so it always runs through the time-ordered sweep.
-            let mut active = self.replicas;
-            return drive_controlled(
-                &self.engine,
-                &mut self.caches,
-                &mut active,
-                self.policy,
-                /*allow_scaling=*/ false,
-                requests,
-                &mut NullControl,
+    ) -> RunResult {
+        let mut requests = requests.into_iter().peekable();
+        let t0 = requests.peek().map_or(SimTime::ZERO, |r| r.arrival);
+        let mut sweep = Sweep::new(&self.engine, &mut self.caches, self.active, t0);
+        let tick = control.tick_interval();
+        let mut next_tick = tick.map(|d| t0 + d);
+        // Each arrival's replica, in arrival order; `None` when shed.
+        let mut placement: Vec<Option<usize>> = Vec::with_capacity(requests.size_hint().0);
+        let mut rotation = 0usize;
+        let mut last_arrival = t0;
+        for mut req in requests {
+            let arrival = req.arrival;
+            assert!(
+                arrival >= last_arrival,
+                "request {} arrives at {arrival}, before {last_arrival}: requests must be \
+                 time-ordered",
+                req.id
             );
-        }
-        let replica_count = self.replicas;
-        let mut per_replica: Vec<Vec<ServerRequest>> = vec![Vec::new(); replica_count];
-        let mut placement: Vec<(usize, usize)> = Vec::with_capacity(requests.len());
-        for (submit_idx, req) in requests.into_iter().enumerate() {
+            last_arrival = arrival;
+            while let (Some(d), Some(at)) = (tick, next_tick) {
+                if at > arrival {
+                    break;
+                }
+                sweep.tick(at, control);
+                next_tick = Some(at + d);
+            }
+            sweep.arrivals += 1;
+            match control.on_arrival(arrival, &req) {
+                AdmissionVerdict::Shed => {
+                    sweep.shed.push(RequestOutcome {
+                        id: req.id,
+                        arrival,
+                        status: RequestStatus::Shed,
+                        completion: arrival,
+                        body_bytes: 0,
+                        background: req.background,
+                    });
+                    placement.push(None);
+                    continue;
+                }
+                AdmissionVerdict::Throttle(rate) => {
+                    req.client_downlink = req.client_downlink.min(rate.max(1.0));
+                    sweep.throttled += 1;
+                }
+                AdmissionVerdict::Accept => {}
+            }
             let replica = match self.policy {
-                BalancePolicy::RoundRobin => submit_idx % replica_count,
-                BalancePolicy::HashById => (req.id as usize) % replica_count,
-                BalancePolicy::LeastOutstanding => unreachable!("handled above"),
+                BalancePolicy::RoundRobin => {
+                    let replica = rotation % sweep.active;
+                    rotation += 1;
+                    replica
+                }
+                BalancePolicy::HashById => (req.id as usize) % sweep.active,
+                BalancePolicy::LeastOutstanding => sweep.least_outstanding(arrival),
             };
-            placement.push((replica, per_replica[replica].len()));
-            per_replica[replica].push(req);
+            sweep.session(replica).push_request(req);
+            placement.push(Some(replica));
         }
 
-        let mut replica_results: Vec<RunResult> = Vec::with_capacity(replica_count);
-        for (replica, batch) in per_replica.into_iter().enumerate() {
-            let result = self.engine.run(batch, &mut self.caches[replica]);
-            replica_results.push(result);
+        // Drain, keeping ticks firing while work remains.
+        if let (Some(d), Some(mut at)) = (tick, next_tick) {
+            loop {
+                sweep.step_all(at);
+                if !sweep.has_pending_work() {
+                    break;
+                }
+                sweep.tick(at, control);
+                at += d;
+            }
         }
-
-        // Re-assemble outcomes in submission order.
-        let mut outcomes = Vec::with_capacity(placement.len());
-        for &(replica, local_idx) in &placement {
-            outcomes.push(replica_results[replica].outcomes[local_idx].clone());
-        }
-
-        let mut arrival_log = Vec::new();
-        for result in &replica_results {
-            arrival_log.extend(result.arrival_log.iter().cloned());
-        }
-        arrival_log.sort_by_key(|r| (r.arrival, r.id));
-
-        let window = replica_results
-            .iter()
-            .map(|r| r.utilization.window)
-            .max()
-            .unwrap_or(SimDuration::ZERO);
-        let n = replica_results.len() as f64;
-        let utilization = UtilizationReport {
-            window,
-            cpu_utilization: replica_results
-                .iter()
-                .map(|r| r.utilization.cpu_utilization)
-                .sum::<f64>()
-                / n,
-            peak_memory_bytes: replica_results
-                .iter()
-                .map(|r| r.utilization.peak_memory_bytes)
-                .max()
-                .unwrap_or(0),
-            mean_memory_bytes: replica_results
-                .iter()
-                .map(|r| r.utilization.mean_memory_bytes)
-                .sum::<f64>()
-                / n,
-            network_bytes_sent: replica_results
-                .iter()
-                .map(|r| r.utilization.network_bytes_sent)
-                .sum(),
-            disk_operations: replica_results
-                .iter()
-                .map(|r| r.utilization.disk_operations)
-                .sum(),
-            mean_busy_workers: replica_results
-                .iter()
-                .map(|r| r.utilization.mean_busy_workers)
-                .sum::<f64>()
-                / n,
-            peak_busy_workers: replica_results
-                .iter()
-                .map(|r| r.utilization.peak_busy_workers)
-                .max()
-                .unwrap_or(0),
-            refused_requests: replica_results
-                .iter()
-                .map(|r| r.utilization.refused_requests)
-                .sum(),
-            completed_requests: replica_results
-                .iter()
-                .map(|r| r.utilization.completed_requests)
-                .sum(),
-            shed_requests: 0,
-            throttled_requests: 0,
-            link_capacity: replica_results
-                .iter()
-                .map(|r| r.utilization.link_capacity)
-                .sum(),
-        };
-
-        RunResult {
-            outcomes,
-            utilization,
-            arrival_log,
-        }
+        self.active = sweep.active;
+        sweep.finish(placement)
     }
 }
 
-/// Where one submitted request ended up in a controlled run.
-enum Placement {
-    /// Routed to `(replica, local submission index)`.
-    Routed(usize, usize),
-    /// Shed at the front door; the 503 outcome is recorded directly.
-    Shed(RequestOutcome),
-}
-
-/// Mutable state of one controlled sweep: the per-replica sessions, the
-/// capacity overrides, and the front-door counters.  Methods scope the
-/// borrows between the sessions, the cache pool and the overrides.
-struct DriveState<'e, 'c> {
+/// Mutable state of one sweep: the per-replica sessions, the capacity
+/// overrides, and the front-door counters.
+struct Sweep<'e, 'c> {
     engine: &'e ServerEngine,
     caches: &'c mut Vec<CacheState>,
-    sessions: Vec<EngineSession<'e>>,
+    /// One slot per replica index; a session opens when the replica is
+    /// first routed to.
+    sessions: Vec<Option<EngineSession<'e>>>,
     /// Replicas currently routable.
     active: usize,
-    allow_scaling: bool,
     /// Capacity overrides installed by ControlActions; applied to existing
-    /// sessions immediately and to later-created replicas at birth.
+    /// sessions immediately and to later-opened ones at birth.
     link_override: Option<Bandwidth>,
     cpu_override: Option<f64>,
     arrivals: u64,
-    shed_count: u64,
-    throttled_count: u64,
+    /// Outcomes of the requests shed at the front door, in arrival order.
+    shed: Vec<RequestOutcome>,
+    throttled: u64,
     /// Aggregate outbound capacity (active replicas × per-replica link)
     /// over time, so the reported `link_capacity` reflects mid-run
     /// scale-ups and capacity steps instead of only the end-of-run state.
     capacity_series: TimeWeighted,
-    /// Latest virtual time the sweep advanced to.
+    /// Latest virtual time the sweep stepped its sessions to.
     last_time: SimTime,
 }
 
-impl<'e, 'c> DriveState<'e, 'c> {
+impl<'e, 'c> Sweep<'e, 'c> {
     fn new(
         engine: &'e ServerEngine,
         caches: &'c mut Vec<CacheState>,
         active: usize,
-        allow_scaling: bool,
         t0: SimTime,
     ) -> Self {
-        let initial_capacity = active.max(1) as f64 * engine.config().access_link;
-        DriveState {
+        let active = active.max(1);
+        Sweep {
             engine,
             caches,
             sessions: Vec::new(),
-            active: active.max(1),
-            allow_scaling,
+            active,
             link_override: None,
             cpu_override: None,
             arrivals: 0,
-            shed_count: 0,
-            throttled_count: 0,
-            capacity_series: TimeWeighted::new(t0, initial_capacity),
+            shed: Vec::new(),
+            throttled: 0,
+            capacity_series: TimeWeighted::new(t0, active as f64 * engine.config().access_link),
             last_time: t0,
         }
     }
@@ -353,51 +280,78 @@ impl<'e, 'c> DriveState<'e, 'c> {
                 .unwrap_or(self.engine.config().access_link)
     }
 
-    /// Creates replica sessions up to and including `replica`, borrowing
-    /// their cache state from the pool (and growing the pool as needed).
-    fn ensure_session(&mut self, replica: usize) {
-        while self.sessions.len() <= replica {
-            let idx = self.sessions.len();
-            if self.caches.len() <= idx {
-                self.caches.push(CacheState::new());
-            }
-            let cache = std::mem::replace(&mut self.caches[idx], CacheState::new());
-            let mut session = self.engine.session(cache);
-            if let Some(bw) = self.link_override {
+    /// The session of `replica`, opened on first use with the replica's
+    /// cache state borrowed from the pool (which grows as needed).
+    fn session(&mut self, replica: usize) -> &mut EngineSession<'e> {
+        if self.sessions.len() <= replica {
+            self.sessions.resize_with(replica + 1, || None);
+        }
+        if self.caches.len() <= replica {
+            self.caches.resize_with(replica + 1, CacheState::new);
+        }
+        let engine = self.engine;
+        let (link, cpu) = (self.link_override, self.cpu_override);
+        let cache = &mut self.caches[replica];
+        self.sessions[replica].get_or_insert_with(|| {
+            let mut session = engine.session(std::mem::take(cache));
+            if let Some(bw) = link {
                 session.set_access_link(bw, SimTime::ZERO);
             }
-            if let Some(factor) = self.cpu_override {
+            if let Some(factor) = cpu {
                 session.scale_cpu(factor, SimTime::ZERO);
             }
-            self.sessions.push(session);
-        }
+            session
+        })
     }
 
-    fn advance_all(&mut self, now: SimTime) {
-        for session in self.sessions.iter_mut() {
+    fn open_sessions(&mut self) -> impl Iterator<Item = &mut EngineSession<'e>> {
+        self.sessions.iter_mut().flatten()
+    }
+
+    fn step_all(&mut self, now: SimTime) {
+        for session in self.open_sessions() {
             session.run_until(now);
         }
         self.last_time = self.last_time.max(now);
     }
 
+    fn has_pending_work(&mut self) -> bool {
+        self.open_sessions()
+            .any(|session| session.next_event_time().is_some())
+    }
+
+    /// The active replica with the fewest requests in flight at `now`
+    /// (the lowest index on a tie).
+    fn least_outstanding(&mut self, now: SimTime) -> usize {
+        self.step_all(now);
+        (0..self.active)
+            .min_by_key(|&r| {
+                self.sessions
+                    .get(r)
+                    .and_then(Option::as_ref)
+                    .map_or(0, EngineSession::in_flight)
+            })
+            .expect("at least one active replica")
+    }
+
     fn sample(&self, now: SimTime) -> TickSample {
         let mut sample = TickSample::idle(now, self.active);
         sample.arrivals = self.arrivals;
-        sample.shed = self.shed_count;
+        sample.shed = self.shed.len() as u64;
         // Load counters aggregate every session, including replicas retired
         // by a scale-down that are still draining in-flight work; the
         // utilization means, however, describe the *routable* fleet — a
         // still-booting replica counts as idle (it exists but has no
         // session yet) and a retired one no longer dilutes the average.
-        let routable = self.active.min(self.sessions.len());
-        for (replica, session) in self.sessions.iter().enumerate() {
+        for (replica, slot) in self.sessions.iter().enumerate() {
+            let Some(session) = slot else { continue };
             sample.in_flight += session.in_flight();
             sample.busy_workers += u64::from(session.busy_workers());
             sample.queued += session.queued() as u64;
             sample.memory_used += session.memory_used();
             sample.completed += session.completed();
             sample.refused += session.refused();
-            if replica < routable {
+            if replica < self.active {
                 sample.cpu_utilization += session.cpu_utilization();
                 sample.link_utilization += session.link_utilization();
             }
@@ -410,31 +364,29 @@ impl<'e, 'c> DriveState<'e, 'c> {
     fn apply(&mut self, action: ControlAction, now: SimTime) {
         match action {
             ControlAction::SetReplicas(n) => {
-                if self.allow_scaling {
-                    self.active = n.max(1);
-                    self.capacity_series.set(now, self.aggregate_capacity());
-                }
+                self.active = n.max(1);
+                self.capacity_series.set(now, self.aggregate_capacity());
             }
             ControlAction::SetAccessLink(bw) => {
                 self.link_override = Some(bw);
-                for session in self.sessions.iter_mut() {
+                for session in self.open_sessions() {
                     session.set_access_link(bw, now);
                 }
                 self.capacity_series.set(now, self.aggregate_capacity());
             }
             ControlAction::ScaleCpu(factor) => {
                 self.cpu_override = Some(factor);
-                for session in self.sessions.iter_mut() {
+                for session in self.open_sessions() {
                     session.scale_cpu(factor, now);
                 }
             }
         }
     }
 
-    /// Advances to `now`, hands the control loop a fresh telemetry sample
-    /// and applies whatever it decided.
-    fn do_tick(&mut self, now: SimTime, control: &mut dyn ServerControl) {
-        self.advance_all(now);
+    /// Steps to `now`, hands the control loop a fresh telemetry sample and
+    /// applies whatever it decided.
+    fn tick(&mut self, now: SimTime, control: &mut dyn ServerControl) {
+        self.step_all(now);
         let sample = self.sample(now);
         let mut actions = Vec::new();
         control.on_tick(now, &sample, &mut actions);
@@ -443,266 +395,69 @@ impl<'e, 'c> DriveState<'e, 'c> {
         }
     }
 
-    fn route(&self, policy: BalancePolicy, rr_counter: &mut usize, req: &ServerRequest) -> usize {
-        match policy {
-            BalancePolicy::RoundRobin => {
-                let r = *rr_counter % self.active;
-                *rr_counter += 1;
-                r
-            }
-            BalancePolicy::HashById => (req.id as usize) % self.active,
-            BalancePolicy::LeastOutstanding => (0..self.active)
-                .min_by_key(|&r| self.sessions.get(r).map(|s| s.in_flight()).unwrap_or(0))
-                .expect("at least one active replica"),
+    /// Finishes every session, hands the warmed caches back, and assembles
+    /// the cluster's result with outcomes in arrival order.
+    fn finish(self, placement: Vec<Option<usize>>) -> RunResult {
+        let Sweep {
+            caches,
+            sessions,
+            shed,
+            throttled,
+            capacity_series,
+            last_time,
+            ..
+        } = self;
+        let mut run_end = last_time;
+        let mut parts: Vec<Option<RunResult>> = Vec::with_capacity(sessions.len());
+        for (replica, slot) in sessions.into_iter().enumerate() {
+            parts.push(slot.map(|session| {
+                let start = session.start();
+                let (result, cache) = session.finish();
+                caches[replica] = cache;
+                run_end = run_end.max(start + result.utilization.window);
+                result
+            }));
         }
-    }
 
-    /// Time-weighted mean aggregate capacity over the sweep (the value an
-    /// `atop`-style monitor would have averaged).
-    fn mean_link_capacity(&self) -> f64 {
-        self.capacity_series.average_until(self.last_time)
-    }
-}
+        let mut utilization =
+            UtilizationReport::merge(parts.iter().flatten().map(|part| &part.utilization));
+        utilization.shed_requests = shed.len() as u64;
+        utilization.throttled_requests = throttled;
+        utilization.link_capacity = capacity_series.average_until(run_end);
 
-/// The time-ordered sweep shared by [`ServerCluster::run_controlled`] and
-/// [`ServerEngine::run_controlled`]: requests are fed to per-replica
-/// [`EngineSession`]s in arrival order, with the control loop's telemetry
-/// ticks interleaved deterministically between arrivals and during the
-/// drain.
-pub(crate) fn drive_controlled(
-    engine: &ServerEngine,
-    caches: &mut Vec<CacheState>,
-    active: &mut usize,
-    policy: BalancePolicy,
-    allow_scaling: bool,
-    requests: Vec<ServerRequest>,
-    control: &mut dyn ServerControl,
-) -> RunResult {
-    let total = requests.len();
-    let mut order: Vec<usize> = (0..total).collect();
-    order.sort_by_key(|&i| (requests[i].arrival, i));
-    let mut slots: Vec<Option<ServerRequest>> = requests.into_iter().map(Some).collect();
-    let sorted = order
-        .iter()
-        .map(|&i| slots[i].take().expect("each request consumed once"));
-    let mut result = drive_controlled_stream(
-        engine,
-        caches,
-        active,
-        policy,
-        allow_scaling,
-        sorted,
-        control,
-    );
-    // The streamed core reports outcomes in fed (arrival) order; put them
-    // back in submission order.
-    let mut outcomes: Vec<Option<RequestOutcome>> = (0..total).map(|_| None).collect();
-    for (fed_index, outcome) in result.outcomes.drain(..).enumerate() {
-        outcomes[order[fed_index]] = Some(outcome);
-    }
-    result.outcomes = outcomes
-        .into_iter()
-        .map(|o| o.expect("every request was placed or shed"))
-        .collect();
-    result
-}
-
-/// The iterator-driven core of the controlled sweep: requests are consumed
-/// lazily in arrival order (a workload stream never has to materialize),
-/// and outcomes are reported in the order they were fed.
-pub(crate) fn drive_controlled_stream(
-    engine: &ServerEngine,
-    caches: &mut Vec<CacheState>,
-    active: &mut usize,
-    policy: BalancePolicy,
-    allow_scaling: bool,
-    requests: impl Iterator<Item = ServerRequest>,
-    control: &mut dyn ServerControl,
-) -> RunResult {
-    let mut requests = requests.peekable();
-    let mut placement: Vec<Placement> = Vec::new();
-    let mut rr_counter = 0usize;
-    let mut shed_log: Vec<ArrivalRecord> = Vec::new();
-
-    let tick = control.tick_interval();
-    let t0 = requests.peek().map(|r| r.arrival).unwrap_or(SimTime::ZERO);
-    let mut next_tick = tick.map(|d| t0 + d);
-    let mut drive = DriveState::new(engine, caches, *active, allow_scaling, t0);
-
-    // Arrival sweep.
-    let mut last_arrival = t0;
-    for req in requests {
-        let arrival = req.arrival;
-        debug_assert!(
-            arrival >= last_arrival,
-            "controlled stream must be fed in arrival order"
-        );
-        last_arrival = arrival;
-        while let (Some(d), Some(at)) = (tick, next_tick) {
-            if at > arrival {
-                break;
-            }
-            drive.do_tick(at, control);
-            next_tick = Some(at + d);
+        let mut arrival_log: Vec<ArrivalRecord> = shed
+            .iter()
+            .map(|o| ArrivalRecord {
+                id: o.id,
+                arrival: o.arrival,
+                background: o.background,
+            })
+            .collect();
+        for part in parts.iter_mut().flatten() {
+            arrival_log.append(&mut part.arrival_log);
         }
-        drive.advance_all(arrival);
-        drive.arrivals += 1;
-        match control.on_arrival(arrival, &req) {
-            AdmissionVerdict::Shed => {
-                shed_log.push(ArrivalRecord {
-                    id: req.id,
-                    arrival,
-                    background: req.background,
-                });
-                placement.push(Placement::Shed(RequestOutcome {
-                    id: req.id,
-                    arrival,
-                    status: RequestStatus::Shed,
-                    completion: arrival,
-                    body_bytes: 0,
-                    background: req.background,
-                }));
-                drive.shed_count += 1;
-            }
-            verdict => {
-                let mut req = req;
-                if let AdmissionVerdict::Throttle(rate) = verdict {
-                    req.client_downlink = req.client_downlink.min(rate.max(1.0));
-                    drive.throttled_count += 1;
-                }
-                let replica = drive.route(policy, &mut rr_counter, &req);
-                drive.ensure_session(replica);
-                placement.push(Placement::Routed(replica, drive.sessions[replica].pushed()));
-                drive.sessions[replica].push_request(req);
-            }
+        arrival_log.sort_by_key(|r| (r.arrival, r.id));
+
+        // Each replica's outcomes are in its push order, so walking the
+        // placements in arrival order takes them in turn.
+        let mut per_replica: Vec<_> = parts
+            .into_iter()
+            .map(|part| part.map(|p| p.outcomes).unwrap_or_default().into_iter())
+            .collect();
+        let mut shed = shed.into_iter();
+        let outcomes = placement
+            .into_iter()
+            .map(|slot| match slot {
+                Some(replica) => per_replica[replica].next(),
+                None => shed.next(),
+            })
+            .map(|outcome| outcome.expect("every arrival has exactly one outcome"))
+            .collect();
+        RunResult {
+            outcomes,
+            utilization,
+            arrival_log,
         }
-    }
-
-    // Drain, keeping ticks firing while work remains.
-    loop {
-        let next_event = drive
-            .sessions
-            .iter_mut()
-            .filter_map(|s| s.next_event_time())
-            .min();
-        let Some(next_event) = next_event else { break };
-        match (tick, next_tick) {
-            (Some(d), Some(at)) if at <= next_event => {
-                drive.do_tick(at, control);
-                next_tick = Some(at + d);
-            }
-            _ => drive.advance_all(next_event),
-        }
-    }
-
-    *active = drive.active;
-    let link_capacity = drive.mean_link_capacity();
-    let DriveState {
-        caches,
-        sessions,
-        shed_count,
-        throttled_count,
-        ..
-    } = drive;
-
-    // Collect per-replica results, handing caches back for the next run.
-    let mut replica_results: Vec<RunResult> = Vec::with_capacity(sessions.len());
-    for (idx, session) in sessions.into_iter().enumerate() {
-        let (result, cache) = session.finish();
-        caches[idx] = cache;
-        replica_results.push(result);
-    }
-
-    let mut outcomes = Vec::with_capacity(placement.len());
-    for slot in placement {
-        match slot {
-            Placement::Routed(replica, local) => {
-                outcomes.push(replica_results[replica].outcomes[local].clone());
-            }
-            Placement::Shed(outcome) => outcomes.push(outcome),
-        }
-    }
-
-    let mut arrival_log = shed_log;
-    for result in &replica_results {
-        arrival_log.extend(result.arrival_log.iter().cloned());
-    }
-    arrival_log.sort_by_key(|r| (r.arrival, r.id));
-    let n = replica_results.len() as f64;
-    let utilization = if replica_results.is_empty() {
-        UtilizationReport {
-            window: SimDuration::ZERO,
-            cpu_utilization: 0.0,
-            peak_memory_bytes: 0,
-            mean_memory_bytes: 0.0,
-            network_bytes_sent: 0,
-            disk_operations: 0,
-            mean_busy_workers: 0.0,
-            peak_busy_workers: 0,
-            refused_requests: 0,
-            completed_requests: 0,
-            shed_requests: shed_count,
-            throttled_requests: throttled_count,
-            link_capacity,
-        }
-    } else {
-        UtilizationReport {
-            window: replica_results
-                .iter()
-                .map(|r| r.utilization.window)
-                .max()
-                .unwrap_or(SimDuration::ZERO),
-            cpu_utilization: replica_results
-                .iter()
-                .map(|r| r.utilization.cpu_utilization)
-                .sum::<f64>()
-                / n,
-            peak_memory_bytes: replica_results
-                .iter()
-                .map(|r| r.utilization.peak_memory_bytes)
-                .max()
-                .unwrap_or(0),
-            mean_memory_bytes: replica_results
-                .iter()
-                .map(|r| r.utilization.mean_memory_bytes)
-                .sum::<f64>()
-                / n,
-            network_bytes_sent: replica_results
-                .iter()
-                .map(|r| r.utilization.network_bytes_sent)
-                .sum(),
-            disk_operations: replica_results
-                .iter()
-                .map(|r| r.utilization.disk_operations)
-                .sum(),
-            mean_busy_workers: replica_results
-                .iter()
-                .map(|r| r.utilization.mean_busy_workers)
-                .sum::<f64>()
-                / n,
-            peak_busy_workers: replica_results
-                .iter()
-                .map(|r| r.utilization.peak_busy_workers)
-                .max()
-                .unwrap_or(0),
-            refused_requests: replica_results
-                .iter()
-                .map(|r| r.utilization.refused_requests)
-                .sum(),
-            completed_requests: replica_results
-                .iter()
-                .map(|r| r.utilization.completed_requests)
-                .sum(),
-            shed_requests: shed_count,
-            throttled_requests: throttled_count,
-            link_capacity,
-        }
-    };
-
-    RunResult {
-        outcomes,
-        utilization,
-        arrival_log,
     }
 }
 
@@ -710,8 +465,9 @@ pub(crate) fn drive_controlled_stream(
 mod tests {
     use super::*;
     use crate::config::{DatabaseConfig, WorkerConfig};
+    use crate::control::NullControl;
     use crate::request::RequestClass;
-    use mfc_simcore::SimTime;
+    use mfc_simcore::SimDuration;
 
     fn head(id: u64) -> ServerRequest {
         ServerRequest {
@@ -750,14 +506,14 @@ mod tests {
     }
 
     #[test]
-    fn outcomes_keep_submission_order() {
+    fn outcomes_keep_arrival_order() {
         let mut cluster = ServerCluster::new(
             ServerConfig::commercial_frontend(),
             ContentCatalog::typical_site(1),
             4,
         );
         let requests: Vec<ServerRequest> = (0..20).map(head).collect();
-        let result = cluster.run(requests);
+        let result = cluster.run(requests, &mut NullControl);
         let ids: Vec<u64> = result.outcomes.iter().map(|o| o.id).collect();
         assert_eq!(ids, (0..20).collect::<Vec<u64>>());
         assert!(result
@@ -774,9 +530,9 @@ mod tests {
             (0..64).map(|i| query(i, "/cgi/stats?table=t1")).collect();
 
         let mut single = ServerCluster::new(config.clone(), catalog.clone(), 1);
-        let single_result = single.run(requests.clone());
+        let single_result = single.run(requests.clone(), &mut NullControl);
         let mut cluster = ServerCluster::new(config, catalog, 16);
-        let cluster_result = cluster.run(requests);
+        let cluster_result = cluster.run(requests, &mut NullControl);
 
         let worst_single = single_result
             .outcomes
@@ -803,7 +559,7 @@ mod tests {
             ContentCatalog::typical_site(1),
             3,
         );
-        let result = cluster.run((0..9).map(head).collect());
+        let result = cluster.run((0..9).map(head), &mut NullControl);
         assert_eq!(result.arrival_log.len(), 9);
     }
 
@@ -821,8 +577,8 @@ mod tests {
             4,
         )
         .with_policy(BalancePolicy::HashById);
-        let ra = a.run((0..16).map(head).collect());
-        let rb = b.run((0..16).map(head).collect());
+        let ra = a.run((0..16).map(head), &mut NullControl);
+        let rb = b.run((0..16).map(head), &mut NullControl);
         let la: Vec<_> = ra.outcomes.iter().map(|o| o.completion).collect();
         let lb: Vec<_> = rb.outcomes.iter().map(|o| o.completion).collect();
         assert_eq!(la, lb);
@@ -876,7 +632,7 @@ mod tests {
         let run_with = |policy: BalancePolicy| {
             let mut cluster =
                 ServerCluster::new(skewed_config(), catalog.clone(), 2).with_policy(policy);
-            cluster.run(skewed_workload())
+            cluster.run(skewed_workload(), &mut NullControl)
         };
         let rr = run_with(BalancePolicy::RoundRobin);
         let lo = run_with(BalancePolicy::LeastOutstanding);
@@ -901,7 +657,7 @@ mod tests {
         assert!(rr.outcomes.iter().all(|o| o.is_ok()));
         assert!(lo.outcomes.iter().all(|o| o.is_ok()));
         assert_eq!(lo.outcomes.len(), 7);
-        // Outcomes stay in submission order through the sweep path.
+        // Outcomes come back in arrival order.
         let ids: Vec<u64> = lo.outcomes.iter().map(|o| o.id).collect();
         assert_eq!(ids, (0..7).collect::<Vec<u64>>());
     }
@@ -913,7 +669,7 @@ mod tests {
         let run_once = || {
             let mut cluster = ServerCluster::new(config.clone(), catalog.clone(), 3)
                 .with_policy(BalancePolicy::LeastOutstanding);
-            let result = cluster.run(skewed_workload());
+            let result = cluster.run(skewed_workload(), &mut NullControl);
             result
                 .outcomes
                 .iter()
@@ -921,39 +677,6 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run_once(), run_once());
-    }
-
-    #[test]
-    fn controlled_run_with_null_control_matches_plain_run_shape() {
-        let requests: Vec<ServerRequest> = (0..12).map(head).collect();
-        let mut plain = ServerCluster::new(
-            ServerConfig::commercial_frontend(),
-            ContentCatalog::typical_site(1),
-            3,
-        );
-        let plain_result = plain.run(requests.clone());
-        let mut controlled = ServerCluster::new(
-            ServerConfig::commercial_frontend(),
-            ContentCatalog::typical_site(1),
-            3,
-        );
-        let controlled_result =
-            controlled.run_controlled(requests, &mut crate::control::NullControl);
-        assert_eq!(
-            plain_result.outcomes.len(),
-            controlled_result.outcomes.len()
-        );
-        assert_eq!(controlled_result.utilization.completed_requests, 12);
-        assert_eq!(controlled_result.utilization.shed_requests, 0);
-        // Round-robin over simultaneous arrivals routes identically in both
-        // paths, so the outcomes agree exactly.
-        for (a, b) in plain_result
-            .outcomes
-            .iter()
-            .zip(controlled_result.outcomes.iter())
-        {
-            assert_eq!(a, b);
-        }
     }
 
     #[test]
@@ -985,7 +708,7 @@ mod tests {
         for (i, r) in requests.iter_mut().enumerate() {
             r.arrival = SimTime::ZERO + SimDuration::from_millis(i as u64 * 5);
         }
-        let result = cluster.run_controlled(requests, &mut ScaleTo(5));
+        let result = cluster.run(requests, &mut ScaleTo(5));
         assert!(result.outcomes.iter().all(|o| o.is_ok()));
         assert_eq!(cluster.active_replicas(), 5);
         // The caches grew to cover the provisioned replicas.
@@ -999,8 +722,120 @@ mod tests {
             ContentCatalog::typical_site(1),
             2,
         );
-        let result = cluster.run((0..10).map(head).collect());
+        let result = cluster.run((0..10).map(head), &mut NullControl);
         assert_eq!(result.utilization.completed_requests, 10);
         assert_eq!(result.utilization.refused_requests, 0);
+    }
+
+    #[test]
+    fn round_robin_rotates_in_arrival_order() {
+        let mut cluster = ServerCluster::new(
+            ServerConfig::commercial_frontend(),
+            ContentCatalog::typical_site(1),
+            2,
+        );
+        // Arrival order 0, 1, 2, 3 alternates replicas 0, 1, 0, 1, so each
+        // replica's first request is the one that warms its object cache.
+        let requests: Vec<ServerRequest> = (0..4u64)
+            .map(|i| {
+                let mut r = query(i, "/index.html");
+                r.class = RequestClass::Static;
+                r.arrival = SimTime::ZERO + SimDuration::from_millis(100 * i);
+                r
+            })
+            .collect();
+        cluster.run(requests, &mut NullControl);
+        assert!(cluster.caches().iter().all(|c| c.object_stats() == (1, 1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "requests must be time-ordered")]
+    fn out_of_order_requests_are_rejected() {
+        let mut cluster = ServerCluster::new(
+            ServerConfig::commercial_frontend(),
+            ContentCatalog::typical_site(1),
+            2,
+        );
+        let mut late = head(0);
+        late.arrival = SimTime::ZERO + SimDuration::from_millis(5);
+        cluster.run(vec![late, head(1)], &mut NullControl);
+    }
+
+    #[test]
+    fn a_cluster_of_one_reports_its_session_field_for_field() {
+        // 3.3 MB/s × window / window rounds away from 3.3 MB/s for some
+        // windows; the sweep of spacings below hits several of them.
+        let config = ServerConfig {
+            access_link: 3.3e6,
+            ..ServerConfig::lab_apache()
+        };
+        let catalog = ContentCatalog::lab_validation();
+        let engine = ServerEngine::new(config.clone(), catalog.clone());
+        for spacing_us in (0..32u64).map(|k| 7_919 + 613 * k) {
+            let requests: Vec<ServerRequest> = (0..24u64)
+                .map(|i| {
+                    let mut r = match i % 3 {
+                        0 => head(i),
+                        1 => query(i, "/cgi/stats?table=t1"),
+                        _ => {
+                            let mut r = query(i, "/objects/large_100k.bin");
+                            r.class = RequestClass::Static;
+                            r
+                        }
+                    };
+                    r.arrival = SimTime::ZERO + SimDuration::from_micros(spacing_us * i);
+                    r
+                })
+                .collect();
+            let mut session = engine.session(CacheState::new());
+            for request in &requests {
+                session.push_request(request.clone());
+            }
+            let (alone, _) = session.finish();
+            let result = ServerCluster::new(config.clone(), catalog.clone(), 1)
+                .run(requests, &mut NullControl);
+            assert_eq!(result.outcomes, alone.outcomes);
+            assert_eq!(result.arrival_log, alone.arrival_log);
+            assert_eq!(result.utilization, alone.utilization);
+            assert_eq!(result.utilization.link_capacity, config.access_link);
+        }
+    }
+
+    /// Sheds every other arrival and throttles the rest.
+    struct ShedOdd;
+
+    impl ServerControl for ShedOdd {
+        fn tick_interval(&self) -> Option<SimDuration> {
+            None
+        }
+        fn on_arrival(&mut self, _: SimTime, request: &ServerRequest) -> AdmissionVerdict {
+            if request.id % 2 == 1 {
+                AdmissionVerdict::Shed
+            } else {
+                AdmissionVerdict::Throttle(1e6)
+            }
+        }
+        fn on_tick(&mut self, _: SimTime, _: &TickSample, _: &mut Vec<ControlAction>) {}
+    }
+
+    #[test]
+    fn shed_and_throttled_requests_are_counted_at_the_front_door() {
+        let mut cluster = ServerCluster::new(
+            ServerConfig::commercial_frontend(),
+            ContentCatalog::typical_site(1),
+            3,
+        );
+        let result = cluster.run((0..10).map(head), &mut ShedOdd);
+        assert_eq!(result.utilization.shed_requests, 5);
+        assert_eq!(result.utilization.throttled_requests, 5);
+        assert_eq!(result.utilization.completed_requests, 5);
+        assert_eq!(result.arrival_log.len(), 10);
+        let shed: Vec<u64> = result
+            .outcomes
+            .iter()
+            .filter(|o| o.status == RequestStatus::Shed)
+            .map(|o| o.id)
+            .collect();
+        assert_eq!(shed, vec![1, 3, 5, 7, 9]);
     }
 }

@@ -11,9 +11,9 @@
 //!
 //! The concrete defense policies (autoscaler, admission controller, token
 //! bucket, capacity schedule) live in the `mfc-dynamics` crate; this crate
-//! only knows how to *host* a control loop inside
-//! [`crate::ServerEngine::run_controlled`] and
-//! [`crate::ServerCluster::run_controlled`].
+//! only knows how to *host* a control loop inside [`crate::ServerCluster::run`],
+//! which runs every server — static targets under a control that never
+//! ticks and accepts everything.
 
 use mfc_simcore::{SimDuration, SimTime};
 use mfc_simnet::Bandwidth;
@@ -93,9 +93,9 @@ pub enum AdmissionVerdict {
 /// A mutation the control loop applies to the running server at a tick.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ControlAction {
-    /// Set the number of routable replicas.  Clamped to at least 1; ignored
-    /// by single-server hosts.  New replicas start cold (empty caches) and
-    /// only receive requests arriving after the action.
+    /// Set the number of routable replicas.  Clamped to at least 1.  New
+    /// replicas start cold (empty caches) and only receive requests
+    /// arriving after the action.
     SetReplicas(usize),
     /// Set the outbound access-link capacity (bytes/second) of every
     /// replica.
@@ -126,8 +126,8 @@ pub trait ServerControl {
     fn on_tick(&mut self, now: SimTime, sample: &TickSample, actions: &mut Vec<ControlAction>);
 }
 
-/// The do-nothing control loop: accepts everything, never ticks.  Hosting a
-/// run under [`NullControl`] reproduces the plain batch run.
+/// The do-nothing control loop for tests: accepts everything, never ticks,
+/// so a run under it is a static server.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullControl;
 

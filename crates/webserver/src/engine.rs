@@ -1,12 +1,14 @@
 //! The event-driven server simulation.
 //!
-//! [`ServerEngine::run`] takes a batch of timed request arrivals (MFC
-//! requests plus any background traffic), pushes each request through the
-//! server's sub-systems — worker admission, request parsing on the CPU,
-//! static content from cache or disk, dynamic content through the
-//! configured handler and the database, and finally the response transfer
-//! over the shared access link — and reports when every response reached
-//! its client together with a resource-utilization snapshot.
+//! An [`EngineSession`] pushes timed request arrivals (MFC requests plus
+//! any background traffic) through one server's sub-systems — worker
+//! admission, request parsing on the CPU, static content from cache or
+//! disk, dynamic content through the configured handler and the database,
+//! and finally the response transfer over the shared access link — and
+//! reports when every response reached its client together with a
+//! resource-utilization snapshot.  [`crate::ServerCluster::run`] is the
+//! way to run a server: it opens one session per replica it routes to (a
+//! single server is a cluster of one).
 //!
 //! The per-request pipeline is:
 //!
@@ -32,15 +34,14 @@ use mfc_topology::{BuiltTopology, TopologySpec};
 use crate::cache::CacheState;
 use crate::config::{DynamicHandler, ServerConfig};
 use crate::content::{ContentCatalog, ObjectSpec};
-use crate::control::ServerControl;
 use crate::request::{ArrivalRecord, RequestClass, RequestOutcome, RequestStatus, ServerRequest};
 use crate::resource::{FifoResource, MemoryTracker, PsResource, SlotPool};
 use crate::telemetry::UtilizationReport;
 
-/// Result of one engine run.
+/// Result of one server run.
 #[derive(Debug, Clone)]
 pub struct RunResult {
-    /// Per-request outcomes, in the same order as the submitted requests.
+    /// Per-request outcomes, in arrival (push) order.
     pub outcomes: Vec<RequestOutcome>,
     /// Server resource usage over the run window.
     pub utilization: UtilizationReport,
@@ -48,17 +49,20 @@ pub struct RunResult {
     pub arrival_log: Vec<ArrivalRecord>,
 }
 
-/// A configured simulated server ready to process request batches.
+/// A configured simulated server: its configuration, hosted content and
+/// WAN topology.  [`ServerEngine::session`] opens a run against it;
+/// [`crate::ServerCluster`] does that for each of its replicas.
 ///
 /// # Examples
 ///
 /// ```
 /// use mfc_simcore::{SimDuration, SimTime};
-/// use mfc_webserver::{CacheState, ContentCatalog, RequestClass, ServerConfig, ServerEngine,
+/// use mfc_webserver::{ContentCatalog, NullControl, RequestClass, ServerCluster, ServerConfig,
 ///                     ServerRequest};
 ///
-/// let engine = ServerEngine::new(ServerConfig::lab_apache(), ContentCatalog::lab_validation());
-/// let mut cache = CacheState::new();
+/// // A single server is a cluster of one.
+/// let mut server =
+///     ServerCluster::new(ServerConfig::lab_apache(), ContentCatalog::lab_validation(), 1);
 /// let req = ServerRequest {
 ///     id: 1,
 ///     arrival: SimTime::ZERO,
@@ -69,7 +73,7 @@ pub struct RunResult {
 ///     client_addr: 1,
 ///     background: false,
 /// };
-/// let result = engine.run(vec![req], &mut cache);
+/// let result = server.run(vec![req], &mut NullControl);
 /// assert!(result.outcomes[0].is_ok());
 /// ```
 #[derive(Debug, Clone)]
@@ -126,84 +130,6 @@ impl ServerEngine {
     /// The WAN topology in front of the server.
     pub fn topology(&self) -> &TopologySpec {
         &self.topology
-    }
-
-    /// Processes a batch of requests to completion.
-    ///
-    /// `cache` carries object/query cache warmth across runs (epochs).
-    /// Outcomes are returned in the order the requests were supplied.
-    pub fn run(&self, requests: Vec<ServerRequest>, cache: &mut CacheState) -> RunResult {
-        let mut session = self.session(std::mem::replace(cache, CacheState::new()));
-        for request in requests {
-            session.push_request(request);
-        }
-        let (result, warmed) = session.finish();
-        *cache = warmed;
-        result
-    }
-
-    /// Processes a lazily generated, time-ordered request stream to
-    /// completion without materializing it first: each request is pushed as
-    /// the session's virtual clock reaches its arrival, so the pending
-    /// event set stays bounded by the in-flight load instead of the total
-    /// request count.  This is how a workload stream of millions of
-    /// sessions runs through the engine.
-    ///
-    /// Requests must arrive in non-decreasing arrival order (a
-    /// [`mfc_workload::WorkloadStream`] is by construction).  Outcomes come
-    /// back in the order the stream produced them.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if the stream is not time-ordered.
-    pub fn run_streamed<I>(&self, requests: I, cache: &mut CacheState) -> RunResult
-    where
-        I: IntoIterator<Item = ServerRequest>,
-    {
-        let mut session = self.session(std::mem::replace(cache, CacheState::new()));
-        let mut last_arrival: Option<SimTime> = None;
-        for request in requests {
-            debug_assert!(
-                last_arrival.is_none_or(|t| request.arrival >= t),
-                "streamed requests must be time-ordered"
-            );
-            last_arrival = Some(request.arrival);
-            // Retire everything the server finished before this arrival,
-            // then admit it.
-            session.run_until(request.arrival);
-            session.push_request(request);
-        }
-        let (result, warmed) = session.finish();
-        *cache = warmed;
-        result
-    }
-
-    /// Processes a batch of requests with a [`ServerControl`] loop attached:
-    /// the control sees every arrival (and may shed or throttle it) and a
-    /// telemetry tick at its configured interval, through which it can
-    /// reshape the server's link and CPU capacity mid-run.
-    ///
-    /// Replica-count actions are ignored — a single engine cannot scale
-    /// out; use [`crate::ServerCluster::run_controlled`] for that.
-    pub fn run_controlled(
-        &self,
-        requests: Vec<ServerRequest>,
-        cache: &mut CacheState,
-        control: &mut dyn ServerControl,
-    ) -> RunResult {
-        let mut caches = vec![std::mem::replace(cache, CacheState::new())];
-        let mut active = 1;
-        let result = crate::cluster::drive_controlled(
-            self,
-            &mut caches,
-            &mut active,
-            crate::cluster::BalancePolicy::RoundRobin,
-            /*allow_scaling=*/ false,
-            requests,
-            control,
-        );
-        *cache = caches.swap_remove(0);
-        result
     }
 
     /// Opens a tick-driven session against this server.  The session owns
@@ -278,20 +204,25 @@ struct InFlight<'a> {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
-    Arrival(usize),
     CpuCheck,
     NetCheck,
     DiskDone(usize),
 }
 
-/// A tick-driven, incrementally-fed run of one server — the mid-run
-/// mutation seam the dynamics layer drives.
+/// A tick-driven, incrementally-fed run of one server — the per-replica
+/// building block of [`crate::ServerCluster::run`] and the mid-run mutation
+/// seam the dynamics layer drives.
 ///
-/// Unlike the fire-and-forget [`ServerEngine::run`], a session accepts
-/// request arrivals while it is running ([`EngineSession::push_request`]),
-/// advances virtual time in bounded steps ([`EngineSession::run_until`]),
-/// exposes instantaneous telemetry between steps, and lets a control loop
-/// mutate link and CPU capacity without disturbing in-flight work.
+/// A session accepts request arrivals in time order while it is running
+/// ([`EngineSession::push_request`]), advances virtual time in bounded
+/// steps ([`EngineSession::run_until`]), exposes instantaneous telemetry
+/// between steps, and lets a control loop mutate link and CPU capacity
+/// without disturbing in-flight work.
+///
+/// Pushed arrivals wait in a FIFO beside the event queue, and an arrival
+/// at time *t* runs before any engine event at *t*.  Stepping therefore
+/// never changes a result: a session stepped after every push ends exactly
+/// like one that is only [finished](EngineSession::finish).
 ///
 /// # Examples
 ///
@@ -325,6 +256,9 @@ pub struct EngineSession<'a> {
     cache: CacheState,
     queue: EventQueue<Event>,
     requests: Vec<InFlight<'a>>,
+    /// The arrival FIFO: `requests[next_arrival..]` have been pushed but
+    /// not yet admitted.
+    next_arrival: usize,
     workers: SlotPool,
     listen_queue: VecDeque<usize>,
     handler_pool: SlotPool,
@@ -342,9 +276,6 @@ pub struct EngineSession<'a> {
     now: SimTime,
     start: SimTime,
     end: SimTime,
-    /// Whether the gauges have been anchored at the run's start time (the
-    /// earliest arrival pushed before the first step).
-    started: bool,
     busy_workers: TimeWeighted,
     memory_series: TimeWeighted,
     arrival_log: Vec<ArrivalRecord>,
@@ -356,7 +287,7 @@ pub struct EngineSession<'a> {
 
 /// Flow ids at or above this value belong to persistent cross-traffic
 /// flows injected from the topology spec; they never complete, so they can
-/// never collide with a request's submission index.
+/// never collide with a request's local (push-order) index.
 const CROSS_FLOW_BASE: u64 = 1 << 62;
 
 impl<'a> EngineSession<'a> {
@@ -383,6 +314,7 @@ impl<'a> EngineSession<'a> {
             cache,
             queue: EventQueue::new(),
             requests: Vec::new(),
+            next_arrival: 0,
             workers: SlotPool::new(config.workers.max_workers),
             listen_queue: VecDeque::new(),
             handler_pool: SlotPool::new(handler_capacity),
@@ -397,7 +329,6 @@ impl<'a> EngineSession<'a> {
             now: SimTime::ZERO,
             start: SimTime::ZERO,
             end: SimTime::ZERO,
-            started: false,
             busy_workers: TimeWeighted::new(SimTime::ZERO, 0.0),
             memory_series: TimeWeighted::new(SimTime::ZERO, 0.0),
             arrival_log: Vec::new(),
@@ -408,20 +339,31 @@ impl<'a> EngineSession<'a> {
     }
 
     /// Submits a request to the session.  Outcomes are reported in push
-    /// order by [`EngineSession::finish`].  Arrivals pushed after stepping
-    /// has begun must not lie in the session's past.
+    /// order by [`EngineSession::finish`].  The first push anchors the
+    /// session's window at its arrival.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arrival precedes an earlier push or the time the
+    /// session has already been stepped to.
     pub fn push_request(&mut self, request: ServerRequest) {
-        if !self.started {
-            self.start = if self.requests.is_empty() {
-                request.arrival
-            } else {
-                self.start.min(request.arrival)
-            };
-            self.now = self.start;
-            self.end = self.start;
+        let floor = self
+            .requests
+            .last()
+            .map_or(self.now, |last| last.req.arrival.max(self.now));
+        assert!(
+            request.arrival >= floor,
+            "request {} arrives at {}, before {floor}: pushes must be time-ordered",
+            request.id,
+            request.arrival
+        );
+        if self.requests.is_empty() {
+            self.start = request.arrival;
+            self.now = request.arrival;
+            self.end = request.arrival;
+            self.busy_workers = TimeWeighted::new(self.start, 0.0);
+            self.memory_series = TimeWeighted::new(self.start, self.memory.used() as f64);
         }
-        let idx = self.requests.len();
-        self.queue.schedule(request.arrival, Event::Arrival(idx));
         self.requests.push(InFlight {
             req: request,
             object: None,
@@ -436,50 +378,35 @@ impl<'a> EngineSession<'a> {
         });
     }
 
-    /// Anchors the time-weighted gauges at the run's start.  A no-op until
-    /// the first request is pushed, and after the first step.
-    fn ensure_started(&mut self) {
-        if self.started || self.requests.is_empty() {
-            return;
-        }
-        self.started = true;
-        self.busy_workers = TimeWeighted::new(self.start, 0.0);
-        self.memory_series = TimeWeighted::new(self.start, self.memory.used() as f64);
-    }
-
-    /// Processes every event at or before `limit` and advances the session
-    /// clock to `limit`, so telemetry reads are instantaneous at that time.
+    /// Admits every pushed arrival at or before `limit`, processes every
+    /// engine event strictly before it, and advances the session clock to
+    /// `limit`, so telemetry reads are instantaneous at that time.  Events
+    /// at `limit` itself wait, because an arrival pushed at `limit` later
+    /// must still run before them.
     pub fn run_until(&mut self, limit: SimTime) {
-        self.ensure_started();
-        while let Some(time) = self.queue.peek_time() {
-            if time > limit {
-                break;
+        self.process(Some(limit));
+        self.now = self.now.max(limit);
+    }
+
+    /// The time of the next pending arrival or event, if any work remains.
+    pub fn next_event_time(&mut self) -> Option<SimTime> {
+        let event = self.queue.peek_time();
+        match self.requests.get(self.next_arrival) {
+            Some(pending) => {
+                Some(event.map_or(pending.req.arrival, |t| t.min(pending.req.arrival)))
             }
-            let (time, event) = self.queue.pop().expect("peeked event exists");
-            self.now = self.now.max(time);
-            self.dispatch(event);
-            self.reschedule_cpu();
-            self.reschedule_net();
-        }
-        if self.started {
-            self.now = self.now.max(limit);
+            None => event,
         }
     }
 
-    /// The time of the next pending event, if any work remains.
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
-        self.queue.peek_time()
+    /// The session's window start: the arrival of its first push.
+    pub(crate) fn start(&self) -> SimTime {
+        self.start
     }
 
     /// Requests admitted to the session whose outcome is not yet recorded.
     pub fn in_flight(&self) -> u64 {
         self.requests.len() as u64 - self.settled
-    }
-
-    /// Requests pushed to this session so far (the local submission index
-    /// the next [`EngineSession::push_request`] will get).
-    pub fn pushed(&self) -> usize {
-        self.requests.len()
     }
 
     /// Busy worker slots right now.
@@ -543,27 +470,45 @@ impl<'a> EngineSession<'a> {
     /// Runs the session to completion and returns the merged result plus
     /// the warmed cache state.
     pub fn finish(mut self) -> (RunResult, CacheState) {
-        self.drain();
+        self.process(None);
         self.into_result()
     }
 
-    fn drain(&mut self) {
-        self.ensure_started();
-        while let Some((time, event)) = self.queue.pop() {
-            self.now = self.now.max(time);
-            self.dispatch(event);
+    /// Runs arrivals and events in time order, an arrival first on a tie,
+    /// up to `limit` (see [`EngineSession::run_until`]) or, given `None`,
+    /// until no work remains.
+    fn process(&mut self, limit: Option<SimTime>) {
+        loop {
+            let event = self.queue.peek_time();
+            let arrival = self
+                .requests
+                .get(self.next_arrival)
+                .map(|pending| pending.req.arrival)
+                .filter(|&t| limit.is_none_or(|limit| t <= limit))
+                .filter(|&t| event.is_none_or(|e| t <= e));
+            let time = if let Some(time) = arrival {
+                self.now = self.now.max(time);
+                self.next_arrival += 1;
+                self.on_arrival(self.next_arrival - 1);
+                time
+            } else {
+                match event {
+                    Some(time) if limit.is_none_or(|limit| time < limit) => {
+                        let (time, event) = self.queue.pop().expect("peeked event exists");
+                        self.now = self.now.max(time);
+                        match event {
+                            Event::CpuCheck => self.on_cpu_check(),
+                            Event::NetCheck => self.on_net_check(),
+                            Event::DiskDone(idx) => self.on_disk_done(idx),
+                        }
+                        time
+                    }
+                    _ => return,
+                }
+            };
+            self.end = self.end.max(time);
             self.reschedule_cpu();
             self.reschedule_net();
-        }
-        self.end = self.end.max(self.now);
-    }
-
-    fn dispatch(&mut self, event: Event) {
-        match event {
-            Event::Arrival(idx) => self.on_arrival(idx),
-            Event::CpuCheck => self.on_cpu_check(),
-            Event::NetCheck => self.on_net_check(),
-            Event::DiskDone(idx) => self.on_disk_done(idx),
         }
     }
 
@@ -942,7 +887,9 @@ impl<'a> EngineSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::ServerCluster;
     use crate::config::{DatabaseConfig, HardwareSpec, ObjectCacheConfig, WorkerConfig};
+    use crate::control::NullControl;
     use mfc_simnet::mbps;
 
     fn head_request(id: u64, at_ms: u64) -> ServerRequest {
@@ -984,15 +931,32 @@ mod tests {
         }
     }
 
-    fn lab_engine() -> ServerEngine {
-        ServerEngine::new(ServerConfig::lab_apache(), ContentCatalog::lab_validation())
+    /// A single server: a cluster of one, keeping its cache across runs.
+    fn server(config: ServerConfig) -> ServerCluster {
+        ServerCluster::new(config, ContentCatalog::lab_validation(), 1)
+    }
+
+    fn lab_server() -> ServerCluster {
+        server(ServerConfig::lab_apache())
+    }
+
+    /// Runs `requests` (already time-ordered) on `server` as a static target.
+    fn run(server: &mut ServerCluster, requests: Vec<ServerRequest>) -> RunResult {
+        server.run(requests, &mut NullControl)
+    }
+
+    /// Runs `requests` through one fresh session of `engine`.
+    fn run_session(engine: &ServerEngine, requests: Vec<ServerRequest>) -> RunResult {
+        let mut session = engine.session(CacheState::new());
+        for request in requests {
+            session.push_request(request);
+        }
+        session.finish().0
     }
 
     #[test]
     fn head_request_completes_quickly() {
-        let engine = lab_engine();
-        let mut cache = CacheState::new();
-        let result = engine.run(vec![head_request(1, 0)], &mut cache);
+        let result = run(&mut lab_server(), vec![head_request(1, 0)]);
         let outcome = &result.outcomes[0];
         assert!(outcome.is_ok());
         assert_eq!(outcome.body_bytes, 0);
@@ -1002,23 +966,23 @@ mod tests {
 
     #[test]
     fn unknown_path_is_not_found() {
-        let engine = lab_engine();
-        let mut cache = CacheState::new();
-        let result = engine.run(vec![static_request(1, 0, "/no/such/file")], &mut cache);
+        let result = run(
+            &mut lab_server(),
+            vec![static_request(1, 0, "/no/such/file")],
+        );
         assert_eq!(result.outcomes[0].status, RequestStatus::NotFound);
     }
 
     #[test]
     fn static_request_cold_then_warm_cache() {
-        let engine = lab_engine();
-        let mut cache = CacheState::new();
-        let cold = engine.run(
+        let mut server = lab_server();
+        let cold = run(
+            &mut server,
             vec![static_request(1, 0, "/objects/large_100k.bin")],
-            &mut cache,
         );
-        let warm = engine.run(
+        let warm = run(
+            &mut server,
             vec![static_request(2, 0, "/objects/large_100k.bin")],
-            &mut cache,
         );
         assert!(cold.outcomes[0].is_ok());
         assert!(warm.outcomes[0].is_ok());
@@ -1030,21 +994,20 @@ mod tests {
 
     #[test]
     fn concurrent_large_transfers_share_the_access_link() {
-        let engine = lab_engine();
+        let mut server = lab_server();
         // Warm the cache so the disk is out of the picture.
-        let mut cache = CacheState::new();
-        engine.run(
+        run(
+            &mut server,
             vec![static_request(0, 0, "/objects/large_100k.bin")],
-            &mut cache,
         );
-        let single = engine.run(
+        let single = run(
+            &mut server,
             vec![static_request(1, 0, "/objects/large_100k.bin")],
-            &mut cache,
         );
         let crowd: Vec<ServerRequest> = (0..30)
             .map(|i| static_request(100 + i, 0, "/objects/large_100k.bin"))
             .collect();
-        let crowded = engine.run(crowd, &mut cache);
+        let crowded = run(&mut server, crowd);
         let single_latency = single.outcomes[0].latency();
         let median_crowded = {
             let mut latencies: Vec<f64> = crowded
@@ -1068,37 +1031,38 @@ mod tests {
 
     #[test]
     fn query_cache_makes_repeated_queries_cheap() {
-        let engine = lab_engine();
-        let mut cache = CacheState::new();
-        let first = engine.run(vec![query_request(1, 0, "/cgi/stats?table=t1")], &mut cache);
-        let second = engine.run(vec![query_request(2, 0, "/cgi/stats?table=t1")], &mut cache);
+        let mut server = lab_server();
+        let first = run(
+            &mut server,
+            vec![query_request(1, 0, "/cgi/stats?table=t1")],
+        );
+        let second = run(
+            &mut server,
+            vec![query_request(2, 0, "/cgi/stats?table=t1")],
+        );
         assert!(first.outcomes[0].is_ok());
         assert!(second.outcomes[0].is_ok());
         assert!(second.outcomes[0].latency() < first.outcomes[0].latency());
-        assert_eq!(cache.query_stats().0, 1);
+        assert_eq!(server.caches()[0].query_stats().0, 1);
     }
 
     #[test]
     fn fork_per_request_grows_memory_with_crowd() {
-        let engine = ServerEngine::new(
-            ServerConfig {
-                database: DatabaseConfig {
-                    query_cache: false,
-                    ..DatabaseConfig::default()
-                },
-                ..ServerConfig::lab_apache()
+        let mut server = server(ServerConfig {
+            database: DatabaseConfig {
+                query_cache: false,
+                ..DatabaseConfig::default()
             },
-            ContentCatalog::lab_validation(),
-        );
-        let mut cache = CacheState::new();
+            ..ServerConfig::lab_apache()
+        });
         let small: Vec<ServerRequest> = (0..5)
             .map(|i| query_request(i, 0, "/cgi/stats?table=t1"))
             .collect();
-        let small_run = engine.run(small, &mut cache);
+        let small_run = run(&mut server, small);
         let big: Vec<ServerRequest> = (0..50)
             .map(|i| query_request(i, 0, "/cgi/stats?table=t1"))
             .collect();
-        let big_run = engine.run(big, &mut cache);
+        let big_run = run(&mut server, big);
         assert!(
             big_run.utilization.peak_memory_bytes > small_run.utilization.peak_memory_bytes,
             "memory must grow with the number of concurrent forked handlers"
@@ -1107,22 +1071,18 @@ mod tests {
 
     #[test]
     fn mongrel_keeps_memory_flat() {
-        let engine = ServerEngine::new(
-            ServerConfig::lab_apache_mongrel(),
-            ContentCatalog::lab_validation(),
-        );
-        let mut cache = CacheState::new();
-        let small_run = engine.run(
+        let mut server = server(ServerConfig::lab_apache_mongrel());
+        let small_run = run(
+            &mut server,
             (0..5)
                 .map(|i| query_request(i, 0, "/cgi/stats?table=t1"))
                 .collect(),
-            &mut cache,
         );
-        let big_run = engine.run(
+        let big_run = run(
+            &mut server,
             (0..50)
                 .map(|i| query_request(i, 0, "/cgi/stats?table=t1"))
                 .collect(),
-            &mut cache,
         );
         // Peak memory only differs by the worker slots, not by 45 handler
         // processes.
@@ -1136,7 +1096,7 @@ mod tests {
 
     #[test]
     fn listen_queue_overflow_refuses_connections() {
-        let config = ServerConfig {
+        let mut server = server(ServerConfig {
             workers: WorkerConfig {
                 max_workers: 1,
                 listen_queue: 2,
@@ -1147,11 +1107,9 @@ mod tests {
                 ..HardwareSpec::default()
             },
             ..ServerConfig::lab_apache()
-        };
-        let engine = ServerEngine::new(config, ContentCatalog::lab_validation());
-        let mut cache = CacheState::new();
+        });
         let requests: Vec<ServerRequest> = (0..10).map(|i| head_request(i, 0)).collect();
-        let result = engine.run(requests, &mut cache);
+        let result = run(&mut server, requests);
         let refused = result
             .outcomes
             .iter()
@@ -1163,7 +1121,7 @@ mod tests {
 
     #[test]
     fn worker_limit_serializes_excess_requests() {
-        let config = ServerConfig {
+        let mut server = server(ServerConfig {
             workers: WorkerConfig {
                 max_workers: 2,
                 listen_queue: 100,
@@ -1172,10 +1130,8 @@ mod tests {
             },
             access_link: mbps(1000.0),
             ..ServerConfig::lab_apache()
-        };
-        let engine = ServerEngine::new(config, ContentCatalog::lab_validation());
-        let mut cache = CacheState::new();
-        let result = engine.run((0..20).map(|i| head_request(i, 0)).collect(), &mut cache);
+        });
+        let result = run(&mut server, (0..20).map(|i| head_request(i, 0)).collect());
         let mut latencies: Vec<f64> = result
             .outcomes
             .iter()
@@ -1189,49 +1145,84 @@ mod tests {
     }
 
     #[test]
-    fn arrival_log_matches_requests() {
-        let engine = lab_engine();
-        let mut cache = CacheState::new();
-        let result = engine.run(
-            vec![head_request(3, 5), head_request(1, 1), head_request(2, 3)],
-            &mut cache,
+    fn arrival_log_is_time_ordered_with_ties_by_id() {
+        let result = run(
+            &mut lab_server(),
+            vec![head_request(3, 1), head_request(1, 1), head_request(2, 3)],
         );
         let ids: Vec<u64> = result.arrival_log.iter().map(|r| r.id).collect();
-        assert_eq!(ids, vec![1, 2, 3], "arrival log is time-ordered");
+        assert_eq!(ids, vec![1, 3, 2], "arrival log is time-ordered");
     }
 
     #[test]
-    fn outcomes_preserve_submission_order() {
-        let engine = lab_engine();
-        let mut cache = CacheState::new();
-        let result = engine.run(
+    fn outcomes_come_back_in_arrival_order() {
+        let result = run(
+            &mut lab_server(),
             vec![
-                head_request(30, 5),
-                head_request(10, 1),
-                head_request(20, 3),
+                head_request(30, 1),
+                head_request(10, 3),
+                head_request(20, 5),
             ],
-            &mut cache,
         );
         let ids: Vec<u64> = result.outcomes.iter().map(|o| o.id).collect();
         assert_eq!(ids, vec![30, 10, 20]);
     }
 
     #[test]
+    #[should_panic(expected = "pushes must be time-ordered")]
+    fn a_push_into_the_past_is_rejected() {
+        let engine =
+            ServerEngine::new(ServerConfig::lab_apache(), ContentCatalog::lab_validation());
+        let mut session = engine.session(CacheState::new());
+        session.push_request(head_request(1, 0));
+        session.run_until(SimTime::ZERO + SimDuration::from_millis(10));
+        session.push_request(head_request(2, 5));
+    }
+
+    #[test]
+    fn an_arrival_runs_before_an_event_at_the_same_instant() {
+        // One worker, no listen queue: a HEAD parses in exactly 1 ms plus
+        // the base page.  A second arrival at the instant the first one's
+        // parse completes finds the worker still busy and is refused —
+        // whether or not the session was stepped to that instant first.
+        let config = ServerConfig {
+            workers: WorkerConfig {
+                max_workers: 1,
+                listen_queue: 0,
+                per_request_cpu: 0.001,
+                base_page_cpu: 0.0,
+                ..WorkerConfig::default()
+            },
+            ..ServerConfig::lab_apache()
+        };
+        let engine = ServerEngine::new(config, ContentCatalog::lab_validation());
+        let at = SimTime::ZERO + SimDuration::from_millis(1);
+        let outcomes = |step: bool| {
+            let mut session = engine.session(CacheState::new());
+            session.push_request(head_request(1, 0));
+            if step {
+                session.run_until(at);
+            }
+            session.push_request(head_request(2, 1));
+            session.finish().0.outcomes
+        };
+        let stepped = outcomes(true);
+        assert_eq!(stepped, outcomes(false));
+        assert_eq!(stepped[1].status, RequestStatus::Refused);
+    }
+
+    #[test]
     fn empty_run_is_harmless() {
-        let engine = lab_engine();
-        let mut cache = CacheState::new();
-        let result = engine.run(Vec::new(), &mut cache);
+        let result = run(&mut lab_server(), Vec::new());
         assert!(result.outcomes.is_empty());
         assert_eq!(result.utilization.completed_requests, 0);
     }
 
     #[test]
     fn background_flag_is_propagated() {
-        let engine = lab_engine();
-        let mut cache = CacheState::new();
         let mut req = head_request(9, 0);
         req.background = true;
-        let result = engine.run(vec![req], &mut cache);
+        let result = run(&mut lab_server(), vec![req]);
         assert!(result.outcomes[0].background);
         assert!(result.arrival_log[0].background);
     }
@@ -1241,18 +1232,15 @@ mod tests {
         use mfc_simnet::kbps;
         // A fat 100 Mbit/s access link, two vantage groups: group 0 behind
         // a 800 kbit/s shared transit link, group 1 behind a clean one.
-        let config = ServerConfig {
+        let mut server = server(ServerConfig {
             access_link: mbps(100.0),
             ..ServerConfig::lab_apache()
-        };
-        let topology = TopologySpec::star(&[kbps(800.0), mbps(100.0)]);
-        let engine =
-            ServerEngine::new(config, ContentCatalog::lab_validation()).with_topology(topology);
-        let mut cache = CacheState::new();
+        })
+        .with_topology(TopologySpec::star(&[kbps(800.0), mbps(100.0)]));
         // Warm the object cache, then race five transfers per group.
-        engine.run(
+        run(
+            &mut server,
             vec![static_request(0, 0, "/objects/large_100k.bin")],
-            &mut cache,
         );
         let crowd: Vec<ServerRequest> = (0..10)
             .map(|i| {
@@ -1261,7 +1249,7 @@ mod tests {
                 r
             })
             .collect();
-        let result = engine.run(crowd, &mut cache);
+        let result = run(&mut server, crowd);
         let latency_of = |addr_parity: u32| -> f64 {
             let mut values: Vec<f64> = result
                 .outcomes
@@ -1289,25 +1277,22 @@ mod tests {
             access_link: mbps(100.0),
             ..ServerConfig::lab_apache()
         };
-        let clean = ServerEngine::new(config.clone(), ContentCatalog::lab_validation())
-            .with_topology(TopologySpec::star(&[mbps(8.0)]));
-        let congested = ServerEngine::new(config, ContentCatalog::lab_validation())
-            .with_topology(TopologySpec::star(&[mbps(8.0)]).with_cross_traffic(0, 3, 200_000.0));
-        // The first session warms the object cache; every later one starts
-        // from the engine's cached graph and must still carry the cross
-        // traffic.
-        let run = |engine: &ServerEngine| {
-            let mut cache = CacheState::new();
+        // The first run warms the object cache; every later one opens a
+        // session from the engine's cached graph and must still carry the
+        // cross traffic.
+        let latencies = |topology: TopologySpec| {
+            let mut server = server(config.clone()).with_topology(topology);
             (0..5)
                 .map(|id| {
                     let request = static_request(id, 0, "/objects/large_100k.bin");
-                    engine.run(vec![request], &mut cache).outcomes[0].latency()
+                    run(&mut server, vec![request]).outcomes[0].latency()
                 })
                 .skip(1)
                 .collect::<Vec<_>>()
         };
-        let clean_latencies = run(&clean);
-        let congested_latencies = run(&congested);
+        let clean_latencies = latencies(TopologySpec::star(&[mbps(8.0)]));
+        let congested_latencies =
+            latencies(TopologySpec::star(&[mbps(8.0)]).with_cross_traffic(0, 3, 200_000.0));
         for (clean_latency, congested_latency) in
             clean_latencies.into_iter().zip(congested_latencies)
         {
@@ -1365,8 +1350,8 @@ mod tests {
             }
             session.finish();
         }
-        let again = seasoned.run(wan_batch(), &mut CacheState::new());
-        let fresh = wan_engine().run(wan_batch(), &mut CacheState::new());
+        let again = run_session(&seasoned, wan_batch());
+        let fresh = run_session(&wan_engine(), wan_batch());
         assert_eq!(again.outcomes, fresh.outcomes);
         assert_eq!(again.utilization, fresh.utilization);
         assert_eq!(again.arrival_log, fresh.arrival_log);
@@ -1374,52 +1359,48 @@ mod tests {
 
     #[test]
     fn set_topology_replaces_the_cached_network() {
-        let config = ServerConfig {
+        let clean_spec = TopologySpec::star(&[mbps(8.0)]);
+        let mut server = server(ServerConfig {
             access_link: mbps(100.0),
             ..ServerConfig::lab_apache()
-        };
-        let clean_spec = TopologySpec::star(&[mbps(8.0)]);
-        let mut engine = ServerEngine::new(config, ContentCatalog::lab_validation())
-            .with_topology(clean_spec.clone());
-        let mut cache = CacheState::new();
-        let mut latency = |engine: &ServerEngine, id: u64| {
-            engine
-                .run(
-                    vec![static_request(id, 0, "/objects/large_100k.bin")],
-                    &mut cache,
-                )
-                .outcomes[0]
+        })
+        .with_topology(clean_spec.clone());
+        let latency = |server: &mut ServerCluster, id: u64| {
+            run(
+                server,
+                vec![static_request(id, 0, "/objects/large_100k.bin")],
+            )
+            .outcomes[0]
                 .latency()
         };
-        latency(&engine, 0); // warms the object cache
-        let clean = latency(&engine, 1);
-        engine.set_topology(clean_spec.clone().with_cross_traffic(0, 3, 200_000.0));
-        let congested = latency(&engine, 2);
+        latency(&mut server, 0); // warms the object cache
+        let clean = latency(&mut server, 1);
+        let mut server =
+            server.with_topology(clean_spec.clone().with_cross_traffic(0, 3, 200_000.0));
+        let congested = latency(&mut server, 2);
         assert!(
             congested > clean + SimDuration::from_millis(100),
             "the new topology's cross traffic must apply: {clean} vs {congested}"
         );
-        engine.set_topology(clean_spec);
-        assert_eq!(latency(&engine, 3), clean, "back on the clean graph");
+        let mut server = server.with_topology(clean_spec);
+        assert_eq!(latency(&mut server, 3), clean, "back on the clean graph");
     }
 
     #[test]
     fn object_cache_disabled_hits_disk_every_time() {
-        let config = ServerConfig {
+        let mut server = server(ServerConfig {
             object_cache: ObjectCacheConfig {
                 enabled: false,
                 capacity_bytes: 0,
             },
             ..ServerConfig::lab_apache()
-        };
-        let engine = ServerEngine::new(config, ContentCatalog::lab_validation());
-        let mut cache = CacheState::new();
+        });
         for i in 0..3 {
-            engine.run(
+            run(
+                &mut server,
                 vec![static_request(i, 0, "/objects/large_100k.bin")],
-                &mut cache,
             );
         }
-        assert_eq!(cache.object_stats(), (0, 3));
+        assert_eq!(server.caches()[0].object_stats(), (0, 3));
     }
 }

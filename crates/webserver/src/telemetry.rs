@@ -51,6 +51,60 @@ pub struct UtilizationReport {
 }
 
 impl UtilizationReport {
+    /// Combines per-replica reports into one report for a cluster.
+    ///
+    /// The means (`cpu_utilization`, `mean_memory_bytes`,
+    /// `mean_busy_workers`) are averaged over the reports given, so the
+    /// divisor is the number of replicas that served the window, not the
+    /// number configured.  `window` and the peaks are maxima.  The counters
+    /// and `link_capacity` are summed.  No reports give the all-zero
+    /// report.  Shed and throttled requests are decided at the front door,
+    /// before any replica sees them; a cluster overwrites those two counts,
+    /// and `link_capacity`, with its own.
+    pub fn merge<'a>(
+        reports: impl IntoIterator<Item = &'a UtilizationReport>,
+    ) -> UtilizationReport {
+        let mut merged = UtilizationReport {
+            window: SimDuration::ZERO,
+            cpu_utilization: 0.0,
+            peak_memory_bytes: 0,
+            mean_memory_bytes: 0.0,
+            network_bytes_sent: 0,
+            disk_operations: 0,
+            mean_busy_workers: 0.0,
+            peak_busy_workers: 0,
+            refused_requests: 0,
+            completed_requests: 0,
+            shed_requests: 0,
+            throttled_requests: 0,
+            link_capacity: 0.0,
+        };
+        let mut count = 0usize;
+        for r in reports {
+            count += 1;
+            merged.window = merged.window.max(r.window);
+            merged.cpu_utilization += r.cpu_utilization;
+            merged.peak_memory_bytes = merged.peak_memory_bytes.max(r.peak_memory_bytes);
+            merged.mean_memory_bytes += r.mean_memory_bytes;
+            merged.network_bytes_sent += r.network_bytes_sent;
+            merged.disk_operations += r.disk_operations;
+            merged.mean_busy_workers += r.mean_busy_workers;
+            merged.peak_busy_workers = merged.peak_busy_workers.max(r.peak_busy_workers);
+            merged.refused_requests += r.refused_requests;
+            merged.completed_requests += r.completed_requests;
+            merged.shed_requests += r.shed_requests;
+            merged.throttled_requests += r.throttled_requests;
+            merged.link_capacity += r.link_capacity;
+        }
+        if count > 0 {
+            let n = count as f64;
+            merged.cpu_utilization /= n;
+            merged.mean_memory_bytes /= n;
+            merged.mean_busy_workers /= n;
+        }
+        merged
+    }
+
     /// Mean outbound network throughput over the window in bytes/second.
     pub fn network_throughput(&self) -> f64 {
         let secs = self.window.as_secs_f64();
@@ -107,6 +161,71 @@ mod tests {
             throttled_requests: 0,
             link_capacity: 1_048_576.0,
         }
+    }
+
+    fn replica(scale: u64) -> UtilizationReport {
+        UtilizationReport {
+            window: SimDuration::from_secs(scale),
+            cpu_utilization: 0.1 * scale as f64,
+            peak_memory_bytes: 100 * scale,
+            mean_memory_bytes: 50.0 * scale as f64,
+            network_bytes_sent: 1_000 * scale,
+            disk_operations: scale,
+            mean_busy_workers: 2.0 * scale as f64,
+            peak_busy_workers: 4 * scale as u32,
+            refused_requests: 3 * scale,
+            completed_requests: 10 * scale,
+            shed_requests: 0,
+            throttled_requests: 0,
+            link_capacity: 1_250_000.0,
+        }
+    }
+
+    #[test]
+    fn merge_averages_the_means_over_the_reports_given() {
+        let merged = UtilizationReport::merge(&[replica(1), replica(3)]);
+        assert!((merged.cpu_utilization - 0.2).abs() < 1e-12);
+        assert_eq!(merged.mean_memory_bytes, 100.0);
+        assert_eq!(merged.mean_busy_workers, 4.0);
+    }
+
+    #[test]
+    fn merge_takes_the_maxima_of_the_peaks_and_the_window() {
+        let merged = UtilizationReport::merge(&[replica(3), replica(1)]);
+        assert_eq!(merged.window, SimDuration::from_secs(3));
+        assert_eq!(merged.peak_memory_bytes, 300);
+        assert_eq!(merged.peak_busy_workers, 12);
+    }
+
+    #[test]
+    fn merge_sums_the_counters_and_the_capacity() {
+        let shedding = UtilizationReport {
+            shed_requests: 5,
+            throttled_requests: 7,
+            ..replica(2)
+        };
+        let merged = UtilizationReport::merge(&[replica(1), shedding]);
+        assert_eq!(merged.network_bytes_sent, 3_000);
+        assert_eq!(merged.disk_operations, 3);
+        assert_eq!(merged.refused_requests, 9);
+        assert_eq!(merged.completed_requests, 30);
+        assert_eq!(merged.shed_requests, 5);
+        assert_eq!(merged.throttled_requests, 7);
+        assert_eq!(merged.link_capacity, 2_500_000.0);
+    }
+
+    #[test]
+    fn merging_one_report_returns_it_unchanged() {
+        assert_eq!(UtilizationReport::merge(&[report()]), report());
+    }
+
+    #[test]
+    fn merging_no_reports_gives_the_zero_report() {
+        let merged = UtilizationReport::merge(&[]);
+        assert_eq!(merged.window, SimDuration::ZERO);
+        assert_eq!(merged.cpu_utilization, 0.0);
+        assert_eq!(merged.completed_requests, 0);
+        assert_eq!(merged.link_capacity, 0.0);
     }
 
     #[test]

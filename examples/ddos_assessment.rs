@@ -32,8 +32,8 @@ use mfc_simcore::stats::Summary;
 use mfc_simcore::{SimDuration, SimRng, SimTime};
 use mfc_sites::SiteClass;
 use mfc_webserver::{
-    BalancePolicy, CacheState, ContentCatalog, RequestClass, ServerCluster, ServerConfig,
-    ServerEngine, ServerRequest, WorkerConfig,
+    BalancePolicy, ContentCatalog, RequestClass, ServerCluster, ServerConfig, ServerRequest,
+    WorkerConfig,
 };
 
 fn target() -> SimTargetSpec {
@@ -95,8 +95,7 @@ fn main() {
         },
         ..ServerConfig::lab_apache()
     };
-    let engine = ServerEngine::new(config, ContentCatalog::lab_validation());
-    let mut cache = CacheState::new();
+    let mut server = ServerCluster::new(config, ContentCatalog::lab_validation(), 1);
     let requests: Vec<ServerRequest> = (0..crowd_size)
         .map(|i| ServerRequest {
             id: i,
@@ -111,7 +110,7 @@ fn main() {
         })
         .collect();
     let wall = Instant::now();
-    let result = engine.run(requests, &mut cache);
+    let result = server.run(requests, &mut DefenseConfig::none().build());
     let wall = wall.elapsed();
     let latencies: Vec<f64> = result
         .outcomes
@@ -214,7 +213,7 @@ fn main() {
     let mut static_cluster =
         ServerCluster::new(server.clone(), ContentCatalog::lab_validation(), 1);
     let wall = Instant::now();
-    let static_result = static_cluster.run(burst(crowd_size));
+    let static_result = static_cluster.run(burst(crowd_size), &mut DefenseConfig::none().build());
     describe("static", &static_result, wall.elapsed());
 
     let defenses = DefenseConfig {
@@ -235,7 +234,7 @@ fn main() {
     let mut defended_cluster = ServerCluster::new(server, ContentCatalog::lab_validation(), 1)
         .with_policy(BalancePolicy::LeastOutstanding);
     let wall = Instant::now();
-    let defended_result = defended_cluster.run_controlled(burst(crowd_size), &mut stack);
+    let defended_result = defended_cluster.run(burst(crowd_size), &mut stack);
     describe("defended", &defended_result, wall.elapsed());
     println!(
         "  the autoscaler provisioned {} replicas as the ramp grew (admission control shed {}).\n\

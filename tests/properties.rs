@@ -17,7 +17,7 @@ use mfc_simcore::{EventHandle, EventQueue, SimDuration, SimRng, SimTime};
 use mfc_simnet::{FlowId, FluidLink, NaiveFluidLink, PopulationProfile, TcpModel, WideAreaModel};
 use mfc_topology::{LinkId, NaiveNetwork, NetworkGraph, RouteId};
 use mfc_webserver::{
-    CacheState, ContentCatalog, RequestClass, ServerConfig, ServerEngine, ServerRequest,
+    ContentCatalog, NullControl, RequestClass, ServerCluster, ServerConfig, ServerRequest,
 };
 
 const CASES: usize = 64;
@@ -1131,9 +1131,11 @@ fn engine_accounts_for_every_request() {
     for _ in 0..CASES {
         let crowd = rng.index(59) + 1;
         let stagger_us = rng.uniform_u64(0, 49_999);
-        let engine =
-            ServerEngine::new(ServerConfig::lab_apache(), ContentCatalog::lab_validation());
-        let mut cache = CacheState::new();
+        let mut server = ServerCluster::new(
+            ServerConfig::lab_apache(),
+            ContentCatalog::lab_validation(),
+            1,
+        );
         let requests: Vec<ServerRequest> = (0..crowd)
             .map(|i| ServerRequest {
                 id: i as u64,
@@ -1146,7 +1148,7 @@ fn engine_accounts_for_every_request() {
                 background: false,
             })
             .collect();
-        let result = engine.run(requests, &mut cache);
+        let result = server.run(requests, &mut NullControl);
         assert_eq!(result.outcomes.len(), crowd);
         assert_eq!(result.arrival_log.len(), crowd);
         for outcome in &result.outcomes {
@@ -1157,8 +1159,8 @@ fn engine_accounts_for_every_request() {
 
 // -------------------------------------------------------------------
 // Workload generation: arrival streams hit their configured rates,
-// heavy-tailed size specs are honoured, and the streamed engine entry
-// points agree with the batch ones.
+// heavy-tailed size specs are honoured, and stepping the cluster sweep's
+// replica sessions never shows in a result.
 // -------------------------------------------------------------------
 
 #[test]
@@ -1249,15 +1251,18 @@ fn heavy_tailed_catalog_sizes_match_the_spec_quantiles() {
 
 #[test]
 fn streamed_engine_run_matches_the_batch_run() {
-    // Arrivals spaced so no two events ever coincide: the streamed feed
-    // (push interleaved with stepping) must then reproduce the batch run
-    // outcome for outcome.
+    use mfc_webserver::{CacheState, ServerEngine};
+
+    // Arrivals spaced so no two events ever coincide: a session fed one
+    // push at a time, stepped up to each arrival, must reproduce the
+    // session given every push up front, outcome for outcome, and so must
+    // a cluster of one replica swept over the same batch.
     let mut rng = SimRng::seed_from(0x0621);
     for _ in 0..16 {
         let crowd = rng.index(40) + 2;
         let engine =
             ServerEngine::new(ServerConfig::lab_apache(), ContentCatalog::lab_validation());
-        let requests: Vec<ServerRequest> = (0..crowd)
+        let mut requests: Vec<ServerRequest> = (0..crowd)
             .map(|i| ServerRequest {
                 id: i as u64,
                 arrival: SimTime::from_micros(i as u64 * 10_000 + rng.uniform_u64(0, 7_919)),
@@ -1269,24 +1274,40 @@ fn streamed_engine_run_matches_the_batch_run() {
                 background: false,
             })
             .collect();
-        let mut requests = requests;
         requests.sort_by_key(|r| r.arrival);
-        let mut batch_cache = CacheState::new();
-        let batch = engine.run(requests.clone(), &mut batch_cache);
-        let mut stream_cache = CacheState::new();
-        let streamed = engine.run_streamed(requests, &mut stream_cache);
+
+        let mut batch_session = engine.session(CacheState::new());
+        for request in &requests {
+            batch_session.push_request(request.clone());
+        }
+        let (batch, _) = batch_session.finish();
+
+        let mut stream_session = engine.session(CacheState::new());
+        for request in &requests {
+            stream_session.run_until(request.arrival);
+            stream_session.push_request(request.clone());
+        }
+        let (streamed, _) = stream_session.finish();
         assert_eq!(batch.outcomes, streamed.outcomes);
         assert_eq!(batch.arrival_log, streamed.arrival_log);
+
+        let swept = ServerCluster::new(
+            ServerConfig::lab_apache(),
+            ContentCatalog::lab_validation(),
+            1,
+        )
+        .run(requests, &mut NullControl);
+        assert_eq!(batch.outcomes, swept.outcomes);
+        assert_eq!(batch.arrival_log, swept.arrival_log);
     }
 }
 
 #[test]
 fn streamed_cluster_run_matches_the_batch_controlled_run() {
-    use mfc_webserver::{NullControl, ServerCluster};
     let mut rng = SimRng::seed_from(0x0622);
     for _ in 0..8 {
         let crowd = rng.index(30) + 2;
-        let requests: Vec<ServerRequest> = (0..crowd)
+        let mut requests: Vec<ServerRequest> = (0..crowd)
             .map(|i| ServerRequest {
                 id: i as u64,
                 arrival: SimTime::from_micros(i as u64 * 15_000 + rng.uniform_u64(0, 9_973)),
@@ -1298,7 +1319,6 @@ fn streamed_cluster_run_matches_the_batch_controlled_run() {
                 background: false,
             })
             .collect();
-        let mut requests = requests;
         requests.sort_by_key(|r| r.arrival);
         let make = || {
             ServerCluster::new(
@@ -1307,13 +1327,138 @@ fn streamed_cluster_run_matches_the_batch_controlled_run() {
                 3,
             )
         };
-        let batch = make().run_controlled(requests.clone(), &mut NullControl);
-        let streamed = make().run_controlled_streamed(requests, &mut NullControl);
-        // Inputs were fed in arrival order, so both report the same order.
+        // The batch is a collected vector swept without a control; the
+        // stream is produced lazily, one request at a time with no size
+        // hint, and swept under a control that ticks every millisecond.
+        let batch = make().run(requests.clone(), &mut NullControl);
+        let mut pending = requests.into_iter();
+        let stream = std::iter::from_fn(move || pending.next());
+        let mut watcher = Watcher { ticks: 0 };
+        let streamed = make().run(stream, &mut watcher);
+        assert!(watcher.ticks > 0, "the watcher must have stepped the sweep");
         assert_eq!(batch.outcomes, streamed.outcomes);
         assert_eq!(batch.arrival_log, streamed.arrival_log);
         assert_eq!(batch.utilization, streamed.utilization);
     }
+}
+
+/// Ticks every millisecond and never acts: under it the sweep steps every
+/// replica session once per millisecond of the run.
+struct Watcher {
+    ticks: u64,
+}
+
+impl mfc_webserver::ServerControl for Watcher {
+    fn tick_interval(&self) -> Option<SimDuration> {
+        Some(SimDuration::from_millis(1))
+    }
+
+    fn on_arrival(
+        &mut self,
+        _now: SimTime,
+        _request: &ServerRequest,
+    ) -> mfc_webserver::AdmissionVerdict {
+        mfc_webserver::AdmissionVerdict::Accept
+    }
+
+    fn on_tick(
+        &mut self,
+        _now: SimTime,
+        _sample: &mfc_webserver::TickSample,
+        _actions: &mut Vec<mfc_webserver::ControlAction>,
+    ) {
+        self.ticks += 1;
+    }
+}
+
+#[test]
+fn cluster_sweep_matches_per_replica_sessions_under_coincident_events() {
+    use std::collections::HashMap;
+
+    use mfc_webserver::{BalancePolicy, CacheState, ServerEngine, UtilizationReport};
+
+    // Bursts of identical requests on a 1 ms grid: arrivals coincide with
+    // each other and with the watcher's ticks, and identical requests
+    // routed to one replica finish their CPU work and transfers together.
+    // The sweep must match (a) each replica's share pushed into its own
+    // session and finished, and (b) itself stepped every millisecond.
+    let config = ServerConfig::lab_apache();
+    let catalog = ContentCatalog::lab_validation();
+    let shapes = [
+        (RequestClass::Head, "/index.html"),
+        (RequestClass::Static, "/objects/large_100k.bin"),
+        (RequestClass::Dynamic, "/cgi/stats?table=t1"),
+    ];
+    let mut rng = SimRng::seed_from(0x0623);
+    let mut coincident_completions = 0usize;
+    for _ in 0..24 {
+        let replicas = rng.index(4) + 1;
+        let mut requests: Vec<ServerRequest> = Vec::new();
+        let mut at_ms = 0u64;
+        while requests.len() < replicas * 6 {
+            let (class, path) = shapes[rng.index(shapes.len())];
+            let background = rng.index(4) == 0;
+            for _ in 0..rng.index(2 * replicas) + 1 {
+                requests.push(ServerRequest {
+                    id: requests.len() as u64,
+                    arrival: SimTime::ZERO + SimDuration::from_millis(at_ms),
+                    class,
+                    path: path.to_string(),
+                    client_downlink: 1e7,
+                    client_rtt: SimDuration::from_millis(40),
+                    client_addr: 7,
+                    background,
+                });
+            }
+            at_ms += rng.uniform_u64(0, 3);
+        }
+
+        let sweep = |control: &mut dyn mfc_webserver::ServerControl| {
+            ServerCluster::new(config.clone(), catalog.clone(), replicas)
+                .with_policy(BalancePolicy::HashById)
+                .run(requests.clone(), control)
+        };
+        let quiet = sweep(&mut NullControl);
+        let mut watcher = Watcher { ticks: 0 };
+        let stepped = sweep(&mut watcher);
+        assert!(watcher.ticks > 0, "the watcher must have stepped the sweep");
+
+        let engine = ServerEngine::new(config.clone(), catalog.clone());
+        let mut sessions: Vec<_> = (0..replicas)
+            .map(|_| engine.session(CacheState::new()))
+            .collect();
+        for request in &requests {
+            sessions[request.id as usize % replicas].push_request(request.clone());
+        }
+        let parts: Vec<_> = sessions.into_iter().map(|s| s.finish().0).collect();
+        let by_id: HashMap<u64, _> = parts
+            .iter()
+            .flat_map(|part| &part.outcomes)
+            .map(|o| (o.id, o.clone()))
+            .collect();
+        let outcomes: Vec<_> = requests.iter().map(|r| by_id[&r.id].clone()).collect();
+        let mut arrival_log: Vec<_> = parts
+            .iter()
+            .flat_map(|part| part.arrival_log.iter().cloned())
+            .collect();
+        arrival_log.sort_by_key(|r| (r.arrival, r.id));
+        let utilization = UtilizationReport::merge(parts.iter().map(|part| &part.utilization));
+
+        for run in [&quiet, &stepped] {
+            assert_eq!(run.outcomes, outcomes);
+            assert_eq!(run.arrival_log, arrival_log);
+            assert_eq!(run.utilization, utilization);
+        }
+        let mut completions: Vec<_> = outcomes.iter().map(|o| o.completion).collect();
+        let total = completions.len();
+        completions.sort();
+        completions.dedup();
+        coincident_completions += total - completions.len();
+    }
+    assert!(
+        coincident_completions > 0,
+        "the cases must include coincident completions"
+    );
 }
 
 #[test]

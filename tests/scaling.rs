@@ -16,8 +16,8 @@ use mfc_simcore::{SimDuration, SimRng, SimTime};
 use mfc_simnet::{FlowId, FluidLink};
 use mfc_topology::{NetworkGraph, RouteId};
 use mfc_webserver::{
-    BalancePolicy, CacheState, ContentCatalog, RequestClass, ServerCluster, ServerConfig,
-    ServerEngine, ServerRequest, WorkerConfig,
+    BalancePolicy, ContentCatalog, NullControl, RequestClass, ServerCluster, ServerConfig,
+    ServerRequest, WorkerConfig,
 };
 
 #[test]
@@ -118,8 +118,7 @@ fn thousand_request_large_object_crowd_completes_quickly() {
         },
         ..ServerConfig::lab_apache()
     };
-    let engine = ServerEngine::new(config, ContentCatalog::lab_validation());
-    let mut cache = CacheState::new();
+    let mut server = ServerCluster::new(config, ContentCatalog::lab_validation(), 1);
     // Warm the object cache so the disk stays out of the picture.
     let warm = ServerRequest {
         id: 0,
@@ -131,7 +130,7 @@ fn thousand_request_large_object_crowd_completes_quickly() {
         client_addr: 0,
         background: false,
     };
-    engine.run(vec![warm.clone()], &mut cache);
+    server.run(vec![warm.clone()], &mut NullControl);
     let crowd: Vec<ServerRequest> = (0..1_000)
         .map(|i| ServerRequest {
             id: i + 1,
@@ -139,7 +138,7 @@ fn thousand_request_large_object_crowd_completes_quickly() {
             ..warm.clone()
         })
         .collect();
-    let result = engine.run(crowd, &mut cache);
+    let result = server.run(crowd, &mut NullControl);
     assert_eq!(result.outcomes.len(), 1_000);
     assert!(
         result.outcomes.iter().all(|o| o.is_ok()),
@@ -189,7 +188,7 @@ fn ten_k_crowd_with_all_four_defenses_stays_under_wall_clock_budget() {
     let mut stack = DefenseConfig::fortress(1, 8).build();
     let mut cluster = ServerCluster::new(config, ContentCatalog::lab_validation(), 1)
         .with_policy(BalancePolicy::LeastOutstanding);
-    let result = cluster.run_controlled(crowd, &mut stack);
+    let result = cluster.run(crowd, &mut stack);
     assert_eq!(result.outcomes.len(), 10_000);
     // Every request was answered one way or another: served, refused or
     // deliberately shed — nobody is silently dropped.
@@ -218,9 +217,9 @@ fn ten_k_crowd_with_all_four_defenses_stays_under_wall_clock_budget() {
 /// workload generator must produce them in O(log S) per request with
 /// memory bounded by session *concurrency*, the result must be
 /// bit-identical no matter how many trial-runner threads surround the
-/// generation (the `MFC_THREADS` contract), and the stream must drive an
-/// `EngineSession` to completion without ever materializing the request
-/// list — all inside a release-mode wall-clock ceiling.
+/// generation (the `MFC_THREADS` contract), and the stream must drive the
+/// server through `ServerCluster::run` without ever materializing the
+/// request list — all inside a release-mode wall-clock ceiling.
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -291,7 +290,7 @@ fn million_session_workload_streams_through_the_engine() {
     );
     assert!(requests >= sessions, "sessions issue at least one request");
 
-    // 2) The same stream drives an EngineSession to completion without a
+    // 2) The same stream drives the server to completion without a
     //    materialized request list.  The gigabit validation server absorbs
     //    the load; what is under test is the engine's event loop at 1M+
     //    streamed arrivals.
@@ -303,8 +302,7 @@ fn million_session_workload_streams_through_the_engine() {
         },
         ..ServerConfig::validation_server()
     };
-    let engine = ServerEngine::new(config, catalog.clone());
-    let mut cache = CacheState::new();
+    let mut server = ServerCluster::new(config, catalog.clone(), 1);
     let mut stream = WorkloadStream::new(
         &spec,
         SimTime::ZERO,
@@ -313,7 +311,7 @@ fn million_session_workload_streams_through_the_engine() {
         &SimRng::seed_from(0x1_000_000),
         CatalogSampler::background(&catalog),
     );
-    let result = engine.run_streamed(stream.by_ref(), &mut cache);
+    let result = server.run(stream.by_ref(), &mut NullControl);
     assert_eq!(result.outcomes.len() as u64, requests);
     let ok = result.outcomes.iter().filter(|o| o.is_ok()).count() as u64;
     assert!(
