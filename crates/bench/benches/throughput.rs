@@ -11,7 +11,8 @@ use mfc_bench::Scale;
 use mfc_core::types::Stage;
 use mfc_dynamics::DefenseConfig;
 use mfc_simcore::{EventQueue, SimDuration, SimRng, SimTime};
-use mfc_simnet::{FlowId, FluidLink, NaiveFluidLink};
+use mfc_simnet::{mbps, FlowId, FluidLink, NaiveFluidLink};
+use mfc_topology::{NetworkGraph, RouteId, TopologySpec};
 use mfc_webserver::{
     ContentCatalog, RequestClass, ServerCluster, ServerConfig, ServerRequest, WorkerConfig,
 };
@@ -110,6 +111,97 @@ fn naive_link_drain(flows: &[(u64, f64, f64, u64)]) -> u64 {
     checksum
 }
 
+/// Flow size and cap of the next churn flow.
+type FlowDraw = fn(&mut SimRng) -> (f64, f64);
+
+/// A CPU task as `PsResource` runs it: equal 1.0 caps on a 2-core
+/// capacity, 1–50 ms of work.
+fn cpu_task(rng: &mut SimRng) -> (f64, f64) {
+    (rng.uniform(0.001, 0.05), 1.0)
+}
+
+/// A response transfer with a mixed cap: uncapped, a slow client, or a
+/// TCP-window-sized cap, so flows flip regimes as the level moves.
+fn mixed_transfer(rng: &mut SimRng) -> (f64, f64) {
+    let cap = match rng.index(3) {
+        0 => f64::INFINITY,
+        1 => rng.uniform(10_000.0, 60_000.0),
+        _ => rng.uniform(100_000.0, 1e6),
+    };
+    (rng.uniform(5_000.0, 500_000.0), cap)
+}
+
+/// Completion-driven churn on one link with `n` flows active: each
+/// completion is finished and replaced by a new flow at that instant.
+/// This is the shape the surveys run — a handful of concurrent tasks
+/// turning over — rather than one large crowd draining.
+fn link_churn(n: u64, steps: u64, capacity: f64, draw: FlowDraw) -> u64 {
+    let mut rng = SimRng::seed_from(0xC4);
+    let mut link = FluidLink::new(capacity);
+    let mut now = SimTime::ZERO;
+    for id in 0..n {
+        let (size, cap) = draw(&mut rng);
+        link.start_flow(FlowId(id), size, cap, now);
+    }
+    let mut checksum = 0u64;
+    for id in n..n + steps {
+        let (t, done) = link.peek_completion().expect("n flows stay active");
+        now = now.max(t);
+        link.finish_flow(done, now);
+        checksum = checksum.wrapping_add(t.as_micros()).wrapping_add(done.0);
+        let (size, cap) = draw(&mut rng);
+        link.start_flow(FlowId(id), size, cap, now);
+    }
+    checksum
+}
+
+/// The same churn on a 4-group star with a backbone and six persistent
+/// cross flows on group 0's transit; new transfers take the group routes
+/// and the background route in turn.
+fn star_churn(n: u64, steps: u64) -> u64 {
+    let spec = TopologySpec::star(&[mbps(20.0), mbps(100.0), mbps(100.0), mbps(100.0)])
+        .with_backbone(mbps(150.0))
+        .with_cross_traffic(0, 6, 150_000.0);
+    let built = spec.build(mbps(100.0));
+    let mut net: NetworkGraph = built.graph;
+    for (k, &(route, count, rate)) in built.cross.iter().enumerate() {
+        for j in 0..u64::from(count) {
+            let id = FlowId((1 << 62) + 100 * k as u64 + j);
+            net.start_flow(id, route, f64::INFINITY, rate, SimTime::ZERO);
+        }
+    }
+    let mut routes: Vec<RouteId> = built.group_routes.clone();
+    routes.push(built.background_route);
+    let mut rng = SimRng::seed_from(0x57A);
+    let mut now = SimTime::ZERO;
+    for id in 0..n {
+        let (size, cap) = mixed_transfer(&mut rng);
+        net.start_flow(
+            FlowId(id),
+            routes[id as usize % routes.len()],
+            size,
+            cap,
+            now,
+        );
+    }
+    let mut checksum = 0u64;
+    for id in n..n + steps {
+        let (t, done) = net.peek_completion().expect("n flows stay active");
+        now = now.max(t);
+        net.finish_flow(done, now);
+        checksum = checksum.wrapping_add(t.as_micros()).wrapping_add(done.0);
+        let (size, cap) = mixed_transfer(&mut rng);
+        net.start_flow(
+            FlowId(id),
+            routes[id as usize % routes.len()],
+            size,
+            cap,
+            now,
+        );
+    }
+    checksum
+}
+
 /// One server run of a large-object crowd: `n` concurrent 100KB transfers
 /// through the full server pipeline (workers, CPU, cache, access link).
 fn engine_large_object_crowd(n: u64) -> u64 {
@@ -171,6 +263,20 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("engine_large_object_crowd_2k", |b| {
         b.iter(|| engine_large_object_crowd(black_box(2_000)))
+    });
+    // Small-n churn, 20k completions each: the per-event cost the surveys
+    // pay on their CPUs and links.
+    const CHURN_STEPS: u64 = 20_000;
+    for n in [1, 4, 32] {
+        group.bench_function(&format!("cpu_churn_n{n}"), |b| {
+            b.iter(|| link_churn(black_box(n), CHURN_STEPS, 2.0, cpu_task))
+        });
+    }
+    group.bench_function("mixed_cap_churn_n32", |b| {
+        b.iter(|| link_churn(black_box(32), CHURN_STEPS, 1e6, mixed_transfer))
+    });
+    group.bench_function("star_churn_n32", |b| {
+        b.iter(|| star_churn(black_box(32), CHURN_STEPS))
     });
     group.finish();
 }

@@ -26,6 +26,7 @@
 #![warn(missing_docs)]
 
 pub mod capset;
+pub mod heap;
 pub mod latency;
 pub mod link;
 pub mod tcp;

@@ -19,14 +19,15 @@
 //!   their remaining bytes never need to be touched individually: one
 //!   cumulative fair-share integral `V(t) = ∫ w dt` advances for all of
 //!   them, and each flow finishes when `V` reaches its *virtual finish
-//!   tag* (the value of `V` at admission plus its size).  They live in an
-//!   ordered set keyed by that tag, so the next completion is a peek.
+//!   tag* (the value of `V` at admission plus its size).  They live in a
+//!   heap keyed by that tag, so the next completion is a peek.
 //! - Flows *below* the water level run at their own constant cap, so their
 //!   absolute finish time is fixed while they stay capped; they live in a
-//!   second ordered set keyed by wall-clock finish time.
+//!   second heap keyed by wall-clock finish time.
 //! - An arrival or departure moves the water level and may flip flows
-//!   between the two regimes; flips are found by range queries over
-//!   cap-ordered indexes, so each flip costs O(log n) instead of a full
+//!   between the two regimes; flips are found at the tops of two
+//!   cap-ordered heaps (sharing flows smallest cap first, capped flows
+//!   largest cap first), so each flip costs O(log n) instead of a full
 //!   rescan.
 //!
 //! The result is O(log n) amortized per flow arrival/departure and an
@@ -37,16 +38,24 @@
 //! [`NaiveFluidLink`], the executable specification the property tests and
 //! scaling benches compare against.
 //!
-//! Every container involved is ordered (`BTreeMap`/`BTreeSet`/set-shaped
-//! treap), so all float accumulation happens in a reproducible order and
-//! repro artifacts stay byte-identical across runs and thread counts.
+//! Flows live in a [`FlowSlab`] and the indexes are
+//! [`IndexedHeap`](crate::heap::IndexedHeap)s (see [`crate::heap`]).
+//! Results are reproducible across runs and thread counts because nothing
+//! depends on a container's layout:
+//!
+//! - every heap top is the minimum under the `(key, FlowId)` total order,
+//!   so completions are swept — and their bytes summed — in that order;
+//! - a regime flip touches only the flipping flow, so the order in which
+//!   flips are taken cannot change a result;
+//! - the id→slot map is only probed, never iterated;
+//! - the cap multiset is a set-shaped treap.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound;
+use std::collections::BTreeMap;
 
 use mfc_simcore::{SimDuration, SimTime};
 
 use crate::capset::CapMultiset;
+use crate::heap::{CapHeap, FinishHeap, FlowSlab};
 use crate::Bandwidth;
 
 /// Identifies one flow (one HTTP response transfer) on a [`FluidLink`].
@@ -70,7 +79,7 @@ enum Regime {
     Drained,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Flow {
     /// Per-flow rate ceiling in bytes/s (client downlink, TCP window, …).
     rate_cap: Bandwidth,
@@ -99,7 +108,7 @@ struct Flow {
 #[derive(Debug, Clone)]
 pub struct FluidLink {
     capacity: Bandwidth,
-    flows: BTreeMap<FlowId, Flow>,
+    flows: FlowSlab<Flow>,
     /// Fair-share integral `V(t)`: advances at the water-level rate while
     /// any sharing flow exists.
     vtime: f64,
@@ -114,16 +123,19 @@ pub struct FluidLink {
     caps: CapMultiset,
     /// Active flows with an infinite cap (always sharing).
     inf_count: u64,
-    /// Sharing flows ordered by virtual finish tag: `(v_finish bits, id)`.
-    sharing: BTreeSet<(u64, FlowId)>,
-    /// Capped flows ordered by absolute finish time: `(finish_secs bits, id)`.
-    capped: BTreeSet<(u64, FlowId)>,
-    /// Capped flows ordered by cap, for water-level-drop flips.
-    capped_by_cap: BTreeSet<(u64, FlowId)>,
-    /// Finite-cap sharing flows ordered by cap, for water-level-rise flips.
-    sharing_by_cap: BTreeSet<(u64, FlowId)>,
-    /// Flows discovered to have zero bytes remaining (they complete "now").
-    drained: BTreeSet<FlowId>,
+    /// Sharing flows by virtual finish tag (`v_finish` bits).
+    sharing: FinishHeap,
+    /// Capped flows by absolute finish time (`finish_secs` bits).
+    capped: FinishHeap,
+    /// Flows discovered to have zero bytes remaining (they complete "now"),
+    /// keyed `0` so they come out in id order.
+    drained: FinishHeap,
+    /// Capped flows, largest cap first (`!cap` bits), for water-level-drop
+    /// flips.
+    capped_by_cap: CapHeap,
+    /// Finite-cap sharing flows, smallest cap first, for water-level-rise
+    /// flips.
+    sharing_by_cap: CapHeap,
 }
 
 impl FluidLink {
@@ -136,7 +148,7 @@ impl FluidLink {
         assert!(capacity > 0.0, "link capacity must be positive");
         FluidLink {
             capacity,
-            flows: BTreeMap::new(),
+            flows: FlowSlab::new(),
             vtime: 0.0,
             water: f64::INFINITY,
             agg_rate: 0.0,
@@ -144,11 +156,11 @@ impl FluidLink {
             bytes_transferred: 0.0,
             caps: CapMultiset::new(),
             inf_count: 0,
-            sharing: BTreeSet::new(),
-            capped: BTreeSet::new(),
-            capped_by_cap: BTreeSet::new(),
-            sharing_by_cap: BTreeSet::new(),
-            drained: BTreeSet::new(),
+            sharing: FinishHeap::new(),
+            capped: FinishHeap::new(),
+            drained: FinishHeap::new(),
+            capped_by_cap: CapHeap::new(),
+            sharing_by_cap: CapHeap::new(),
         }
     }
 
@@ -202,33 +214,30 @@ impl FluidLink {
         assert!(bytes >= 0.0, "flow size must be non-negative");
         self.advance(now);
         self.sweep_completed();
-        assert!(
-            !self.flows.contains_key(&id),
-            "flow {id:?} is already active"
-        );
         let rate_cap = rate_cap.max(0.0);
         if bytes <= 0.0 {
-            self.flows.insert(
+            let slot = self.flows.insert(
                 id,
                 Flow {
                     rate_cap,
                     regime: Regime::Drained,
                 },
             );
-            self.drained.insert(id);
+            self.drained.push(0, slot, &mut self.flows);
         } else {
             let v_finish = self.vtime + bytes;
-            self.flows.insert(
+            let slot = self.flows.insert(
                 id,
                 Flow {
                     rate_cap,
                     regime: Regime::Sharing { v_finish },
                 },
             );
-            self.sharing.insert((v_finish.to_bits(), id));
+            self.sharing.push(v_finish.to_bits(), slot, &mut self.flows);
             if rate_cap.is_finite() {
                 self.caps.insert(rate_cap);
-                self.sharing_by_cap.insert((rate_cap.to_bits(), id));
+                self.sharing_by_cap
+                    .push(rate_cap.to_bits(), slot, &mut self.flows);
             } else {
                 self.inf_count += 1;
             }
@@ -241,15 +250,16 @@ impl FluidLink {
     /// Returns the number of bytes that had not yet been transferred.
     pub fn finish_flow(&mut self, id: FlowId, now: SimTime) -> Option<f64> {
         self.advance(now);
-        let flow = self.flows.remove(&id)?;
+        let slot = self.flows.slot_of(id)?;
+        let flow = *self.flows.get(slot);
         let remaining = match flow.regime {
             Regime::Drained => {
-                self.drained.remove(&id);
+                self.drained.remove(slot, &mut self.flows);
                 0.0
             }
             Regime::Sharing { v_finish } => {
-                self.sharing.remove(&(v_finish.to_bits(), id));
-                self.detach_cap(&flow, id, /*was_sharing=*/ true);
+                self.sharing.remove(slot, &mut self.flows);
+                self.detach_cap(slot, flow, /*was_sharing=*/ true);
                 let r = v_finish - self.vtime;
                 if r < 0.0 {
                     // The caller advanced (at most a clock tick) past the
@@ -259,12 +269,10 @@ impl FluidLink {
                 r.max(0.0)
             }
             Regime::Capped {
-                r_ref,
-                t_ref_secs,
-                finish_secs,
+                r_ref, t_ref_secs, ..
             } => {
-                self.capped.remove(&(finish_secs.to_bits(), id));
-                self.detach_cap(&flow, id, /*was_sharing=*/ false);
+                self.capped.remove(slot, &mut self.flows);
+                self.detach_cap(slot, flow, /*was_sharing=*/ false);
                 let r = r_ref - flow.rate_cap * (self.last_event.as_secs_f64() - t_ref_secs);
                 if r < 0.0 {
                     self.bytes_transferred += r;
@@ -272,6 +280,7 @@ impl FluidLink {
                 r.max(0.0)
             }
         };
+        self.flows.remove(slot);
         self.sweep_completed();
         self.rebalance();
         Some(remaining)
@@ -281,16 +290,16 @@ impl FluidLink {
     /// as the transfer leaves slow start).  Triggers a re-allocation.
     pub fn set_rate_cap(&mut self, id: FlowId, rate_cap: Bandwidth, now: SimTime) {
         self.advance(now);
-        if !self.flows.contains_key(&id) {
+        let Some(slot) = self.flows.slot_of(id) else {
             // Like the naive model: an unknown id advances the clock only.
             return;
-        }
+        };
         // From here on this behaves like the reference model's unconditional
         // reallocate: once the sweep has detached newly-drained flows, a
         // rebalance MUST follow on every path, or `water`/`agg_rate` keep
         // counting the share of flows the sweep just released.
         self.sweep_completed();
-        let flow = self.flows.get(&id).expect("presence checked above");
+        let flow = *self.flows.get(slot);
         let old_cap = flow.rate_cap;
         let rate_cap = rate_cap.max(0.0);
         if old_cap.to_bits() == rate_cap.to_bits() {
@@ -299,40 +308,38 @@ impl FluidLink {
         }
         match flow.regime {
             Regime::Drained => {
-                self.flows.get_mut(&id).expect("flow exists").rate_cap = rate_cap;
+                self.flows.get_mut(slot).rate_cap = rate_cap;
                 self.rebalance();
                 return;
             }
             Regime::Sharing { .. } => {
                 if old_cap.is_finite() {
                     self.caps.remove(old_cap);
-                    self.sharing_by_cap.remove(&(old_cap.to_bits(), id));
+                    self.sharing_by_cap.remove(slot, &mut self.flows);
                 } else {
                     self.inf_count -= 1;
                 }
             }
             Regime::Capped {
-                r_ref,
-                t_ref_secs,
-                finish_secs,
+                r_ref, t_ref_secs, ..
             } => {
                 // Materialize the remaining bytes and re-enter as sharing;
                 // the rebalance below re-freezes the flow if its new cap is
                 // still under water.
                 self.caps.remove(old_cap);
-                self.capped.remove(&(finish_secs.to_bits(), id));
-                self.capped_by_cap.remove(&(old_cap.to_bits(), id));
+                self.capped.remove(slot, &mut self.flows);
+                self.capped_by_cap.remove(slot, &mut self.flows);
                 let r = r_ref - old_cap * (self.last_event.as_secs_f64() - t_ref_secs);
                 let v_finish = self.vtime + r.max(0.0);
-                self.flows.get_mut(&id).expect("flow exists").regime = Regime::Sharing { v_finish };
-                self.sharing.insert((v_finish.to_bits(), id));
+                self.flows.get_mut(slot).regime = Regime::Sharing { v_finish };
+                self.sharing.push(v_finish.to_bits(), slot, &mut self.flows);
             }
         }
-        let flow = self.flows.get_mut(&id).expect("flow exists");
-        flow.rate_cap = rate_cap;
+        self.flows.get_mut(slot).rate_cap = rate_cap;
         if rate_cap.is_finite() {
             self.caps.insert(rate_cap);
-            self.sharing_by_cap.insert((rate_cap.to_bits(), id));
+            self.sharing_by_cap
+                .push(rate_cap.to_bits(), slot, &mut self.flows);
         } else {
             self.inf_count += 1;
         }
@@ -372,26 +379,26 @@ impl FluidLink {
                 _ => candidate,
             });
         };
-        if let Some(&id) = self.drained.iter().next() {
-            consider((self.last_event, id), &mut best);
+        if let Some(top) = self.drained.peek() {
+            consider((self.last_event, top.id), &mut best);
         }
-        if let Some(&(v_bits, id)) = self.sharing.iter().next() {
-            let v_finish = f64::from_bits(v_bits);
+        if let Some(top) = self.sharing.peek() {
+            let v_finish = f64::from_bits(top.key);
             if v_finish <= self.vtime {
-                consider((self.last_event, id), &mut best);
+                consider((self.last_event, top.id), &mut best);
             } else {
                 let secs = (v_finish - self.vtime) / self.water;
                 if secs.is_finite() {
-                    consider((self.last_event + ceil_micros(secs), id), &mut best);
+                    consider((self.last_event + ceil_micros(secs), top.id), &mut best);
                 }
             }
         }
-        if let Some(&(f_bits, id)) = self.capped.iter().next() {
-            let finish_secs = f64::from_bits(f_bits);
+        if let Some(top) = self.capped.peek() {
+            let finish_secs = f64::from_bits(top.key);
             if finish_secs.is_finite() {
                 let t = SimTime::from_micros((finish_secs * 1_000_000.0).ceil() as u64)
                     .max(self.last_event);
-                consider((t, id), &mut best);
+                consider((t, top.id), &mut best);
             }
         }
         best
@@ -408,7 +415,7 @@ impl FluidLink {
 
     /// Remaining bytes for a flow, if it is active.
     pub fn remaining_bytes(&self, id: FlowId) -> Option<f64> {
-        let flow = self.flows.get(&id)?;
+        let flow = self.flows.get(self.flows.slot_of(id)?);
         Some(match flow.regime {
             Regime::Drained => 0.0,
             Regime::Sharing { v_finish } => (v_finish - self.vtime).max(0.0),
@@ -420,7 +427,7 @@ impl FluidLink {
 
     /// The rate currently allocated to a flow in bytes/s, if it is active.
     pub fn current_rate(&self, id: FlowId) -> Option<Bandwidth> {
-        let flow = self.flows.get(&id)?;
+        let flow = self.flows.get(self.flows.slot_of(id)?);
         Some(match flow.regime {
             Regime::Drained => 0.0,
             Regime::Sharing { .. } => self.water,
@@ -429,14 +436,13 @@ impl FluidLink {
     }
 
     /// Removes the cap-index bookkeeping for a departing flow.
-    fn detach_cap(&mut self, flow: &Flow, id: FlowId, was_sharing: bool) {
+    fn detach_cap(&mut self, slot: u32, flow: Flow, was_sharing: bool) {
         if flow.rate_cap.is_finite() {
             self.caps.remove(flow.rate_cap);
-            let entry = (flow.rate_cap.to_bits(), id);
             if was_sharing {
-                self.sharing_by_cap.remove(&entry);
+                self.sharing_by_cap.remove(slot, &mut self.flows);
             } else {
-                self.capped_by_cap.remove(&entry);
+                self.capped_by_cap.remove(slot, &mut self.flows);
             }
         } else {
             self.inf_count -= 1;
@@ -450,29 +456,29 @@ impl FluidLink {
     /// model between events.
     fn sweep_completed(&mut self) {
         let now_secs = self.last_event.as_secs_f64();
-        while let Some(&(v_bits, id)) = self.sharing.iter().next() {
-            let v_finish = f64::from_bits(v_bits);
+        while let Some(top) = self.sharing.peek() {
+            let v_finish = f64::from_bits(top.key);
             if v_finish > self.vtime {
                 break;
             }
-            self.sharing.remove(&(v_bits, id));
-            let flow = self.flows.get(&id).expect("indexed flow exists").clone();
-            self.detach_cap(&flow, id, /*was_sharing=*/ true);
+            self.sharing.pop(&mut self.flows);
+            let flow = *self.flows.get(top.slot);
+            self.detach_cap(top.slot, flow, /*was_sharing=*/ true);
             let over = v_finish - self.vtime;
             if over < 0.0 {
                 self.bytes_transferred += over;
             }
-            self.flows.get_mut(&id).expect("flow exists").regime = Regime::Drained;
-            self.drained.insert(id);
+            self.flows.get_mut(top.slot).regime = Regime::Drained;
+            self.drained.push(0, top.slot, &mut self.flows);
         }
-        while let Some(&(f_bits, id)) = self.capped.iter().next() {
-            let finish_secs = f64::from_bits(f_bits);
+        while let Some(top) = self.capped.peek() {
+            let finish_secs = f64::from_bits(top.key);
             if finish_secs > now_secs {
                 break;
             }
-            self.capped.remove(&(f_bits, id));
-            let flow = self.flows.get(&id).expect("indexed flow exists").clone();
-            self.detach_cap(&flow, id, /*was_sharing=*/ false);
+            self.capped.pop(&mut self.flows);
+            let flow = *self.flows.get(top.slot);
+            self.detach_cap(top.slot, flow, /*was_sharing=*/ false);
             if let Regime::Capped {
                 r_ref, t_ref_secs, ..
             } = flow.regime
@@ -482,8 +488,8 @@ impl FluidLink {
                     self.bytes_transferred += over;
                 }
             }
-            self.flows.get_mut(&id).expect("flow exists").regime = Regime::Drained;
-            self.drained.insert(id);
+            self.flows.get_mut(top.slot).regime = Regime::Drained;
+            self.drained.push(0, top.slot, &mut self.flows);
         }
     }
 
@@ -506,25 +512,18 @@ impl FluidLink {
         let now_secs = self.last_event.as_secs_f64();
 
         // Capped flows whose cap rose above the (lowered) water level go
-        // back to sharing.
-        let unfreeze_from = match wl.threshold_bits {
-            Some(bits) => Bound::Excluded((bits, FlowId(u64::MAX))),
-            None => Bound::Unbounded,
-        };
-        // Each flip leaves the index it is found in, so taking the first
-        // entry of the range until it is empty visits the flips in cap order
-        // without collecting them first.
-        while let Some(&(cap_bits, id)) = self
-            .capped_by_cap
-            .range((unfreeze_from, Bound::Unbounded))
-            .next()
-        {
-            self.capped_by_cap.remove(&(cap_bits, id));
-            let flow = self.flows.get_mut(&id).expect("indexed flow exists");
+        // back to sharing, largest cap first; with no saturated cap every
+        // capped flow does.  A flip touches only its own flow, so the order
+        // is immaterial.
+        while let Some(top) = self.capped_by_cap.peek() {
+            let cap_bits = !top.key;
+            if wl.threshold_bits.is_some_and(|bits| cap_bits <= bits) {
+                break;
+            }
+            self.capped_by_cap.pop(&mut self.flows);
+            let flow = self.flows.get_mut(top.slot);
             let Regime::Capped {
-                r_ref,
-                t_ref_secs,
-                finish_secs,
+                r_ref, t_ref_secs, ..
             } = flow.regime
             else {
                 unreachable!("capped index points at a non-capped flow");
@@ -532,22 +531,22 @@ impl FluidLink {
             let remaining = r_ref - flow.rate_cap * (now_secs - t_ref_secs);
             let v_finish = self.vtime + remaining;
             flow.regime = Regime::Sharing { v_finish };
-            self.capped.remove(&(finish_secs.to_bits(), id));
-            self.sharing.insert((v_finish.to_bits(), id));
-            self.sharing_by_cap.insert((cap_bits, id));
+            self.capped.remove(top.slot, &mut self.flows);
+            self.sharing
+                .push(v_finish.to_bits(), top.slot, &mut self.flows);
+            self.sharing_by_cap
+                .push(cap_bits, top.slot, &mut self.flows);
         }
 
-        // Sharing flows whose cap sank below the (raised) water level are
-        // frozen at their cap.
+        // Sharing flows whose cap sank to or below the (raised) water level
+        // are frozen at their cap, smallest cap first.
         if let Some(bits) = wl.threshold_bits {
-            let freeze_to = Bound::Included((bits, FlowId(u64::MAX)));
-            while let Some(&(cap_bits, id)) = self
-                .sharing_by_cap
-                .range((Bound::Unbounded, freeze_to))
-                .next()
-            {
-                self.sharing_by_cap.remove(&(cap_bits, id));
-                let flow = self.flows.get_mut(&id).expect("indexed flow exists");
+            while let Some(top) = self.sharing_by_cap.peek() {
+                if top.key > bits {
+                    break;
+                }
+                self.sharing_by_cap.pop(&mut self.flows);
+                let flow = self.flows.get_mut(top.slot);
                 let Regime::Sharing { v_finish } = flow.regime else {
                     unreachable!("sharing index points at a non-sharing flow");
                 };
@@ -558,9 +557,10 @@ impl FluidLink {
                     t_ref_secs: now_secs,
                     finish_secs,
                 };
-                self.sharing.remove(&(v_finish.to_bits(), id));
-                self.capped.insert((finish_secs.to_bits(), id));
-                self.capped_by_cap.insert((cap_bits, id));
+                self.sharing.remove(top.slot, &mut self.flows);
+                self.capped
+                    .push(finish_secs.to_bits(), top.slot, &mut self.flows);
+                self.capped_by_cap.push(!top.key, top.slot, &mut self.flows);
             }
         }
     }

@@ -25,8 +25,9 @@
 //!   each flow finishes when `V_r` crosses its admission tag.  When the
 //!   bottleneck *moves* to a different link the integral simply continues
 //!   at the new rate — no per-flow state is rewritten.  Only flows that
-//!   flip between the sharing and capped regimes (an O(log C) range query
-//!   per reallocation) are touched individually.
+//!   flip between the sharing and capped regimes (found at the tops of the
+//!   route's two cap-ordered heaps, O(log C) each) are touched
+//!   individually.
 //!
 //! [`super::NaiveNetwork`] retains the textbook progressive-filling
 //! algorithm as the executable specification; randomized property tests in
@@ -34,14 +35,24 @@
 //! times and completion order under arbitrary add/remove/cap-change/
 //! capacity-change/advance interleavings.
 //!
-//! Every container is ordered (`BTreeMap`/`BTreeSet`/`CapMultiset`), so all
-//! float accumulation happens in a reproducible order and repro artifacts
-//! stay byte-identical across runs and thread counts.
+//! Flows live in one `mfc_simnet::heap::FlowSlab` and each route orders
+//! its flows in `IndexedHeap`s, as in `FluidLink`.  Repro artifacts stay
+//! byte-identical across runs and thread counts because nothing depends on
+//! a container's layout:
+//!
+//! - every heap top is the minimum under the `(key, FlowId)` total order,
+//!   so completions are swept — and their bytes summed — in that order;
+//! - a regime flip touches only the flipping flow, so the order in which
+//!   flips are taken cannot change a result;
+//! - the id→slot map is only probed, never iterated;
+//! - routes and links are walked in id order, and the cap multisets are
+//!   set-shaped treaps.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound;
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use mfc_simcore::{SimDuration, SimTime};
+use mfc_simnet::heap::{CapHeap, FinishHeap, FlowSlab};
 use mfc_simnet::{Bandwidth, CapMultiset, FlowId};
 
 /// Identifies one shared link in a [`NetworkGraph`].
@@ -69,7 +80,7 @@ enum Regime {
     Drained,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Flow {
     route: RouteId,
     rate_cap: Bandwidth,
@@ -88,7 +99,9 @@ struct Link {
 
 #[derive(Debug, Clone, Default)]
 struct Route {
-    links: Vec<LinkId>,
+    /// The links the route traverses; fixed once added, so every clone of
+    /// the graph shares them.
+    links: Arc<[LinkId]>,
     /// Finite caps of this route's active (non-drained) flows.
     caps: CapMultiset,
     /// Active flows with an infinite cap.
@@ -103,13 +116,13 @@ struct Route {
     /// Aggregate throughput of the route's active flows.
     agg_rate: f64,
     /// Sharing flows by virtual finish tag.
-    sharing: BTreeSet<(u64, FlowId)>,
-    /// Finite-cap sharing flows by cap, for freeze range queries.
-    sharing_by_cap: BTreeSet<(u64, FlowId)>,
+    sharing: FinishHeap,
+    /// Finite-cap sharing flows, smallest cap first, for freezes.
+    sharing_by_cap: CapHeap,
     /// Capped flows by absolute finish time.
-    capped: BTreeSet<(u64, FlowId)>,
-    /// Capped flows by cap, for unfreeze range queries.
-    capped_by_cap: BTreeSet<(u64, FlowId)>,
+    capped: FinishHeap,
+    /// Capped flows, largest cap first (`!cap` bits), for unfreezes.
+    capped_by_cap: CapHeap,
 }
 
 impl Route {
@@ -154,9 +167,10 @@ impl Route {
 pub struct NetworkGraph {
     links: Vec<Link>,
     routes: Vec<Route>,
-    flows: BTreeMap<FlowId, Flow>,
-    /// Flows with zero bytes remaining, completing "now".
-    drained: BTreeSet<FlowId>,
+    flows: FlowSlab<Flow>,
+    /// Flows with zero bytes remaining, completing "now"; keyed `0`, so
+    /// they come out in id order.
+    drained: FinishHeap,
     last_event: SimTime,
     scratch: Scratch,
 }
@@ -244,7 +258,7 @@ impl NetworkGraph {
             self.links[link.0 as usize].routes.push(id);
         }
         self.routes.push(Route {
-            links: links.to_vec(),
+            links: links.into(),
             level: f64::INFINITY,
             ..Route::default()
         });
@@ -329,10 +343,6 @@ impl NetworkGraph {
         assert!(bytes >= 0.0, "flow size must be non-negative");
         self.advance(now);
         self.sweep_completed();
-        assert!(
-            !self.flows.contains_key(&id),
-            "flow {id:?} is already active"
-        );
         let rate_cap = rate_cap.max(0.0);
         let r = &mut self.routes[route.0 as usize];
         assert!(
@@ -340,7 +350,7 @@ impl NetworkGraph {
             "a flow on an empty route must carry a finite cap"
         );
         if bytes <= 0.0 {
-            self.flows.insert(
+            let slot = self.flows.insert(
                 id,
                 Flow {
                     route,
@@ -348,17 +358,10 @@ impl NetworkGraph {
                     regime: Regime::Drained,
                 },
             );
-            self.drained.insert(id);
+            self.drained.push(0, slot, &mut self.flows);
         } else {
             let v_finish = r.vtime + bytes;
-            r.sharing.insert((v_finish.to_bits(), id));
-            if rate_cap.is_finite() {
-                r.caps.insert(rate_cap);
-                r.sharing_by_cap.insert((rate_cap.to_bits(), id));
-            } else {
-                r.inf_count += 1;
-            }
-            self.flows.insert(
+            let slot = self.flows.insert(
                 id,
                 Flow {
                     route,
@@ -366,6 +369,14 @@ impl NetworkGraph {
                     regime: Regime::Sharing { v_finish },
                 },
             );
+            r.sharing.push(v_finish.to_bits(), slot, &mut self.flows);
+            if rate_cap.is_finite() {
+                r.caps.insert(rate_cap);
+                r.sharing_by_cap
+                    .push(rate_cap.to_bits(), slot, &mut self.flows);
+            } else {
+                r.inf_count += 1;
+            }
         }
         self.reallocate();
     }
@@ -373,19 +384,20 @@ impl NetworkGraph {
     /// Removes a flow, returning the bytes it had not yet transferred.
     pub fn finish_flow(&mut self, id: FlowId, now: SimTime) -> Option<f64> {
         self.advance(now);
-        let flow = self.flows.remove(&id)?;
+        let slot = self.flows.slot_of(id)?;
+        let flow = *self.flows.get(slot);
         let now_secs = self.last_event.as_secs_f64();
         let route = &mut self.routes[flow.route.0 as usize];
         let remaining = match flow.regime {
             Regime::Drained => {
-                self.drained.remove(&id);
+                self.drained.remove(slot, &mut self.flows);
                 0.0
             }
             Regime::Sharing { v_finish } => {
-                route.sharing.remove(&(v_finish.to_bits(), id));
+                route.sharing.remove(slot, &mut self.flows);
                 if flow.rate_cap.is_finite() {
                     route.caps.remove(flow.rate_cap);
-                    route.sharing_by_cap.remove(&(flow.rate_cap.to_bits(), id));
+                    route.sharing_by_cap.remove(slot, &mut self.flows);
                 } else {
                     route.inf_count -= 1;
                 }
@@ -393,29 +405,28 @@ impl NetworkGraph {
                 if r < 0.0 {
                     // The caller advanced (at most a clock tick) past the
                     // exact finish; refund the over-charged bytes.
-                    for &link in &route.links {
+                    for &link in route.links.iter() {
                         self.links[link.0 as usize].bytes_transferred += r;
                     }
                 }
                 r.max(0.0)
             }
             Regime::Capped {
-                r_ref,
-                t_ref_secs,
-                finish_secs,
+                r_ref, t_ref_secs, ..
             } => {
-                route.capped.remove(&(finish_secs.to_bits(), id));
-                route.capped_by_cap.remove(&(flow.rate_cap.to_bits(), id));
+                route.capped.remove(slot, &mut self.flows);
+                route.capped_by_cap.remove(slot, &mut self.flows);
                 route.caps.remove(flow.rate_cap);
                 let r = r_ref - flow.rate_cap * (now_secs - t_ref_secs);
                 if r < 0.0 && r.is_finite() {
-                    for &link in &route.links {
+                    for &link in route.links.iter() {
                         self.links[link.0 as usize].bytes_transferred += r;
                     }
                 }
                 r.max(0.0)
             }
         };
+        self.flows.remove(slot);
         self.sweep_completed();
         self.reallocate();
         Some(remaining)
@@ -424,11 +435,11 @@ impl NetworkGraph {
     /// Changes the private rate cap of an active flow.
     pub fn set_rate_cap(&mut self, id: FlowId, rate_cap: Bandwidth, now: SimTime) {
         self.advance(now);
-        if !self.flows.contains_key(&id) {
+        let Some(slot) = self.flows.slot_of(id) else {
             return;
-        }
+        };
         self.sweep_completed();
-        let flow = self.flows.get(&id).expect("presence checked above").clone();
+        let flow = *self.flows.get(slot);
         let rate_cap = rate_cap.max(0.0);
         let route = &mut self.routes[flow.route.0 as usize];
         assert!(
@@ -445,41 +456,45 @@ impl NetworkGraph {
             Regime::Sharing { .. } => {
                 if flow.rate_cap.is_finite() {
                     route.caps.remove(flow.rate_cap);
-                    route.sharing_by_cap.remove(&(flow.rate_cap.to_bits(), id));
+                    route.sharing_by_cap.remove(slot, &mut self.flows);
                 } else {
                     route.inf_count -= 1;
                 }
                 if rate_cap.is_finite() {
                     route.caps.insert(rate_cap);
-                    route.sharing_by_cap.insert((rate_cap.to_bits(), id));
+                    route
+                        .sharing_by_cap
+                        .push(rate_cap.to_bits(), slot, &mut self.flows);
                 } else {
                     route.inf_count += 1;
                 }
             }
             Regime::Capped {
-                r_ref,
-                t_ref_secs,
-                finish_secs,
+                r_ref, t_ref_secs, ..
             } => {
                 // Materialize the remaining bytes and re-enter as sharing;
                 // the reallocation below re-freezes the flow if its new cap
                 // is still under the route's water level.
                 route.caps.remove(flow.rate_cap);
-                route.capped.remove(&(finish_secs.to_bits(), id));
-                route.capped_by_cap.remove(&(flow.rate_cap.to_bits(), id));
+                route.capped.remove(slot, &mut self.flows);
+                route.capped_by_cap.remove(slot, &mut self.flows);
                 let r = r_ref - flow.rate_cap * (now_secs - t_ref_secs);
                 let v_finish = route.vtime + r.max(0.0);
-                route.sharing.insert((v_finish.to_bits(), id));
+                route
+                    .sharing
+                    .push(v_finish.to_bits(), slot, &mut self.flows);
                 if rate_cap.is_finite() {
                     route.caps.insert(rate_cap);
-                    route.sharing_by_cap.insert((rate_cap.to_bits(), id));
+                    route
+                        .sharing_by_cap
+                        .push(rate_cap.to_bits(), slot, &mut self.flows);
                 } else {
                     route.inf_count += 1;
                 }
-                self.flows.get_mut(&id).expect("flow exists").regime = Regime::Sharing { v_finish };
+                self.flows.get_mut(slot).regime = Regime::Sharing { v_finish };
             }
         }
-        self.flows.get_mut(&id).expect("flow exists").rate_cap = rate_cap;
+        self.flows.get_mut(slot).rate_cap = rate_cap;
         self.reallocate();
     }
 
@@ -512,27 +527,27 @@ impl NetworkGraph {
                 _ => candidate,
             });
         };
-        if let Some(&id) = self.drained.iter().next() {
-            consider((self.last_event, id));
+        if let Some(top) = self.drained.peek() {
+            consider((self.last_event, top.id));
         }
         for route in &self.routes {
-            if let Some(&(v_bits, id)) = route.sharing.iter().next() {
-                let v_finish = f64::from_bits(v_bits);
+            if let Some(top) = route.sharing.peek() {
+                let v_finish = f64::from_bits(top.key);
                 if v_finish <= route.vtime {
-                    consider((self.last_event, id));
+                    consider((self.last_event, top.id));
                 } else {
                     let secs = (v_finish - route.vtime) / route.level;
                     if secs.is_finite() {
-                        consider((self.last_event + ceil_micros(secs), id));
+                        consider((self.last_event + ceil_micros(secs), top.id));
                     }
                 }
             }
-            if let Some(&(f_bits, id)) = route.capped.iter().next() {
-                let finish_secs = f64::from_bits(f_bits);
+            if let Some(top) = route.capped.peek() {
+                let finish_secs = f64::from_bits(top.key);
                 if finish_secs.is_finite() {
                     let t = SimTime::from_micros((finish_secs * 1_000_000.0).ceil() as u64)
                         .max(self.last_event);
-                    consider((t, id));
+                    consider((t, top.id));
                 }
             }
         }
@@ -547,7 +562,7 @@ impl NetworkGraph {
 
     /// Remaining bytes for a flow, if it is active.
     pub fn remaining_bytes(&self, id: FlowId) -> Option<f64> {
-        let flow = self.flows.get(&id)?;
+        let flow = self.flows.get(self.flows.slot_of(id)?);
         let route = &self.routes[flow.route.0 as usize];
         Some(match flow.regime {
             Regime::Drained => 0.0,
@@ -560,7 +575,7 @@ impl NetworkGraph {
 
     /// The rate currently allocated to a flow in bytes/s, if it is active.
     pub fn current_rate(&self, id: FlowId) -> Option<Bandwidth> {
-        let flow = self.flows.get(&id)?;
+        let flow = self.flows.get(self.flows.slot_of(id)?);
         Some(match flow.regime {
             Regime::Drained => 0.0,
             Regime::Sharing { .. } => self.routes[flow.route.0 as usize].level,
@@ -573,63 +588,51 @@ impl NetworkGraph {
     /// `remaining > 0` filter).
     fn sweep_completed(&mut self) {
         let now_secs = self.last_event.as_secs_f64();
-        for route_index in 0..self.routes.len() {
-            loop {
-                let route = &self.routes[route_index];
-                let Some(&(v_bits, id)) = route.sharing.iter().next() else {
-                    break;
-                };
-                let v_finish = f64::from_bits(v_bits);
+        for route in &mut self.routes {
+            while let Some(top) = route.sharing.peek() {
+                let v_finish = f64::from_bits(top.key);
                 if v_finish > route.vtime {
                     break;
                 }
-                let route = &mut self.routes[route_index];
-                route.sharing.remove(&(v_bits, id));
-                let flow = self.flows.get(&id).expect("indexed flow exists").clone();
+                route.sharing.pop(&mut self.flows);
+                let flow = *self.flows.get(top.slot);
                 if flow.rate_cap.is_finite() {
                     route.caps.remove(flow.rate_cap);
-                    route.sharing_by_cap.remove(&(flow.rate_cap.to_bits(), id));
+                    route.sharing_by_cap.remove(top.slot, &mut self.flows);
                 } else {
                     route.inf_count -= 1;
                 }
                 let over = v_finish - route.vtime;
                 if over < 0.0 {
-                    for link_index in 0..self.routes[route_index].links.len() {
-                        let link = self.routes[route_index].links[link_index];
+                    for &link in route.links.iter() {
                         self.links[link.0 as usize].bytes_transferred += over;
                     }
                 }
-                self.flows.get_mut(&id).expect("flow exists").regime = Regime::Drained;
-                self.drained.insert(id);
+                self.flows.get_mut(top.slot).regime = Regime::Drained;
+                self.drained.push(0, top.slot, &mut self.flows);
             }
-            loop {
-                let route = &self.routes[route_index];
-                let Some(&(f_bits, id)) = route.capped.iter().next() else {
-                    break;
-                };
-                let finish_secs = f64::from_bits(f_bits);
+            while let Some(top) = route.capped.peek() {
+                let finish_secs = f64::from_bits(top.key);
                 if finish_secs > now_secs {
                     break;
                 }
-                let route = &mut self.routes[route_index];
-                route.capped.remove(&(f_bits, id));
-                let flow = self.flows.get(&id).expect("indexed flow exists").clone();
+                route.capped.pop(&mut self.flows);
+                let flow = *self.flows.get(top.slot);
                 route.caps.remove(flow.rate_cap);
-                route.capped_by_cap.remove(&(flow.rate_cap.to_bits(), id));
+                route.capped_by_cap.remove(top.slot, &mut self.flows);
                 if let Regime::Capped {
                     r_ref, t_ref_secs, ..
                 } = flow.regime
                 {
                     let over = r_ref - flow.rate_cap * (now_secs - t_ref_secs);
                     if over < 0.0 {
-                        for link_index in 0..self.routes[route_index].links.len() {
-                            let link = self.routes[route_index].links[link_index];
+                        for &link in route.links.iter() {
                             self.links[link.0 as usize].bytes_transferred += over;
                         }
                     }
                 }
-                self.flows.get_mut(&id).expect("flow exists").regime = Regime::Drained;
-                self.drained.insert(id);
+                self.flows.get_mut(top.slot).regime = Regime::Drained;
+                self.drained.push(0, top.slot, &mut self.flows);
             }
         }
     }
@@ -762,7 +765,7 @@ impl NetworkGraph {
                 new_level[index] = level;
                 new_bottleneck[index] = Some(LinkId(link_index as u32));
                 let demand = self.routes[index].demand_at(level);
-                for &other in &self.routes[index].links {
+                for &other in self.routes[index].links.iter() {
                     if other.0 as usize != link_index {
                         fixed[other.0 as usize] += demand;
                     }
@@ -781,26 +784,20 @@ impl NetworkGraph {
         for (index, route) in self.routes.iter_mut().enumerate() {
             route.level = new_level[index];
             route.bottleneck = new_bottleneck[index];
-            let level = new_level[index];
-            let level_bits = level.to_bits();
+            let level_bits = new_level[index].to_bits();
 
             // Capped flows whose cap rose above the (lowered) level go back
-            // to sharing.
-            // Each flip leaves the index it is found in, so taking the
-            // first entry of the range until it is empty visits the flips in
-            // cap order without collecting them first.
-            let unfreeze_from = Bound::Excluded((level_bits, FlowId(u64::MAX)));
-            while let Some(&(cap_bits, id)) = route
-                .capped_by_cap
-                .range((unfreeze_from, Bound::Unbounded))
-                .next()
-            {
-                route.capped_by_cap.remove(&(cap_bits, id));
-                let flow = self.flows.get_mut(&id).expect("indexed flow exists");
+            // to sharing, largest cap first.  A flip touches only its own
+            // flow, so the order is immaterial.
+            while let Some(top) = route.capped_by_cap.peek() {
+                let cap_bits = !top.key;
+                if cap_bits <= level_bits {
+                    break;
+                }
+                route.capped_by_cap.pop(&mut self.flows);
+                let flow = self.flows.get_mut(top.slot);
                 let Regime::Capped {
-                    r_ref,
-                    t_ref_secs,
-                    finish_secs,
+                    r_ref, t_ref_secs, ..
                 } = flow.regime
                 else {
                     unreachable!("capped index points at a non-capped flow");
@@ -808,21 +805,24 @@ impl NetworkGraph {
                 let remaining = r_ref - flow.rate_cap * (now_secs - t_ref_secs);
                 let v_finish = route.vtime + remaining;
                 flow.regime = Regime::Sharing { v_finish };
-                route.capped.remove(&(finish_secs.to_bits(), id));
-                route.sharing.insert((v_finish.to_bits(), id));
-                route.sharing_by_cap.insert((cap_bits, id));
+                route.capped.remove(top.slot, &mut self.flows);
+                route
+                    .sharing
+                    .push(v_finish.to_bits(), top.slot, &mut self.flows);
+                route
+                    .sharing_by_cap
+                    .push(cap_bits, top.slot, &mut self.flows);
             }
 
             // Sharing flows whose cap sank to or below the level freeze at
-            // their cap (an infinite level freezes every finite-cap flow).
-            let freeze_to = Bound::Included((level_bits, FlowId(u64::MAX)));
-            while let Some(&(cap_bits, id)) = route
-                .sharing_by_cap
-                .range((Bound::Unbounded, freeze_to))
-                .next()
-            {
-                route.sharing_by_cap.remove(&(cap_bits, id));
-                let flow = self.flows.get_mut(&id).expect("indexed flow exists");
+            // their cap, smallest cap first (an infinite level freezes every
+            // finite-cap flow).
+            while let Some(top) = route.sharing_by_cap.peek() {
+                if top.key > level_bits {
+                    break;
+                }
+                route.sharing_by_cap.pop(&mut self.flows);
+                let flow = self.flows.get_mut(top.slot);
                 let Regime::Sharing { v_finish } = flow.regime else {
                     unreachable!("sharing index points at a non-sharing flow");
                 };
@@ -833,9 +833,13 @@ impl NetworkGraph {
                     t_ref_secs: now_secs,
                     finish_secs,
                 };
-                route.sharing.remove(&(v_finish.to_bits(), id));
-                route.capped.insert((finish_secs.to_bits(), id));
-                route.capped_by_cap.insert((cap_bits, id));
+                route.sharing.remove(top.slot, &mut self.flows);
+                route
+                    .capped
+                    .push(finish_secs.to_bits(), top.slot, &mut self.flows);
+                route
+                    .capped_by_cap
+                    .push(!top.key, top.slot, &mut self.flows);
             }
 
             debug_assert!(

@@ -871,6 +871,164 @@ fn network_graph_ten_thousand_flows_are_deterministic() {
     assert!(completions_a.windows(2).all(|w| w[0].0 <= w[1].0));
 }
 
+/// The flow operations `FluidLink` and `NetworkGraph` share, so one flow
+/// sequence can drive either core.  `group` picks the graph's route.
+trait SharingCore {
+    fn start(&mut self, id: FlowId, group: usize, bytes: f64, cap: f64, now: SimTime);
+    fn finish(&mut self, id: FlowId, now: SimTime) -> Option<f64>;
+    fn set_cap(&mut self, id: FlowId, cap: f64, now: SimTime);
+    fn next(&mut self, now: SimTime) -> Option<(SimTime, FlowId)>;
+    fn rate(&self, id: FlowId) -> Option<f64>;
+    /// Bytes carried so far, per link, as bit patterns.
+    fn bytes(&self) -> Vec<u64>;
+}
+
+impl SharingCore for FluidLink {
+    fn start(&mut self, id: FlowId, _: usize, bytes: f64, cap: f64, now: SimTime) {
+        self.start_flow(id, bytes, cap, now);
+    }
+    fn finish(&mut self, id: FlowId, now: SimTime) -> Option<f64> {
+        self.finish_flow(id, now)
+    }
+    fn set_cap(&mut self, id: FlowId, cap: f64, now: SimTime) {
+        self.set_rate_cap(id, cap, now);
+    }
+    fn next(&mut self, now: SimTime) -> Option<(SimTime, FlowId)> {
+        self.next_completion(now)
+    }
+    fn rate(&self, id: FlowId) -> Option<f64> {
+        self.current_rate(id)
+    }
+    fn bytes(&self) -> Vec<u64> {
+        vec![self.bytes_transferred().to_bits()]
+    }
+}
+
+/// A 4-group star with a backbone and persistent cross traffic on group
+/// 0's transit, as the WAN surveys run it.
+struct StarCore {
+    net: NetworkGraph,
+    routes: Vec<RouteId>,
+}
+
+impl StarCore {
+    fn new(offset: u64) -> Self {
+        let spec = mfc_topology::TopologySpec::star(&[8e5, 5e6, 5e6, 5e6])
+            .with_backbone(1.2e7)
+            .with_cross_traffic(0, 3, 150_000.0);
+        let built = spec.build(1.5e7);
+        let mut net = built.graph;
+        for (k, &(route, count, rate)) in built.cross.iter().enumerate() {
+            for j in 0..u64::from(count) {
+                let id = FlowId(offset + (1 << 40) + 100 * k as u64 + j);
+                net.start_flow(id, route, f64::INFINITY, rate, SimTime::ZERO);
+            }
+        }
+        let mut routes = built.group_routes;
+        routes.push(built.background_route);
+        StarCore { net, routes }
+    }
+}
+
+impl SharingCore for StarCore {
+    fn start(&mut self, id: FlowId, group: usize, bytes: f64, cap: f64, now: SimTime) {
+        let route = self.routes[group % self.routes.len()];
+        self.net.start_flow(id, route, bytes, cap, now);
+    }
+    fn finish(&mut self, id: FlowId, now: SimTime) -> Option<f64> {
+        self.net.finish_flow(id, now)
+    }
+    fn set_cap(&mut self, id: FlowId, cap: f64, now: SimTime) {
+        self.net.set_rate_cap(id, cap, now);
+    }
+    fn next(&mut self, now: SimTime) -> Option<(SimTime, FlowId)> {
+        self.net.next_completion(now)
+    }
+    fn rate(&self, id: FlowId) -> Option<f64> {
+        self.net.current_rate(id)
+    }
+    fn bytes(&self) -> Vec<u64> {
+        (0..self.net.link_count() as u32)
+            .map(|l| self.net.link_bytes_transferred(LinkId(l)).to_bits())
+            .collect()
+    }
+}
+
+/// Drives one seeded flow sequence through `core` with every flow id
+/// shifted by `offset`, and records what the core reports with the shift
+/// taken back out: completions (time, id, leftover bits), early finishes,
+/// rates, and every link's byte count.
+fn run_shifted(core: &mut dyn SharingCore, offset: u64, seed: u64) -> Vec<(u64, u64, u64)> {
+    let mut rng = SimRng::seed_from(seed);
+    let mut log = Vec::new();
+    let mut active: Vec<u64> = Vec::new();
+    let mut now = SimTime::ZERO;
+    for op in 0..400u64 {
+        match rng.index(10) {
+            0..=3 => {
+                let bytes = if rng.chance(0.05) {
+                    0.0
+                } else {
+                    rng.uniform(1_000.0, 2e6)
+                };
+                let (group, cap) = (rng.index(5), random_cap(&mut rng));
+                core.start(FlowId(offset + op), group, bytes, cap, now);
+                active.push(op);
+            }
+            4 if !active.is_empty() => {
+                let id = active[rng.index(active.len())];
+                core.set_cap(FlowId(offset + id), random_cap(&mut rng), now);
+            }
+            5 if !active.is_empty() => {
+                let id = active.swap_remove(rng.index(active.len()));
+                let left = core.finish(FlowId(offset + id), now).expect("active");
+                log.push((now.as_micros(), id, left.to_bits()));
+            }
+            _ => {
+                let until = now + SimDuration::from_micros(rng.uniform_u64(0, 300_000));
+                while let Some((t, id)) = core.next(now).filter(|&(t, _)| t <= until) {
+                    now = now.max(t);
+                    let left = core.finish(id, now).expect("completing flow is active");
+                    let id = id.0 - offset;
+                    active.retain(|&a| a != id);
+                    log.push((t.as_micros(), id, left.to_bits()));
+                }
+                now = until;
+            }
+        }
+        for &id in &active {
+            let rate = core.rate(FlowId(offset + id)).expect("active");
+            log.push((u64::MAX, id, rate.to_bits()));
+        }
+    }
+    for (link, bits) in core.bytes().into_iter().enumerate() {
+        log.push((u64::MAX, link as u64, bits));
+    }
+    log
+}
+
+#[test]
+fn sharing_cores_ignore_flow_id_values() {
+    // Flows are found through an id hash map, and heap ties break on the
+    // id; neither may let the ids' values reach a result.  The engine's
+    // cross-traffic ids start at 1 << 62, so the same sequence runs with
+    // small ids and with every id shifted there: completion times, order,
+    // leftovers, rates and byte counts must agree bit for bit.
+    const SHIFT: u64 = 1 << 62;
+    for seed in 0..16u64 {
+        let capacity = 1e6 + 2e5 * seed as f64;
+        let small = run_shifted(&mut FluidLink::new(capacity), 0, seed);
+        let shifted = run_shifted(&mut FluidLink::new(capacity), SHIFT, seed);
+        assert!(small.iter().any(|&(t, ..)| t != u64::MAX), "seed {seed}");
+        assert_eq!(small, shifted, "FluidLink, seed {seed}");
+
+        let small = run_shifted(&mut StarCore::new(0), 0, seed);
+        let shifted = run_shifted(&mut StarCore::new(SHIFT), SHIFT, seed);
+        assert!(small.iter().any(|&(t, ..)| t != u64::MAX), "seed {seed}");
+        assert_eq!(small, shifted, "NetworkGraph, seed {seed}");
+    }
+}
+
 // -------------------------------------------------------------------
 // TCP model.
 // -------------------------------------------------------------------
