@@ -11,7 +11,7 @@ use mfc_bench::Scale;
 use mfc_core::types::Stage;
 use mfc_dynamics::DefenseConfig;
 use mfc_simcore::{EventQueue, SimDuration, SimRng, SimTime};
-use mfc_simnet::{mbps, FlowId, FluidLink, NaiveFluidLink};
+use mfc_simnet::{mbps, FlowId, NaiveFluidLink};
 use mfc_topology::{NetworkGraph, RouteId, TopologySpec};
 use mfc_webserver::{
     ContentCatalog, RequestClass, ServerCluster, ServerConfig, ServerRequest, WorkerConfig,
@@ -76,13 +76,21 @@ fn crowd_flows(n: u64) -> Vec<(u64, f64, f64, u64)> {
         .collect()
 }
 
+/// One shared link: a one-link, one-route graph.
+fn one_link(capacity: f64) -> (NetworkGraph, RouteId) {
+    let mut net = NetworkGraph::new();
+    let link = net.add_link(capacity);
+    let route = net.add_route(&[link]);
+    (net, route)
+}
+
 /// Starts `n` staggered flows on the virtual-time link and drains it.
 fn link_drain(flows: &[(u64, f64, f64, u64)]) -> u64 {
-    let mut link = FluidLink::new(1e8);
+    let (mut link, route) = one_link(1e8);
     let mut now = SimTime::ZERO;
     for &(id, bytes, cap, stagger_us) in flows {
         now += SimDuration::from_micros(stagger_us);
-        link.start_flow(FlowId(id), bytes, cap, now);
+        link.start_flow(FlowId(id), route, bytes, cap, now);
     }
     let mut checksum = 0u64;
     while let Some((t, id)) = link.next_completion(now) {
@@ -93,8 +101,8 @@ fn link_drain(flows: &[(u64, f64, f64, u64)]) -> u64 {
     checksum
 }
 
-/// The same drain over the retained naive progressive-filling reference —
-/// the pre-PR `FluidLink` — so the speedup is measured in-tree.
+/// The same drain over the naive progressive-filling reference, so the
+/// speedup is measured in-tree.
 fn naive_link_drain(flows: &[(u64, f64, f64, u64)]) -> u64 {
     let mut link = NaiveFluidLink::new(1e8);
     let mut now = SimTime::ZERO;
@@ -137,11 +145,11 @@ fn mixed_transfer(rng: &mut SimRng) -> (f64, f64) {
 /// turning over — rather than one large crowd draining.
 fn link_churn(n: u64, steps: u64, capacity: f64, draw: FlowDraw) -> u64 {
     let mut rng = SimRng::seed_from(0xC4);
-    let mut link = FluidLink::new(capacity);
+    let (mut link, route) = one_link(capacity);
     let mut now = SimTime::ZERO;
     for id in 0..n {
         let (size, cap) = draw(&mut rng);
-        link.start_flow(FlowId(id), size, cap, now);
+        link.start_flow(FlowId(id), route, size, cap, now);
     }
     let mut checksum = 0u64;
     for id in n..n + steps {
@@ -150,7 +158,7 @@ fn link_churn(n: u64, steps: u64, capacity: f64, draw: FlowDraw) -> u64 {
         link.finish_flow(done, now);
         checksum = checksum.wrapping_add(t.as_micros()).wrapping_add(done.0);
         let (size, cap) = draw(&mut rng);
-        link.start_flow(FlowId(id), size, cap, now);
+        link.start_flow(FlowId(id), route, size, cap, now);
     }
     checksum
 }

@@ -4,7 +4,7 @@
 //! `serde_derive` it vendors a small facade with the same spelling at every
 //! call site: `use serde::{Deserialize, Serialize};` plus
 //! `#[derive(Serialize, Deserialize)]`.  The facade's data model is a single
-//! JSON-like [`Value`] tree, so the derives only have to map structs and
+//! JSON-like `serde::Value` tree, so the derives only have to map structs and
 //! enums to and from that tree:
 //!
 //! * structs with named fields become objects in declaration order,

@@ -124,7 +124,12 @@ impl SimTargetSpec {
     /// (overriding `replicas`); the defense state — bucket fill levels,
     /// provisioned replicas, fired schedule steps — persists across the
     /// epochs of an MFC run, exactly like a real deployment's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the config fails [`DefenseConfig::validate`].
     pub fn with_defenses(mut self, defenses: DefenseConfig) -> Self {
+        defenses.validate().expect("invalid defense config");
         self.defenses = defenses;
         self
     }
@@ -556,6 +561,20 @@ mod tests {
                 .collect(),
             timeout: SimDuration::from_secs(10),
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "cpu_factor must be positive and finite")]
+    fn an_unbounded_cpu_step_is_rejected_up_front() {
+        let _ = SimTargetSpec::single_server(
+            ServerConfig::lab_apache(),
+            ContentCatalog::lab_validation(),
+        )
+        .with_defenses(DefenseConfig::capacity_drop(
+            SimDuration::from_secs(1),
+            1e6,
+            f64::INFINITY,
+        ));
     }
 
     #[test]

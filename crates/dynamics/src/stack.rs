@@ -136,6 +136,26 @@ impl DefenseConfig {
         }
     }
 
+    /// Checks that every capacity-schedule step names a positive, finite
+    /// access-link capacity and CPU factor: the sharing core cannot run a
+    /// link or a CPU at zero, negative or unbounded capacity.
+    pub fn validate(&self) -> Result<(), String> {
+        let steps = self.capacity_schedule.iter().flat_map(|s| &s.steps);
+        for (index, step) in steps.enumerate() {
+            for (field, value) in [
+                ("access_link", step.access_link),
+                ("cpu_factor", step.cpu_factor),
+            ] {
+                if let Some(value) = value.filter(|v| !(*v > 0.0 && v.is_finite())) {
+                    return Err(format!(
+                        "capacity step {index}: {field} must be positive and finite, got {value}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Replicas the serving cluster should be constructed with: the
     /// autoscaler's floor, or `fallback` when no autoscaler is enabled.
     pub fn initial_replicas(&self, fallback: usize) -> usize {
@@ -271,7 +291,7 @@ impl ServerControl for DefenseStack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mfc_webserver::RequestClass;
+    use mfc_webserver::{ContentCatalog, RequestClass, ServerCluster, ServerConfig};
 
     fn req(client: u32) -> ServerRequest {
         ServerRequest {
@@ -359,6 +379,67 @@ mod tests {
             AdmissionVerdict::Throttle(20_000.0)
         );
         assert_eq!(stack.throttles(), 1);
+    }
+
+    #[test]
+    fn presets_validate() {
+        for config in [
+            DefenseConfig::none(),
+            DefenseConfig::autoscaled(1, 4),
+            DefenseConfig::shedding(50),
+            DefenseConfig::rate_limited(5.0, 1.0, 20_000.0),
+            DefenseConfig::capacity_drop(SimDuration::from_secs(1), 1e6, 0.5),
+            DefenseConfig::fortress(2, 8),
+        ] {
+            assert_eq!(config.validate(), Ok(()), "{}", config.label());
+        }
+    }
+
+    #[test]
+    fn impossible_capacity_steps_are_rejected() {
+        for bad in [f64::INFINITY, f64::NAN, 0.0, -1.0] {
+            let link = DefenseConfig::capacity_drop(SimDuration::from_secs(1), bad, 0.5);
+            let error = link.validate().expect_err("bad access link");
+            assert!(error.contains("access_link"), "{error}");
+            let cpu = DefenseConfig::capacity_drop(SimDuration::from_secs(1), 1e6, bad);
+            let error = cpu.validate().expect_err("bad cpu factor");
+            assert!(error.contains("cpu_factor"), "{error}");
+        }
+    }
+
+    #[test]
+    fn cpu_capacity_drop_slows_later_small_queries() {
+        // Small Queries spaced 100 ms apart on the one-core lab server, so
+        // each runs alone on the CPU; 1 s in, the CPU drops to half speed.
+        let config = ServerConfig::lab_apache();
+        let requests: Vec<ServerRequest> = (0..20u64)
+            .map(|i| ServerRequest {
+                id: i,
+                arrival: SimTime::ZERO + SimDuration::from_millis(100 * i),
+                class: RequestClass::Dynamic,
+                path: "/cgi/stats?table=t1".to_string(),
+                ..req(i as u32)
+            })
+            .collect();
+        let defenses =
+            DefenseConfig::capacity_drop(SimDuration::from_secs(1), config.access_link, 0.5);
+        let mut cluster = ServerCluster::new(config, ContentCatalog::lab_validation(), 1);
+        let result = cluster.run(requests, &mut defenses.build());
+        let latency = |range: std::ops::Range<usize>| {
+            let mut ms: Vec<f64> = result.outcomes[range]
+                .iter()
+                .inspect(|o| assert!(o.is_ok()))
+                .map(|o| o.latency().as_millis_f64())
+                .collect();
+            ms.sort_by(f64::total_cmp);
+            ms
+        };
+        // The first query misses the query cache; the rest hit it.
+        let (before, after) = (latency(1..9), latency(12..20));
+        assert!(
+            after[0] > before[before.len() - 1],
+            "after the drop {after:?} vs before {before:?}"
+        );
     }
 
     #[test]

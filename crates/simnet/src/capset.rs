@@ -47,22 +47,6 @@ struct Node {
     total_sum: f64,
 }
 
-/// Result of a [`CapMultiset::water_level`] query.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WaterLevel {
-    /// Largest *saturated* cap (bit pattern): every flow whose cap is
-    /// `<= threshold` is frozen at its own cap; `None` when no cap is
-    /// saturated (the equal share is below even the smallest cap).
-    pub threshold_bits: Option<u64>,
-    /// Number of saturated flows.
-    pub saturated_count: u64,
-    /// Sum of the saturated flows' caps.
-    pub saturated_sum: f64,
-    /// Rate of every unsaturated flow; `f64::INFINITY` when every flow is
-    /// saturated (the link has spare capacity and nobody can use it).
-    pub level: f64,
-}
-
 /// A multiset of finite non-negative caps with O(log n) insert, remove and
 /// water-level queries.
 ///
@@ -77,10 +61,7 @@ pub struct WaterLevel {
 /// caps.insert(900.0);
 /// // 1000 B/s split over the three flows: the two 100 B/s caps saturate,
 /// // the third flow takes the remaining 800 B/s (its cap exceeds that).
-/// let wl = caps.water_level(1_000.0, 3);
-/// assert_eq!(wl.saturated_count, 2);
-/// assert_eq!(wl.saturated_sum, 200.0);
-/// assert_eq!(wl.level, 800.0);
+/// assert_eq!(caps.water_level(1_000.0, 3), 800.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct CapMultiset {
@@ -154,12 +135,15 @@ impl CapMultiset {
 
     /// Computes the max–min water level for a link of `capacity` bytes/s
     /// shared by `flow_count` flows: the caps in this multiset plus
-    /// `flow_count - len()` flows with no individual cap.
+    /// `flow_count - len()` flows with no individual cap.  Every flow whose
+    /// cap is at or below the level runs at its cap; the others run at the
+    /// level.  `f64::INFINITY` when every flow is capped below its share
+    /// (the link has spare capacity and nobody can use it).
     ///
     /// # Panics
     ///
     /// Panics if `flow_count` is smaller than the number of stored caps.
-    pub fn water_level(&self, capacity: f64, flow_count: u64) -> WaterLevel {
+    pub fn water_level(&self, capacity: f64, flow_count: u64) -> f64 {
         assert!(
             flow_count >= self.len(),
             "flow_count {flow_count} below stored cap count {}",
@@ -168,45 +152,31 @@ impl CapMultiset {
         // Descend for the largest cap c with F(c) = S(<c) + c·(n − cnt(<c))
         // ≤ capacity, i.e. the largest cap that stays saturated.  F is
         // monotone in c, so this is a standard partition-point walk; the
-        // (count, sum) prefixes accumulate along the path in a fixed order,
-        // which keeps the float results deterministic.
+        // count and sum of the saturated caps accumulate along the path in
+        // a fixed order, which keeps the float result deterministic.
         let n = flow_count;
         let mut node = self.root;
-        let mut prefix_count = 0u64;
-        let mut prefix_sum = 0.0f64;
-        let mut best: Option<(u64, u64, f64)> = None; // (key_bits, cnt≤, sum≤)
+        let mut saturated_count = 0u64;
+        let mut saturated_sum = 0.0f64;
         while node != NIL {
             let nd = &self.nodes[node as usize];
             let (lc, ls) = self.child_aggregates(nd.left);
-            let count_below = prefix_count + lc;
-            let sum_below = prefix_sum + ls;
+            let count_below = saturated_count + lc;
+            let sum_below = saturated_sum + ls;
             let c = f64::from_bits(nd.key_bits);
             let f = sum_below + c * (n - count_below) as f64;
             if f <= capacity {
-                let cnt_le = count_below + nd.count;
-                let sum_le = sum_below + c * nd.count as f64;
-                best = Some((nd.key_bits, cnt_le, sum_le));
-                prefix_count = cnt_le;
-                prefix_sum = sum_le;
+                saturated_count = count_below + nd.count;
+                saturated_sum = sum_below + c * nd.count as f64;
                 node = nd.right;
             } else {
                 node = nd.left;
             }
         }
-        let (threshold_bits, saturated_count, saturated_sum) = match best {
-            Some((bits, k, s)) => (Some(bits), k, s),
-            None => (None, 0, 0.0),
-        };
-        let level = if saturated_count >= n {
+        if saturated_count >= n {
             f64::INFINITY
         } else {
             (capacity - saturated_sum) / (n - saturated_count) as f64
-        };
-        WaterLevel {
-            threshold_bits,
-            saturated_count,
-            saturated_sum,
-            level,
         }
     }
 
@@ -399,7 +369,7 @@ mod tests {
     use super::*;
 
     /// Brute-force water level over a plain sorted Vec, for cross-checking.
-    fn naive_water(caps: &[f64], capacity: f64, flow_count: u64) -> (u64, f64, f64) {
+    fn naive_water(caps: &[f64], capacity: f64, flow_count: u64) -> f64 {
         let mut sorted = caps.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let n = flow_count;
@@ -416,21 +386,17 @@ mod tests {
                 break;
             }
         }
-        let level = if k >= n {
+        if k >= n {
             f64::INFINITY
         } else {
             (capacity - s) / (n - k) as f64
-        };
-        (k, s, level)
+        }
     }
 
     #[test]
     fn empty_set_has_equal_shares() {
         let caps = CapMultiset::new();
-        let wl = caps.water_level(1_000.0, 4);
-        assert_eq!(wl.saturated_count, 0);
-        assert_eq!(wl.threshold_bits, None);
-        assert_eq!(wl.level, 250.0);
+        assert_eq!(caps.water_level(1_000.0, 4), 250.0);
     }
 
     #[test]
@@ -438,10 +404,7 @@ mod tests {
         let mut caps = CapMultiset::new();
         caps.insert(10.0);
         caps.insert(20.0);
-        let wl = caps.water_level(1_000.0, 2);
-        assert_eq!(wl.saturated_count, 2);
-        assert_eq!(wl.saturated_sum, 30.0);
-        assert_eq!(wl.level, f64::INFINITY);
+        assert_eq!(caps.water_level(1_000.0, 2), f64::INFINITY);
     }
 
     #[test]
@@ -450,9 +413,7 @@ mod tests {
         caps.insert(500.0);
         caps.insert(600.0);
         // 100 B/s over two flows: share 50 each, below both caps.
-        let wl = caps.water_level(100.0, 2);
-        assert_eq!(wl.saturated_count, 0);
-        assert_eq!(wl.level, 50.0);
+        assert_eq!(caps.water_level(100.0, 2), 50.0);
     }
 
     #[test]
@@ -465,10 +426,8 @@ mod tests {
         assert_eq!(caps.sum(), 500.0);
         caps.remove(100.0);
         assert_eq!(caps.len(), 4);
-        let wl = caps.water_level(1_000.0, 6);
         // Four capped flows at 100, two uncapped sharing 600.
-        assert_eq!(wl.saturated_count, 4);
-        assert_eq!(wl.level, 300.0);
+        assert_eq!(caps.water_level(1_000.0, 6), 300.0);
     }
 
     #[test]
@@ -502,14 +461,12 @@ mod tests {
             let extra = (next() * 5.0) as u64;
             let capacity = next() * 10_000.0 + 1.0;
             let n = mirror.len() as u64 + extra;
-            let wl = caps.water_level(capacity, n);
-            let (k, s, level) = naive_water(&mirror, capacity, n);
-            assert_eq!(wl.saturated_count, k, "case {case}");
-            assert!((wl.saturated_sum - s).abs() < 1e-6, "case {case}");
-            if level.is_finite() {
-                assert!((wl.level - level).abs() < 1e-6, "case {case}");
+            let level = caps.water_level(capacity, n);
+            let expect = naive_water(&mirror, capacity, n);
+            if expect.is_finite() {
+                assert!((level - expect).abs() < 1e-6, "case {case}");
             } else {
-                assert_eq!(wl.level, f64::INFINITY, "case {case}");
+                assert_eq!(level, f64::INFINITY, "case {case}");
             }
             // Remove half and re-check internal consistency.
             for cap in mirror.iter().step_by(2) {
@@ -579,9 +536,9 @@ mod tests {
         }
         // Same set => same deterministic shape => bit-identical aggregates.
         assert_eq!(a.sum().to_bits(), b.sum().to_bits());
-        let wa = a.water_level(20.0, 7);
-        let wb = b.water_level(20.0, 7);
-        assert_eq!(wa.level.to_bits(), wb.level.to_bits());
-        assert_eq!(wa.saturated_sum.to_bits(), wb.saturated_sum.to_bits());
+        assert_eq!(
+            a.water_level(20.0, 7).to_bits(),
+            b.water_level(20.0, 7).to_bits()
+        );
     }
 }

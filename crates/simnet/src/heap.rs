@@ -1,11 +1,11 @@
-//! Per-flow bookkeeping of the sharing cores: a flow slab and indexed
+//! Per-flow bookkeeping of the sharing core: a flow slab and indexed
 //! min-heaps over it.
 //!
-//! [`FluidLink`](crate::FluidLink) and the topology crate's `NetworkGraph`
-//! touch a handful of ordered indexes on every flow arrival, departure and
-//! regime flip: flows by virtual finish tag, by absolute finish time, by
-//! rate cap.  Ordered trees made each of those touches an allocation-prone
-//! B-tree insert or remove.  Here instead:
+//! The topology crate's `NetworkGraph`, which shares every link and every
+//! CPU, touches a handful of ordered indexes on every flow arrival,
+//! departure and regime flip: flows by virtual finish tag, by absolute
+//! finish time, by rate cap.  Ordered trees made each of those touches an
+//! allocation-prone B-tree insert or remove.  Here instead:
 //!
 //! - every active flow lives in one [`FlowSlab`] entry (a `Vec` plus a
 //!   free list), found from its [`FlowId`] through a small hash map;

@@ -111,7 +111,7 @@ impl Default for PopulationProfile {
 
 impl PopulationProfile {
     /// A population of clients close to the target (LAN-like), matching the
-    /// controlled-lab validation setup of paper §3.2 where "clients [are]
+    /// controlled-lab validation setup of paper §3.2 where "clients \[are\]
     /// located on the same LAN as the server".
     pub fn lan() -> Self {
         PopulationProfile {

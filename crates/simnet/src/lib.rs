@@ -9,8 +9,11 @@
 //!    client ↔ target, which the coordinator's synchronization scheduler
 //!    compensates for ([`latency`]).
 //! 2. **The target's access link** becoming the bottleneck when many large
-//!    responses are in flight simultaneously — modelled as a max–min fair
-//!    fluid link shared by all active flows ([`link`]).
+//!    responses are in flight simultaneously — a max–min fair fluid link
+//!    shared by all active flows.  The topology crate's `NetworkGraph` runs
+//!    it (and the CPU's processor sharing) over the [`capset`] water level
+//!    and the [`heap`] flow indexes; [`link`] holds the flow ids and the
+//!    naive reference model.
 //! 3. **TCP connection setup and slow start**, which determine when the
 //!    first byte of the HTTP request reaches the server and how quickly a
 //!    transfer can ramp up ([`tcp`]).
@@ -34,7 +37,7 @@ pub mod udp;
 
 pub use capset::CapMultiset;
 pub use latency::{ClientNetProfile, PopulationProfile, WideAreaModel};
-pub use link::{FlowId, FluidLink, NaiveFluidLink};
+pub use link::{FlowId, NaiveFluidLink};
 pub use tcp::TcpModel;
 pub use udp::ControlChannel;
 

@@ -1,17 +1,20 @@
 //! Incremental max–min fair allocation over a multi-hop link graph.
 //!
-//! [`NetworkGraph`] generalizes `mfc_simnet::FluidLink` from one shared
-//! link to a *graph* of shared links: every flow traverses an ordered set
-//! of links (its **route**) and additionally carries a private rate cap
-//! (its client access link / TCP window).  The allocation is the classic
-//! network max–min fairness computed by progressive filling: all flow
-//! rates rise together; a flow freezes when it hits its own cap or when
-//! any link on its route saturates; a saturated link freezes every flow
-//! through it at the link's *water level*.
+//! [`NetworkGraph`] is the simulator's one sharing core.  It shares a
+//! *graph* of links: every flow traverses an ordered set of links (its
+//! **route**) and additionally carries a private rate cap (its client
+//! access link / TCP window).  A single access link is a graph of one link
+//! and one route, and so is a CPU under processor sharing (capacity in
+//! work units per second, every task capped at one core's speed).  The
+//! allocation is the classic network max–min fairness computed by
+//! progressive filling: all flow rates rise together; a flow freezes when
+//! it hits its own cap or when any link on its route saturates; a
+//! saturated link freezes every flow through it at the link's *water
+//! level*.
 //!
 //! The per-event cost stays near O(L² · log C) for L links and C flows —
-//! independent of the crowd size except through logarithms — by reusing
-//! PR 2's two ideas at the route granularity:
+//! independent of the crowd size except through logarithms — by two ideas
+//! applied at the route granularity:
 //!
 //! - **Water levels from cap multisets.**  Flows sharing a route are
 //!   interchangeable up to their caps, so each route keeps its active
@@ -30,13 +33,14 @@
 //!   individually.
 //!
 //! [`super::NaiveNetwork`] retains the textbook progressive-filling
-//! algorithm as the executable specification; randomized property tests in
-//! `tests/properties.rs` assert the two produce the same rates, completion
-//! times and completion order under arbitrary add/remove/cap-change/
-//! capacity-change/advance interleavings.
+//! algorithm as the executable specification (and
+//! `mfc_simnet::NaiveFluidLink` its one-link case); randomized property
+//! tests in `tests/properties.rs` assert the graph produces the same rates,
+//! completion times and completion order under arbitrary
+//! add/remove/cap-change/capacity-change/advance interleavings.
 //!
 //! Flows live in one `mfc_simnet::heap::FlowSlab` and each route orders
-//! its flows in `IndexedHeap`s, as in `FluidLink`.  Repro artifacts stay
+//! its flows in `IndexedHeap`s.  Repro artifacts stay
 //! byte-identical across runs and thread counts because nothing depends on
 //! a container's layout:
 //!
@@ -48,7 +52,6 @@
 //! - routes and links are walked in id order, and the cap multisets are
 //!   set-shaped treaps.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use mfc_simcore::{SimDuration, SimTime};
@@ -63,7 +66,7 @@ pub struct LinkId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RouteId(pub u32);
 
-/// Which sharing regime a flow is currently in (see `FluidLink`).
+/// Which sharing regime a flow is currently in.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Regime {
     /// Rate = the route's water level; finishes when the route's
@@ -248,13 +251,15 @@ impl NetworkGraph {
     /// Panics if any link id is unknown or appears twice.
     pub fn add_route(&mut self, links: &[LinkId]) -> RouteId {
         let id = RouteId(u32::try_from(self.routes.len()).expect("too many routes"));
-        let mut seen = BTreeSet::new();
-        for &link in links {
+        for (index, &link) in links.iter().enumerate() {
             assert!(
                 (link.0 as usize) < self.links.len(),
                 "route references unknown link {link:?}"
             );
-            assert!(seen.insert(link), "route traverses {link:?} twice");
+            assert!(
+                !links[..index].contains(&link),
+                "route traverses {link:?} twice"
+            );
             self.links[link.0 as usize].routes.push(id);
         }
         self.routes.push(Route {
@@ -517,8 +522,11 @@ impl NetworkGraph {
     }
 
     /// The earliest completion if nothing else changes, or `None` when no
-    /// active flow has both bytes remaining and a positive rate.  Pure and
-    /// stable between mutations, like `FluidLink::peek_completion`.
+    /// active flow has both bytes remaining and a positive rate.
+    ///
+    /// Pure: does not advance the model.  Completion times are absolute, so
+    /// the answer is stable between mutations regardless of how far the
+    /// caller's clock has moved.
     pub fn peek_completion(&self) -> Option<(SimTime, FlowId)> {
         let mut best: Option<(SimTime, FlowId)> = None;
         let mut consider = |candidate: (SimTime, FlowId)| {
@@ -647,26 +655,22 @@ impl NetworkGraph {
     /// other links.  At most `L` rounds, so the whole pass costs
     /// O(L² · R_ℓ · log² C) plus O(log C) per flow that actually flips.
     fn reallocate(&mut self) {
-        // Degenerate graph (one link, one route): the allocation is exactly
-        // FluidLink's single water-level query — skip the round machinery.
-        // This is the shape every pre-topology scenario (a direct
-        // `TopologySpec`) runs on each flow event, so it must stay O(log C).
+        // Degenerate graph (one link, one route): the allocation is a single
+        // water-level query — skip the round machinery.  Every CPU and every
+        // direct `TopologySpec` access link runs this shape on each flow
+        // event, so it must stay O(log C).
         if self.links.len() == 1 && self.routes.len() == 1 {
             let route = &self.routes[0];
-            let (level, bottleneck) = if route.active() == 0 {
-                (f64::INFINITY, None)
+            // An infinite level means spare capacity: every flow saturates
+            // its own cap and the link is no bottleneck.
+            let level = if route.active() == 0 {
+                f64::INFINITY
             } else {
-                let wl = route
+                route
                     .caps
-                    .water_level(self.links[0].capacity, route.active());
-                if wl.level.is_finite() {
-                    (wl.level, Some(LinkId(0)))
-                } else {
-                    // Spare capacity: every flow saturates its own cap.
-                    (f64::INFINITY, None)
-                }
+                    .water_level(self.links[0].capacity, route.active())
             };
-            self.apply_levels(&[level], &[bottleneck]);
+            self.apply_levels(&[level], &[level.is_finite().then_some(LinkId(0))]);
             return;
         }
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -874,7 +878,7 @@ fn ceil_micros(secs: f64) -> SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mfc_simnet::mbps;
+    use mfc_simnet::{mbps, NaiveFluidLink};
 
     fn t(secs: f64) -> SimTime {
         SimTime::from_secs_f64(secs)
@@ -894,11 +898,18 @@ mod tests {
         (net, routes, access_id)
     }
 
+    /// One link carrying one route, the shape of every CPU and direct
+    /// access link.
+    fn one_link(capacity: f64) -> (NetworkGraph, RouteId, LinkId) {
+        let mut net = NetworkGraph::new();
+        let link = net.add_link(capacity);
+        let route = net.add_route(&[link]);
+        (net, route, link)
+    }
+
     #[test]
     fn single_link_behaves_like_a_fluid_link() {
-        let mut net = NetworkGraph::new();
-        let link = net.add_link(1_000_000.0);
-        let route = net.add_route(&[link]);
+        let (mut net, route, link) = one_link(1_000_000.0);
         net.start_flow(FlowId(1), route, 500_000.0, f64::INFINITY, t(0.0));
         net.start_flow(FlowId(2), route, 500_000.0, f64::INFINITY, t(0.0));
         assert_eq!(net.current_rate(FlowId(1)), Some(500_000.0));
@@ -906,6 +917,85 @@ mod tests {
         assert_eq!(id, FlowId(1));
         assert!((done.as_secs_f64() - 1.0).abs() < 1e-9);
         assert!((net.link_utilization_bytes_per_sec(link) - 1_000_000.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn one_link_flips_follow_arrivals_and_departures() {
+        let (mut net, route, _) = one_link(1_000_000.0);
+        // A 300 KB/s-capped flow alone runs at its cap.
+        net.start_flow(FlowId(1), route, 1e7, 300_000.0, t(0.0));
+        assert_eq!(net.current_rate(FlowId(1)), Some(300_000.0));
+        // Three uncapped flows drop the level to 250 KB/s: flow 1 shares.
+        for i in 2..=4 {
+            net.start_flow(FlowId(i), route, 1e7, f64::INFINITY, t(0.0));
+        }
+        assert!((net.current_rate(FlowId(1)).unwrap() - 250_000.0).abs() < 1e-6);
+        // Without them flow 1 goes back to its cap.
+        for i in 2..=4 {
+            net.finish_flow(FlowId(i), t(0.0));
+        }
+        assert_eq!(net.current_rate(FlowId(1)), Some(300_000.0));
+    }
+
+    #[test]
+    fn redundant_cap_change_still_releases_a_drained_flows_share() {
+        let (mut net, route, link) = one_link(1_000_000.0);
+        net.start_flow(FlowId(1), route, 1e6, f64::INFINITY, t(0.0));
+        net.start_flow(FlowId(2), route, 1e7, 500_000.0, t(0.0));
+        // Both run at 500 kB/s; flow 1 finishes at t=2 but stays until the
+        // caller harvests it.
+        net.advance(t(3.0));
+        // A no-op cap change must still drop the drained flow from the
+        // allocation; a stale aggregate would accrue phantom bytes.
+        net.set_rate_cap(FlowId(2), 500_000.0, t(3.0));
+        assert!((net.link_utilization_bytes_per_sec(link) - 500_000.0).abs() < 1e-6);
+        net.advance(t(4.0));
+        net.finish_flow(FlowId(1), t(4.0));
+        let leftover = net.finish_flow(FlowId(2), t(4.0)).unwrap();
+        // Flow 2 moved 500 kB/s × 4 s = 2 MB; flow 1 its full 1 MB.
+        assert!((leftover - 8e6).abs() < 1.0);
+        assert!((net.link_bytes_transferred(link) - 3e6).abs() < 1.0);
+    }
+
+    #[test]
+    fn one_link_capacity_changes_match_the_naive_link() {
+        let (mut net, route, link) = one_link(1_000_000.0);
+        let mut naive = NaiveFluidLink::new(1_000_000.0);
+        for i in 0..8u64 {
+            let cap = if i % 2 == 0 {
+                f64::INFINITY
+            } else {
+                150_000.0 + 40_000.0 * i as f64
+            };
+            let bytes = 500_000.0 + 100_000.0 * i as f64;
+            net.start_flow(FlowId(i), route, bytes, cap, t(0.1 * i as f64));
+            naive.start_flow(FlowId(i), bytes, cap, t(0.1 * i as f64));
+        }
+        for (step, capacity) in [(1.0, 400_000.0), (2.0, 2_000_000.0), (3.0, 700_000.0)] {
+            net.set_link_capacity(link, capacity, t(step));
+            naive.set_capacity(capacity, t(step));
+            for i in 0..8u64 {
+                let (a, b) = (
+                    net.remaining_bytes(FlowId(i)).unwrap(),
+                    naive.remaining_bytes(FlowId(i)).unwrap(),
+                );
+                assert!((a - b).abs() < 1.0, "flow {i}: {a} vs {b}");
+            }
+        }
+        // Drain both and compare the completion order.
+        let mut now = t(3.0);
+        while let Some((tf, idf)) = net.next_completion(now) {
+            let (tn, idn) = naive.next_completion(now).expect("naive still active");
+            assert_eq!(idf, idn);
+            assert!(
+                (tf.as_secs_f64() - tn.as_secs_f64()).abs() < 1e-3,
+                "{tf} vs {tn}"
+            );
+            now = now.max(tf);
+            net.finish_flow(idf, now);
+            naive.finish_flow(idn, now);
+        }
+        assert!(naive.next_completion(now).is_none());
     }
 
     #[test]
@@ -1021,6 +1111,15 @@ mod tests {
         let mut net = NetworkGraph::new();
         let lonely = net.add_route(&[]);
         net.start_flow(FlowId(1), lonely, 100.0, f64::INFINITY, t(0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "traverses LinkId(0) twice")]
+    fn route_through_a_link_twice_is_rejected() {
+        let mut net = NetworkGraph::new();
+        let a = net.add_link(mbps(8.0));
+        let b = net.add_link(mbps(8.0));
+        net.add_route(&[a, b, a]);
     }
 
     #[test]

@@ -451,6 +451,10 @@ impl<'a> EngineSession<'a> {
     /// transfers keep their remaining bytes and are re-shared immediately.
     /// Transit links from the topology are untouched — they are WAN
     /// infrastructure, not the server's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is infinite.
     pub fn set_access_link(&mut self, capacity: Bandwidth, now: SimTime) {
         let access = self.net.access;
         self.net
@@ -460,6 +464,11 @@ impl<'a> EngineSession<'a> {
     }
 
     /// Scales total CPU capacity to `factor` × the configured hardware.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `factor` is infinite (`DefenseConfig::validate` rejects
+    /// such a schedule up front).
     pub fn scale_cpu(&mut self, factor: f64, now: SimTime) {
         let nominal = f64::from(self.config.hardware.cpu_cores) * self.config.hardware.cpu_speed;
         self.cpu

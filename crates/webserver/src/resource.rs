@@ -8,15 +8,17 @@
 //! depending on the workload class.
 
 use mfc_simcore::{SimDuration, SimTime};
-use mfc_simnet::{FlowId, FluidLink};
+use mfc_simnet::FlowId;
+use mfc_topology::{LinkId, NetworkGraph, RouteId};
 
-/// A processor-sharing resource (CPU, database executor) built on the same
-/// virtual-time max–min fluid allocation as the network link.
+/// A processor-sharing resource (CPU, database executor): a one-link,
+/// one-route [`NetworkGraph`], the same max–min fluid core that shares the
+/// network links.
 ///
 /// Capacity is expressed in *work units per second*; each task has a total
-/// amount of work and an optional per-task rate cap (a single task cannot
-/// use more than one core).  Task ids map one-to-one onto [`FlowId`]s, so
-/// there is no side table to search on the completion hot path.
+/// amount of work and a per-task rate cap (a single task cannot use more
+/// than one core).  Task ids map one-to-one onto [`FlowId`]s, so there is
+/// no side table to search on the completion hot path.
 ///
 /// # Examples
 ///
@@ -34,16 +36,27 @@ use mfc_simnet::{FlowId, FluidLink};
 /// ```
 #[derive(Debug, Clone)]
 pub struct PsResource {
-    link: FluidLink,
+    graph: NetworkGraph,
+    link: LinkId,
+    route: RouteId,
     per_task_cap: f64,
 }
 
 impl PsResource {
     /// Creates a resource with `capacity` work-units/second and a per-task
     /// rate ceiling of `per_task_cap` work-units/second.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is infinite.
     pub fn new(capacity: f64, per_task_cap: f64) -> Self {
+        let mut graph = NetworkGraph::new();
+        let link = graph.add_link(capacity.max(f64::EPSILON));
+        let route = graph.add_route(&[link]);
         PsResource {
-            link: FluidLink::new(capacity.max(f64::EPSILON)),
+            graph,
+            link,
+            route,
             per_task_cap: per_task_cap.max(f64::EPSILON),
         }
     }
@@ -54,21 +67,26 @@ impl PsResource {
     ///
     /// Panics if a task with the same id is already active.
     pub fn add_task(&mut self, id: u64, work: f64, now: SimTime) {
-        self.link
-            .start_flow(FlowId(id), work.max(0.0), self.per_task_cap, now);
+        self.graph.start_flow(
+            FlowId(id),
+            self.route,
+            work.max(0.0),
+            self.per_task_cap,
+            now,
+        );
     }
 
     /// Returns the time and task id of the next task to finish, if any task
     /// is active.  Pure: does not advance the internal clock.
     pub fn peek_completion(&self) -> Option<(SimTime, u64)> {
-        self.link
+        self.graph
             .peek_completion()
             .map(|(time, flow)| (time, flow.0))
     }
 
     /// [`Self::peek_completion`] after advancing the clock to `now`.
     pub fn next_completion(&mut self, now: SimTime) -> Option<(SimTime, u64)> {
-        self.link
+        self.graph
             .next_completion(now)
             .map(|(time, flow)| (time, flow.0))
     }
@@ -76,38 +94,43 @@ impl PsResource {
     /// Removes a task (after completion or abandonment); returns the work
     /// it had left.
     pub fn remove_task(&mut self, id: u64, now: SimTime) -> Option<f64> {
-        self.link.finish_flow(FlowId(id), now)
+        self.graph.finish_flow(FlowId(id), now)
     }
 
     /// Advances the resource's internal clock.
     pub fn advance(&mut self, now: SimTime) {
-        self.link.advance(now);
+        self.graph.advance(now);
     }
 
     /// The configured capacity in work-units/second.
     pub fn capacity(&self) -> f64 {
-        self.link.capacity()
+        self.graph.link_capacity(self.link)
     }
 
     /// Changes the total capacity mid-run (a CPU frequency/quota schedule).
     /// In-flight tasks keep their remaining work; shares are re-balanced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is infinite.
     pub fn set_capacity(&mut self, capacity: f64, now: SimTime) {
-        self.link.set_capacity(capacity.max(f64::EPSILON), now);
+        self.graph
+            .set_link_capacity(self.link, capacity.max(f64::EPSILON), now);
     }
 
     /// Number of active tasks.
     pub fn active(&self) -> usize {
-        self.link.active_flows()
+        self.graph.active_flows()
     }
 
     /// Current aggregate service rate divided by capacity (0–1 utilization).
     pub fn utilization(&self) -> f64 {
-        (self.link.utilization_bytes_per_sec() / self.link.capacity()).clamp(0.0, 1.0)
+        (self.graph.link_utilization_bytes_per_sec(self.link) / self.capacity()).clamp(0.0, 1.0)
     }
 
     /// Total work completed since construction.
     pub fn work_done(&self) -> f64 {
-        self.link.bytes_transferred()
+        self.graph.link_bytes_transferred(self.link)
     }
 }
 
@@ -378,6 +401,40 @@ mod tests {
         assert_eq!(cpu.active(), 0);
         assert!(cpu.next_completion(t(0.3)).is_none());
         assert!(cpu.remove_task(1, t(0.3)).is_none());
+    }
+
+    #[test]
+    fn ps_resource_capacity_change_matches_the_naive_link() {
+        // Two one-core tasks on two cores run at their caps.  Halving the
+        // capacity at 0.1 s makes them share one core (0.5 each); once task
+        // 1 leaves, task 2 is capped at one core again.
+        let mut cpu = PsResource::new(2.0, 1.0);
+        let mut naive = mfc_simnet::NaiveFluidLink::new(2.0);
+        for (id, work) in [(1, 0.3), (2, 0.5)] {
+            cpu.add_task(id, work, t(0.0));
+            naive.start_flow(FlowId(id), work, 1.0, t(0.0));
+        }
+        cpu.set_capacity(1.0, t(0.1));
+        naive.set_capacity(1.0, t(0.1));
+        assert_eq!(cpu.capacity(), 1.0);
+        let mut now = t(0.1);
+        let mut finished = Vec::new();
+        while let Some((done, id)) = cpu.next_completion(now) {
+            let (naive_done, naive_id) = naive.next_completion(now).unwrap();
+            assert_eq!((done, id), (naive_done, naive_id.0));
+            now = done;
+            cpu.remove_task(id, now);
+            naive.finish_flow(naive_id, now);
+            finished.push((id, done.as_secs_f64()));
+        }
+        assert!(naive.next_completion(now).is_none());
+        assert_eq!(finished.len(), 2);
+        // Task 1: 0.2 left at 0.1 s, at 0.5/s → 0.5 s.  Task 2: 0.4 left at
+        // 0.1 s, 0.2 of it by 0.5 s, the rest at 1.0/s → 0.7 s.
+        assert_eq!(finished[0].0, 1);
+        assert!((finished[0].1 - 0.5).abs() < 1e-6, "{finished:?}");
+        assert!((finished[1].1 - 0.7).abs() < 1e-6, "{finished:?}");
+        assert!((cpu.work_done() - 0.8).abs() < 1e-9);
     }
 
     #[test]

@@ -13,8 +13,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mfc_simcore::{SimDuration, SimTime};
-use mfc_simnet::{mbps, FlowId, FluidLink};
-use mfc_topology::TopologySpec;
+use mfc_simnet::{mbps, FlowId};
+use mfc_topology::{NetworkGraph, TopologySpec};
 use mfc_webserver::resource::PsResource;
 use mfc_webserver::{CacheState, ContentCatalog, ServerConfig, ServerEngine};
 
@@ -123,7 +123,9 @@ fn graph_churn_allocates_nothing_after_warm_up() {
 
 #[test]
 fn link_and_cpu_churn_allocate_nothing_after_warm_up() {
-    let mut link = FluidLink::new(1_000_000.0);
+    let mut link = NetworkGraph::new();
+    let access = link.add_link(1_000_000.0);
+    let route = link.add_route(&[access]);
     let mut cpu = PsResource::new(2.0, 1.0);
     let mut churn = |i: u64| {
         let now = ms(10 * i);
@@ -131,7 +133,7 @@ fn link_and_cpu_churn_allocate_nothing_after_warm_up() {
             link.finish_flow(FlowId(i - 6), now);
             cpu.remove_task(i - 6, now);
         }
-        link.start_flow(FlowId(i), 1e9, cap_of(i), now);
+        link.start_flow(FlowId(i), route, 1e9, cap_of(i), now);
         cpu.add_task(i, 0.05 * (1 + i % 4) as f64, now);
     };
     for i in 0..100 {

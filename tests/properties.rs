@@ -14,7 +14,7 @@ use mfc_core::types::ClientId;
 use mfc_http::{Method, Request, Response, StatusCode, Url};
 use mfc_simcore::stats::{median, percentile};
 use mfc_simcore::{EventHandle, EventQueue, SimDuration, SimRng, SimTime};
-use mfc_simnet::{FlowId, FluidLink, NaiveFluidLink, PopulationProfile, TcpModel, WideAreaModel};
+use mfc_simnet::{FlowId, NaiveFluidLink, PopulationProfile, TcpModel, WideAreaModel};
 use mfc_topology::{LinkId, NaiveNetwork, NetworkGraph, RouteId};
 use mfc_webserver::{
     ContentCatalog, NullControl, RequestClass, ServerCluster, ServerConfig, ServerRequest,
@@ -233,8 +233,17 @@ fn event_queue_ties_pop_in_schedule_order_after_cancellations() {
 }
 
 // -------------------------------------------------------------------
-// Fluid link fair sharing.
+// Fluid link fair sharing: one shared link is a one-link, one-route graph.
 // -------------------------------------------------------------------
+
+/// The single link every access link and CPU runs on: `LinkId(0)` carrying
+/// `RouteId(0)`.
+fn one_link(capacity: f64) -> (NetworkGraph, RouteId) {
+    let mut net = NetworkGraph::new();
+    let link = net.add_link(capacity);
+    let route = net.add_route(&[link]);
+    (net, route)
+}
 
 #[test]
 fn fluid_link_never_exceeds_capacity_and_conserves_bytes() {
@@ -245,11 +254,11 @@ fn fluid_link_never_exceeds_capacity_and_conserves_bytes() {
             .into_iter()
             .map(|s| s.max(1.0))
             .collect::<Vec<f64>>();
-        let mut link = FluidLink::new(capacity);
+        let (mut link, route) = one_link(capacity);
         for (i, &bytes) in sizes.iter().enumerate() {
-            link.start_flow(FlowId(i as u64), bytes, f64::INFINITY, SimTime::ZERO);
+            link.start_flow(FlowId(i as u64), route, bytes, f64::INFINITY, SimTime::ZERO);
         }
-        assert!(link.utilization_bytes_per_sec() <= capacity * (1.0 + 1e-9));
+        assert!(link.link_utilization_bytes_per_sec(LinkId(0)) <= capacity * (1.0 + 1e-9));
         let mut remaining = sizes.len();
         let mut guard = 0;
         while remaining > 0 && guard < 10_000 {
@@ -265,7 +274,7 @@ fn fluid_link_never_exceeds_capacity_and_conserves_bytes() {
         }
         assert_eq!(remaining, 0, "all flows must eventually finish");
         let total: f64 = sizes.iter().sum();
-        assert!((link.bytes_transferred() - total).abs() < total * 1e-6 + 1.0);
+        assert!((link.link_bytes_transferred(LinkId(0)) - total).abs() < total * 1e-6 + 1.0);
     }
 }
 
@@ -325,7 +334,7 @@ fn naive_predicted_completion(naive: &NaiveFluidLink, id: FlowId, now: SimTime) 
 /// check: at that boundary the models may legitimately disagree about
 /// whether the flow has already finished (one sees exactly zero, the other
 /// a sub-byte sliver), and a sub-byte flow's rate has no observable effect.
-fn assert_flows_match(fast: &FluidLink, naive: &NaiveFluidLink, active: &[u64], ctx: &str) {
+fn assert_flows_match(fast: &NetworkGraph, naive: &NaiveFluidLink, active: &[u64], ctx: &str) {
     for &id in active {
         let flow = FlowId(id);
         let naive_left = naive.remaining_bytes(flow).expect("active in naive");
@@ -348,7 +357,7 @@ fn fluid_link_matches_naive_reference_under_random_ops() {
     let mut rng = SimRng::seed_from(0x0601);
     for case in 0..CASES {
         let capacity = rng.uniform(1e5, 1e7);
-        let mut fast = FluidLink::new(capacity);
+        let (mut fast, route) = one_link(capacity);
         let mut naive = NaiveFluidLink::new(capacity);
         let mut active: Vec<u64> = Vec::new();
         let mut next_id = 0u64;
@@ -367,7 +376,7 @@ fn fluid_link_matches_naive_reference_under_random_ops() {
                     let cap = random_cap(&mut rng);
                     let id = next_id;
                     next_id += 1;
-                    fast.start_flow(FlowId(id), bytes, cap, now);
+                    fast.start_flow(FlowId(id), route, bytes, cap, now);
                     naive.start_flow(FlowId(id), bytes, cap, now);
                     active.push(id);
                 }
@@ -442,7 +451,7 @@ fn fluid_link_matches_naive_reference_under_random_ops() {
             assert_flows_match(&fast, &naive, &active, &ctx);
             assert_close(
                 naive.utilization_bytes_per_sec(),
-                fast.utilization_bytes_per_sec(),
+                fast.link_utilization_bytes_per_sec(LinkId(0)),
                 "utilization",
                 &ctx,
             );
@@ -479,7 +488,7 @@ fn fluid_link_matches_naive_reference_under_random_ops() {
         }
         assert_close(
             naive.bytes_transferred(),
-            fast.bytes_transferred(),
+            fast.link_bytes_transferred(LinkId(0)),
             "total bytes transferred",
             &format!("case {case}"),
         );
@@ -490,17 +499,18 @@ fn fluid_link_matches_naive_reference_under_random_ops() {
 fn fluid_link_ten_thousand_flows_are_deterministic_and_fast() {
     // A DDoS-scale crowd: 10k concurrent transfers with heterogeneous caps
     // and staggered arrivals.  Two independent runs must produce the exact
-    // same completion sequence bit for bit (the BTree/treap cores never
+    // same completion sequence bit for bit (the heaps and the treap never
     // iterate in address or hash order).
     let run = || {
         let mut rng = SimRng::seed_from(0x0602);
-        let mut link = FluidLink::new(1e9);
+        let (mut link, route) = one_link(1e9);
         let n = 10_000u64;
         let mut now = SimTime::ZERO;
         for id in 0..n {
             now += SimDuration::from_micros(rng.uniform_u64(0, 200));
             link.start_flow(
                 FlowId(id),
+                route,
                 rng.uniform(10_000.0, 1e6),
                 random_cap(&mut rng),
                 now,
@@ -512,7 +522,10 @@ fn fluid_link_ten_thousand_flows_are_deterministic_and_fast() {
             link.finish_flow(id, now);
             completions.push((t.as_micros(), id.0));
         }
-        (completions, link.bytes_transferred().to_bits())
+        (
+            completions,
+            link.link_bytes_transferred(LinkId(0)).to_bits(),
+        )
     };
     let (completions_a, bytes_a) = run();
     let (completions_b, bytes_b) = run();
@@ -551,8 +564,8 @@ fn naive_net_predicted_completion(
 }
 
 /// Compares every active flow's rate and remaining bytes between the graph
-/// and the reference, with the same completion-boundary exemption as the
-/// single-link test.
+/// and the reference, with the same completion-boundary exemption as
+/// [`assert_flows_match`].
 fn assert_net_flows_match(fast: &NetworkGraph, naive: &NaiveNetwork, active: &[u64], ctx: &str) {
     for &id in active {
         let flow = FlowId(id);
@@ -739,79 +752,6 @@ fn network_graph_matches_naive_progressive_filling_on_random_topologies() {
 }
 
 #[test]
-fn single_link_network_graph_matches_fluid_link() {
-    // The degenerate graph (one link, one route) must behave exactly like
-    // the single-bottleneck FluidLink every pre-topology scenario uses.
-    let mut rng = SimRng::seed_from(0x0702);
-    for case in 0..CASES {
-        let capacity = rng.uniform(1e5, 1e7);
-        let mut graph = NetworkGraph::new();
-        let link = graph.add_link(capacity);
-        let route = graph.add_route(&[link]);
-        let mut fluid = FluidLink::new(capacity);
-        let mut active: Vec<u64> = Vec::new();
-        let mut now = SimTime::ZERO;
-        for op in 0..60 {
-            let ctx = format!("case {case} op {op}");
-            match rng.index(8) {
-                0..=3 => {
-                    let bytes = rng.uniform(1_000.0, 5e6);
-                    let cap = random_cap(&mut rng);
-                    let id = op as u64 + case as u64 * 1_000;
-                    graph.start_flow(FlowId(id), route, bytes, cap, now);
-                    fluid.start_flow(FlowId(id), bytes, cap, now);
-                    active.push(id);
-                }
-                4 => {
-                    if !active.is_empty() {
-                        let id = active.swap_remove(rng.index(active.len()));
-                        let a = fluid.finish_flow(FlowId(id), now).expect("active");
-                        let b = graph.finish_flow(FlowId(id), now).expect("active");
-                        assert!((a - b).abs() <= 1e-6 * a.max(b) + 1.0, "{ctx}: {a} vs {b}");
-                    }
-                }
-                5 => {
-                    let capacity = rng.uniform(1e5, 1e7);
-                    graph.set_link_capacity(link, capacity, now);
-                    fluid.set_capacity(capacity, now);
-                }
-                _ => {
-                    now += SimDuration::from_micros(rng.uniform_u64(0, 400_000));
-                    graph.advance(now);
-                    fluid.advance(now);
-                }
-            }
-            for &id in &active {
-                let a = fluid.remaining_bytes(FlowId(id)).expect("active");
-                let b = graph.remaining_bytes(FlowId(id)).expect("active");
-                assert!(
-                    (a - b).abs() <= 1e-6 * a.max(b) + 1.0,
-                    "{ctx}: remaining {a} vs {b}"
-                );
-                if a >= 1.0 && b >= 1.0 {
-                    assert_close(
-                        fluid.current_rate(FlowId(id)).expect("active"),
-                        graph.current_rate(FlowId(id)).expect("active"),
-                        &format!("rate of {id}"),
-                        &ctx,
-                    );
-                }
-            }
-            match (fluid.peek_completion(), graph.peek_completion()) {
-                (None, None) => {}
-                (Some((ta, _)), Some((tb, _))) => {
-                    assert!(
-                        times_close(ta, tb),
-                        "{ctx}: peeks diverged {ta:?} vs {tb:?}"
-                    );
-                }
-                (a, b) => panic!("{ctx}: one model peeks a completion: {a:?} vs {b:?}"),
-            }
-        }
-    }
-}
-
-#[test]
 fn network_graph_ten_thousand_flows_are_deterministic() {
     // The DDoS-scale determinism guarantee extended to the multi-hop
     // graph: 10k transfers from four vantage groups over a 6-link graph
@@ -871,94 +811,36 @@ fn network_graph_ten_thousand_flows_are_deterministic() {
     assert!(completions_a.windows(2).all(|w| w[0].0 <= w[1].0));
 }
 
-/// The flow operations `FluidLink` and `NetworkGraph` share, so one flow
-/// sequence can drive either core.  `group` picks the graph's route.
-trait SharingCore {
-    fn start(&mut self, id: FlowId, group: usize, bytes: f64, cap: f64, now: SimTime);
-    fn finish(&mut self, id: FlowId, now: SimTime) -> Option<f64>;
-    fn set_cap(&mut self, id: FlowId, cap: f64, now: SimTime);
-    fn next(&mut self, now: SimTime) -> Option<(SimTime, FlowId)>;
-    fn rate(&self, id: FlowId) -> Option<f64>;
-    /// Bytes carried so far, per link, as bit patterns.
-    fn bytes(&self) -> Vec<u64>;
-}
-
-impl SharingCore for FluidLink {
-    fn start(&mut self, id: FlowId, _: usize, bytes: f64, cap: f64, now: SimTime) {
-        self.start_flow(id, bytes, cap, now);
-    }
-    fn finish(&mut self, id: FlowId, now: SimTime) -> Option<f64> {
-        self.finish_flow(id, now)
-    }
-    fn set_cap(&mut self, id: FlowId, cap: f64, now: SimTime) {
-        self.set_rate_cap(id, cap, now);
-    }
-    fn next(&mut self, now: SimTime) -> Option<(SimTime, FlowId)> {
-        self.next_completion(now)
-    }
-    fn rate(&self, id: FlowId) -> Option<f64> {
-        self.current_rate(id)
-    }
-    fn bytes(&self) -> Vec<u64> {
-        vec![self.bytes_transferred().to_bits()]
-    }
-}
-
 /// A 4-group star with a backbone and persistent cross traffic on group
-/// 0's transit, as the WAN surveys run it.
-struct StarCore {
-    net: NetworkGraph,
-    routes: Vec<RouteId>,
-}
-
-impl StarCore {
-    fn new(offset: u64) -> Self {
-        let spec = mfc_topology::TopologySpec::star(&[8e5, 5e6, 5e6, 5e6])
-            .with_backbone(1.2e7)
-            .with_cross_traffic(0, 3, 150_000.0);
-        let built = spec.build(1.5e7);
-        let mut net = built.graph;
-        for (k, &(route, count, rate)) in built.cross.iter().enumerate() {
-            for j in 0..u64::from(count) {
-                let id = FlowId(offset + (1 << 40) + 100 * k as u64 + j);
-                net.start_flow(id, route, f64::INFINITY, rate, SimTime::ZERO);
-            }
+/// 0's transit, as the WAN surveys run it, with the routes new flows take
+/// in turn.  Cross-traffic ids are shifted by `offset`.
+fn star_with_cross_traffic(offset: u64) -> (NetworkGraph, Vec<RouteId>) {
+    let spec = mfc_topology::TopologySpec::star(&[8e5, 5e6, 5e6, 5e6])
+        .with_backbone(1.2e7)
+        .with_cross_traffic(0, 3, 150_000.0);
+    let built = spec.build(1.5e7);
+    let mut net = built.graph;
+    for (k, &(route, count, rate)) in built.cross.iter().enumerate() {
+        for j in 0..u64::from(count) {
+            let id = FlowId(offset + (1 << 40) + 100 * k as u64 + j);
+            net.start_flow(id, route, f64::INFINITY, rate, SimTime::ZERO);
         }
-        let mut routes = built.group_routes;
-        routes.push(built.background_route);
-        StarCore { net, routes }
     }
+    let mut routes = built.group_routes;
+    routes.push(built.background_route);
+    (net, routes)
 }
 
-impl SharingCore for StarCore {
-    fn start(&mut self, id: FlowId, group: usize, bytes: f64, cap: f64, now: SimTime) {
-        let route = self.routes[group % self.routes.len()];
-        self.net.start_flow(id, route, bytes, cap, now);
-    }
-    fn finish(&mut self, id: FlowId, now: SimTime) -> Option<f64> {
-        self.net.finish_flow(id, now)
-    }
-    fn set_cap(&mut self, id: FlowId, cap: f64, now: SimTime) {
-        self.net.set_rate_cap(id, cap, now);
-    }
-    fn next(&mut self, now: SimTime) -> Option<(SimTime, FlowId)> {
-        self.net.next_completion(now)
-    }
-    fn rate(&self, id: FlowId) -> Option<f64> {
-        self.net.current_rate(id)
-    }
-    fn bytes(&self) -> Vec<u64> {
-        (0..self.net.link_count() as u32)
-            .map(|l| self.net.link_bytes_transferred(LinkId(l)).to_bits())
-            .collect()
-    }
-}
-
-/// Drives one seeded flow sequence through `core` with every flow id
-/// shifted by `offset`, and records what the core reports with the shift
-/// taken back out: completions (time, id, leftover bits), early finishes,
-/// rates, and every link's byte count.
-fn run_shifted(core: &mut dyn SharingCore, offset: u64, seed: u64) -> Vec<(u64, u64, u64)> {
+/// Drives one seeded flow sequence through `net`, new flows taking
+/// `routes` in turn, with every flow id shifted by `offset`, and records
+/// what the graph reports with the shift taken back out: completions
+/// (time, id, leftover bits), early finishes, rates, and every link's byte
+/// count.
+fn run_shifted(
+    (mut net, routes): (NetworkGraph, Vec<RouteId>),
+    offset: u64,
+    seed: u64,
+) -> Vec<(u64, u64, u64)> {
     let mut rng = SimRng::seed_from(seed);
     let mut log = Vec::new();
     let mut active: Vec<u64> = Vec::new();
@@ -972,23 +854,24 @@ fn run_shifted(core: &mut dyn SharingCore, offset: u64, seed: u64) -> Vec<(u64, 
                     rng.uniform(1_000.0, 2e6)
                 };
                 let (group, cap) = (rng.index(5), random_cap(&mut rng));
-                core.start(FlowId(offset + op), group, bytes, cap, now);
+                let route = routes[group % routes.len()];
+                net.start_flow(FlowId(offset + op), route, bytes, cap, now);
                 active.push(op);
             }
             4 if !active.is_empty() => {
                 let id = active[rng.index(active.len())];
-                core.set_cap(FlowId(offset + id), random_cap(&mut rng), now);
+                net.set_rate_cap(FlowId(offset + id), random_cap(&mut rng), now);
             }
             5 if !active.is_empty() => {
                 let id = active.swap_remove(rng.index(active.len()));
-                let left = core.finish(FlowId(offset + id), now).expect("active");
+                let left = net.finish_flow(FlowId(offset + id), now).expect("active");
                 log.push((now.as_micros(), id, left.to_bits()));
             }
             _ => {
                 let until = now + SimDuration::from_micros(rng.uniform_u64(0, 300_000));
-                while let Some((t, id)) = core.next(now).filter(|&(t, _)| t <= until) {
+                while let Some((t, id)) = net.next_completion(now).filter(|&(t, _)| t <= until) {
                     now = now.max(t);
-                    let left = core.finish(id, now).expect("completing flow is active");
+                    let left = net.finish_flow(id, now).expect("completing flow is active");
                     let id = id.0 - offset;
                     active.retain(|&a| a != id);
                     log.push((t.as_micros(), id, left.to_bits()));
@@ -997,12 +880,13 @@ fn run_shifted(core: &mut dyn SharingCore, offset: u64, seed: u64) -> Vec<(u64, 
             }
         }
         for &id in &active {
-            let rate = core.rate(FlowId(offset + id)).expect("active");
+            let rate = net.current_rate(FlowId(offset + id)).expect("active");
             log.push((u64::MAX, id, rate.to_bits()));
         }
     }
-    for (link, bits) in core.bytes().into_iter().enumerate() {
-        log.push((u64::MAX, link as u64, bits));
+    for link in 0..net.link_count() as u32 {
+        let bits = net.link_bytes_transferred(LinkId(link)).to_bits();
+        log.push((u64::MAX, u64::from(link), bits));
     }
     log
 }
@@ -1017,15 +901,19 @@ fn sharing_cores_ignore_flow_id_values() {
     const SHIFT: u64 = 1 << 62;
     for seed in 0..16u64 {
         let capacity = 1e6 + 2e5 * seed as f64;
-        let small = run_shifted(&mut FluidLink::new(capacity), 0, seed);
-        let shifted = run_shifted(&mut FluidLink::new(capacity), SHIFT, seed);
+        let one = || {
+            let (net, route) = one_link(capacity);
+            (net, vec![route])
+        };
+        let small = run_shifted(one(), 0, seed);
+        let shifted = run_shifted(one(), SHIFT, seed);
         assert!(small.iter().any(|&(t, ..)| t != u64::MAX), "seed {seed}");
-        assert_eq!(small, shifted, "FluidLink, seed {seed}");
+        assert_eq!(small, shifted, "one link, seed {seed}");
 
-        let small = run_shifted(&mut StarCore::new(0), 0, seed);
-        let shifted = run_shifted(&mut StarCore::new(SHIFT), SHIFT, seed);
+        let small = run_shifted(star_with_cross_traffic(0), 0, seed);
+        let shifted = run_shifted(star_with_cross_traffic(SHIFT), SHIFT, seed);
         assert!(small.iter().any(|&(t, ..)| t != u64::MAX), "seed {seed}");
-        assert_eq!(small, shifted, "NetworkGraph, seed {seed}");
+        assert_eq!(small, shifted, "star, seed {seed}");
     }
 }
 

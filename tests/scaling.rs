@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use mfc_core::runner::TrialRunner;
 use mfc_dynamics::DefenseConfig;
 use mfc_simcore::{SimDuration, SimRng, SimTime};
-use mfc_simnet::{FlowId, FluidLink};
+use mfc_simnet::FlowId;
 use mfc_topology::{NetworkGraph, RouteId};
 use mfc_webserver::{
     BalancePolicy, ContentCatalog, NullControl, RequestClass, ServerCluster, ServerConfig,
@@ -24,7 +24,9 @@ use mfc_webserver::{
 fn thousand_flow_link_drains_within_wall_clock_budget() {
     let started = Instant::now();
     let mut rng = SimRng::seed_from(0x5CA1);
-    let mut link = FluidLink::new(1e8);
+    let mut link = NetworkGraph::new();
+    let access = link.add_link(1e8);
+    let route = link.add_route(&[access]);
     let n = 1_000u64;
     let mut now = SimTime::ZERO;
     for id in 0..n {
@@ -34,7 +36,7 @@ fn thousand_flow_link_drains_within_wall_clock_budget() {
         } else {
             rng.uniform(10_000.0, 1e6)
         };
-        link.start_flow(FlowId(id), rng.uniform(50_000.0, 2e6), cap, now);
+        link.start_flow(FlowId(id), route, rng.uniform(50_000.0, 2e6), cap, now);
     }
     let mut completed = 0u64;
     while let Some((t, id)) = link.next_completion(now) {
@@ -53,7 +55,7 @@ fn thousand_flow_link_drains_within_wall_clock_budget() {
 
 #[test]
 fn ten_k_flows_over_a_multi_hop_graph_drain_within_wall_clock_budget() {
-    // The topology analogue of the 1k-flow FluidLink smoke: 10k transfers
+    // The multi-hop analogue of the 1k-flow single-link smoke: 10k transfers
     // from four vantage groups over a three-hop graph (transit → backbone
     // → access, six links total) with heterogeneous caps and staggered
     // arrivals.  Per-event cost must stay near O(L²·log C) — a regression
