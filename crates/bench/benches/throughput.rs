@@ -1,5 +1,6 @@
-//! Core hot-path throughput: event-queue operations per second and the
-//! wall-clock of one representative survey experiment.
+//! Core hot-path throughput: the sharing cores' per-event cost, the server
+//! engine's per-run cost and the wall-clock of one representative survey
+//! experiment.
 //!
 //! These are the numbers the `BENCH_*.json` trajectory tracks across PRs
 //! (see `EXPERIMENTS.md`); the per-experiment wall-clock table comes from
@@ -10,54 +11,13 @@ use mfc_bench::experiments::rank_figs;
 use mfc_bench::Scale;
 use mfc_core::types::Stage;
 use mfc_dynamics::DefenseConfig;
-use mfc_simcore::{EventQueue, SimDuration, SimRng, SimTime};
+use mfc_simcore::{SimDuration, SimRng, SimTime};
 use mfc_simnet::{mbps, FlowId, NaiveFluidLink};
 use mfc_topology::{NetworkGraph, RouteId, TopologySpec};
 use mfc_webserver::{
-    ContentCatalog, RequestClass, ServerCluster, ServerConfig, ServerRequest, WorkerConfig,
+    ContentCatalog, NullControl, RequestClass, ServerCluster, ServerConfig, ServerRequest,
+    WorkerConfig,
 };
-
-/// Schedule/pop churn with a live population of pending events, the access
-/// pattern the simulation engines produce.
-fn queue_churn(events: usize) -> u64 {
-    let mut rng = SimRng::seed_from(7);
-    let mut queue = EventQueue::new();
-    for i in 0..1_000u64 {
-        queue.schedule(SimTime::from_micros(rng.uniform_u64(0, 1 << 30)), i);
-    }
-    let mut checksum = 0u64;
-    for i in 0..events as u64 {
-        let (t, payload) = queue.pop().expect("queue stays populated");
-        checksum = checksum.wrapping_add(t.as_micros()).wrapping_add(payload);
-        queue.schedule(
-            t + mfc_simcore::SimDuration::from_micros(rng.uniform_u64(1, 1 << 20)),
-            i,
-        );
-    }
-    checksum
-}
-
-/// Schedule-then-cancel churn: the timeout-heavy pattern.
-fn queue_cancel_churn(events: usize) -> u64 {
-    let mut rng = SimRng::seed_from(11);
-    let mut queue: EventQueue<u64> = EventQueue::new();
-    let mut cancelled = 0u64;
-    let mut handles = Vec::new();
-    for i in 0..events as u64 {
-        let h = queue.schedule(SimTime::from_micros(rng.uniform_u64(0, 1 << 30)), i);
-        handles.push(h);
-        if i % 4 == 0 {
-            let target = handles[rng.index(handles.len())];
-            if queue.cancel(target) {
-                cancelled += 1;
-            }
-        }
-        if i % 8 == 0 {
-            let _ = queue.pop();
-        }
-    }
-    cancelled
-}
 
 /// Flow parameters for the link-scaling benches: deterministic, with a mix
 /// of unlimited and heterogeneous finite caps so the water level actually
@@ -238,16 +198,47 @@ fn engine_large_object_crowd(n: u64) -> u64 {
     result.utilization.completed_requests
 }
 
+/// The lab server behind `topology`, after one run that warms its object
+/// cache and leaves its session buffers for the next run.
+fn warm_cluster(topology: TopologySpec) -> ServerCluster {
+    let config = ServerConfig {
+        access_link: mbps(100.0),
+        ..ServerConfig::lab_apache()
+    };
+    let mut cluster =
+        ServerCluster::new(config, ContentCatalog::lab_validation(), 1).with_topology(topology);
+    one_request_runs(&mut cluster, RequestClass::Static, 1);
+    cluster
+}
+
+/// `runs` runs of one request each, a HEAD of the base page or a GET of
+/// the 100 KiB object, the way a client measures its base response time.
+fn one_request_runs(cluster: &mut ServerCluster, class: RequestClass, runs: u64) -> u64 {
+    let path = match class {
+        RequestClass::Static => "/objects/large_100k.bin",
+        _ => "/index.html",
+    };
+    let mut checksum = 0u64;
+    for i in 0..runs {
+        let request = ServerRequest {
+            id: i,
+            arrival: SimTime::ZERO + SimDuration::from_millis(500 * i),
+            class,
+            path: path.to_string(),
+            client_downlink: 1e7,
+            client_rtt: SimDuration::from_millis(40),
+            client_addr: i as u32,
+            background: false,
+        };
+        let result = cluster.run([request], &mut NullControl);
+        checksum = checksum.wrapping_add(result.outcomes[0].completion.as_micros());
+    }
+    checksum
+}
+
 fn bench(c: &mut Criterion) {
-    const CHURN_EVENTS: usize = 200_000;
     let mut group = c.benchmark_group("throughput");
     group.sample_size(10);
-    group.bench_function("event_queue_churn_200k", |b| {
-        b.iter(|| queue_churn(black_box(CHURN_EVENTS)))
-    });
-    group.bench_function("event_queue_cancel_churn_200k", |b| {
-        b.iter(|| queue_cancel_churn(black_box(CHURN_EVENTS)))
-    });
     group.bench_function("rank_survey_base_quick", |b| {
         b.iter(|| rank_figs::run(Stage::Base, Scale::Quick, black_box(1)))
     });
@@ -285,6 +276,21 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("star_churn_n32", |b| {
         b.iter(|| star_churn(black_box(32), CHURN_STEPS))
+    });
+    // The fixed cost of one server run, as every base measurement pays it:
+    // 1k one-request runs each on a warm cluster.
+    const ONE_REQUEST_RUNS: u64 = 1_000;
+    let mut direct = warm_cluster(TopologySpec::direct());
+    group.bench_function("one_request_run_direct", |b| {
+        b.iter(|| one_request_runs(&mut direct, RequestClass::Head, black_box(ONE_REQUEST_RUNS)))
+    });
+    let mut star = warm_cluster(
+        TopologySpec::star(&[mbps(20.0), mbps(100.0), mbps(100.0), mbps(100.0)])
+            .with_backbone(mbps(150.0))
+            .with_cross_traffic(0, 6, 150_000.0),
+    );
+    group.bench_function("one_request_run_star", |b| {
+        b.iter(|| one_request_runs(&mut star, RequestClass::Static, black_box(ONE_REQUEST_RUNS)))
     });
     group.finish();
 }

@@ -443,6 +443,44 @@ mod tests {
     }
 
     #[test]
+    fn a_fired_capacity_step_holds_in_later_runs() {
+        // The same Small Query trickle as above, run twice on one cluster
+        // under one defense stack: the drop fires 1 s into the first run and
+        // must still hold when the second run starts 10 s later.
+        let config = ServerConfig::lab_apache();
+        let queries = |start_ms: u64| -> Vec<ServerRequest> {
+            (0..20u64)
+                .map(|i| ServerRequest {
+                    id: i,
+                    arrival: SimTime::ZERO + SimDuration::from_millis(start_ms + 100 * i),
+                    class: RequestClass::Dynamic,
+                    path: "/cgi/stats?table=t1".to_string(),
+                    ..req(i as u32)
+                })
+                .collect()
+        };
+        let mut defense =
+            DefenseConfig::capacity_drop(SimDuration::from_secs(1), config.access_link, 0.5)
+                .build();
+        let mut cluster = ServerCluster::new(config, ContentCatalog::lab_validation(), 1);
+        let first = cluster.run(queries(0), &mut defense);
+        let second = cluster.run(queries(12_000), &mut defense);
+        let slowest_before_drop = first.outcomes[1..9]
+            .iter()
+            .map(|o| o.latency())
+            .max()
+            .unwrap();
+        for outcome in &second.outcomes {
+            assert!(outcome.is_ok());
+            assert!(
+                outcome.latency() > slowest_before_drop,
+                "the second run must still see the halved CPU: {} vs {slowest_before_drop}",
+                outcome.latency()
+            );
+        }
+    }
+
+    #[test]
     fn config_round_trips_through_json() {
         let config = DefenseConfig::fortress(2, 6);
         let json = serde_json::to_string(&config).expect("serializes");

@@ -8,8 +8,6 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — a deterministic virtual clock with
 //!   microsecond resolution,
-//! * [`EventQueue`] — a calendar queue with stable FIFO ordering for
-//!   simultaneous events and cheap cancellation,
 //! * [`SimRng`] — a seedable random-number source with the handful of
 //!   distributions the workload models need (exponential, log-normal,
 //!   Pareto, truncated normal, …), and
@@ -17,29 +15,29 @@
 //!   experiment harness report (median, arbitrary percentiles, histograms,
 //!   time-weighted utilization series).
 //!
+//! The simulations order their own events: the server engine, for one,
+//! needs only three ordered completion sources and keeps no general event
+//! queue.
+//!
 //! # Examples
 //!
 //! ```
-//! use mfc_simcore::{EventQueue, SimTime, SimDuration};
+//! use mfc_simcore::{SimDuration, SimRng, SimTime};
 //!
-//! let mut queue: EventQueue<&'static str> = EventQueue::new();
-//! queue.schedule(SimTime::ZERO + SimDuration::from_millis(5), "second");
-//! queue.schedule(SimTime::ZERO + SimDuration::from_millis(1), "first");
-//!
-//! let (t, ev) = queue.pop().unwrap();
-//! assert_eq!(ev, "first");
-//! assert_eq!(t.as_millis_f64(), 1.0);
+//! let later = SimTime::ZERO + SimDuration::from_millis(5);
+//! assert_eq!(later.as_millis_f64(), 5.0);
+//! // The same seed always draws the same stream.
+//! let (mut a, mut b) = (SimRng::seed_from(7), SimRng::seed_from(7));
+//! assert_eq!(a.uniform_u64(0, 100), b.uniform_u64(0, 100));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use queue::{EventHandle, EventQueue};
 pub use rng::SimRng;
 pub use stats::{Histogram, OnlineStats, Summary, TimeWeighted};
 pub use time::{SimDuration, SimTime};

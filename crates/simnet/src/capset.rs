@@ -110,6 +110,15 @@ impl CapMultiset {
         }
     }
 
+    /// Empties the multiset, keeping its node storage for later inserts.
+    /// The tree's shape depends only on the set of caps, so a cleared
+    /// multiset answers every query exactly as a new one would.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
+        self.free.clear();
+        self.root = NIL;
+    }
+
     /// Inserts one instance of `cap`.
     ///
     /// # Panics

@@ -103,6 +103,14 @@ impl<T: Copy> FlowSlab<T> {
         self.index.is_empty()
     }
 
+    /// Removes every flow, keeping the storage for later inserts.  Empty
+    /// the heaps that index this slab too: their slots no longer exist.
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+        self.index.clear();
+    }
+
     /// The slot of a live flow.
     pub fn slot_of(&self, id: FlowId) -> Option<u32> {
         self.index.get(&id).copied()
@@ -220,6 +228,11 @@ impl<const P: usize> IndexedHeap<P> {
     /// Whether the heap is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// Removes every entry, keeping the storage.
+    pub fn clear(&mut self) {
+        self.entries.clear();
     }
 
     /// The entry with the smallest `(key, id)`.

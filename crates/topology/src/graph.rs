@@ -92,6 +92,8 @@ struct Flow {
 
 #[derive(Debug, Clone)]
 struct Link {
+    /// The capacity the link was added with, restored by a reset.
+    built_capacity: Bandwidth,
     capacity: Bandwidth,
     /// Routes traversing this link, in route-id order.
     routes: Vec<RouteId>,
@@ -234,6 +236,7 @@ impl NetworkGraph {
         );
         let id = LinkId(u32::try_from(self.links.len()).expect("too many links"));
         self.links.push(Link {
+            built_capacity: capacity,
             capacity,
             routes: Vec::new(),
             agg_rate: 0.0,
@@ -268,6 +271,34 @@ impl NetworkGraph {
             ..Route::default()
         });
         id
+    }
+
+    /// Returns the graph to the state [`Self::add_link`] and
+    /// [`Self::add_route`] left it in: every link at the capacity it was
+    /// added with, no flows, nothing transferred, the clock at zero.  The
+    /// storage is kept, and no result depends on a container's layout (see
+    /// the module docs), so a reset graph behaves exactly like a new one.
+    pub fn reset(&mut self) {
+        for link in &mut self.links {
+            link.capacity = link.built_capacity;
+            link.agg_rate = 0.0;
+            link.bytes_transferred = 0.0;
+        }
+        for route in &mut self.routes {
+            route.caps.clear();
+            route.inf_count = 0;
+            route.vtime = 0.0;
+            route.level = f64::INFINITY;
+            route.bottleneck = None;
+            route.agg_rate = 0.0;
+            route.sharing.clear();
+            route.sharing_by_cap.clear();
+            route.capped.clear();
+            route.capped_by_cap.clear();
+        }
+        self.flows.clear();
+        self.drained.clear();
+        self.last_event = SimTime::ZERO;
     }
 
     /// Number of links in the graph.
@@ -905,6 +936,45 @@ mod tests {
         let link = net.add_link(capacity);
         let route = net.add_route(&[link]);
         (net, route, link)
+    }
+
+    /// Starts, resizes and finishes a mix of capped and uncapped flows on
+    /// `routes`, and returns every completion with the links' byte counts.
+    fn replay(net: &mut NetworkGraph, routes: &[RouteId]) -> Vec<(SimTime, FlowId, u64)> {
+        for id in 0..24u64 {
+            let cap = [f64::INFINITY, 40_000.0, 300_000.0][id as usize % 3];
+            let route = routes[id as usize % routes.len()];
+            net.start_flow(
+                FlowId(id),
+                route,
+                20_000.0 * (1 + id % 5) as f64,
+                cap,
+                t(0.01 * id as f64),
+            );
+        }
+        net.set_link_capacity(LinkId(0), 400_000.0, t(0.3));
+        let mut log = Vec::new();
+        let mut now = t(0.3);
+        while let Some((time, id)) = net.next_completion(now) {
+            now = now.max(time);
+            net.finish_flow(id, now);
+            log.push((time, id, net.link_bytes_transferred(LinkId(0)).to_bits()));
+        }
+        log
+    }
+
+    #[test]
+    fn a_reset_graph_replays_like_a_new_one() {
+        let (mut used, routes, _) = star(&[200_000.0, 900_000.0], 1_000_000.0);
+        let first = replay(&mut used, &routes);
+        // Leave flows in flight and the access link resized, then reset.
+        used.start_flow(FlowId(99), routes[0], 1e9, 50_000.0, t(5.0));
+        used.set_link_capacity(LinkId(0), 10_000.0, t(5.5));
+        used.reset();
+        assert_eq!(used.active_flows(), 0);
+        assert_eq!(used.link_capacity(LinkId(0)), 1_000_000.0);
+        assert_eq!(used.link_bytes_transferred(LinkId(0)), 0.0);
+        assert_eq!(replay(&mut used, &routes), first);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::cache::CacheState;
 use crate::config::ServerConfig;
 use crate::content::ContentCatalog;
 use crate::control::{AdmissionVerdict, ControlAction, ServerControl, TickSample};
-use crate::engine::{EngineSession, RunResult, ServerEngine};
+use crate::engine::{EngineSession, RunResult, ServerEngine, SessionBuffers};
 use crate::request::{ArrivalRecord, RequestOutcome, RequestStatus, ServerRequest};
 use crate::telemetry::UtilizationReport;
 
@@ -56,11 +56,26 @@ pub enum BalancePolicy {
 pub struct ServerCluster {
     engine: ServerEngine,
     replicas: usize,
-    /// Replicas currently routable; persists across runs so an
-    /// autoscaler's provisioning decisions outlive one epoch.
-    active: usize,
     policy: BalancePolicy,
+    carry: Carry,
+}
+
+/// What one run of a cluster leaves to the next.
+#[derive(Debug, Clone)]
+struct Carry {
+    /// Replicas currently routable, so an autoscaler's provisioning
+    /// decisions outlive one epoch.
+    active: usize,
+    /// Capacity overrides installed by ControlActions, so a capacity step
+    /// keeps holding after the run it fired in.  Applied to open sessions
+    /// immediately and to later-opened ones at birth.
+    link_override: Option<Bandwidth>,
+    cpu_override: Option<f64>,
+    /// The per-replica cache states.
     caches: Vec<CacheState>,
+    /// The buffers of finished sessions, cleared, for the next run's
+    /// sessions.
+    spare: Vec<SessionBuffers>,
 }
 
 impl ServerCluster {
@@ -74,9 +89,14 @@ impl ServerCluster {
         ServerCluster {
             engine: ServerEngine::new(config, catalog),
             replicas,
-            active: replicas,
             policy: BalancePolicy::RoundRobin,
-            caches: vec![CacheState::new(); replicas],
+            carry: Carry {
+                active: replicas,
+                link_override: None,
+                cpu_override: None,
+                caches: vec![CacheState::new(); replicas],
+                spare: Vec::new(),
+            },
         }
     }
 
@@ -95,6 +115,7 @@ impl ServerCluster {
     /// shared capacity and is rejected upstream.
     pub fn with_topology(mut self, topology: mfc_topology::TopologySpec) -> Self {
         self.engine.set_topology(topology);
+        self.carry.spare.clear();
         self
     }
 
@@ -108,12 +129,12 @@ impl ServerCluster {
     /// Replicas currently routable (changed by `ControlAction::SetReplicas`;
     /// starts at the configured count).
     pub fn active_replicas(&self) -> usize {
-        self.active
+        self.carry.active
     }
 
     /// The per-replica cache states (useful for inspecting warmth).
     pub fn caches(&self) -> &[CacheState] {
-        &self.caches
+        &self.carry.caches
     }
 
     /// Serves a time-ordered stream of requests under a [`ServerControl`]
@@ -134,8 +155,9 @@ impl ServerCluster {
     /// — so a static run costs nothing per replica and arrival.
     /// `SetReplicas` actions take effect for subsequent arrivals: scale-up
     /// replicas start cold, scale-down replicas finish their in-flight work
-    /// but stop receiving traffic.  The active count persists to the next
-    /// run.
+    /// but stop receiving traffic.  The active count and any capacity step
+    /// (`SetAccessLink`, `ScaleCpu`) persist to the next run, and so do the
+    /// sessions' buffers, which the next run's sessions reuse.
     ///
     /// The report merges the replicas that served the run
     /// ([`UtilizationReport::merge`]); shed and throttled requests are
@@ -152,7 +174,7 @@ impl ServerCluster {
     ) -> RunResult {
         let mut requests = requests.into_iter().peekable();
         let t0 = requests.peek().map_or(SimTime::ZERO, |r| r.arrival);
-        let mut sweep = Sweep::new(&self.engine, &mut self.caches, self.active, t0);
+        let mut sweep = Sweep::new(&self.engine, &mut self.carry, t0);
         let tick = control.tick_interval();
         let mut next_tick = tick.map(|d| t0 + d);
         // Each arrival's replica, in arrival order; `None` when shed.
@@ -197,11 +219,11 @@ impl ServerCluster {
             }
             let replica = match self.policy {
                 BalancePolicy::RoundRobin => {
-                    let replica = rotation % sweep.active;
+                    let replica = rotation % sweep.carry.active;
                     rotation += 1;
                     replica
                 }
-                BalancePolicy::HashById => (req.id as usize) % sweep.active,
+                BalancePolicy::HashById => (req.id as usize) % sweep.carry.active,
                 BalancePolicy::LeastOutstanding => sweep.least_outstanding(arrival),
             };
             sweep.session(replica).push_request(req);
@@ -219,25 +241,18 @@ impl ServerCluster {
                 at += d;
             }
         }
-        self.active = sweep.active;
         sweep.finish(placement)
     }
 }
 
-/// Mutable state of one sweep: the per-replica sessions, the capacity
-/// overrides, and the front-door counters.
+/// Mutable state of one sweep: the per-replica sessions, what the cluster
+/// carries between runs, and the front-door counters.
 struct Sweep<'e, 'c> {
     engine: &'e ServerEngine,
-    caches: &'c mut Vec<CacheState>,
+    carry: &'c mut Carry,
     /// One slot per replica index; a session opens when the replica is
     /// first routed to.
     sessions: Vec<Option<EngineSession<'e>>>,
-    /// Replicas currently routable.
-    active: usize,
-    /// Capacity overrides installed by ControlActions; applied to existing
-    /// sessions immediately and to later-opened ones at birth.
-    link_override: Option<Bandwidth>,
-    cpu_override: Option<f64>,
     arrivals: u64,
     /// Outcomes of the requests shed at the front door, in arrival order.
     shed: Vec<RequestOutcome>,
@@ -250,50 +265,43 @@ struct Sweep<'e, 'c> {
     last_time: SimTime,
 }
 
+/// Aggregate outbound capacity: active replicas × per-replica link.
+fn aggregate_capacity(engine: &ServerEngine, carry: &Carry) -> f64 {
+    carry.active as f64 * carry.link_override.unwrap_or(engine.config().access_link)
+}
+
 impl<'e, 'c> Sweep<'e, 'c> {
-    fn new(
-        engine: &'e ServerEngine,
-        caches: &'c mut Vec<CacheState>,
-        active: usize,
-        t0: SimTime,
-    ) -> Self {
-        let active = active.max(1);
+    fn new(engine: &'e ServerEngine, carry: &'c mut Carry, t0: SimTime) -> Self {
+        carry.active = carry.active.max(1);
+        let capacity = aggregate_capacity(engine, carry);
         Sweep {
             engine,
-            caches,
+            carry,
             sessions: Vec::new(),
-            active,
-            link_override: None,
-            cpu_override: None,
             arrivals: 0,
             shed: Vec::new(),
             throttled: 0,
-            capacity_series: TimeWeighted::new(t0, active as f64 * engine.config().access_link),
+            capacity_series: TimeWeighted::new(t0, capacity),
             last_time: t0,
         }
     }
 
-    fn aggregate_capacity(&self) -> f64 {
-        self.active as f64
-            * self
-                .link_override
-                .unwrap_or(self.engine.config().access_link)
-    }
-
     /// The session of `replica`, opened on first use with the replica's
-    /// cache state borrowed from the pool (which grows as needed).
+    /// cache state borrowed from the pool (which grows as needed) and a
+    /// spare set of buffers if there is one.
     fn session(&mut self, replica: usize) -> &mut EngineSession<'e> {
         if self.sessions.len() <= replica {
             self.sessions.resize_with(replica + 1, || None);
         }
-        if self.caches.len() <= replica {
-            self.caches.resize_with(replica + 1, CacheState::new);
+        let carry = &mut *self.carry;
+        if carry.caches.len() <= replica {
+            carry.caches.resize_with(replica + 1, CacheState::new);
         }
         let engine = self.engine;
-        let (link, cpu) = (self.link_override, self.cpu_override);
-        let cache = &mut self.caches[replica];
+        let (link, cpu) = (carry.link_override, carry.cpu_override);
         self.sessions[replica].get_or_insert_with(|| {
-            let mut session = engine.session(std::mem::take(cache));
+            let cache = std::mem::take(&mut carry.caches[replica]);
+            let mut session = engine.session_on(carry.spare.pop(), cache);
             if let Some(bw) = link {
                 session.set_access_link(bw, SimTime::ZERO);
             }
@@ -315,8 +323,10 @@ impl<'e, 'c> Sweep<'e, 'c> {
         self.last_time = self.last_time.max(now);
     }
 
-    fn has_pending_work(&mut self) -> bool {
-        self.open_sessions()
+    fn has_pending_work(&self) -> bool {
+        self.sessions
+            .iter()
+            .flatten()
             .any(|session| session.next_event_time().is_some())
     }
 
@@ -324,7 +334,7 @@ impl<'e, 'c> Sweep<'e, 'c> {
     /// (the lowest index on a tie).
     fn least_outstanding(&mut self, now: SimTime) -> usize {
         self.step_all(now);
-        (0..self.active)
+        (0..self.carry.active)
             .min_by_key(|&r| {
                 self.sessions
                     .get(r)
@@ -335,7 +345,8 @@ impl<'e, 'c> Sweep<'e, 'c> {
     }
 
     fn sample(&self, now: SimTime) -> TickSample {
-        let mut sample = TickSample::idle(now, self.active);
+        let active = self.carry.active;
+        let mut sample = TickSample::idle(now, active);
         sample.arrivals = self.arrivals;
         sample.shed = self.shed.len() as u64;
         // Load counters aggregate every session, including replicas retired
@@ -351,31 +362,33 @@ impl<'e, 'c> Sweep<'e, 'c> {
             sample.memory_used += session.memory_used();
             sample.completed += session.completed();
             sample.refused += session.refused();
-            if replica < self.active {
+            if replica < active {
                 sample.cpu_utilization += session.cpu_utilization();
                 sample.link_utilization += session.link_utilization();
             }
         }
-        sample.cpu_utilization /= self.active as f64;
-        sample.link_utilization /= self.active as f64;
+        sample.cpu_utilization /= active as f64;
+        sample.link_utilization /= active as f64;
         sample
     }
 
     fn apply(&mut self, action: ControlAction, now: SimTime) {
         match action {
             ControlAction::SetReplicas(n) => {
-                self.active = n.max(1);
-                self.capacity_series.set(now, self.aggregate_capacity());
+                self.carry.active = n.max(1);
+                self.capacity_series
+                    .set(now, aggregate_capacity(self.engine, self.carry));
             }
             ControlAction::SetAccessLink(bw) => {
-                self.link_override = Some(bw);
+                self.carry.link_override = Some(bw);
                 for session in self.open_sessions() {
                     session.set_access_link(bw, now);
                 }
-                self.capacity_series.set(now, self.aggregate_capacity());
+                self.capacity_series
+                    .set(now, aggregate_capacity(self.engine, self.carry));
             }
             ControlAction::ScaleCpu(factor) => {
-                self.cpu_override = Some(factor);
+                self.carry.cpu_override = Some(factor);
                 for session in self.open_sessions() {
                     session.scale_cpu(factor, now);
                 }
@@ -395,11 +408,12 @@ impl<'e, 'c> Sweep<'e, 'c> {
         }
     }
 
-    /// Finishes every session, hands the warmed caches back, and assembles
-    /// the cluster's result with outcomes in arrival order.
+    /// Finishes every session, hands the warmed caches and the sessions'
+    /// buffers back, and assembles the cluster's result with outcomes in
+    /// arrival order.
     fn finish(self, placement: Vec<Option<usize>>) -> RunResult {
         let Sweep {
-            caches,
+            carry,
             sessions,
             shed,
             throttled,
@@ -408,23 +422,6 @@ impl<'e, 'c> Sweep<'e, 'c> {
             ..
         } = self;
         let mut run_end = last_time;
-        let mut parts: Vec<Option<RunResult>> = Vec::with_capacity(sessions.len());
-        for (replica, slot) in sessions.into_iter().enumerate() {
-            parts.push(slot.map(|session| {
-                let start = session.start();
-                let (result, cache) = session.finish();
-                caches[replica] = cache;
-                run_end = run_end.max(start + result.utilization.window);
-                result
-            }));
-        }
-
-        let mut utilization =
-            UtilizationReport::merge(parts.iter().flatten().map(|part| &part.utilization));
-        utilization.shed_requests = shed.len() as u64;
-        utilization.throttled_requests = throttled;
-        utilization.link_capacity = capacity_series.average_until(run_end);
-
         let mut arrival_log: Vec<ArrivalRecord> = shed
             .iter()
             .map(|o| ArrivalRecord {
@@ -433,10 +430,25 @@ impl<'e, 'c> Sweep<'e, 'c> {
                 background: o.background,
             })
             .collect();
-        for part in parts.iter_mut().flatten() {
-            arrival_log.append(&mut part.arrival_log);
+        let mut parts: Vec<Option<RunResult>> = Vec::with_capacity(sessions.len());
+        for (replica, slot) in sessions.into_iter().enumerate() {
+            parts.push(slot.map(|session| {
+                let start = session.start();
+                let (result, cache, buffers) = session.finish_reusable();
+                carry.caches[replica] = cache;
+                arrival_log.extend_from_slice(&buffers.arrival_log);
+                carry.spare.push(buffers.cleared());
+                run_end = run_end.max(start + result.utilization.window);
+                result
+            }));
         }
         arrival_log.sort_by_key(|r| (r.arrival, r.id));
+
+        let mut utilization =
+            UtilizationReport::merge(parts.iter().flatten().map(|part| &part.utilization));
+        utilization.shed_requests = shed.len() as u64;
+        utilization.throttled_requests = throttled;
+        utilization.link_capacity = capacity_series.average_until(run_end);
 
         // Each replica's outcomes are in its push order, so walking the
         // placements in arrival order takes them in turn.

@@ -90,6 +90,9 @@ pub const LARGE_OBJECT_MIN_BYTES: u64 = 100 * 1024;
 /// Upper size bound for the Small Queries class (paper §2.2.1: < 15 KB).
 pub const SMALL_QUERY_MAX_BYTES: u64 = 15 * 1024;
 
+/// Catalog index of the base page; `objects()[i]` has index `i + 1`.
+pub(crate) const BASE_PAGE_INDEX: usize = 0;
+
 /// Everything a crawl of the simulated site would discover.
 ///
 /// # Examples
@@ -128,10 +131,26 @@ impl ContentCatalog {
 
     /// Finds an object by path (including the base page).
     pub fn lookup(&self, path: &str) -> Option<&ObjectSpec> {
+        self.position(path).map(|index| self.object(index))
+    }
+
+    /// The catalog index of the object at `path`: [`BASE_PAGE_INDEX`] for
+    /// the base page, `i + 1` for `objects()[i]`.
+    pub(crate) fn position(&self, path: &str) -> Option<usize> {
         if self.base_page.path == path {
-            return Some(&self.base_page);
+            return Some(BASE_PAGE_INDEX);
         }
-        self.objects.iter().find(|o| o.path == path)
+        self.objects
+            .iter()
+            .position(|o| o.path == path)
+            .map(|i| i + 1)
+    }
+
+    /// The object at a catalog index from [`Self::position`].
+    pub(crate) fn object(&self, index: usize) -> &ObjectSpec {
+        index
+            .checked_sub(1)
+            .map_or(&self.base_page, |i| &self.objects[i])
     }
 
     /// Objects that qualify for the Large Object stage.

@@ -27,13 +27,13 @@
 use std::collections::VecDeque;
 use std::sync::OnceLock;
 
-use mfc_simcore::{EventHandle, EventQueue, SimDuration, SimTime, TimeWeighted};
+use mfc_simcore::{SimDuration, SimTime, TimeWeighted};
 use mfc_simnet::{Bandwidth, FlowId};
 use mfc_topology::{BuiltTopology, TopologySpec};
 
 use crate::cache::CacheState;
 use crate::config::{DynamicHandler, ServerConfig};
-use crate::content::{ContentCatalog, ObjectSpec};
+use crate::content::{ContentCatalog, ObjectSpec, BASE_PAGE_INDEX};
 use crate::request::{ArrivalRecord, RequestClass, RequestOutcome, RequestStatus, ServerRequest};
 use crate::resource::{FifoResource, MemoryTracker, PsResource, SlotPool};
 use crate::telemetry::UtilizationReport;
@@ -136,25 +136,85 @@ impl ServerEngine {
     /// the cache state for its duration; [`EngineSession::finish`] hands it
     /// back warmed.
     pub fn session(&self, cache: CacheState) -> EngineSession<'_> {
-        let net = self.network.get_or_init(|| self.build_network()).clone();
-        EngineSession::new(&self.config, &self.catalog, &self.topology, net, cache)
+        self.session_on(None, cache)
+    }
+
+    /// Opens a session on buffers an earlier session of this engine left
+    /// behind ([`EngineSession::finish_reusable`]), cleared, or on new ones.
+    pub(crate) fn session_on(
+        &self,
+        buffers: Option<SessionBuffers>,
+        cache: CacheState,
+    ) -> EngineSession<'_> {
+        let buffers = buffers.unwrap_or_else(|| self.new_buffers());
+        EngineSession::new(&self.config, &self.catalog, &self.topology, buffers, cache)
+    }
+
+    fn new_buffers(&self) -> SessionBuffers {
+        let hardware = &self.config.hardware;
+        SessionBuffers {
+            requests: Vec::new(),
+            arrival_log: Vec::new(),
+            listen_queue: VecDeque::new(),
+            disk_done: VecDeque::new(),
+            cpu: PsResource::new(
+                f64::from(hardware.cpu_cores) * hardware.cpu_speed,
+                hardware.cpu_speed.max(f64::EPSILON),
+            ),
+            net: self.network.get_or_init(|| self.build_network()).clone(),
+        }
     }
 
     /// Instantiates the topology around the access link and starts its
-    /// persistent cross traffic, which occupies the transit links from the
-    /// start of time; the flows never complete and never surface as
-    /// request completions.
+    /// persistent cross traffic.
     fn build_network(&self) -> BuiltTopology {
         let mut net = self.topology.build(self.config.access_link);
-        let mut cross_seq = CROSS_FLOW_BASE;
-        for &(route, count, rate) in &net.cross {
-            for _ in 0..count {
-                net.graph
-                    .start_flow(FlowId(cross_seq), route, f64::INFINITY, rate, SimTime::ZERO);
-                cross_seq += 1;
-            }
-        }
+        start_cross_traffic(&mut net);
         net
+    }
+}
+
+/// Starts a built topology's persistent cross traffic, which occupies the
+/// transit links from the start of time; the flows never complete and
+/// never surface as request completions.
+fn start_cross_traffic(net: &mut BuiltTopology) {
+    let mut cross_seq = CROSS_FLOW_BASE;
+    for &(route, count, rate) in &net.cross {
+        for _ in 0..count {
+            net.graph
+                .start_flow(FlowId(cross_seq), route, f64::INFINITY, rate, SimTime::ZERO);
+            cross_seq += 1;
+        }
+    }
+}
+
+/// The allocations a session fills, kept by [`crate::ServerCluster`] so
+/// its next run's sessions reuse them: the request, arrival-log,
+/// listen-queue and disk-completion buffers, the CPU and the WAN graph.
+#[derive(Debug, Clone)]
+pub(crate) struct SessionBuffers {
+    requests: Vec<InFlight>,
+    /// The access log of the session that filled the buffers, sorted by
+    /// arrival time then request id.
+    pub(crate) arrival_log: Vec<ArrivalRecord>,
+    listen_queue: VecDeque<usize>,
+    disk_done: VecDeque<(SimTime, usize)>,
+    cpu: PsResource,
+    net: BuiltTopology,
+}
+
+impl SessionBuffers {
+    /// Empties the buffers and resets the CPU and the graph, with the cross
+    /// traffic restarted at time zero: afterwards they equal new ones.
+    pub(crate) fn cleared(mut self) -> Self {
+        self.requests.clear();
+        self.arrival_log.clear();
+        self.listen_queue.clear();
+        self.disk_done.clear();
+        self.cpu.reset();
+        self.net.graph.reset();
+        start_cross_traffic(&mut self.net);
+        self
     }
 }
 
@@ -181,11 +241,11 @@ enum Phase {
 }
 
 #[derive(Debug, Clone)]
-struct InFlight<'a> {
+struct InFlight {
     req: ServerRequest,
-    /// The catalog object the request names, resolved once at arrival;
-    /// `None` for HEAD requests and unknown paths.
-    object: Option<&'a ObjectSpec>,
+    /// The catalog index of the object the request names, resolved once at
+    /// arrival; `None` for HEAD requests and unknown paths.
+    object: Option<usize>,
     phase: Phase,
     body_bytes: u64,
     /// Memory charged for a fork-per-request handler, released at the end.
@@ -219,10 +279,14 @@ enum Event {
 /// between steps, and lets a control loop mutate link and CPU capacity
 /// without disturbing in-flight work.
 ///
-/// Pushed arrivals wait in a FIFO beside the event queue, and an arrival
-/// at time *t* runs before any engine event at *t*.  Stepping therefore
-/// never changes a result: a session stepped after every push ends exactly
-/// like one that is only [finished](EngineSession::finish).
+/// The next engine event is the earliest of three sources: the FIFO of
+/// disk completions, the time the CPU next completes a task and the time
+/// the network next completes a transfer.  The two checks are re-armed
+/// after every event, CPU first; a tie goes to the disk, then to the check
+/// armed earlier.  Pushed arrivals wait in a FIFO of their own, and an
+/// arrival at time *t* runs before any engine event at *t*.  Stepping
+/// therefore never changes a result: a session stepped after every push
+/// ends exactly like one that is only [finished](EngineSession::finish).
 ///
 /// # Examples
 ///
@@ -254,8 +318,7 @@ pub struct EngineSession<'a> {
     config: &'a ServerConfig,
     catalog: &'a ContentCatalog,
     cache: CacheState,
-    queue: EventQueue<Event>,
-    requests: Vec<InFlight<'a>>,
+    requests: Vec<InFlight>,
     /// The arrival FIFO: `requests[next_arrival..]` have been pushed but
     /// not yet admitted.
     next_arrival: usize,
@@ -265,14 +328,22 @@ pub struct EngineSession<'a> {
     db_pool: SlotPool,
     cpu: PsResource,
     disk: FifoResource,
+    /// Disk completions `(time, request)` in enqueue order.  The disk
+    /// serves one read at a time, so the times never decrease.
+    disk_done: VecDeque<(SimTime, usize)>,
     memory: MemoryTracker,
     /// The WAN graph responses cross: the access link at the root, plus
     /// any shared transit/backbone links (and persistent cross traffic)
     /// from the engine's topology.
     net: BuiltTopology,
     topology: &'a TopologySpec,
-    cpu_event: Option<EventHandle>,
-    net_event: Option<EventHandle>,
+    /// When the CPU and the network next complete work, as last armed.
+    cpu_check: Option<SimTime>,
+    net_check: Option<SimTime>,
+    /// Whether the CPU check was armed after the network check, which
+    /// then goes first on a tie; only [`EngineSession::scale_cpu`] arms
+    /// the CPU alone.
+    cpu_armed_last: bool,
     now: SimTime,
     start: SimTime,
     end: SimTime,
@@ -295,7 +366,7 @@ impl<'a> EngineSession<'a> {
         config: &'a ServerConfig,
         catalog: &'a ContentCatalog,
         topology: &'a TopologySpec,
-        net: BuiltTopology,
+        buffers: SessionBuffers,
         cache: CacheState,
     ) -> Self {
         let handler_capacity = match config.dynamic_handler {
@@ -307,31 +378,31 @@ impl<'a> EngineSession<'a> {
         if let DynamicHandler::PersistentPool { pool_memory, .. } = config.dynamic_handler {
             memory.allocate(pool_memory);
         }
-        let cpu_capacity = f64::from(config.hardware.cpu_cores) * config.hardware.cpu_speed;
         EngineSession {
             config,
             catalog,
             cache,
-            queue: EventQueue::new(),
-            requests: Vec::new(),
+            requests: buffers.requests,
             next_arrival: 0,
             workers: SlotPool::new(config.workers.max_workers),
-            listen_queue: VecDeque::new(),
+            listen_queue: buffers.listen_queue,
             handler_pool: SlotPool::new(handler_capacity),
             db_pool: SlotPool::new(config.database.max_concurrent_queries),
-            cpu: PsResource::new(cpu_capacity, config.hardware.cpu_speed.max(f64::EPSILON)),
+            cpu: buffers.cpu,
             disk: FifoResource::new(),
+            disk_done: buffers.disk_done,
             memory,
-            net,
+            net: buffers.net,
             topology,
-            cpu_event: None,
-            net_event: None,
+            cpu_check: None,
+            net_check: None,
+            cpu_armed_last: false,
             now: SimTime::ZERO,
             start: SimTime::ZERO,
             end: SimTime::ZERO,
             busy_workers: TimeWeighted::new(SimTime::ZERO, 0.0),
             memory_series: TimeWeighted::new(SimTime::ZERO, 0.0),
-            arrival_log: Vec::new(),
+            arrival_log: buffers.arrival_log,
             refused: 0,
             completed: 0,
             settled: 0,
@@ -389,8 +460,8 @@ impl<'a> EngineSession<'a> {
     }
 
     /// The time of the next pending arrival or event, if any work remains.
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
-        let event = self.queue.peek_time();
+    pub fn next_event_time(&self) -> Option<SimTime> {
+        let event = self.next_event().map(|(time, _)| time);
         match self.requests.get(self.next_arrival) {
             Some(pending) => {
                 Some(event.map_or(pending.req.arrival, |t| t.min(pending.req.arrival)))
@@ -460,7 +531,7 @@ impl<'a> EngineSession<'a> {
         self.net
             .graph
             .set_link_capacity(access, capacity.max(1.0), now.max(self.now));
-        self.reschedule_net();
+        self.arm_net_check();
     }
 
     /// Scales total CPU capacity to `factor` × the configured hardware.
@@ -473,14 +544,46 @@ impl<'a> EngineSession<'a> {
         let nominal = f64::from(self.config.hardware.cpu_cores) * self.config.hardware.cpu_speed;
         self.cpu
             .set_capacity((nominal * factor).max(f64::EPSILON), now.max(self.now));
-        self.reschedule_cpu();
+        self.arm_cpu_check();
     }
 
     /// Runs the session to completion and returns the merged result plus
     /// the warmed cache state.
-    pub fn finish(mut self) -> (RunResult, CacheState) {
+    pub fn finish(self) -> (RunResult, CacheState) {
+        let (mut result, cache, buffers) = self.finish_reusable();
+        result.arrival_log = buffers.arrival_log;
+        (result, cache)
+    }
+
+    /// [`Self::finish`], also handing back the session's buffers for the
+    /// next session to reuse.  The arrival log stays in the buffers; the
+    /// result's is empty.
+    pub(crate) fn finish_reusable(mut self) -> (RunResult, CacheState, SessionBuffers) {
         self.process(None);
         self.into_result()
+    }
+
+    /// The next engine event and its time: a disk completion first on a
+    /// tie, then the CPU and network checks in the order they were armed.
+    fn next_event(&self) -> Option<(SimTime, Event)> {
+        let cpu = self.cpu_check.map(|time| (time, Event::CpuCheck));
+        let net = self.net_check.map(|time| (time, Event::NetCheck));
+        let (first, second) = if self.cpu_armed_last {
+            (net, cpu)
+        } else {
+            (cpu, net)
+        };
+        let mut next = self
+            .disk_done
+            .front()
+            .map(|&(time, idx)| (time, Event::DiskDone(idx)));
+        // Only a strictly earlier time displaces an earlier source.
+        for candidate in [first, second].into_iter().flatten() {
+            if next.is_none_or(|(time, _)| candidate.0 < time) {
+                next = Some(candidate);
+            }
+        }
+        next
     }
 
     /// Runs arrivals and events in time order, an arrival first on a tie,
@@ -488,13 +591,13 @@ impl<'a> EngineSession<'a> {
     /// until no work remains.
     fn process(&mut self, limit: Option<SimTime>) {
         loop {
-            let event = self.queue.peek_time();
+            let event = self.next_event();
             let arrival = self
                 .requests
                 .get(self.next_arrival)
                 .map(|pending| pending.req.arrival)
                 .filter(|&t| limit.is_none_or(|limit| t <= limit))
-                .filter(|&t| event.is_none_or(|e| t <= e));
+                .filter(|&t| event.is_none_or(|(e, _)| t <= e));
             let time = if let Some(time) = arrival {
                 self.now = self.now.max(time);
                 self.next_arrival += 1;
@@ -502,13 +605,15 @@ impl<'a> EngineSession<'a> {
                 time
             } else {
                 match event {
-                    Some(time) if limit.is_none_or(|limit| time < limit) => {
-                        let (time, event) = self.queue.pop().expect("peeked event exists");
+                    Some((time, event)) if limit.is_none_or(|limit| time < limit) => {
                         self.now = self.now.max(time);
                         match event {
                             Event::CpuCheck => self.on_cpu_check(),
                             Event::NetCheck => self.on_net_check(),
-                            Event::DiskDone(idx) => self.on_disk_done(idx),
+                            Event::DiskDone(idx) => {
+                                self.disk_done.pop_front();
+                                self.on_disk_done(idx);
+                            }
                         }
                         time
                     }
@@ -516,8 +621,8 @@ impl<'a> EngineSession<'a> {
                 }
             };
             self.end = self.end.max(time);
-            self.reschedule_cpu();
-            self.reschedule_net();
+            self.arm_cpu_check();
+            self.arm_net_check();
         }
     }
 
@@ -531,7 +636,7 @@ impl<'a> EngineSession<'a> {
         // Unknown paths are rejected before consuming a worker; HEAD
         // requests are always served against the base page.
         if req.class != RequestClass::Head {
-            let object = self.catalog.lookup(&req.path);
+            let object = self.catalog.position(&req.path);
             if object.is_none() {
                 self.complete(idx, RequestStatus::NotFound, self.now, 0);
                 return;
@@ -559,9 +664,7 @@ impl<'a> EngineSession<'a> {
         // server to render the base page, so they carry its generation
         // cost in addition to the per-request protocol overhead.
         let base_page_cost = if self.requests[idx].req.class == RequestClass::Head
-            || self.requests[idx]
-                .object
-                .is_some_and(|object| std::ptr::eq(object, self.catalog.base_page()))
+            || self.requests[idx].object == Some(BASE_PAGE_INDEX)
         {
             self.config.workers.base_page_cpu
         } else {
@@ -600,9 +703,7 @@ impl<'a> EngineSession<'a> {
                 self.complete(idx, RequestStatus::Ok, completion, 0);
             }
             RequestClass::Static => {
-                let object = self.requests[idx]
-                    .object
-                    .expect("static path resolved at arrival");
+                let object = self.object_of(idx);
                 let size = object.size_bytes;
                 self.requests[idx].body_bytes = size;
                 if self
@@ -614,14 +715,13 @@ impl<'a> EngineSession<'a> {
                     let service_secs = self.config.hardware.disk_seek.as_secs_f64()
                         + size as f64 / self.config.hardware.disk_bandwidth;
                     let service = SimDuration::from_secs_f64(service_secs * self.memory.slowdown());
-                    let delay = self.disk.enqueue(idx as u64, self.now, service);
-                    self.queue.schedule(self.now + delay, Event::DiskDone(idx));
+                    let done = self.now + self.disk.enqueue(idx as u64, self.now, service);
+                    debug_assert!(self.disk_done.back().is_none_or(|&(last, _)| last <= done));
+                    self.disk_done.push_back((done, idx));
                 }
             }
             RequestClass::Dynamic => {
-                let object = self.requests[idx]
-                    .object
-                    .expect("dynamic path resolved at arrival");
+                let object = self.object_of(idx);
                 let (rows, cacheable, path) = (object.db_rows, object.cacheable, &object.path);
                 self.requests[idx].body_bytes = object.size_bytes;
                 // Pre-compute the database work so the query-cache decision
@@ -659,6 +759,12 @@ impl<'a> EngineSession<'a> {
                 }
             }
         }
+    }
+
+    /// The catalog object request `idx` names, resolved at arrival.
+    fn object_of(&self, idx: usize) -> &'a ObjectSpec {
+        let index = self.requests[idx].object.expect("path resolved at arrival");
+        self.catalog.object(index)
     }
 
     /// The request has a handler (forked or pooled) and now needs a
@@ -821,31 +927,29 @@ impl<'a> EngineSession<'a> {
         self.memory_series.set(self.now, self.memory.used() as f64);
     }
 
-    // The reschedulers use the pure peeks: completion times are absolute
-    // and stable between resource mutations, so there is no need to advance
-    // the fluid models on every event just to read the next deadline.
+    // The checks are armed from the pure peeks: completion times are
+    // absolute and stable between resource mutations, so there is no need
+    // to advance the fluid models on every event just to read the next
+    // deadline.
 
-    fn reschedule_cpu(&mut self) {
-        if let Some(handle) = self.cpu_event.take() {
-            self.queue.cancel(handle);
-        }
-        if let Some((time, _)) = self.cpu.peek_completion() {
-            let time = time.max(self.now);
-            self.cpu_event = Some(self.queue.schedule(time, Event::CpuCheck));
-        }
+    fn arm_cpu_check(&mut self) {
+        self.cpu_check = self
+            .cpu
+            .peek_completion()
+            .map(|(time, _)| time.max(self.now));
+        self.cpu_armed_last = true;
     }
 
-    fn reschedule_net(&mut self) {
-        if let Some(handle) = self.net_event.take() {
-            self.queue.cancel(handle);
-        }
-        if let Some((time, _)) = self.net.graph.peek_completion() {
-            let time = time.max(self.now);
-            self.net_event = Some(self.queue.schedule(time, Event::NetCheck));
-        }
+    fn arm_net_check(&mut self) {
+        self.net_check = self
+            .net
+            .graph
+            .peek_completion()
+            .map(|(time, _)| time.max(self.now));
+        self.cpu_armed_last = false;
     }
 
-    fn into_result(mut self) -> (RunResult, CacheState) {
+    fn into_result(mut self) -> (RunResult, CacheState, SessionBuffers) {
         let window = self.end.saturating_since(self.start);
         let cpu_capacity =
             f64::from(self.config.hardware.cpu_cores) * self.config.hardware.cpu_speed;
@@ -882,13 +986,22 @@ impl<'a> EngineSession<'a> {
             outcomes.push(outcome);
         }
         self.arrival_log.sort_by_key(|r| (r.arrival, r.id));
+        let buffers = SessionBuffers {
+            requests: self.requests,
+            arrival_log: self.arrival_log,
+            listen_queue: self.listen_queue,
+            disk_done: self.disk_done,
+            cpu: self.cpu,
+            net: self.net,
+        };
         (
             RunResult {
                 outcomes,
                 utilization,
-                arrival_log: self.arrival_log,
+                arrival_log: Vec::new(),
             },
             self.cache,
+            buffers,
         )
     }
 }
@@ -898,7 +1011,7 @@ mod tests {
     use super::*;
     use crate::cluster::ServerCluster;
     use crate::config::{DatabaseConfig, HardwareSpec, ObjectCacheConfig, WorkerConfig};
-    use crate::control::NullControl;
+    use crate::control::{AdmissionVerdict, ControlAction, NullControl, ServerControl, TickSample};
     use mfc_simnet::mbps;
 
     fn head_request(id: u64, at_ms: u64) -> ServerRequest {
@@ -1218,6 +1331,74 @@ mod tests {
         let stepped = outcomes(true);
         assert_eq!(stepped, outcomes(false));
         assert_eq!(stepped[1].status, RequestStatus::Refused);
+    }
+
+    /// Scales the CPU to its nominal speed at its first tick, 101 ms in:
+    /// the capacity stays the same, but the CPU check is re-armed alone.
+    struct RearmCpuOnce(bool);
+
+    impl ServerControl for RearmCpuOnce {
+        fn tick_interval(&self) -> Option<SimDuration> {
+            Some(SimDuration::from_millis(101))
+        }
+        fn on_arrival(&mut self, _: SimTime, _: &ServerRequest) -> AdmissionVerdict {
+            AdmissionVerdict::Accept
+        }
+        fn on_tick(&mut self, _: SimTime, _: &TickSample, actions: &mut Vec<ControlAction>) {
+            if !std::mem::replace(&mut self.0, true) {
+                actions.push(ControlAction::ScaleCpu(1.0));
+            }
+        }
+    }
+
+    #[test]
+    fn simultaneous_cpu_and_transfer_completions_keep_their_order() {
+        // RAM is overcommitted from the start, so each busy worker slows
+        // the CPU and the disk by another 1 + 8 × (8 MiB / 64 MiB).
+        let config = ServerConfig {
+            hardware: HardwareSpec {
+                ram_bytes: 64 << 20,
+                ..HardwareSpec::default()
+            },
+            workers: WorkerConfig {
+                memory_per_worker: 8 << 20,
+                ..WorkerConfig::default()
+            },
+            baseline_memory: 64 << 20,
+            ..ServerConfig::lab_apache()
+        };
+        // Request 1 sends the warm 100 KiB object at 1 MB/s until
+        // t = 103.2 ms.  Request 2 asks for the cold base page at 100.2 ms
+        // and finishes parsing at the same microsecond.  Its disk read costs
+        // less if request 1 has already released its worker's memory, so
+        // request 2's completion shows which check ran first.
+        let completions = |control: &mut dyn ServerControl| {
+            let mut server = server(config.clone());
+            run(
+                &mut server,
+                vec![static_request(0, 0, "/objects/large_100k.bin")],
+            );
+            let mut requests = vec![
+                static_request(1, 0, "/objects/large_100k.bin"),
+                static_request(2, 0, "/index.html"),
+            ];
+            requests[1].arrival = SimTime::from_micros(100_200);
+            for request in &mut requests {
+                request.client_downlink = 1e6;
+            }
+            let result = server.run(requests, control);
+            result
+                .outcomes
+                .iter()
+                .map(|o| o.completion.as_micros())
+                .collect::<Vec<_>>()
+        };
+        // The CPU check was armed first after the last event, so it runs
+        // first: request 2 reads the disk while request 1 still holds memory.
+        assert_eq!(completions(&mut NullControl), [243_200, 151_491]);
+        // `ScaleCpu` re-armed only the CPU check, so the network check is
+        // the older one and runs first.
+        assert_eq!(completions(&mut RearmCpuOnce(false)), [243_200, 143_427]);
     }
 
     #[test]

@@ -61,6 +61,13 @@ impl PsResource {
         }
     }
 
+    /// Returns the resource to the state [`Self::new`] left it in: no
+    /// tasks, no work done, and the capacity it was created with (undoing
+    /// any [`Self::set_capacity`]).
+    pub fn reset(&mut self) {
+        self.graph.reset();
+    }
+
     /// Adds a task identified by `id` requiring `work` work units.
     ///
     /// # Panics

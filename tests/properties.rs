@@ -13,9 +13,9 @@ use mfc_core::sync::{send_offset, ClientLatency, SyncScheduler};
 use mfc_core::types::ClientId;
 use mfc_http::{Method, Request, Response, StatusCode, Url};
 use mfc_simcore::stats::{median, percentile};
-use mfc_simcore::{EventHandle, EventQueue, SimDuration, SimRng, SimTime};
+use mfc_simcore::{SimDuration, SimRng, SimTime};
 use mfc_simnet::{FlowId, NaiveFluidLink, PopulationProfile, TcpModel, WideAreaModel};
-use mfc_topology::{LinkId, NaiveNetwork, NetworkGraph, RouteId};
+use mfc_topology::{LinkId, NaiveNetwork, NetworkGraph, RouteId, TopologySpec};
 use mfc_webserver::{
     ContentCatalog, NullControl, RequestClass, ServerCluster, ServerConfig, ServerRequest,
 };
@@ -69,166 +69,6 @@ fn median_is_invariant_under_permutation() {
         assert_eq!(original, median(&values).unwrap());
         rng.shuffle(&mut values);
         assert_eq!(original, median(&values).unwrap());
-    }
-}
-
-// -------------------------------------------------------------------
-// Event queue: the slab-backed queue must behave exactly like a naive
-// reference model under arbitrary schedule/pop/cancel interleavings.
-// -------------------------------------------------------------------
-
-/// The simplest possible future-event list: linear scans over a vector.
-/// Deliberately naive, so its correctness is self-evident.
-struct ReferenceQueue {
-    entries: Vec<(u64, u64, u32, bool)>, // (time, seq, payload, pending)
-    next_seq: u64,
-}
-
-impl ReferenceQueue {
-    fn new() -> Self {
-        ReferenceQueue {
-            entries: Vec::new(),
-            next_seq: 0,
-        }
-    }
-
-    fn schedule(&mut self, time: u64, payload: u32) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.entries.push((time, seq, payload, true));
-        seq
-    }
-
-    fn cancel(&mut self, seq: u64) -> bool {
-        for entry in &mut self.entries {
-            if entry.1 == seq && entry.3 {
-                entry.3 = false;
-                return true;
-            }
-        }
-        false
-    }
-
-    fn pop(&mut self) -> Option<(u64, u32)> {
-        let best = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.3)
-            .min_by_key(|(_, e)| (e.0, e.1))
-            .map(|(i, _)| i)?;
-        let entry = self.entries.remove(best);
-        Some((entry.0, entry.2))
-    }
-
-    fn len(&self) -> usize {
-        self.entries.iter().filter(|e| e.3).count()
-    }
-
-    fn peek_time(&self) -> Option<u64> {
-        self.entries
-            .iter()
-            .filter(|e| e.3)
-            .min_by_key(|e| (e.0, e.1))
-            .map(|e| e.0)
-    }
-}
-
-#[test]
-fn event_queue_matches_reference_model_under_random_interleavings() {
-    let mut rng = SimRng::seed_from(0x0504);
-    for case in 0..CASES {
-        let mut queue: EventQueue<u32> = EventQueue::new();
-        let mut reference = ReferenceQueue::new();
-        let mut live_handles: Vec<(EventHandle, u64)> = Vec::new();
-        let ops = rng.index(300) + 20;
-        for op in 0..ops {
-            match rng.index(10) {
-                // Schedule with a deliberately narrow time range so ties are
-                // common and FIFO ordering is actually exercised.
-                0..=4 => {
-                    let time = rng.uniform_u64(0, 50);
-                    let payload = op as u32;
-                    let handle = queue.schedule(SimTime::from_micros(time), payload);
-                    let seq = reference.schedule(time, payload);
-                    live_handles.push((handle, seq));
-                }
-                5..=6 => {
-                    let popped = queue.pop().map(|(t, p)| (t.as_micros(), p));
-                    assert_eq!(popped, reference.pop(), "case {case} op {op}");
-                }
-                7 => {
-                    assert_eq!(
-                        queue.peek_time().map(|t| t.as_micros()),
-                        reference.peek_time(),
-                        "case {case} op {op}"
-                    );
-                }
-                _ => {
-                    if !live_handles.is_empty() {
-                        let idx = rng.index(live_handles.len());
-                        let (handle, seq) = live_handles[idx];
-                        assert_eq!(
-                            queue.cancel(handle),
-                            reference.cancel(seq),
-                            "case {case} op {op}"
-                        );
-                    }
-                }
-            }
-            assert_eq!(queue.len(), reference.len(), "case {case} op {op}");
-        }
-        // Drain both and compare the full remaining sequence.
-        loop {
-            let a = queue.pop().map(|(t, p)| (t.as_micros(), p));
-            let b = reference.pop();
-            assert_eq!(a, b, "case {case} drain");
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-}
-
-#[test]
-fn event_queue_pops_in_nondecreasing_time_order() {
-    let mut rng = SimRng::seed_from(0x0505);
-    for _ in 0..CASES {
-        let count = rng.index(300) + 1;
-        let mut queue = EventQueue::new();
-        for i in 0..count {
-            queue.schedule(SimTime::from_micros(rng.uniform_u64(0, 1_000_000)), i);
-        }
-        let mut last = SimTime::ZERO;
-        let mut popped = 0;
-        while let Some((time, _)) = queue.pop() {
-            assert!(time >= last);
-            last = time;
-            popped += 1;
-        }
-        assert_eq!(popped, count);
-    }
-}
-
-#[test]
-fn event_queue_ties_pop_in_schedule_order_after_cancellations() {
-    let mut rng = SimRng::seed_from(0x0506);
-    for _ in 0..CASES {
-        let count = rng.index(100) + 10;
-        let mut queue = EventQueue::new();
-        let handles: Vec<EventHandle> = (0..count)
-            .map(|i| queue.schedule(SimTime::from_micros(42), i))
-            .collect();
-        let mut expected: Vec<usize> = (0..count).collect();
-        // Cancel a random subset.
-        for (i, handle) in handles.iter().enumerate() {
-            if rng.chance(0.3) {
-                assert!(queue.cancel(*handle));
-                expected.retain(|&e| e != i);
-            }
-        }
-        let drained: Vec<usize> = std::iter::from_fn(|| queue.pop()).map(|(_, e)| e).collect();
-        assert_eq!(drained, expected, "FIFO order must survive cancellation");
     }
 }
 
@@ -1505,6 +1345,123 @@ fn cluster_sweep_matches_per_replica_sessions_under_coincident_events() {
         coincident_completions > 0,
         "the cases must include coincident completions"
     );
+}
+
+/// Sheds, throttles, steps the access link and scales the CPU at random,
+/// from its own seeded stream, so a clone replays the same decisions.
+#[derive(Clone)]
+struct Meddler {
+    rng: SimRng,
+}
+
+impl mfc_webserver::ServerControl for Meddler {
+    fn tick_interval(&self) -> Option<SimDuration> {
+        Some(SimDuration::from_millis(7))
+    }
+
+    fn on_arrival(
+        &mut self,
+        _now: SimTime,
+        _request: &ServerRequest,
+    ) -> mfc_webserver::AdmissionVerdict {
+        use mfc_webserver::AdmissionVerdict;
+        match self.rng.index(10) {
+            0 => AdmissionVerdict::Shed,
+            1 => AdmissionVerdict::Throttle(self.rng.uniform(20_000.0, 400_000.0)),
+            _ => AdmissionVerdict::Accept,
+        }
+    }
+
+    fn on_tick(
+        &mut self,
+        _now: SimTime,
+        _sample: &mfc_webserver::TickSample,
+        actions: &mut Vec<mfc_webserver::ControlAction>,
+    ) {
+        use mfc_webserver::ControlAction;
+        match self.rng.index(12) {
+            0 => actions.push(ControlAction::SetAccessLink(
+                self.rng.uniform(200_000.0, 2e6),
+            )),
+            1 => actions.push(ControlAction::ScaleCpu(self.rng.uniform(0.3, 1.5))),
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn a_reused_session_matches_a_newly_built_one() {
+    use mfc_simnet::mbps;
+
+    // A cluster keeps its finished sessions' buffers and reuses them in
+    // the next run.  Before every run, a clone of the cluster is given the
+    // same topology again, which drops the kept buffers, so its sessions
+    // are built new from the same caches, replica count and capacity
+    // overrides.  Both must report the same run.
+    let topologies = [
+        TopologySpec::direct(),
+        TopologySpec::star(&[mbps(4.0), mbps(20.0), mbps(20.0)])
+            .with_backbone(mbps(30.0))
+            .with_cross_traffic(0, 3, 100_000.0),
+    ];
+    let catalog = ContentCatalog::typical_site(5);
+    let paths: Vec<String> = std::iter::once(catalog.base_page())
+        .chain(catalog.objects())
+        .map(|o| o.path.clone())
+        .chain(["/no/such/page".to_string()])
+        .collect();
+    let mut rng = SimRng::seed_from(0x0B0F);
+    let (mut shed, mut throttled, mut served) = (0, 0, 0);
+    for case in 0..32 {
+        let replicas = [1, 3][case % 2];
+        let topology = topologies[case / 2 % 2].clone();
+        let config = ServerConfig {
+            access_link: mbps(8.0),
+            ..ServerConfig::lab_apache()
+        };
+        let mut cluster =
+            ServerCluster::new(config, catalog.clone(), replicas).with_topology(topology.clone());
+        let mut control = Meddler {
+            rng: SimRng::seed_from(case as u64),
+        };
+        let mut start_ms = 0u64;
+        for run in 0..6 {
+            let mut requests = Vec::new();
+            let mut at_us = start_ms * 1_000;
+            for id in 0..rng.index(40) {
+                let path = &paths[rng.index(paths.len())];
+                let class = match rng.index(3) {
+                    0 => RequestClass::Head,
+                    _ if path.contains('?') => RequestClass::Dynamic,
+                    _ => RequestClass::Static,
+                };
+                requests.push(ServerRequest {
+                    id: id as u64,
+                    arrival: SimTime::from_micros(at_us),
+                    class,
+                    path: path.clone(),
+                    client_downlink: rng.uniform(100_000.0, 5e6),
+                    client_rtt: SimDuration::from_millis(rng.uniform_u64(5, 120)),
+                    client_addr: rng.index(16) as u32,
+                    background: rng.chance(0.3),
+                });
+                at_us += rng.uniform_u64(0, 20_000);
+            }
+            start_ms += rng.uniform_u64(0, 5_000);
+
+            let mut fresh = cluster.clone().with_topology(topology.clone());
+            let expected = fresh.run(requests.clone(), &mut control.clone());
+            let result = cluster.run(requests, &mut control);
+            let ctx = format!("case {case} run {run}");
+            assert_eq!(result.outcomes, expected.outcomes, "{ctx}");
+            assert_eq!(result.utilization, expected.utilization, "{ctx}");
+            assert_eq!(result.arrival_log, expected.arrival_log, "{ctx}");
+            shed += result.utilization.shed_requests;
+            throttled += result.utilization.throttled_requests;
+            served += result.utilization.completed_requests;
+        }
+    }
+    assert!(shed > 0 && throttled > 0 && served > 0);
 }
 
 #[test]
