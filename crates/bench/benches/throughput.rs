@@ -12,8 +12,8 @@ use mfc_bench::Scale;
 use mfc_core::types::Stage;
 use mfc_dynamics::DefenseConfig;
 use mfc_simcore::{SimDuration, SimRng, SimTime};
-use mfc_simnet::{mbps, FlowId, NaiveFluidLink};
-use mfc_topology::{NetworkGraph, RouteId, TopologySpec};
+use mfc_simnet::{mbps, FlowId};
+use mfc_topology::{NaiveNetwork, NetworkGraph, RouteId, TopologySpec};
 use mfc_webserver::{
     ContentCatalog, NullControl, RequestClass, ServerCluster, ServerConfig, ServerRequest,
     WorkerConfig,
@@ -61,14 +61,15 @@ fn link_drain(flows: &[(u64, f64, f64, u64)]) -> u64 {
     checksum
 }
 
-/// The same drain over the naive progressive-filling reference, so the
-/// speedup is measured in-tree.
+/// The same drain over a one-link naive progressive-filling reference, so
+/// the speedup is measured in-tree.
 fn naive_link_drain(flows: &[(u64, f64, f64, u64)]) -> u64 {
-    let mut link = NaiveFluidLink::new(1e8);
+    let mut link = NaiveNetwork::new();
+    let links = [link.add_link(1e8)];
     let mut now = SimTime::ZERO;
     for &(id, bytes, cap, stagger_us) in flows {
         now += SimDuration::from_micros(stagger_us);
-        link.start_flow(FlowId(id), bytes, cap, now);
+        link.start_flow(FlowId(id), &links, bytes, cap, now);
     }
     let mut checksum = 0u64;
     while let Some((t, id)) = link.next_completion(now) {

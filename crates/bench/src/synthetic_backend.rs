@@ -3,12 +3,10 @@
 //! The §3.1 validation asks: when the server's response time is an *exact,
 //! known* function of the number of simultaneous requests, does the median
 //! normalized response time measured by the distributed MFC clients track
-//! that function?  This backend wires the full MFC client machinery (wide
-//! area latencies, scheduling, base-time normalization) to
+//! that function?  This backend wires the full MFC machinery (wide area
+//! latencies, scheduling, the coordinator's base-time normalization) to
 //! [`SyntheticServer`] so the question can be answered end to end
 //! (Figure 4).
-
-use std::collections::HashMap;
 
 use mfc_core::backend::{BaseMeasurement, MfcBackend};
 use mfc_core::profile::{ObjectInfo, TargetProfile};
@@ -24,7 +22,6 @@ pub struct SyntheticBackend {
     server: SyntheticServer,
     wan: WideAreaModel,
     clock: SimTime,
-    base_times: HashMap<(ClientId, String), SimDuration>,
     next_id: u64,
 }
 
@@ -37,7 +34,6 @@ impl SyntheticBackend {
             server,
             wan: WideAreaModel::generate(&PopulationProfile::planetlab(), client_count, &rng),
             clock: SimTime::ZERO,
-            base_times: HashMap::new(),
             next_id: 0,
         }
     }
@@ -82,8 +78,6 @@ impl MfcBackend for SyntheticBackend {
         let server_request = self.request(index, &request.path, arrival);
         let outcome = self.server.run(vec![server_request]);
         let response_time = outcome[0].completion.saturating_since(send);
-        self.base_times
-            .insert((client, request.path.clone()), response_time);
         self.clock += SimDuration::from_millis(100);
         BaseMeasurement {
             target_rtt: rtt,
@@ -109,16 +103,12 @@ impl MfcBackend for SyntheticBackend {
                 .jittered_delay(profile.rtt_target.mul_f64(1.5), profile.jitter_frac);
             let arrival = client_receives + handshake;
             requests.push(self.request(index, &command.request.path, arrival));
-            sends.push((
-                command.client,
-                command.request.path.clone(),
-                client_receives,
-            ));
+            sends.push((command.client, client_receives));
         }
         let outcomes = self.server.run(requests);
         let mut observations = Vec::new();
         let mut target_arrivals = Vec::new();
-        for (outcome, (client, path, send)) in outcomes.iter().zip(&sends) {
+        for (outcome, (client, send)) in outcomes.iter().zip(&sends) {
             target_arrivals.push(outcome.arrival);
             let response = outcome.completion.saturating_since(*send);
             let (status, response_time) = if response > plan.timeout {
@@ -132,11 +122,6 @@ impl MfcBackend for SyntheticBackend {
                 status,
                 bytes: 0,
                 response_time,
-                base_response_time: self
-                    .base_times
-                    .get(&(*client, path.clone()))
-                    .copied()
-                    .unwrap_or(SimDuration::ZERO),
             });
         }
         self.clock = origin + plan.timeout;

@@ -52,21 +52,14 @@ impl Default for LiveBackendConfig {
     }
 }
 
-/// One virtual client.
-#[derive(Debug, Clone)]
-struct VirtualClient {
-    /// Extra one-way latency applied before this client's requests.
-    extra_latency: Duration,
-    /// Base response times keyed by path.
-    base_times: Vec<(String, SimDuration)>,
-}
-
 /// The live execution environment.
 #[derive(Debug)]
 pub struct LiveBackend {
     target: Url,
     config: LiveBackendConfig,
-    clients: Vec<VirtualClient>,
+    /// Each virtual client's extra one-way latency, applied before its
+    /// requests, by client id.
+    extra_latencies: Vec<Duration>,
     crawler: LiveCrawler,
 }
 
@@ -76,20 +69,19 @@ impl LiveBackend {
     pub fn new(target: Url, config: LiveBackendConfig, seed: u64) -> Self {
         let mut rng = SimRng::seed_from(seed);
         let (low, high) = config.artificial_latency;
-        let clients = (0..config.clients)
-            .map(|_| VirtualClient {
-                extra_latency: Duration::from_micros(rng.uniform_u64(
+        let extra_latencies = (0..config.clients)
+            .map(|_| {
+                Duration::from_micros(rng.uniform_u64(
                     low.as_micros() as u64,
                     high.as_micros().max(low.as_micros()) as u64,
-                )),
-                base_times: Vec::new(),
+                ))
             })
             .collect();
         let crawler = LiveCrawler::new(Client::new(config.http.clone()), 256);
         LiveBackend {
             target,
             config,
-            clients,
+            extra_latencies,
             crawler,
         }
     }
@@ -117,24 +109,24 @@ impl LiveBackend {
 
 impl MfcBackend for LiveBackend {
     fn registered_clients(&mut self) -> Vec<ClientId> {
-        (0..self.clients.len())
+        (0..self.extra_latencies.len())
             .map(|i| ClientId(i as u32))
             .collect()
     }
 
     fn ping(&mut self, client: ClientId) -> Option<SimDuration> {
         let index = client.0 as usize;
-        let virtual_client = self.clients.get(index)?;
+        let extra = self.extra_latencies.get(index)?;
         // Coordinator and clients share a process: the coordinator RTT is
         // just the artificial latency both ways.
-        Some(Self::to_sim(virtual_client.extra_latency * 2))
+        Some(Self::to_sim(*extra * 2))
     }
 
     fn measure_base(&mut self, client: ClientId, request: &RequestSpec) -> BaseMeasurement {
         let index = client.0 as usize;
         let url = self.url_for(request);
         let method = Self::method_for(request);
-        let extra = self.clients[index].extra_latency;
+        let extra = self.extra_latencies[index];
 
         // RTT estimate: a HEAD of the base URL (connection + headers only).
         let rtt_probe = self
@@ -154,9 +146,6 @@ impl MfcBackend for LiveBackend {
         } else {
             ProbeStatus::Failed
         };
-        self.clients[index]
-            .base_times
-            .push((request.path.clone(), base_response));
         BaseMeasurement {
             target_rtt: rtt,
             base_response_time: base_response,
@@ -170,16 +159,9 @@ impl MfcBackend for LiveBackend {
         let mut handles = Vec::with_capacity(plan.commands.len());
         for command in &plan.commands {
             let index = command.client.0 as usize;
-            let Some(virtual_client) = self.clients.get(index) else {
+            let Some(&extra) = self.extra_latencies.get(index) else {
                 continue;
             };
-            let extra = virtual_client.extra_latency;
-            let base = virtual_client
-                .base_times
-                .iter()
-                .find(|(path, _)| *path == command.request.path)
-                .map(|(_, t)| *t)
-                .unwrap_or(SimDuration::ZERO);
             let url = self.url_for(&command.request);
             let method = Self::method_for(&command.request);
             let client_id = command.client;
@@ -214,7 +196,6 @@ impl MfcBackend for LiveBackend {
                     status,
                     bytes: result.body_bytes as u64,
                     response_time: LiveBackend::to_sim(result.elapsed + extra * 2),
-                    base_response_time: base,
                 }
             }));
         }

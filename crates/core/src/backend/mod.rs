@@ -50,11 +50,14 @@ pub trait MfcBackend {
     fn ping(&mut self, client: ClientId) -> Option<SimDuration>;
 
     /// Has `client` measure its RTT to the target and the base response
-    /// time for `request`, sequentially and without any MFC load.
+    /// time for `request`, sequentially and without any MFC load.  The
+    /// backend only reports the measurement: the coordinator keeps it and
+    /// normalizes the client's epoch samples with it.
     fn measure_base(&mut self, client: ClientId, request: &RequestSpec) -> BaseMeasurement;
 
     /// Executes one epoch: delivers the commands, lets the clients fire
-    /// their requests, and collects their reports.
+    /// their requests, and collects their reports, with raw response
+    /// times.
     fn run_epoch(&mut self, plan: &EpochPlan) -> EpochObservation;
 
     /// Profiles the target's content (the crawl step of §2.2.1).

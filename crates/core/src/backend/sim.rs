@@ -134,11 +134,6 @@ impl SimTargetSpec {
         self
     }
 
-    /// True when no defense policy is enabled.
-    pub fn is_static_target(&self) -> bool {
-        self.defenses.is_static()
-    }
-
     /// Places shared wide-area bottlenecks between the clients and the
     /// target.  The population's vantage grouping is *derived* from the
     /// topology when the backend is built (one group per transit link,
@@ -149,41 +144,6 @@ impl SimTargetSpec {
         topology.validate().expect("invalid topology spec");
         self.topology = topology;
         self
-    }
-}
-
-/// Interned identifier of a request path within one [`SimBackend`].
-///
-/// Base-time bookkeeping is on the per-request hot path: every epoch command
-/// needs the issuing client's base response time for the same path.  Keying
-/// that map on `(ClientId, PathId)` — two `u32`s — instead of
-/// `(ClientId, String)` removes a `String` allocation *per lookup* (the
-/// `HashMap` borrow rules forced a `path.clone()` for every `get`) and makes
-/// hashing constant-time instead of O(path length).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PathId(u32);
-
-/// Path → [`PathId`] interner.  A target serves a handful of distinct probe
-/// paths, so this stays tiny; only the *first* sighting of a path allocates.
-#[derive(Debug, Default)]
-struct PathInterner {
-    ids: HashMap<String, PathId>,
-}
-
-impl PathInterner {
-    /// Returns the id for `path`, interning it on first sight.
-    fn intern(&mut self, path: &str) -> PathId {
-        if let Some(id) = self.ids.get(path) {
-            return *id;
-        }
-        let id = PathId(u32::try_from(self.ids.len()).expect("more than u32::MAX paths"));
-        self.ids.insert(path.to_string(), id);
-        id
-    }
-
-    /// The id for `path`, if it has been interned (no allocation).
-    fn get(&self, path: &str) -> Option<PathId> {
-        self.ids.get(path).copied()
     }
 }
 
@@ -198,11 +158,6 @@ pub struct SimBackend {
     defense: DefenseStack,
     clock: SimTime,
     rng: SimRng,
-    /// Base response times recorded by each client during the sequential
-    /// measurement step, keyed by (client, interned path): the client itself
-    /// computes its normalized response time from these, as in the paper.
-    base_times: HashMap<(ClientId, PathId), SimDuration>,
-    paths: PathInterner,
     next_request_id: u64,
     background_served: u64,
 }
@@ -253,8 +208,6 @@ impl SimBackend {
             defense,
             clock: SimTime::ZERO,
             rng,
-            base_times: HashMap::new(),
-            paths: PathInterner::default(),
             next_request_id: 0,
             background_served: 0,
         }
@@ -360,8 +313,6 @@ impl MfcBackend for SimBackend {
         let result = self.target.run([server_request], &mut self.defense);
         let outcome = &result.outcomes[0];
         let response_time = outcome.completion.saturating_since(send_time);
-        let path_id = self.paths.intern(&request.path);
-        self.base_times.insert((client, path_id), response_time);
         // Sequential measurements advance time a little.
         self.clock = self.clock.max(outcome.completion) + SimDuration::from_millis(200);
         BaseMeasurement {
@@ -376,9 +327,8 @@ impl MfcBackend for SimBackend {
         let origin = self.clock;
         let mut lost_commands = 0u32;
         let mut mfc_requests: Vec<ServerRequest> = Vec::new();
-        // (request id, client, interned path, client send time); the path id
-        // is `None` when no base measurement ever interned the path.
-        let mut issued: Vec<(u64, ClientId, Option<PathId>, SimTime)> = Vec::new();
+        // (request id, client, client send time).
+        let mut issued: Vec<(u64, ClientId, SimTime)> = Vec::new();
 
         let mut last_arrival = origin;
         for command in &plan.commands {
@@ -408,12 +358,7 @@ impl MfcBackend for SimBackend {
                 client_addr: command.client.0,
                 background: false,
             });
-            issued.push((
-                id,
-                command.client,
-                self.paths.get(&command.request.path),
-                client_receives,
-            ));
+            issued.push((id, command.client, client_receives));
         }
 
         // Background traffic competes over the whole epoch window.  A full
@@ -458,7 +403,7 @@ impl MfcBackend for SimBackend {
             .collect();
 
         let mut observations = Vec::with_capacity(issued.len());
-        for (id, client, path_id, send_time) in &issued {
+        for (id, client, send_time) in &issued {
             let Some(outcome) = outcome_by_id.get(id) else {
                 continue;
             };
@@ -470,17 +415,12 @@ impl MfcBackend for SimBackend {
             } else {
                 (Self::probe_status(outcome.status), raw_response)
             };
-            let base = path_id
-                .and_then(|path_id| self.base_times.get(&(*client, path_id)))
-                .copied()
-                .unwrap_or(SimDuration::ZERO);
             observations.push(ClientObservation {
                 client: *client,
                 group: self.wan.client(client.0 as usize).group as u32,
                 status,
                 bytes: outcome.body_bytes,
                 response_time,
-                base_response_time: base,
             });
         }
 
@@ -563,6 +503,29 @@ mod tests {
         }
     }
 
+    /// Base response times of clients `0..count` for `spec`, by client.
+    fn measure_bases(backend: &mut SimBackend, spec: &RequestSpec, count: u32) -> Vec<SimDuration> {
+        (0..count)
+            .map(|c| backend.measure_base(ClientId(c), spec).base_response_time)
+            .collect()
+    }
+
+    /// Median of an epoch's samples, each less its client's base time and
+    /// floored at zero, in milliseconds.
+    fn normalized_median(obs: &EpochObservation, bases: &[SimDuration]) -> f64 {
+        let normalized: Vec<f64> = obs
+            .observations
+            .iter()
+            .filter(|o| o.status.produced_sample())
+            .map(|o| {
+                o.response_time
+                    .saturating_sub(bases[o.client.0 as usize])
+                    .as_millis_f64()
+            })
+            .collect();
+        mfc_simcore::stats::median(&normalized).unwrap_or(0.0)
+    }
+
     #[test]
     #[should_panic(expected = "cpu_factor must be positive and finite")]
     fn an_unbounded_cpu_step_is_rejected_up_front() {
@@ -612,7 +575,7 @@ mod tests {
         assert_eq!(obs.target_arrivals.len(), obs.observations.len());
         for o in &obs.observations {
             assert!(o.status.produced_sample());
-            assert!(o.base_response_time > SimDuration::ZERO);
+            assert!(o.response_time > SimDuration::ZERO);
         }
     }
 
@@ -620,14 +583,10 @@ mod tests {
     fn large_object_epoch_shows_contention_on_thin_link() {
         let mut backend = backend();
         let spec = large_spec();
-        for c in 0..50u32 {
-            backend.measure_base(ClientId(c), &spec);
-        }
+        let bases = measure_bases(&mut backend, &spec, 50);
         let few = backend.run_epoch(&plan(spec.clone(), &(0..5u32).collect::<Vec<_>>(), 15_000));
         let many = backend.run_epoch(&plan(spec, &(0..50u32).collect::<Vec<_>>(), 15_000));
-        let median = |obs: &EpochObservation| {
-            mfc_simcore::stats::median(&obs.normalized_ms()).unwrap_or(0.0)
-        };
+        let median = |obs: &EpochObservation| normalized_median(obs, &bases);
         assert!(
             median(&many) > median(&few) + 50.0,
             "50 concurrent 100KB transfers over 10 Mbit/s must visibly contend: {} vs {}",
@@ -760,15 +719,13 @@ mod tests {
         let probe = large_spec();
         let run = |spec: SimTargetSpec| {
             let mut backend = SimBackend::new(spec, 60, 5);
-            for c in 0..40u32 {
-                backend.measure_base(ClientId(c), &probe);
-            }
+            let bases = measure_bases(&mut backend, &probe, 40);
             let obs = backend.run_epoch(&plan(
                 probe.clone(),
                 &(0..40u32).collect::<Vec<_>>(),
                 15_000,
             ));
-            mfc_simcore::stats::median(&obs.normalized_ms()).unwrap_or(0.0)
+            normalized_median(&obs, &bases)
         };
         let single = run(single_spec);
         let cluster = run(cluster_spec);

@@ -5,16 +5,19 @@
 //!
 //! 1. verifies that enough clients registered (50 in the paper),
 //! 2. has every client measure its RTT to the target and the *base*
-//!    response time of the object it would request,
+//!    response time of the object it would request, and keeps both,
 //! 3. runs epochs with a growing crowd (increments of 5–10), scheduling the
 //!    requests so they arrive simultaneously,
-//! 4. watches the median (or, for Large Object, the 90th-percentile)
-//!    *normalized* response time; when it exceeds the threshold θ at a
+//! 4. normalizes every sample against its client's base time and watches
+//!    the median (or, for Large Object, the 90th-percentile) *normalized*
+//!    response time; when it exceeds the threshold θ at a
 //!    crowd of at least 15 it runs a **check phase** — three more epochs
 //!    with `N−1`, `N` and `N+1` clients — and terminates the stage with a
 //!    *stopping crowd size* as soon as one of them also exceeds θ,
 //! 5. otherwise progresses until the crowd cap is reached and declares the
 //!    sub-system unconstrained ("NoStop").
+
+use std::collections::HashMap;
 
 use mfc_simcore::{stats, SimDuration, SimRng};
 
@@ -25,7 +28,8 @@ use crate::profile::TargetProfile;
 use crate::report::{MfcReport, StageReport};
 use crate::sync::{ClientLatency, SyncScheduler};
 use crate::types::{
-    ClientId, EpochObservation, EpochPlan, EpochSummary, RequestCommand, Stage, StageOutcome,
+    ClientId, EpochObservation, EpochPlan, EpochSummary, RequestCommand, RequestSpec, Stage,
+    StageOutcome,
 };
 
 /// Why an MFC experiment could not run.
@@ -65,6 +69,60 @@ impl std::error::Error for MfcError {}
 #[derive(Debug, Clone)]
 struct ClientState {
     latency: ClientLatency,
+    /// What the client requests in every epoch of the stage.
+    request: RequestSpec,
+    /// The client's unloaded response time for `request`, measured when
+    /// the stage was calibrated: every sample the client reports in the
+    /// stage is normalized against it (paper §2.2.3).
+    base_response_time: SimDuration,
+}
+
+/// CLIENTS REGISTER: the registered clients that answer the probe, with
+/// their coordinator RTTs.  Aborts when fewer than `required` respond.
+fn register(
+    backend: &mut dyn MfcBackend,
+    required: usize,
+) -> Result<Vec<(ClientId, SimDuration)>, MfcError> {
+    let responsive: Vec<(ClientId, SimDuration)> = backend
+        .registered_clients()
+        .into_iter()
+        .filter_map(|client| backend.ping(client).map(|rtt| (client, rtt)))
+        .collect();
+    if responsive.len() < required {
+        return Err(MfcError::NotEnoughClients {
+            available: responsive.len(),
+            required,
+        });
+    }
+    Ok(responsive)
+}
+
+/// DELAY COMPUTATION: every responsive client with a request in `stage`
+/// measures its RTT to the target and the base response time of the
+/// object it would request.
+fn calibrate(
+    backend: &mut dyn MfcBackend,
+    stage: Stage,
+    profile: &TargetProfile,
+    responsive: &[(ClientId, SimDuration)],
+) -> Vec<ClientState> {
+    responsive
+        .iter()
+        .enumerate()
+        .filter_map(|(participant_index, &(client, coordinator_rtt))| {
+            let request = profile.request_for(stage, participant_index)?;
+            let measurement = backend.measure_base(client, &request);
+            Some(ClientState {
+                latency: ClientLatency {
+                    client,
+                    coordinator_rtt,
+                    target_rtt: measurement.target_rtt,
+                },
+                request,
+                base_response_time: measurement.base_response_time,
+            })
+        })
+        .collect()
 }
 
 /// Accumulated state of one stage run: the epoch trace, the request
@@ -108,22 +166,8 @@ impl Coordinator {
     /// Runs the full MFC experiment against `backend`.
     pub fn run(&self, backend: &mut dyn MfcBackend) -> Result<MfcReport, MfcError> {
         self.config.validate().map_err(MfcError::InvalidConfig)?;
-
-        // CLIENTS REGISTER: collect responsive clients.
         let mut rng = SimRng::seed_from(self.seed);
-        let registered = backend.registered_clients();
-        let mut responsive: Vec<(ClientId, SimDuration)> = Vec::new();
-        for client in registered {
-            if let Some(rtt) = backend.ping(client) {
-                responsive.push((client, rtt));
-            }
-        }
-        if responsive.len() < self.config.min_registered_clients {
-            return Err(MfcError::NotEnoughClients {
-                available: responsive.len(),
-                required: self.config.min_registered_clients,
-            });
-        }
+        let responsive = register(backend, self.config.min_registered_clients)?;
 
         // Profiling step.
         let profile = backend.profile_target();
@@ -166,42 +210,11 @@ impl Coordinator {
     ) -> Result<(EpochSummary, EpochObservation), MfcError> {
         self.config.validate().map_err(MfcError::InvalidConfig)?;
         let mut rng = SimRng::seed_from(self.seed);
-        let registered = backend.registered_clients();
-        let mut responsive: Vec<(ClientId, SimDuration)> = Vec::new();
-        for client in registered {
-            if let Some(rtt) = backend.ping(client) {
-                responsive.push((client, rtt));
-            }
-        }
-        if responsive.len() < crowd.max(1) {
-            return Err(MfcError::NotEnoughClients {
-                available: responsive.len(),
-                required: crowd.max(1),
-            });
-        }
+        let crowd = crowd.max(1);
+        let responsive = register(backend, crowd)?;
         let profile = backend.profile_target();
-        let mut clients = Vec::new();
-        for (participant_index, (client, coordinator_rtt)) in
-            responsive.iter().take(crowd.max(1)).enumerate()
-        {
-            let Some(request) = profile.request_for(stage, participant_index) else {
-                continue;
-            };
-            let measurement = backend.measure_base(*client, &request);
-            clients.push((
-                ClientState {
-                    latency: ClientLatency {
-                        client: *client,
-                        coordinator_rtt: *coordinator_rtt,
-                        target_rtt: measurement.target_rtt,
-                    },
-                },
-                participant_index,
-            ));
-        }
-        Ok(self.execute_epoch(
-            backend, stage, &profile, &clients, crowd, 1, false, &mut rng,
-        ))
+        let clients = calibrate(backend, stage, &profile, &responsive[..crowd]);
+        Ok(self.execute_epoch(backend, stage, &clients, crowd, 1, false, &mut rng))
     }
 
     /// Runs one stage to termination.
@@ -213,25 +226,8 @@ impl Coordinator {
         responsive: &[(ClientId, SimDuration)],
         rng: &mut SimRng,
     ) -> StageReport {
-        // DELAY COMPUTATION: every responsive client measures its RTT to the
-        // target and the base response time of the object it would request.
-        let mut clients = Vec::with_capacity(responsive.len());
-        for (participant_index, (client, coordinator_rtt)) in responsive.iter().enumerate() {
-            let Some(request) = profile.request_for(stage, participant_index) else {
-                continue;
-            };
-            let measurement = backend.measure_base(*client, &request);
-            clients.push((
-                ClientState {
-                    latency: ClientLatency {
-                        client: *client,
-                        coordinator_rtt: *coordinator_rtt,
-                        target_rtt: measurement.target_rtt,
-                    },
-                },
-                participant_index,
-            ));
-        }
+        // Recalibrated per stage: each stage requests different objects.
+        let clients = calibrate(backend, stage, profile, responsive);
         if clients.is_empty() {
             return StageReport::skipped(stage);
         }
@@ -244,7 +240,6 @@ impl Coordinator {
             let summary = self.run_epoch_quiesced(
                 backend,
                 stage,
-                profile,
                 &clients,
                 crowd,
                 epoch_number as u32 + 1,
@@ -272,7 +267,6 @@ impl Coordinator {
                 let summary = self.run_epoch_quiesced(
                     backend,
                     stage,
-                    profile,
                     &clients,
                     check_crowd,
                     epoch_number as u32 + 1,
@@ -320,8 +314,7 @@ impl Coordinator {
         &self,
         backend: &mut dyn MfcBackend,
         stage: Stage,
-        profile: &TargetProfile,
-        clients: &[(ClientState, usize)],
+        clients: &[ClientState],
         crowd: usize,
         index: u32,
         check_phase: bool,
@@ -330,16 +323,8 @@ impl Coordinator {
     ) -> EpochSummary {
         let mut attempts = 0u32;
         loop {
-            let (mut summary, _) = self.execute_epoch(
-                backend,
-                stage,
-                profile,
-                clients,
-                crowd,
-                index,
-                check_phase,
-                rng,
-            );
+            let (mut summary, _) =
+                self.execute_epoch(backend, stage, clients, crowd, index, check_phase, rng);
             state.requests_issued += summary.requests_scheduled;
             state.max_crowd_tested = state.max_crowd_tested.max(summary.crowd_size);
             let surged = match (&self.config.quiescence, summary.background_rate) {
@@ -381,8 +366,7 @@ impl Coordinator {
         &self,
         backend: &mut dyn MfcBackend,
         stage: Stage,
-        profile: &TargetProfile,
-        clients: &[(ClientState, usize)],
+        clients: &[ClientState],
         crowd: usize,
         index: u32,
         check_phase: bool,
@@ -397,19 +381,16 @@ impl Coordinator {
             Some(spacing) => SyncScheduler::staggered(self.config.schedule_lead, spacing),
             None => SyncScheduler::simultaneous(self.config.schedule_lead),
         };
-        let latencies: Vec<ClientLatency> = participants.iter().map(|(c, _)| c.latency).collect();
+        let latencies: Vec<ClientLatency> = participants.iter().map(|c| c.latency).collect();
         let scheduled = scheduler.schedule(&latencies);
 
         let mut commands = Vec::new();
-        for (slot, (state, participant_index)) in participants.iter().enumerate() {
-            let Some(request) = profile.request_for(stage, *participant_index) else {
-                continue;
-            };
+        for (slot, state) in participants.iter().enumerate() {
             // MFC-mr: the same client opens several parallel connections.
             for _ in 0..self.config.requests_per_client {
                 commands.push(RequestCommand {
                     client: state.latency.client,
-                    request: request.clone(),
+                    request: state.request.clone(),
                     send_offset: scheduled[slot].send_offset,
                     intended_arrival: scheduled[slot].intended_arrival,
                 });
@@ -424,7 +405,26 @@ impl Coordinator {
         };
         let observation = backend.run_epoch(&plan);
 
-        let normalized = observation.normalized_ms();
+        // NORMALIZATION: each sample less the reporting client's base time
+        // from this stage's calibration, floored at zero.  Every sample
+        // comes from a participant; a stray one is taken as is.
+        let base_of: HashMap<ClientId, SimDuration> = participants
+            .iter()
+            .map(|c| (c.latency.client, c.base_response_time))
+            .collect();
+        let samples: Vec<(u32, f64)> = observation
+            .observations
+            .iter()
+            .filter(|o| o.status.produced_sample())
+            .map(|o| {
+                let base = base_of.get(&o.client).copied().unwrap_or(SimDuration::ZERO);
+                (
+                    o.group,
+                    o.response_time.saturating_sub(base).as_millis_f64(),
+                )
+            })
+            .collect();
+        let normalized: Vec<f64> = samples.iter().map(|&(_, ms)| ms).collect();
         let quantile = match stage {
             Stage::LargeObject => self.config.large_object_quantile,
             _ => stage.detection_quantile(),
@@ -440,13 +440,8 @@ impl Coordinator {
         // bottleneck rather than a server constraint.
         let mut by_group: std::collections::BTreeMap<u32, Vec<f64>> =
             std::collections::BTreeMap::new();
-        for o in &observation.observations {
-            if o.status.produced_sample() {
-                by_group
-                    .entry(o.group)
-                    .or_default()
-                    .push(o.normalized().as_millis_f64());
-            }
+        for &(group, ms) in &samples {
+            by_group.entry(group).or_default().push(ms);
         }
         let group_median_ms: Vec<(u32, f64)> = if by_group.len() > 1 {
             by_group
@@ -459,11 +454,6 @@ impl Coordinator {
 
         // Defense-fingerprint observables (used by the inference layer to
         // tell a fighting-back server from a genuinely constrained one).
-        let samples = observation
-            .observations
-            .iter()
-            .filter(|o| o.status.produced_sample())
-            .count();
         let errors = observation
             .observations
             .iter()
@@ -474,8 +464,8 @@ impl Coordinator {
                 |o| matches!(o.status, crate::types::ProbeStatus::HttpError(code) if code >= 500),
             )
             .count();
-        let error_rate = if samples > 0 {
-            errors as f64 / samples as f64
+        let error_rate = if !samples.is_empty() {
+            errors as f64 / samples.len() as f64
         } else {
             0.0
         };
@@ -1087,7 +1077,6 @@ mod tests {
                     status: crate::types::ProbeStatus::Ok,
                     bytes: 0,
                     response_time: normalized + SimDuration::from_millis(20),
-                    base_response_time: SimDuration::from_millis(20),
                 })
                 .collect();
             self.clock += SimDuration::from_secs(30);
@@ -1217,5 +1206,167 @@ mod tests {
         let epoch = &report.stages[0].epochs[0];
         assert_eq!(epoch.crowd_size, 10);
         assert_eq!(epoch.requests_scheduled, 20);
+    }
+
+    /// A scripted backend for the normalization rule.  Client `c` sits
+    /// alone in vantage group `c`, so each epoch summary's per-group
+    /// medians expose every client's normalized samples.  Its unloaded
+    /// response time is `10·(c + 1)` ms plus `shift`; its `k`-th request of
+    /// an epoch takes that base plus `100 + 10·c + 2·k` ms, except client 1,
+    /// which answers 5 ms *faster* than its base (plus `2·k` ms), and
+    /// client 2, whose second request fails after 9.999 s.
+    struct NormalizationBackend {
+        clients: u32,
+        /// Added to every base and response time, so two calibrations of
+        /// the same backend measure different bases.
+        shift: SimDuration,
+        /// A client that never answers the registration probe.
+        silent: Option<ClientId>,
+        /// Every client whose base time was measured, in call order.
+        measured: Vec<ClientId>,
+    }
+
+    impl NormalizationBackend {
+        fn new(clients: u32) -> Self {
+            NormalizationBackend {
+                clients,
+                shift: SimDuration::ZERO,
+                silent: None,
+                measured: Vec::new(),
+            }
+        }
+
+        fn base(&self, client: ClientId) -> SimDuration {
+            SimDuration::from_millis(10 * (u64::from(client.0) + 1)) + self.shift
+        }
+    }
+
+    impl crate::backend::MfcBackend for NormalizationBackend {
+        fn registered_clients(&mut self) -> Vec<ClientId> {
+            (0..self.clients).map(ClientId).collect()
+        }
+
+        fn ping(&mut self, client: ClientId) -> Option<SimDuration> {
+            (self.silent != Some(client)).then(|| SimDuration::from_millis(20))
+        }
+
+        fn measure_base(
+            &mut self,
+            client: ClientId,
+            _request: &crate::types::RequestSpec,
+        ) -> crate::backend::BaseMeasurement {
+            self.measured.push(client);
+            crate::backend::BaseMeasurement {
+                target_rtt: SimDuration::from_millis(20),
+                base_response_time: self.base(client),
+                status: crate::types::ProbeStatus::Ok,
+                bytes: 0,
+            }
+        }
+
+        fn run_epoch(&mut self, plan: &EpochPlan) -> EpochObservation {
+            use crate::types::{ClientObservation, ProbeStatus};
+            let mut sent = vec![0u64; self.clients as usize];
+            let mut observations = Vec::new();
+            for command in &plan.commands {
+                let c = command.client;
+                let k = sent[c.0 as usize];
+                sent[c.0 as usize] += 1;
+                let base = self.base(c) + SimDuration::from_millis(2 * k);
+                let (status, response_time) = match (c.0, k) {
+                    (1, _) => (ProbeStatus::Ok, base - SimDuration::from_millis(5)),
+                    (2, 1) => (ProbeStatus::Failed, SimDuration::from_millis(9_999)),
+                    _ => (
+                        ProbeStatus::Ok,
+                        base + SimDuration::from_millis(100 + 10 * u64::from(c.0)),
+                    ),
+                };
+                observations.push(ClientObservation {
+                    client: c,
+                    group: c.0,
+                    status,
+                    bytes: 0,
+                    response_time,
+                });
+            }
+            EpochObservation {
+                observations,
+                ..EpochObservation::default()
+            }
+        }
+
+        fn profile_target(&mut self) -> TargetProfile {
+            TargetProfile::from_objects("/index.html", Vec::new())
+        }
+    }
+
+    #[test]
+    fn each_sample_is_normalized_by_its_own_clients_base_from_the_current_stage() {
+        // One Base epoch of all six clients, two requests each (MFC-mr).
+        let config = MfcConfig::multi_request(2)
+            .with_stages(vec![Stage::Base])
+            .with_min_clients(6)
+            .with_max_crowd(6)
+            .with_increment(6);
+        let coordinator = Coordinator::new(config);
+        let mut backend = NormalizationBackend::new(6);
+        // The second run on the same backend recalibrates against bases
+        // 50 ms higher; normalizing with the first run's bases would add
+        // 50 ms to every sample.
+        for shift_ms in [0, 50] {
+            backend.shift = SimDuration::from_millis(shift_ms);
+            backend.measured.clear();
+            let report = coordinator.run(&mut backend).unwrap();
+            assert_eq!(backend.measured, (0..6).map(ClientId).collect::<Vec<_>>());
+            let epochs = &report.stages[0].epochs;
+            assert_eq!(epochs.len(), 1, "shift {shift_ms} ms");
+            let epoch = &epochs[0];
+            assert_eq!(epoch.requests_scheduled, 12);
+            assert_eq!(epoch.requests_observed, 12);
+            // Client 0: 100 and 102 ms over its base.  Client 1: under its
+            // base, floored at zero.  Client 2: its failed request is not a
+            // sample.  Clients 3–5: 10 ms apart per client.
+            assert_eq!(
+                epoch.group_median_ms,
+                vec![
+                    (0, 101.0),
+                    (1, 0.0),
+                    (2, 120.0),
+                    (3, 131.0),
+                    (4, 141.0),
+                    (5, 151.0)
+                ],
+                "shift {shift_ms} ms"
+            );
+            // Samples 0, 0, 100, 102, 120, 130, 132, 140, 142, 150, 152.
+            assert_eq!(epoch.median_ms, 130.0, "shift {shift_ms} ms");
+            assert_eq!(epoch.detector_ms, 130.0, "shift {shift_ms} ms");
+        }
+    }
+
+    #[test]
+    fn probe_crowd_aborts_below_its_crowd_size() {
+        // Client 0 never answers, so five of six clients are responsive.
+        let mut backend = NormalizationBackend::new(6);
+        backend.silent = Some(ClientId(0));
+        let coordinator = Coordinator::new(MfcConfig::standard());
+        let err = coordinator
+            .probe_crowd(&mut backend, Stage::Base, 6)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            MfcError::NotEnoughClients {
+                available: 5,
+                required: 6
+            }
+        );
+        assert!(backend.measured.is_empty());
+        // A crowd that fits calibrates only the first `crowd` responsive
+        // clients, although the configuration asks for 50 registrations.
+        let (summary, _) = coordinator
+            .probe_crowd(&mut backend, Stage::Base, 3)
+            .unwrap();
+        assert_eq!(backend.measured, [ClientId(1), ClientId(2), ClientId(3)]);
+        assert_eq!(summary.crowd_size, 3);
     }
 }

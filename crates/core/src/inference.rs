@@ -17,7 +17,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::config::MfcConfig;
+use crate::config::{MfcConfig, QuiescencePolicy};
 use crate::report::StageReport;
 use crate::types::{EpochSummary, Stage, StageOutcome};
 
@@ -256,13 +256,6 @@ impl InferenceReport {
     /// response time stays below this fraction of θ while another group
     /// exceeds θ — the asymmetry a server-side constraint cannot produce.
     const PATH_FLAT_FRACTION: f64 = 0.25;
-    /// An evidence epoch counts as surge-coincident when its background
-    /// rate exceeds this multiple of the stage's baseline rate…
-    const SURGE_FACTOR: f64 = 3.0;
-    /// …and this absolute floor (requests/s), so idle-site noise never
-    /// reads as a surge.  Mirrors [`crate::config::QuiescencePolicy`]'s
-    /// defaults.
-    const SURGE_MIN_RATE: f64 = 1.0;
 
     /// Attributes a stage outcome by fingerprinting its final epochs.
     fn assess_cause(report: &StageReport, threshold_ms: f64) -> DegradationCause {
@@ -302,9 +295,12 @@ impl InferenceReport {
             .count();
         let surge_detected = if rates.len() >= 2 && evidence > 0 {
             let mut sorted = rates.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("rates are finite"));
+            sorted.sort_by(f64::total_cmp);
             let baseline = sorted[(sorted.len() - 1) / 4];
-            let threshold = (Self::SURGE_FACTOR * baseline).max(Self::SURGE_MIN_RATE);
+            // The coordinator's default surge rule: a multiple of the
+            // baseline, with an absolute floor so idle-site noise never
+            // reads as a surge.
+            let threshold = QuiescencePolicy::default().threshold(baseline);
             surged_epochs(threshold) * 2 > evidence
         } else {
             // No rate data at all, but the coordinator's own quiescence

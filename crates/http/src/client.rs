@@ -73,16 +73,6 @@ impl Client {
         Client { config }
     }
 
-    /// Creates a client with the paper's 10-second request timeout.
-    pub fn with_timeout(request_timeout: Duration) -> Client {
-        Client {
-            config: ClientConfig {
-                request_timeout,
-                ..ClientConfig::default()
-            },
-        }
-    }
-
     /// The active configuration.
     pub fn config(&self) -> &ClientConfig {
         &self.config

@@ -29,7 +29,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::link::FlowId;
+use crate::FlowId;
 
 /// Multiplicative hasher for [`FlowId`]s.  Ids are dense counters, often
 /// offset by a large constant, so one odd multiply plus a fold of the high

@@ -259,12 +259,6 @@ impl WideAreaModel {
         self.jittered_delay(profile.one_way_coordinator(), profile.jitter_frac)
     }
 
-    /// Samples the one-way client→target delay for `client`.
-    pub fn client_to_target(&mut self, client: usize) -> SimDuration {
-        let profile = self.clients[client].clone();
-        self.jittered_delay(profile.one_way_target(), profile.jitter_frac)
-    }
-
     /// Measured round-trip time from the coordinator to `client`, as the
     /// coordinator would observe it during registration (one jittered sample
     /// of the full RTT).

@@ -10,10 +10,10 @@
 //!    compensates for ([`latency`]).
 //! 2. **The target's access link** becoming the bottleneck when many large
 //!    responses are in flight simultaneously — a max–min fair fluid link
-//!    shared by all active flows.  The topology crate's `NetworkGraph` runs
-//!    it (and the CPU's processor sharing) over the [`capset`] water level
-//!    and the [`heap`] flow indexes; [`link`] holds the flow ids and the
-//!    naive reference model.
+//!    shared by all active flows, each known by its [`FlowId`].  The
+//!    topology crate's `NetworkGraph` runs it (and the CPU's processor
+//!    sharing) over the [`capset`] water level and the [`heap`] flow
+//!    indexes; its `NaiveNetwork` is the reference model.
 //! 3. **TCP connection setup and slow start**, which determine when the
 //!    first byte of the HTTP request reaches the server and how quickly a
 //!    transfer can ramp up ([`tcp`]).
@@ -31,15 +31,18 @@
 pub mod capset;
 pub mod heap;
 pub mod latency;
-pub mod link;
 pub mod tcp;
 pub mod udp;
 
 pub use capset::CapMultiset;
 pub use latency::{ClientNetProfile, PopulationProfile, WideAreaModel};
-pub use link::{FlowId, NaiveFluidLink};
 pub use tcp::TcpModel;
 pub use udp::ControlChannel;
+
+/// Identifies one flow: an HTTP response transfer on a link, or a task on
+/// a processor-sharing resource.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct FlowId(pub u64);
 
 /// Bytes-per-second bandwidth, stored as `f64` for fluid-model arithmetic.
 pub type Bandwidth = f64;

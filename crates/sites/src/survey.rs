@@ -215,16 +215,6 @@ impl SurveyResult {
         constrained as f64 / self.sites.max(1) as f64
     }
 
-    /// Fraction of sites that stopped at `limit` clients or fewer.
-    pub fn fraction_stopping_at_or_below(&self, limit: usize) -> f64 {
-        let count = self
-            .outcomes
-            .iter()
-            .filter(|o| matches!(o, Some(c) if *c <= limit))
-            .count();
-        count as f64 / self.sites.max(1) as f64
-    }
-
     /// Renders the paper-style two-column breakdown.
     pub fn render_text(&self) -> String {
         let mut out = format!(

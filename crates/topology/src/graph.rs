@@ -33,9 +33,8 @@
 //!   individually.
 //!
 //! [`super::NaiveNetwork`] retains the textbook progressive-filling
-//! algorithm as the executable specification (and
-//! `mfc_simnet::NaiveFluidLink` its one-link case); randomized property
-//! tests in `tests/properties.rs` assert the graph produces the same rates,
+//! algorithm as the executable specification (one link included);
+//! randomized property tests in `tests/properties.rs` assert the graph produces the same rates,
 //! completion times and completion order under arbitrary
 //! add/remove/cap-change/capacity-change/advance interleavings.
 //!
@@ -330,12 +329,6 @@ impl NetworkGraph {
     /// `None` when no link on the route is saturated.
     pub fn route_bottleneck(&self, route: RouteId) -> Option<LinkId> {
         self.routes[route.0 as usize].bottleneck
-    }
-
-    /// The water level of a route's bottleneck (the rate of each of its
-    /// unfrozen flows); `f64::INFINITY` when the route is unsaturated.
-    pub fn route_level(&self, route: RouteId) -> f64 {
-        self.routes[route.0 as usize].level
     }
 
     /// Number of currently active flows.
@@ -909,7 +902,8 @@ fn ceil_micros(secs: f64) -> SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mfc_simnet::{mbps, NaiveFluidLink};
+    use crate::NaiveNetwork;
+    use mfc_simnet::mbps;
 
     fn t(secs: f64) -> SimTime {
         SimTime::from_secs_f64(secs)
@@ -1030,7 +1024,8 @@ mod tests {
     #[test]
     fn one_link_capacity_changes_match_the_naive_link() {
         let (mut net, route, link) = one_link(1_000_000.0);
-        let mut naive = NaiveFluidLink::new(1_000_000.0);
+        let mut naive = NaiveNetwork::new();
+        let naive_link = naive.add_link(1_000_000.0);
         for i in 0..8u64 {
             let cap = if i % 2 == 0 {
                 f64::INFINITY
@@ -1039,11 +1034,11 @@ mod tests {
             };
             let bytes = 500_000.0 + 100_000.0 * i as f64;
             net.start_flow(FlowId(i), route, bytes, cap, t(0.1 * i as f64));
-            naive.start_flow(FlowId(i), bytes, cap, t(0.1 * i as f64));
+            naive.start_flow(FlowId(i), &[naive_link], bytes, cap, t(0.1 * i as f64));
         }
         for (step, capacity) in [(1.0, 400_000.0), (2.0, 2_000_000.0), (3.0, 700_000.0)] {
             net.set_link_capacity(link, capacity, t(step));
-            naive.set_capacity(capacity, t(step));
+            naive.set_link_capacity(naive_link, capacity, t(step));
             for i in 0..8u64 {
                 let (a, b) = (
                     net.remaining_bytes(FlowId(i)).unwrap(),

@@ -416,13 +416,14 @@ mod tests {
         // capacity at 0.1 s makes them share one core (0.5 each); once task
         // 1 leaves, task 2 is capped at one core again.
         let mut cpu = PsResource::new(2.0, 1.0);
-        let mut naive = mfc_simnet::NaiveFluidLink::new(2.0);
+        let mut naive = mfc_topology::NaiveNetwork::new();
+        let core = naive.add_link(2.0);
         for (id, work) in [(1, 0.3), (2, 0.5)] {
             cpu.add_task(id, work, t(0.0));
-            naive.start_flow(FlowId(id), work, 1.0, t(0.0));
+            naive.start_flow(FlowId(id), &[core], work, 1.0, t(0.0));
         }
         cpu.set_capacity(1.0, t(0.1));
-        naive.set_capacity(1.0, t(0.1));
+        naive.set_link_capacity(core, 1.0, t(0.1));
         assert_eq!(cpu.capacity(), 1.0);
         let mut now = t(0.1);
         let mut finished = Vec::new();

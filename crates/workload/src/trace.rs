@@ -94,12 +94,6 @@ impl TraceReplay {
         })
     }
 
-    /// Re-anchors the trace so its first entry lands at `anchor`.
-    pub fn anchored_at(mut self, anchor: SimTime) -> Self {
-        self.anchor = anchor;
-        self
-    }
-
     /// The trace's span from first to last entry.
     pub fn span(&self) -> SimDuration {
         self.entries.last().map_or(SimDuration::ZERO, |e| e.offset)

@@ -14,7 +14,7 @@ use mfc_core::types::ClientId;
 use mfc_http::{Method, Request, Response, StatusCode, Url};
 use mfc_simcore::stats::{median, percentile};
 use mfc_simcore::{SimDuration, SimRng, SimTime};
-use mfc_simnet::{FlowId, NaiveFluidLink, PopulationProfile, TcpModel, WideAreaModel};
+use mfc_simnet::{FlowId, PopulationProfile, TcpModel, WideAreaModel};
 use mfc_topology::{LinkId, NaiveNetwork, NetworkGraph, RouteId, TopologySpec};
 use mfc_webserver::{
     ContentCatalog, NullControl, RequestClass, ServerCluster, ServerConfig, ServerRequest,
@@ -156,7 +156,7 @@ fn times_close(a: SimTime, b: SimTime) -> bool {
 /// disagree about *which* flow completes next, it is a genuine tie: the
 /// naive model itself expects the fast model's pick to finish at the same
 /// clock tick.  `None` when the flow is stalled (zero rate, bytes left).
-fn naive_predicted_completion(naive: &NaiveFluidLink, id: FlowId, now: SimTime) -> Option<SimTime> {
+fn naive_predicted_completion(naive: &NaiveNetwork, id: FlowId, now: SimTime) -> Option<SimTime> {
     let remaining = naive.remaining_bytes(id)?;
     if remaining <= 0.0 {
         return Some(now);
@@ -169,12 +169,13 @@ fn naive_predicted_completion(naive: &NaiveFluidLink, id: FlowId, now: SimTime) 
     Some(now + SimDuration::from_micros(micros))
 }
 
-/// Compares every active flow's rate and remaining bytes between the two
-/// models.  Flows within a byte of completion are exempt from the rate
-/// check: at that boundary the models may legitimately disagree about
-/// whether the flow has already finished (one sees exactly zero, the other
-/// a sub-byte sliver), and a sub-byte flow's rate has no observable effect.
-fn assert_flows_match(fast: &NetworkGraph, naive: &NaiveFluidLink, active: &[u64], ctx: &str) {
+/// Compares every active flow's rate and remaining bytes between the graph
+/// and the reference.  Flows within a byte of completion are exempt from
+/// the rate check: at that boundary the models may legitimately disagree
+/// about whether the flow has already finished (one sees exactly zero, the
+/// other a sub-byte sliver), and a sub-byte flow's rate has no observable
+/// effect.
+fn assert_flows_match(fast: &NetworkGraph, naive: &NaiveNetwork, active: &[u64], ctx: &str) {
     for &id in active {
         let flow = FlowId(id);
         let naive_left = naive.remaining_bytes(flow).expect("active in naive");
@@ -198,7 +199,8 @@ fn fluid_link_matches_naive_reference_under_random_ops() {
     for case in 0..CASES {
         let capacity = rng.uniform(1e5, 1e7);
         let (mut fast, route) = one_link(capacity);
-        let mut naive = NaiveFluidLink::new(capacity);
+        let mut naive = NaiveNetwork::new();
+        let link = naive.add_link(capacity);
         let mut active: Vec<u64> = Vec::new();
         let mut next_id = 0u64;
         let mut now = SimTime::ZERO;
@@ -217,7 +219,7 @@ fn fluid_link_matches_naive_reference_under_random_ops() {
                     let id = next_id;
                     next_id += 1;
                     fast.start_flow(FlowId(id), route, bytes, cap, now);
-                    naive.start_flow(FlowId(id), bytes, cap, now);
+                    naive.start_flow(FlowId(id), &[link], bytes, cap, now);
                     active.push(id);
                 }
                 // Timeout-style removal of a random flow.
@@ -290,7 +292,7 @@ fn fluid_link_matches_naive_reference_under_random_ops() {
             }
             assert_flows_match(&fast, &naive, &active, &ctx);
             assert_close(
-                naive.utilization_bytes_per_sec(),
+                naive.link_utilization_bytes_per_sec(link),
                 fast.link_utilization_bytes_per_sec(LinkId(0)),
                 "utilization",
                 &ctx,
@@ -327,7 +329,7 @@ fn fluid_link_matches_naive_reference_under_random_ops() {
             active.retain(|&x| x != idn.0);
         }
         assert_close(
-            naive.bytes_transferred(),
+            naive.link_bytes_transferred(link),
             fast.link_bytes_transferred(LinkId(0)),
             "total bytes transferred",
             &format!("case {case}"),
@@ -383,46 +385,6 @@ fn fluid_link_ten_thousand_flows_are_deterministic_and_fast() {
 // Multi-hop network graph: the incremental water-filling core must match
 // the textbook progressive-filling specification on arbitrary topologies.
 // -------------------------------------------------------------------
-
-/// The naive network's own prediction of when `id` would finish; see
-/// [`naive_predicted_completion`].
-fn naive_net_predicted_completion(
-    naive: &NaiveNetwork,
-    id: FlowId,
-    now: SimTime,
-) -> Option<SimTime> {
-    let remaining = naive.remaining_bytes(id)?;
-    if remaining <= 0.0 {
-        return Some(now);
-    }
-    let rate = naive.current_rate(id)?;
-    if rate <= 0.0 {
-        return None;
-    }
-    let micros = (remaining / rate * 1_000_000.0).ceil().max(0.0) as u64;
-    Some(now + SimDuration::from_micros(micros))
-}
-
-/// Compares every active flow's rate and remaining bytes between the graph
-/// and the reference, with the same completion-boundary exemption as
-/// [`assert_flows_match`].
-fn assert_net_flows_match(fast: &NetworkGraph, naive: &NaiveNetwork, active: &[u64], ctx: &str) {
-    for &id in active {
-        let flow = FlowId(id);
-        let naive_left = naive.remaining_bytes(flow).expect("active in naive");
-        let fast_left = fast.remaining_bytes(flow).expect("active in fast");
-        assert!(
-            (naive_left - fast_left).abs() <= 1e-6 * naive_left.max(fast_left) + 1.0,
-            "remaining bytes diverged for flow {id}: {naive_left} vs {fast_left} ({ctx})"
-        );
-        if naive_left < 1.0 || fast_left < 1.0 {
-            continue;
-        }
-        let naive_rate = naive.current_rate(flow).expect("active in naive");
-        let fast_rate = fast.current_rate(flow).expect("active in fast");
-        assert_close(naive_rate, fast_rate, &format!("rate of flow {id}"), ctx);
-    }
-}
 
 #[test]
 fn network_graph_matches_naive_progressive_filling_on_random_topologies() {
@@ -513,7 +475,7 @@ fn network_graph_matches_naive_progressive_filling_on_random_topologies() {
                                 "completion times diverged: {tn:?} vs {tf:?} ({ctx})"
                             );
                             if idn != idf {
-                                let predicted = naive_net_predicted_completion(&naive, idf, now)
+                                let predicted = naive_predicted_completion(&naive, idf, now)
                                     .unwrap_or_else(|| panic!("{idf:?} stalled in naive ({ctx})"));
                                 assert!(
                                     times_close(tn, predicted),
@@ -543,7 +505,7 @@ fn network_graph_matches_naive_progressive_filling_on_random_topologies() {
                     }
                 }
             }
-            assert_net_flows_match(&fast, &naive, &active, &ctx);
+            assert_flows_match(&fast, &naive, &active, &ctx);
             for &link in &links {
                 assert_close(
                     naive.link_utilization_bytes_per_sec(link),
@@ -567,7 +529,7 @@ fn network_graph_matches_naive_progressive_filling_on_random_topologies() {
                 "case {case}: drain completion times diverged: {tn:?} vs {tf:?}"
             );
             if idn != idf {
-                let predicted = naive_net_predicted_completion(&naive, idf, now)
+                let predicted = naive_predicted_completion(&naive, idf, now)
                     .unwrap_or_else(|| panic!("case {case}: {idf:?} stalled in naive"));
                 assert!(
                     times_close(tn, predicted),
