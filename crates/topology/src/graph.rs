@@ -13,8 +13,8 @@
 //! level*.
 //!
 //! The per-event cost stays near O(L² · log C) for L links and C flows —
-//! independent of the crowd size except through logarithms — by two ideas
-//! applied at the route granularity:
+//! independent of the crowd size except through logarithms — by three
+//! ideas applied at the route granularity:
 //!
 //! - **Water levels from cap multisets.**  Flows sharing a route are
 //!   interchangeable up to their caps, so each route keeps its active
@@ -31,6 +31,15 @@
 //!   flip between the sharing and capped regimes (found at the tops of the
 //!   route's two cap-ordered heaps, O(log C) each) are touched
 //!   individually.
+//! - **A headroom path.**  A link whose flows are all capped, with caps
+//!   summing to at most its capacity, can never saturate.  When every link
+//!   of every route an event touched had that headroom before the event
+//!   and still has it, no water level anywhere can move: the event only
+//!   re-levels the touched routes (every flow at its cap) and refreshes
+//!   their links' sums, O(route length × routes per link) instead of the
+//!   full water-fill.  Unsaturated WAN traffic takes this path on almost
+//!   every event; a capacity change, an uncapped flow or a saturated link
+//!   takes the full pass.
 //!
 //! [`super::NaiveNetwork`] retains the textbook progressive-filling
 //! algorithm as the executable specification (one link included);
@@ -99,6 +108,11 @@ struct Link {
     /// Current aggregate throughput across the link.
     agg_rate: f64,
     bytes_transferred: f64,
+    /// Whether the link had headroom ([`NetworkGraph::has_headroom`]) at
+    /// the last full pass; true on a graph without flows.  The headroom
+    /// path runs only while its links keep headroom, and the one-link
+    /// shortcut, which runs no test, clears it.
+    headroom: bool,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -141,6 +155,80 @@ impl Route {
         let (count, sum) = self.caps.prefix(level.to_bits());
         sum + level * (self.active() - count) as f64
     }
+
+    /// Sets the route's water level and bottleneck, flips the flows whose
+    /// cap crosses the new level, and refreshes the route's aggregate rate.
+    fn apply_level(
+        &mut self,
+        level: f64,
+        bottleneck: Option<LinkId>,
+        flows: &mut FlowSlab<Flow>,
+        now_secs: f64,
+    ) {
+        self.level = level;
+        self.bottleneck = bottleneck;
+        let level_bits = level.to_bits();
+
+        // Capped flows whose cap rose above the (lowered) level go back
+        // to sharing, largest cap first.  A flip touches only its own
+        // flow, so the order is immaterial.
+        while let Some(top) = self.capped_by_cap.peek() {
+            let cap_bits = !top.key;
+            if cap_bits <= level_bits {
+                break;
+            }
+            self.capped_by_cap.pop(flows);
+            let flow = flows.get_mut(top.slot);
+            let Regime::Capped {
+                r_ref, t_ref_secs, ..
+            } = flow.regime
+            else {
+                unreachable!("capped index points at a non-capped flow");
+            };
+            let remaining = r_ref - flow.rate_cap * (now_secs - t_ref_secs);
+            let v_finish = self.vtime + remaining;
+            flow.regime = Regime::Sharing { v_finish };
+            self.capped.remove(top.slot, flows);
+            self.sharing.push(v_finish.to_bits(), top.slot, flows);
+            self.sharing_by_cap.push(cap_bits, top.slot, flows);
+        }
+
+        // Sharing flows whose cap sank to or below the level freeze at
+        // their cap, smallest cap first (an infinite level freezes every
+        // finite-cap flow).
+        while let Some(top) = self.sharing_by_cap.peek() {
+            if top.key > level_bits {
+                break;
+            }
+            self.sharing_by_cap.pop(flows);
+            let flow = flows.get_mut(top.slot);
+            let Regime::Sharing { v_finish } = flow.regime else {
+                unreachable!("sharing index points at a non-sharing flow");
+            };
+            let r_ref = v_finish - self.vtime;
+            let finish_secs = now_secs + r_ref / flow.rate_cap;
+            flow.regime = Regime::Capped {
+                r_ref,
+                t_ref_secs: now_secs,
+                finish_secs,
+            };
+            self.sharing.remove(top.slot, flows);
+            self.capped.push(finish_secs.to_bits(), top.slot, flows);
+            self.capped_by_cap.push(!top.key, top.slot, flows);
+        }
+
+        debug_assert!(
+            self.level.is_finite() || self.inf_count == 0,
+            "an uncapped flow on an unsaturated route has unbounded rate"
+        );
+        self.agg_rate = if self.active() == 0 {
+            0.0
+        } else if self.level.is_finite() {
+            self.demand_at(self.level)
+        } else {
+            self.caps.sum()
+        };
+    }
 }
 
 /// A multi-hop network of shared links with global max–min fair sharing.
@@ -176,6 +264,16 @@ pub struct NetworkGraph {
     /// they come out in id order.
     drained: FinishHeap,
     last_event: SimTime,
+    /// Routes whose flows changed since the last reallocation, each once:
+    /// the started, finished or re-capped flow's route and every route the
+    /// sweep drained.  Empty between events, so a clone copies nothing.
+    touched: Vec<RouteId>,
+    /// Set by a change no route list describes (a capacity change): the
+    /// next reallocation runs the full pass.
+    touched_all: bool,
+    /// Work counters: full multi-link passes and their water-filling rounds.
+    full_passes: u64,
+    rounds: u64,
     scratch: Scratch,
 }
 
@@ -240,6 +338,7 @@ impl NetworkGraph {
             routes: Vec::new(),
             agg_rate: 0.0,
             bytes_transferred: 0.0,
+            headroom: true,
         });
         id
     }
@@ -282,6 +381,7 @@ impl NetworkGraph {
             link.capacity = link.built_capacity;
             link.agg_rate = 0.0;
             link.bytes_transferred = 0.0;
+            link.headroom = true;
         }
         for route in &mut self.routes {
             route.caps.clear();
@@ -298,6 +398,10 @@ impl NetworkGraph {
         self.flows.clear();
         self.drained.clear();
         self.last_event = SimTime::ZERO;
+        self.touched.clear();
+        self.touched_all = false;
+        self.full_passes = 0;
+        self.rounds = 0;
     }
 
     /// Number of links in the graph.
@@ -350,6 +454,7 @@ impl NetworkGraph {
         self.advance(now);
         self.sweep_completed();
         self.links[link.0 as usize].capacity = capacity;
+        self.touch_all();
         self.reallocate();
     }
 
@@ -372,6 +477,7 @@ impl NetworkGraph {
         assert!(bytes >= 0.0, "flow size must be non-negative");
         self.advance(now);
         self.sweep_completed();
+        touch(&mut self.touched, route);
         let rate_cap = rate_cap.max(0.0);
         let r = &mut self.routes[route.0 as usize];
         assert!(
@@ -456,6 +562,7 @@ impl NetworkGraph {
             }
         };
         self.flows.remove(slot);
+        touch(&mut self.touched, flow.route);
         self.sweep_completed();
         self.reallocate();
         Some(remaining)
@@ -469,6 +576,7 @@ impl NetworkGraph {
         };
         self.sweep_completed();
         let flow = *self.flows.get(slot);
+        touch(&mut self.touched, flow.route);
         let rate_cap = rate_cap.max(0.0);
         let route = &mut self.routes[flow.route.0 as usize];
         assert!(
@@ -620,13 +728,15 @@ impl NetworkGraph {
     /// `remaining > 0` filter).
     fn sweep_completed(&mut self) {
         let now_secs = self.last_event.as_secs_f64();
-        for route in &mut self.routes {
+        for (index, route) in self.routes.iter_mut().enumerate() {
+            let mut drained = false;
             while let Some(top) = route.sharing.peek() {
                 let v_finish = f64::from_bits(top.key);
                 if v_finish > route.vtime {
                     break;
                 }
                 route.sharing.pop(&mut self.flows);
+                drained = true;
                 let flow = *self.flows.get(top.slot);
                 if flow.rate_cap.is_finite() {
                     route.caps.remove(flow.rate_cap);
@@ -649,6 +759,7 @@ impl NetworkGraph {
                     break;
                 }
                 route.capped.pop(&mut self.flows);
+                drained = true;
                 let flow = *self.flows.get(top.slot);
                 route.caps.remove(flow.rate_cap);
                 route.capped_by_cap.remove(top.slot, &mut self.flows);
@@ -666,18 +777,40 @@ impl NetworkGraph {
                 self.flows.get_mut(top.slot).regime = Regime::Drained;
                 self.drained.push(0, top.slot, &mut self.flows);
             }
+            if drained {
+                touch(&mut self.touched, RouteId(index as u32));
+            }
         }
+    }
+
+    /// Makes the next reallocation run the full pass.
+    fn touch_all(&mut self) {
+        self.touched_all = true;
     }
 
     /// Recomputes the global max–min allocation after a structural change
     /// and flips flows whose regime changed.
     ///
-    /// Water-filling over links in saturation order: each round finds the
-    /// unsaturated link with the lowest saturation level (an O(log C)
-    /// partition walk per route on the link), saturates it, and freezes the
-    /// routes through it; frozen routes contribute a fixed demand to their
-    /// other links.  At most `L` rounds, so the whole pass costs
-    /// O(L² · R_ℓ · log² C) plus O(log C) per flow that actually flips.
+    /// **Headroom path.**  A link *has headroom* when no flow through it is
+    /// uncapped and its flows' caps sum to at most its capacity
+    /// ([`Self::has_headroom`]): it cannot saturate, so it bounds no route.
+    /// When every link of every touched route had headroom at the previous
+    /// reallocation and still has it, no level anywhere can move: the
+    /// touched routes stay unbounded, and no other route's level depended
+    /// on those links before or after.  The path re-levels only the touched
+    /// routes, at ∞ (every flow runs at its cap), and refreshes their
+    /// links' sums: O(route length × routes per link) per touched route,
+    /// plus O(log C) per flow that flips.
+    ///
+    /// **Full pass.**  Every other event — a capacity change, an uncapped
+    /// flow, a touched link without headroom before or after — water-fills
+    /// over links in saturation order: each round finds the unsaturated
+    /// link with the lowest saturation level (an O(log C) partition walk
+    /// per route on the link), saturates it, and freezes the routes through
+    /// it; frozen routes contribute a fixed demand to their other links.
+    /// At most `L` rounds, so the pass costs O(L² · R_ℓ · log² C) plus
+    /// O(log C) per flow that actually flips.  It records every link's
+    /// headroom for the next event's test.
     fn reallocate(&mut self) {
         // Degenerate graph (one link, one route): the allocation is a single
         // water-level query — skip the round machinery.  Every CPU and every
@@ -695,7 +828,76 @@ impl NetworkGraph {
                     .water_level(self.links[0].capacity, route.active())
             };
             self.apply_levels(&[level], &[level.is_finite().then_some(LinkId(0))]);
-            return;
+            // The shortcut runs no headroom test: should the graph grow, its
+            // first multi-link event takes the full pass.
+            self.links[0].headroom = false;
+        } else if !self.touched_all && self.touched_links_keep_headroom() {
+            self.apply_headroom();
+        } else {
+            self.full_pass();
+        }
+        self.touched.clear();
+        self.touched_all = false;
+    }
+
+    /// The headroom path (see [`Self::reallocate`]): every touched route
+    /// runs unbounded, and its links' sums are refreshed.
+    fn apply_headroom(&mut self) {
+        let now_secs = self.last_event.as_secs_f64();
+        for &route in &self.touched {
+            self.routes[route.0 as usize].apply_level(
+                f64::INFINITY,
+                None,
+                &mut self.flows,
+                now_secs,
+            );
+        }
+        for &route in &self.touched {
+            for &link in self.routes[route.0 as usize].links.iter() {
+                let rate = link_rate(&self.links[link.0 as usize], &self.routes);
+                self.links[link.0 as usize].agg_rate = rate;
+            }
+        }
+    }
+
+    /// Whether every link of every touched route had headroom at the last
+    /// reallocation and still has it.
+    fn touched_links_keep_headroom(&self) -> bool {
+        self.touched.iter().all(|route| {
+            self.routes[route.0 as usize].links.iter().all(|l| {
+                let link = &self.links[l.0 as usize];
+                link.headroom && self.has_headroom(link)
+            })
+        })
+    }
+
+    /// Round one's saturation test: no route through `link` carries an
+    /// uncapped flow, and `Σ caps.sum()` over its routes, in route order,
+    /// is at most its capacity.  Round one skips routes without active
+    /// flows; they add no uncapped flow and a sum of 0.0, which changes no
+    /// comparison.  A later round only lowers a link's demand, so such a
+    /// link never saturates.
+    fn has_headroom(&self, link: &Link) -> bool {
+        let mut total = 0.0;
+        for route in &link.routes {
+            let route = &self.routes[route.0 as usize];
+            if route.inf_count > 0 {
+                return false;
+            }
+            total += route.caps.sum();
+        }
+        total <= link.capacity
+    }
+
+    /// The water-filling pass over the whole graph (see [`Self::reallocate`]).
+    /// Out of line, so that the one-link shortcut and the headroom path,
+    /// which run on almost every event, do not pay for its stack frame.
+    #[inline(never)]
+    fn full_pass(&mut self) {
+        self.full_passes += 1;
+        for index in 0..self.links.len() {
+            let headroom = self.has_headroom(&self.links[index]);
+            self.links[index].headroom = headroom;
         }
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.reset(self.links.len(), self.routes.len());
@@ -716,6 +918,7 @@ impl NetworkGraph {
         }
 
         loop {
+            self.rounds += 1;
             let mut best: Option<(f64, usize)> = None;
             for (link_index, link) in self.links.iter().enumerate() {
                 if saturated[link_index] {
@@ -810,86 +1013,34 @@ impl NetworkGraph {
     fn apply_levels(&mut self, new_level: &[f64], new_bottleneck: &[Option<LinkId>]) {
         let now_secs = self.last_event.as_secs_f64();
         for (index, route) in self.routes.iter_mut().enumerate() {
-            route.level = new_level[index];
-            route.bottleneck = new_bottleneck[index];
-            let level_bits = new_level[index].to_bits();
-
-            // Capped flows whose cap rose above the (lowered) level go back
-            // to sharing, largest cap first.  A flip touches only its own
-            // flow, so the order is immaterial.
-            while let Some(top) = route.capped_by_cap.peek() {
-                let cap_bits = !top.key;
-                if cap_bits <= level_bits {
-                    break;
-                }
-                route.capped_by_cap.pop(&mut self.flows);
-                let flow = self.flows.get_mut(top.slot);
-                let Regime::Capped {
-                    r_ref, t_ref_secs, ..
-                } = flow.regime
-                else {
-                    unreachable!("capped index points at a non-capped flow");
-                };
-                let remaining = r_ref - flow.rate_cap * (now_secs - t_ref_secs);
-                let v_finish = route.vtime + remaining;
-                flow.regime = Regime::Sharing { v_finish };
-                route.capped.remove(top.slot, &mut self.flows);
-                route
-                    .sharing
-                    .push(v_finish.to_bits(), top.slot, &mut self.flows);
-                route
-                    .sharing_by_cap
-                    .push(cap_bits, top.slot, &mut self.flows);
-            }
-
-            // Sharing flows whose cap sank to or below the level freeze at
-            // their cap, smallest cap first (an infinite level freezes every
-            // finite-cap flow).
-            while let Some(top) = route.sharing_by_cap.peek() {
-                if top.key > level_bits {
-                    break;
-                }
-                route.sharing_by_cap.pop(&mut self.flows);
-                let flow = self.flows.get_mut(top.slot);
-                let Regime::Sharing { v_finish } = flow.regime else {
-                    unreachable!("sharing index points at a non-sharing flow");
-                };
-                let r_ref = v_finish - route.vtime;
-                let finish_secs = now_secs + r_ref / flow.rate_cap;
-                flow.regime = Regime::Capped {
-                    r_ref,
-                    t_ref_secs: now_secs,
-                    finish_secs,
-                };
-                route.sharing.remove(top.slot, &mut self.flows);
-                route
-                    .capped
-                    .push(finish_secs.to_bits(), top.slot, &mut self.flows);
-                route
-                    .capped_by_cap
-                    .push(!top.key, top.slot, &mut self.flows);
-            }
-
-            debug_assert!(
-                route.level.is_finite() || route.inf_count == 0,
-                "an uncapped flow on an unsaturated route has unbounded rate"
+            route.apply_level(
+                new_level[index],
+                new_bottleneck[index],
+                &mut self.flows,
+                now_secs,
             );
-            route.agg_rate = if route.active() == 0 {
-                0.0
-            } else if route.level.is_finite() {
-                route.demand_at(route.level)
-            } else {
-                route.caps.sum()
-            };
         }
         for link in &mut self.links {
-            link.agg_rate = link
-                .routes
-                .iter()
-                .map(|r| self.routes[r.0 as usize].agg_rate)
-                .sum();
+            link.agg_rate = link_rate(link, &self.routes);
         }
     }
+}
+
+/// Records that `route`'s flows changed, for the next reallocation: adds
+/// it to the touched-route list unless it is already there.
+fn touch(touched: &mut Vec<RouteId>, route: RouteId) {
+    if !touched.contains(&route) {
+        touched.push(route);
+    }
+}
+
+/// `Σ agg_rate` over the routes crossing `link`, in route order.  The sum
+/// starts from +0.0, so a link no route crosses reads +0.0 (an empty `f64`
+/// sum is −0.0).
+fn link_rate(link: &Link, routes: &[Route]) -> f64 {
+    link.routes
+        .iter()
+        .fold(0.0, |sum, r| sum + routes[r.0 as usize].agg_rate)
 }
 
 /// Rounds a span of seconds *up* to the clock's microsecond resolution so
@@ -903,6 +1054,7 @@ fn ceil_micros(secs: f64) -> SimDuration {
 mod tests {
     use super::*;
     use crate::NaiveNetwork;
+    use mfc_simcore::SimRng;
     use mfc_simnet::mbps;
 
     fn t(secs: f64) -> SimTime {
@@ -955,6 +1107,221 @@ mod tests {
             log.push((time, id, net.link_bytes_transferred(LinkId(0)).to_bits()));
         }
         log
+    }
+
+    /// A random cap: uncapped, or spread from 1e3 to 2e6 B/s so that both
+    /// sides of the headroom test occur against 2e5–5e6 B/s links.
+    fn random_cap(rng: &mut SimRng) -> f64 {
+        match rng.index(6) {
+            0 => f64::INFINITY,
+            1 => [50_000.0, 100_000.0, 250_000.0][rng.index(3)],
+            _ => 1e3 * 2_000f64.powf(rng.uniform(0.0, 1.0)),
+        }
+    }
+
+    /// Asserts that two graphs hold bit-identical allocations: every
+    /// route's level, bottleneck, rate and virtual time, every link's rate
+    /// and bytes, every active flow's rate and remaining bytes, and the
+    /// next completion.
+    fn assert_same(a: &NetworkGraph, b: &NetworkGraph, active: &[u64], ctx: &str) {
+        for (index, (x, y)) in a.routes.iter().zip(&b.routes).enumerate() {
+            assert_eq!(
+                x.level.to_bits(),
+                y.level.to_bits(),
+                "route {index} level, {ctx}"
+            );
+            assert_eq!(
+                x.bottleneck, y.bottleneck,
+                "route {index} bottleneck, {ctx}"
+            );
+            assert_eq!(
+                x.agg_rate.to_bits(),
+                y.agg_rate.to_bits(),
+                "route {index} rate, {ctx}"
+            );
+            assert_eq!(
+                x.vtime.to_bits(),
+                y.vtime.to_bits(),
+                "route {index} vtime, {ctx}"
+            );
+        }
+        for index in 0..a.link_count() {
+            let link = LinkId(index as u32);
+            for (what, read) in [
+                (
+                    "rate",
+                    NetworkGraph::link_utilization_bytes_per_sec as fn(&_, _) -> f64,
+                ),
+                ("bytes", NetworkGraph::link_bytes_transferred),
+            ] {
+                assert_eq!(
+                    read(a, link).to_bits(),
+                    read(b, link).to_bits(),
+                    "link {index} {what}, {ctx}"
+                );
+            }
+        }
+        for &id in active {
+            let id = FlowId(id);
+            let rate = |net: &NetworkGraph| net.current_rate(id).map(f64::to_bits);
+            let left = |net: &NetworkGraph| net.remaining_bytes(id).map(f64::to_bits);
+            assert_eq!(rate(a), rate(b), "{id:?} rate, {ctx}");
+            assert_eq!(left(a), left(b), "{id:?} remaining, {ctx}");
+        }
+        assert_eq!(
+            a.peek_completion(),
+            b.peek_completion(),
+            "completion, {ctx}"
+        );
+    }
+
+    #[test]
+    fn headroom_path_matches_the_full_pass_bit_for_bit() {
+        let mut rng = SimRng::seed_from(0x1301);
+        let (mut fast_passes, mut full_passes) = (0, 0);
+        for case in 0..48 {
+            let mut fast = NetworkGraph::new();
+            let links: Vec<LinkId> = (0..rng.index(5) + 2)
+                .map(|_| fast.add_link(rng.uniform(2e5, 5e6)))
+                .collect();
+            // Random link subsets: stars, chains, shared backbones, and now
+            // and then an empty route.
+            let routes: Vec<(RouteId, bool)> = (0..rng.index(5) + 2)
+                .map(|_| {
+                    let members: Vec<LinkId> =
+                        links.iter().copied().filter(|_| rng.chance(0.5)).collect();
+                    (fast.add_route(&members), members.is_empty())
+                })
+                .collect();
+            let mut full = fast.clone();
+            let mut active: Vec<u64> = Vec::new();
+            let mut now = SimTime::ZERO;
+            for op in 0..rng.index(120) + 60 {
+                let ctx = format!("case {case} op {op}");
+                full.touch_all();
+                match rng.index(12) {
+                    0..=4 => {
+                        let (route, empty) = routes[rng.index(routes.len())];
+                        let bytes = match rng.index(20) {
+                            0 => 0.0,
+                            1 => f64::INFINITY,
+                            _ => rng.uniform(1e3, 5e6),
+                        };
+                        let mut cap = random_cap(&mut rng);
+                        if empty && cap.is_infinite() {
+                            cap = 80_000.0;
+                        }
+                        let id = op as u64 + 1_000 * case;
+                        fast.start_flow(FlowId(id), route, bytes, cap, now);
+                        full.start_flow(FlowId(id), route, bytes, cap, now);
+                        active.push(id);
+                    }
+                    5 | 6 => {
+                        if !active.is_empty() {
+                            let id = FlowId(active.swap_remove(rng.index(active.len())));
+                            let (a, b) = (fast.finish_flow(id, now), full.finish_flow(id, now));
+                            assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "{ctx}");
+                        }
+                    }
+                    7 => {
+                        if !active.is_empty() {
+                            let id = FlowId(active[rng.index(active.len())]);
+                            let route = fast.flows.get(fast.flows.slot_of(id).unwrap()).route;
+                            let mut cap = random_cap(&mut rng);
+                            if routes[route.0 as usize].1 && cap.is_infinite() {
+                                cap = 80_000.0;
+                            }
+                            fast.set_rate_cap(id, cap, now);
+                            full.set_rate_cap(id, cap, now);
+                        }
+                    }
+                    8 => {
+                        let link = links[rng.index(links.len())];
+                        let capacity = rng.uniform(2e5, 5e6);
+                        fast.set_link_capacity(link, capacity, now);
+                        full.set_link_capacity(link, capacity, now);
+                    }
+                    // A clock jump past several completions: the next
+                    // event's sweep drains them on many routes at once.
+                    9 => now += SimDuration::from_secs_f64(rng.uniform(0.5, 8.0)),
+                    _ => {
+                        let next = fast.next_completion(now);
+                        assert_eq!(next, full.next_completion(now), "{ctx}");
+                        if let Some((time, id)) = next {
+                            now = now.max(time);
+                            let (a, b) = (fast.finish_flow(id, now), full.finish_flow(id, now));
+                            assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "{ctx}");
+                            active.retain(|&other| other != id.0);
+                        }
+                    }
+                }
+                assert_same(&fast, &full, &active, &ctx);
+            }
+            fast_passes += fast.full_passes;
+            full_passes += full.full_passes;
+        }
+        // Both sides of the test occurred: the fast graph took the headroom
+        // path on some events and the full pass on others.
+        assert!(
+            fast_passes > full_passes / 4 && fast_passes < full_passes * 3 / 4,
+            "{fast_passes} of {full_passes} reallocations took the full pass"
+        );
+    }
+
+    #[test]
+    fn an_idle_link_reads_positive_zero() {
+        let mut net = NetworkGraph::new();
+        let used = net.add_link(mbps(8.0));
+        let idle = net.add_link(mbps(8.0));
+        let route = net.add_route(&[used]);
+        assert_eq!(
+            net.link_utilization_bytes_per_sec(idle).to_bits(),
+            0f64.to_bits()
+        );
+        // An uncapped flow takes the full pass, which sums every link.
+        net.start_flow(FlowId(1), route, 1e6, f64::INFINITY, t(0.0));
+        assert_eq!(net.full_passes, 1);
+        assert_eq!(
+            net.link_utilization_bytes_per_sec(idle).to_bits(),
+            0f64.to_bits()
+        );
+        net.reset();
+        assert_eq!(
+            net.link_utilization_bytes_per_sec(idle).to_bits(),
+            0f64.to_bits()
+        );
+    }
+
+    #[test]
+    fn unsaturated_wan_events_take_no_full_pass() {
+        // The star of the `wan_transfers` benchmark workload.
+        let built =
+            crate::TopologySpec::star(&[mbps(20.0), mbps(1000.0), mbps(1000.0), mbps(1000.0)])
+                .with_cross_traffic(0, 6, 150_000.0)
+                .with_backbone(mbps(600.0))
+                .build(mbps(100.0));
+        let mut net = built.graph;
+        let (cross, count, rate) = built.cross[0];
+        for j in 0..u64::from(count) {
+            net.start_flow(FlowId(1_000 + j), cross, f64::INFINITY, rate, t(0.0));
+        }
+        // One request behind the busy transit, capped by its client.
+        let group = built.group_routes[0];
+        net.start_flow(FlowId(1), group, 400_000.0, 1e6, t(0.5));
+        let (done, id) = net.peek_completion().unwrap();
+        assert_eq!((id, done), (FlowId(1), t(0.9)));
+        net.finish_flow(id, done);
+        assert_eq!((net.full_passes, net.rounds), (0, 0));
+        // A crowd that saturates the 12.5 MB/s access link.
+        for i in 0..30u64 {
+            let route = built.group_routes[1 + i as usize % 3];
+            net.start_flow(FlowId(10 + i), route, 1e7, 1e6, t(1.0));
+        }
+        assert!(net.full_passes > 0 && net.rounds > net.full_passes);
+        assert_eq!(
+            net.route_bottleneck(built.group_routes[1]),
+            Some(built.access)
+        );
     }
 
     #[test]
