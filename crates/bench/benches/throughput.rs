@@ -182,13 +182,15 @@ fn engine_large_object_crowd(n: u64) -> u64 {
         },
         ..ServerConfig::lab_apache()
     };
-    let mut server = ServerCluster::new(config, ContentCatalog::lab_validation(), 1);
+    let catalog = ContentCatalog::lab_validation();
+    let object = catalog.resolve("/objects/large_100k.bin");
+    let mut server = ServerCluster::new(config, catalog, 1);
     let requests: Vec<ServerRequest> = (0..n)
         .map(|i| ServerRequest {
             id: i,
             arrival: SimTime::ZERO + SimDuration::from_micros(i * 50),
             class: RequestClass::Static,
-            path: "/objects/large_100k.bin".to_string(),
+            object,
             client_downlink: 1e8,
             client_rtt: SimDuration::from_millis(40),
             client_addr: i as u32,
@@ -219,13 +221,14 @@ fn one_request_runs(cluster: &mut ServerCluster, class: RequestClass, runs: u64)
         RequestClass::Static => "/objects/large_100k.bin",
         _ => "/index.html",
     };
+    let object = cluster.catalog().resolve(path);
     let mut checksum = 0u64;
     for i in 0..runs {
         let request = ServerRequest {
             id: i,
             arrival: SimTime::ZERO + SimDuration::from_millis(500 * i),
             class,
-            path: path.to_string(),
+            object,
             client_downlink: 1e7,
             client_rtt: SimDuration::from_millis(40),
             client_addr: i as u32,

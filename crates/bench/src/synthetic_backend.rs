@@ -38,7 +38,9 @@ impl SyntheticBackend {
         }
     }
 
-    fn request(&mut self, client: usize, path: &str, arrival: SimTime) -> ServerRequest {
+    /// A HEAD from `client`: the synthetic server hosts no catalog, so the
+    /// request names no object.
+    fn request(&mut self, client: usize, arrival: SimTime) -> ServerRequest {
         let profile = self.wan.client(client);
         let id = self.next_id;
         self.next_id += 1;
@@ -46,7 +48,7 @@ impl SyntheticBackend {
             id,
             arrival,
             class: RequestClass::Head,
-            path: path.to_string(),
+            object: None,
             client_downlink: profile.downlink,
             client_rtt: profile.rtt_target,
             client_addr: client as u32,
@@ -70,12 +72,12 @@ impl MfcBackend for SyntheticBackend {
         Some(self.wan.measure_coordinator_rtt(index))
     }
 
-    fn measure_base(&mut self, client: ClientId, request: &RequestSpec) -> BaseMeasurement {
+    fn measure_base(&mut self, client: ClientId, _request: &RequestSpec) -> BaseMeasurement {
         let index = client.0 as usize;
         let rtt = self.wan.measure_target_rtt(index);
         let send = self.clock;
         let arrival = send + rtt.mul_f64(1.5);
-        let server_request = self.request(index, &request.path, arrival);
+        let server_request = self.request(index, arrival);
         let outcome = self.server.run(vec![server_request]);
         let response_time = outcome[0].completion.saturating_since(send);
         self.clock += SimDuration::from_millis(100);
@@ -102,7 +104,7 @@ impl MfcBackend for SyntheticBackend {
                 .wan
                 .jittered_delay(profile.rtt_target.mul_f64(1.5), profile.jitter_frac);
             let arrival = client_receives + handshake;
-            requests.push(self.request(index, &command.request.path, arrival));
+            requests.push(self.request(index, arrival));
             sends.push((command.client, client_receives));
         }
         let outcomes = self.server.run(requests);

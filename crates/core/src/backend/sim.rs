@@ -10,15 +10,13 @@
 //! a static target), optionally serving background traffic while the MFC
 //! runs.
 
-use std::collections::HashMap;
-
 use mfc_dynamics::{DefenseConfig, DefenseStack};
 use mfc_simcore::{SimDuration, SimRng, SimTime};
 use mfc_simnet::{ControlChannel, PopulationProfile, WideAreaModel};
 use mfc_topology::TopologySpec;
 use mfc_webserver::{
-    BackgroundTraffic, ContentCatalog, RequestClass, RequestStatus, ServerCluster, ServerConfig,
-    ServerRequest,
+    BackgroundTraffic, ContentCatalog, RequestClass, RequestOutcome, RequestStatus, ServerCluster,
+    ServerConfig, ServerRequest,
 };
 use serde::{Deserialize, Serialize};
 
@@ -304,7 +302,7 @@ impl MfcBackend for SimBackend {
             id,
             arrival,
             class: Self::class_for(request.stage, request.method),
-            path: request.path.clone(),
+            object: self.spec.catalog.resolve(&request.path),
             client_downlink: profile.downlink,
             client_rtt: profile.rtt_target,
             client_addr: client.0,
@@ -327,8 +325,10 @@ impl MfcBackend for SimBackend {
         let origin = self.clock;
         let mut lost_commands = 0u32;
         let mut mfc_requests: Vec<ServerRequest> = Vec::new();
-        // (request id, client, client send time).
-        let mut issued: Vec<(u64, ClientId, SimTime)> = Vec::new();
+        // (client, client send time) of the probe with id `first_id + i`:
+        // the probes' ids are consecutive.
+        let first_id = self.next_request_id;
+        let mut issued: Vec<(ClientId, SimTime)> = Vec::new();
 
         let mut last_arrival = origin;
         for command in &plan.commands {
@@ -352,13 +352,14 @@ impl MfcBackend for SimBackend {
                 id,
                 arrival,
                 class: Self::class_for(command.request.stage, command.request.method),
-                path: command.request.path.clone(),
+                object: self.spec.catalog.resolve(&command.request.path),
                 client_downlink: profile.downlink,
                 client_rtt: profile.rtt_target,
                 client_addr: command.client.0,
                 background: false,
             });
-            issued.push((id, command.client, client_receives));
+            debug_assert_eq!(id, first_id + issued.len() as u64);
+            issued.push((command.client, client_receives));
         }
 
         // Background traffic competes over the whole epoch window.  A full
@@ -394,17 +395,21 @@ impl MfcBackend for SimBackend {
         let background_requests = result.outcomes.iter().filter(|o| o.background).count() as u64;
         self.background_served += background_requests;
 
-        // Index the probes' outcomes by request id.
-        let outcome_by_id: HashMap<u64, &mfc_webserver::RequestOutcome> = result
-            .outcomes
-            .iter()
-            .filter(|o| !o.background)
-            .map(|o| (o.id, o))
-            .collect();
+        // Index the probes' outcomes by `id - first_id`.
+        let mut probe_outcomes: Vec<Option<&RequestOutcome>> = vec![None; issued.len()];
+        for outcome in result.outcomes.iter().filter(|o| !o.background) {
+            if let Some(slot) = outcome
+                .id
+                .checked_sub(first_id)
+                .and_then(|i| probe_outcomes.get_mut(i as usize))
+            {
+                *slot = Some(outcome);
+            }
+        }
 
         let mut observations = Vec::with_capacity(issued.len());
-        for (id, client, send_time) in &issued {
-            let Some(outcome) = outcome_by_id.get(id) else {
+        for ((client, send_time), outcome) in issued.iter().zip(probe_outcomes) {
+            let Some(outcome) = outcome else {
                 continue;
             };
             let raw_response = outcome.completion.saturating_since(*send_time);

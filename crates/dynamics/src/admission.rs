@@ -107,14 +107,14 @@ impl DynamicsPolicy for AdmissionController {
 mod tests {
     use super::*;
     use mfc_simcore::SimTime;
-    use mfc_webserver::RequestClass;
+    use mfc_webserver::{ObjectId, RequestClass};
 
     fn req(id: u64, at: SimTime) -> ServerRequest {
         ServerRequest {
             id,
             arrival: at,
             class: RequestClass::Head,
-            path: "/".to_string(),
+            object: Some(ObjectId::BASE_PAGE),
             client_downlink: 1e7,
             client_rtt: SimDuration::from_millis(40),
             client_addr: id as u32,

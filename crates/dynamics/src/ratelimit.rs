@@ -132,14 +132,14 @@ impl DynamicsPolicy for TokenBucketRateLimiter {
 mod tests {
     use super::*;
     use mfc_simcore::SimDuration;
-    use mfc_webserver::RequestClass;
+    use mfc_webserver::{ContentCatalog, RequestClass};
 
     fn req(client: u32, at: SimTime) -> ServerRequest {
         ServerRequest {
             id: u64::from(client),
             arrival: at,
             class: RequestClass::Static,
-            path: "/objects/large_100k.bin".to_string(),
+            object: ContentCatalog::lab_validation().resolve("/objects/large_100k.bin"),
             client_downlink: 1e8,
             client_rtt: SimDuration::from_millis(40),
             client_addr: client,

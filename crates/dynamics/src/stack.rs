@@ -298,7 +298,7 @@ mod tests {
             id: u64::from(client),
             arrival: SimTime::ZERO,
             class: RequestClass::Static,
-            path: "/objects/large_100k.bin".to_string(),
+            object: ContentCatalog::lab_validation().resolve("/objects/large_100k.bin"),
             client_downlink: 1e8,
             client_rtt: SimDuration::from_millis(40),
             client_addr: client,
@@ -412,12 +412,13 @@ mod tests {
         // Small Queries spaced 100 ms apart on the one-core lab server, so
         // each runs alone on the CPU; 1 s in, the CPU drops to half speed.
         let config = ServerConfig::lab_apache();
+        let query = ContentCatalog::lab_validation().resolve("/cgi/stats?table=t1");
         let requests: Vec<ServerRequest> = (0..20u64)
             .map(|i| ServerRequest {
                 id: i,
                 arrival: SimTime::ZERO + SimDuration::from_millis(100 * i),
                 class: RequestClass::Dynamic,
-                path: "/cgi/stats?table=t1".to_string(),
+                object: query,
                 ..req(i as u32)
             })
             .collect();
@@ -448,13 +449,14 @@ mod tests {
         // under one defense stack: the drop fires 1 s into the first run and
         // must still hold when the second run starts 10 s later.
         let config = ServerConfig::lab_apache();
+        let query = ContentCatalog::lab_validation().resolve("/cgi/stats?table=t1");
         let queries = |start_ms: u64| -> Vec<ServerRequest> {
             (0..20u64)
                 .map(|i| ServerRequest {
                     id: i,
                     arrival: SimTime::ZERO + SimDuration::from_millis(start_ms + 100 * i),
                     class: RequestClass::Dynamic,
-                    path: "/cgi/stats?table=t1".to_string(),
+                    object: query,
                     ..req(i as u32)
                 })
                 .collect()

@@ -271,17 +271,37 @@ impl SimRng {
     /// Panics if `items` is empty or all weights are non-positive.
     pub fn weighted_choice<'a, T>(&mut self, items: &'a [(T, f64)]) -> &'a T {
         assert!(!items.is_empty(), "weighted_choice on empty slice");
-        let total: f64 = items.iter().map(|(_, w)| w.max(0.0)).sum();
+        &items[self.weighted_index(items.iter().map(|(_, w)| *w))].0
+    }
+
+    /// Draws an index with probability proportional to its weight (negative
+    /// weights count as zero), without collecting anything: the draw
+    /// [`SimRng::weighted_choice`] makes, which is this over its weights.
+    /// One `uniform` draw over the weights' running sum; the last index
+    /// absorbs rounding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no weight is positive.
+    pub fn weighted_index<I>(&mut self, weights: I) -> usize
+    where
+        I: IntoIterator<Item = f64>,
+        I::IntoIter: Clone,
+    {
+        let weights = weights.into_iter();
+        let total: f64 = weights.clone().map(|w| w.max(0.0)).sum();
         assert!(total > 0.0, "weighted_choice requires a positive weight");
         let mut target = self.uniform(0.0, total);
-        for (item, w) in items {
+        let mut last = 0;
+        for (i, w) in weights.enumerate() {
             let w = w.max(0.0);
             if target < w {
-                return item;
+                return i;
             }
             target -= w;
+            last = i;
         }
-        &items[items.len() - 1].0
+        last
     }
 
     /// Draws one raw 64-bit value from the underlying generator.
@@ -408,6 +428,48 @@ mod tests {
             .filter(|_| *rng.weighted_choice(&items) == "common")
             .count();
         assert!(common > 900, "common picked only {common} times");
+    }
+
+    #[test]
+    fn weighted_index_draws_what_the_collecting_walk_drew() {
+        // The walk `weighted_choice` made over a collected slice before it
+        // delegated to `weighted_index`, kept verbatim as the reference.
+        fn reference<'a, T>(rng: &mut SimRng, items: &'a [(T, f64)]) -> &'a T {
+            let total: f64 = items.iter().map(|(_, w)| w.max(0.0)).sum();
+            let mut target = rng.uniform(0.0, total);
+            for (item, w) in items {
+                let w = w.max(0.0);
+                if target < w {
+                    return item;
+                }
+                target -= w;
+            }
+            &items[items.len() - 1].0
+        }
+        let mut shapes = SimRng::seed_from(51);
+        for case in 0..500u64 {
+            let n = shapes.index(6) + 1;
+            let weights: Vec<f64> = (0..n)
+                .map(|_| match shapes.index(4) {
+                    0 => 0.0,
+                    1 => -shapes.uniform(0.0, 1.0),
+                    _ => shapes.uniform(0.0, 1.0),
+                })
+                .collect();
+            if weights.iter().all(|w| *w <= 0.0) {
+                continue;
+            }
+            let items: Vec<(usize, f64)> = weights.iter().copied().enumerate().collect();
+            let mut ours = SimRng::seed_from(case);
+            let mut theirs = ours.clone();
+            for _ in 0..8 {
+                assert_eq!(
+                    ours.weighted_index(weights.iter().copied()),
+                    *reference(&mut theirs, &items)
+                );
+            }
+            assert_eq!(ours.next_u64(), theirs.next_u64());
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ use mfc_workload::{
 };
 use serde::{Deserialize, Serialize};
 
-use crate::content::{ContentCatalog, ObjectSpec};
+use crate::content::{ContentCatalog, ObjectId, ObjectSpec};
 use crate::request::{RequestClass, ServerRequest};
 
 /// Mix of request classes in the background workload, as weights.
@@ -147,6 +147,11 @@ impl BackgroundTraffic {
 /// Maps workload request intents onto concrete [`ServerRequest`]s against a
 /// server's [`ContentCatalog`].
 ///
+/// The sampler resolves every object it may pick once, at construction,
+/// and its requests carry those [`ObjectId`]s: sampling a mix draw or a
+/// session page view indexes a bucket and touches no path.  A replayed
+/// trace entry resolves its path once, when it is sampled.
+///
 /// The mix path reproduces the pre-workload `BackgroundTraffic` sampling
 /// logic draw for draw (one weighted-choice draw, then one index draw for
 /// the chosen class), which is what keeps the adapter bit-compatible.
@@ -157,11 +162,11 @@ pub struct CatalogSampler<'a> {
     catalog: &'a ContentCatalog,
     background: bool,
     /// Static objects below the Large Object bound, in catalog order.
-    small_static: Vec<&'a ObjectSpec>,
+    small_static: Vec<ObjectId>,
     /// The catalog's Large Objects, in catalog order.
-    large: Vec<&'a ObjectSpec>,
+    large: Vec<ObjectId>,
     /// The catalog's Small Queries, in catalog order.
-    queries: Vec<&'a ObjectSpec>,
+    queries: Vec<ObjectId>,
 }
 
 impl<'a> CatalogSampler<'a> {
@@ -178,31 +183,40 @@ impl<'a> CatalogSampler<'a> {
     }
 
     /// Buckets the catalog once, so sampling a request filters nothing.
+    /// Each object is stored as the id its path resolves to, so a path the
+    /// catalog lists twice names its first copy, as a request for that
+    /// path always has.
     fn new(catalog: &'a ContentCatalog, background: bool) -> Self {
+        let ids = |objects: Vec<&ObjectSpec>| -> Vec<ObjectId> {
+            objects
+                .into_iter()
+                .filter_map(|o| catalog.resolve(&o.path))
+                .collect()
+        };
         CatalogSampler {
             catalog,
             background,
-            small_static: catalog
+            small_static: ids(catalog
                 .objects()
                 .iter()
                 .filter(|o| !o.kind.is_dynamic() && !o.is_large_object())
-                .collect(),
-            large: catalog.large_objects(),
-            queries: catalog.small_queries(),
+                .collect()),
+            large: ids(catalog.large_objects()),
+            queries: ids(catalog.small_queries()),
         }
     }
 
-    /// Picks a concrete `(class, path)` from one catalog bucket: one index
-    /// draw when the bucket is non-empty, otherwise the base page with the
-    /// caller's `fallback` class (`Head` on the mix path, a plain `Static`
-    /// GET for session page views).  `BasePage` itself is the fallback
-    /// object and draws nothing.
+    /// Picks a concrete `(class, object)` from one catalog bucket: one
+    /// index draw when the bucket is non-empty, otherwise the base page
+    /// with the caller's `fallback` class (`Head` on the mix path, a plain
+    /// `Static` GET for session page views).  `BasePage` itself is the
+    /// fallback object and draws nothing.
     fn pick_bucket(
         &self,
         kind: RequestKind,
         fallback: RequestClass,
         rng: &mut SimRng,
-    ) -> (RequestClass, String) {
+    ) -> (RequestClass, ObjectId) {
         let (class, bucket) = match kind {
             RequestKind::BasePage => (fallback, &[][..]),
             RequestKind::StaticSmall => (RequestClass::Static, &self.small_static[..]),
@@ -210,22 +224,22 @@ impl<'a> CatalogSampler<'a> {
             RequestKind::Dynamic => (RequestClass::Dynamic, &self.queries[..]),
         };
         if bucket.is_empty() {
-            (fallback, self.catalog.base_page().path.clone())
+            (fallback, ObjectId::BASE_PAGE)
         } else {
-            (class, bucket[rng.index(bucket.len())].path.clone())
+            (class, bucket[rng.index(bucket.len())])
         }
     }
 
     /// A session page view or embedded object: missing buckets fall back
     /// to a plain GET of the base page.
-    fn pick_kind(&self, kind: RequestKind, rng: &mut SimRng) -> (RequestClass, String) {
+    fn pick_kind(&self, kind: RequestKind, rng: &mut SimRng) -> (RequestClass, ObjectId) {
         self.pick_bucket(kind, RequestClass::Static, rng)
     }
 
     /// The mix path of the pre-workload generator, preserved draw for
     /// draw: one weighted-choice draw for the class (skipped for an
     /// all-zero mix), then the bucket's index draw, with HEAD fallbacks.
-    fn pick_mix(&self, mix: &MixWeights, rng: &mut SimRng) -> (RequestClass, String) {
+    fn pick_mix(&self, mix: &MixWeights, rng: &mut SimRng) -> (RequestClass, ObjectId) {
         const SLOTS: [RequestKind; 4] = [
             RequestKind::BasePage,
             RequestKind::StaticSmall,
@@ -251,31 +265,37 @@ impl RequestSampler for CatalogSampler<'_> {
     type Request = ServerRequest;
 
     fn sample(&mut self, ctx: RequestContext<'_>, rng: &mut SimRng) -> ServerRequest {
-        let (class, path) = match ctx.intent {
-            RequestIntent::Mix(mix) => self.pick_mix(mix, rng),
-            RequestIntent::Kind(kind) => self.pick_kind(kind, rng),
+        let (class, object) = match ctx.intent {
+            RequestIntent::Mix(mix) => {
+                let (class, object) = self.pick_mix(mix, rng);
+                (class, Some(object))
+            }
+            RequestIntent::Kind(kind) => {
+                let (class, object) = self.pick_kind(kind, rng);
+                (class, Some(object))
+            }
+            RequestIntent::Trace(entry) if entry.head => {
+                (RequestClass::Head, Some(ObjectId::BASE_PAGE))
+            }
             RequestIntent::Trace(entry) => {
-                if entry.head {
-                    (RequestClass::Head, self.catalog.base_page().path.clone())
-                } else {
-                    // Replayed paths are issued verbatim; paths the catalog
-                    // does not host come back 404, exactly like replaying a
-                    // mismatched log against a real server.
-                    let class = match self.catalog.lookup(&entry.path) {
-                        Some(object) if object.kind.is_dynamic() => RequestClass::Dynamic,
-                        Some(_) => RequestClass::Static,
-                        None if entry.dynamic => RequestClass::Dynamic,
-                        None => RequestClass::Static,
-                    };
-                    (class, entry.path.clone())
-                }
+                // Replayed paths are issued verbatim; paths the catalog
+                // does not host come back 404, exactly like replaying a
+                // mismatched log against a real server.
+                let object = self.catalog.resolve(&entry.path);
+                let class = match object.map(|id| self.catalog.object(id)) {
+                    Some(spec) if spec.kind.is_dynamic() => RequestClass::Dynamic,
+                    Some(_) => RequestClass::Static,
+                    None if entry.dynamic => RequestClass::Dynamic,
+                    None => RequestClass::Static,
+                };
+                (class, object)
             }
         };
         ServerRequest {
             id: ctx.id,
             arrival: ctx.time,
             class,
-            path,
+            object,
             client_downlink: ctx.downlink,
             client_rtt: ctx.rtt,
             // Background users come from a large, churned population:
@@ -353,9 +373,9 @@ mod tests {
         let arrivals = BackgroundTraffic::at_rate(8.0).generate(&catalog, start, end, 0, &mut rng);
         for r in &arrivals {
             assert!(
-                catalog.lookup(&r.path).is_some(),
-                "background request for unknown path {}",
-                r.path
+                r.object.is_some(),
+                "background request {} for an unknown path",
+                r.id
             );
         }
     }
@@ -452,7 +472,7 @@ mod tests {
             id,
             arrival,
             class,
-            path,
+            object: catalog.resolve(&path),
             client_downlink: bg.client_downlink,
             client_rtt: bg.client_rtt,
             client_addr: 0x8000_0000 | (id % 4093) as u32,
@@ -586,8 +606,8 @@ mod tests {
         addrs.sort_unstable();
         addrs.dedup();
         assert!(addrs.len() * 2 < requests.len());
-        // Every path resolves (the catalog has all classes).
-        assert!(requests.iter().all(|r| catalog.lookup(&r.path).is_some()));
+        // Every request names a hosted object (the catalog has all classes).
+        assert!(requests.iter().all(|r| r.object.is_some()));
         assert!(requests.iter().all(|r| r.background));
     }
 
@@ -622,6 +642,8 @@ mod tests {
         )
         .collect();
         assert!(!requests.is_empty());
-        assert!(requests.iter().all(|r| r.path == "/home.html"));
+        assert!(requests
+            .iter()
+            .all(|r| r.object == catalog.resolve("/home.html")));
     }
 }

@@ -12,26 +12,47 @@
 //! [`CacheState`] lives *outside* the per-window engine so that cache warmth
 //! carries across MFC epochs, exactly as it would on a real server.
 
-use std::collections::{HashMap, HashSet};
-
 use serde::{Deserialize, Serialize};
 
 use crate::config::{DatabaseConfig, ObjectCacheConfig};
+use crate::content::ObjectId;
 
 /// Persistent cache contents of one server instance.
+///
+/// Both caches are keyed by [`ObjectId`]: dense per-object tables that grow
+/// on insert, so a lookup indexes a table and hashes nothing.  Because an
+/// id means something only for the catalog that issued it, a `CacheState`
+/// belongs to the catalog it warmed; serve it only with that catalog.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CacheState {
-    /// Paths of static objects currently held in the in-memory object
-    /// cache, with their sizes.
-    object_cache: HashMap<String, u64>,
+    /// `objects[id]`: whether static object `id` is held in the in-memory
+    /// object cache.
+    objects: Vec<bool>,
     /// Bytes used by the object cache.
     object_bytes: u64,
-    /// Keys (paths) present in the database query cache.
-    query_cache: HashSet<String>,
+    /// `queries[id]`: whether query `id`'s result is in the database query
+    /// cache.
+    queries: Vec<bool>,
+    /// Number of `true` entries in `queries`.
+    query_entries: usize,
     object_hits: u64,
     object_misses: u64,
     query_hits: u64,
     query_misses: u64,
+}
+
+/// Whether `table` marks `id`.
+fn holds(table: &[bool], id: ObjectId) -> bool {
+    table.get(id.index()).copied().unwrap_or(false)
+}
+
+/// Marks `id` in `table`, growing it as needed; returns whether `id` was
+/// not marked before.
+fn mark(table: &mut Vec<bool>, id: ObjectId) -> bool {
+    if table.len() <= id.index() {
+        table.resize(id.index() + 1, false);
+    }
+    !std::mem::replace(&mut table[id.index()], true)
 }
 
 impl CacheState {
@@ -41,30 +62,26 @@ impl CacheState {
     }
 
     /// Looks up a static object; records a hit or miss.
-    pub fn object_lookup(&mut self, path: &str, config: &ObjectCacheConfig) -> bool {
-        if !config.enabled {
-            self.object_misses += 1;
-            return false;
-        }
-        if self.object_cache.contains_key(path) {
+    pub fn object_lookup(&mut self, object: ObjectId, config: &ObjectCacheConfig) -> bool {
+        let hit = config.enabled && holds(&self.objects, object);
+        if hit {
             self.object_hits += 1;
-            true
         } else {
             self.object_misses += 1;
-            false
         }
+        hit
     }
 
     /// Inserts a static object after it has been read from disk, if it fits
     /// in the remaining cache capacity.  (No eviction: the MFC workloads
     /// touch a handful of distinct objects, far below any realistic cache
     /// size, so an eviction policy would never be exercised.)
-    pub fn object_insert(&mut self, path: &str, size: u64, config: &ObjectCacheConfig) {
-        if !config.enabled || self.object_cache.contains_key(path) {
+    pub fn object_insert(&mut self, object: ObjectId, size: u64, config: &ObjectCacheConfig) {
+        if !config.enabled || holds(&self.objects, object) {
             return;
         }
         if self.object_bytes + size <= config.capacity_bytes {
-            self.object_cache.insert(path.to_string(), size);
+            mark(&mut self.objects, object);
             self.object_bytes += size;
         }
     }
@@ -73,24 +90,25 @@ impl CacheState {
     ///
     /// `cacheable` is false for queries the application marks uncacheable;
     /// those always miss and are not inserted.
-    pub fn query_lookup(&mut self, key: &str, cacheable: bool, config: &DatabaseConfig) -> bool {
-        if !config.query_cache || !cacheable {
-            self.query_misses += 1;
-            return false;
-        }
-        if self.query_cache.contains(key) {
+    pub fn query_lookup(
+        &mut self,
+        query: ObjectId,
+        cacheable: bool,
+        config: &DatabaseConfig,
+    ) -> bool {
+        let hit = config.query_cache && cacheable && holds(&self.queries, query);
+        if hit {
             self.query_hits += 1;
-            true
         } else {
             self.query_misses += 1;
-            false
         }
+        hit
     }
 
     /// Records that a query's result is now cached.
-    pub fn query_insert(&mut self, key: &str, cacheable: bool, config: &DatabaseConfig) {
-        if config.query_cache && cacheable {
-            self.query_cache.insert(key.to_string());
+    pub fn query_insert(&mut self, query: ObjectId, cacheable: bool, config: &DatabaseConfig) {
+        if config.query_cache && cacheable && mark(&mut self.queries, query) {
+            self.query_entries += 1;
         }
     }
 
@@ -99,9 +117,9 @@ impl CacheState {
         self.object_bytes
     }
 
-    /// Number of distinct cached query keys.
+    /// Number of distinct cached queries.
     pub fn query_cache_entries(&self) -> usize {
-        self.query_cache.len()
+        self.query_entries
     }
 
     /// (hits, misses) for the object cache.
@@ -116,15 +134,23 @@ impl CacheState {
 
     /// Drops all cached content but keeps the hit/miss counters.
     pub fn invalidate(&mut self) {
-        self.object_cache.clear();
+        self.objects.clear();
         self.object_bytes = 0;
-        self.query_cache.clear();
+        self.queries.clear();
+        self.query_entries = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const A: ObjectId = ObjectId(1);
+    const BIG: ObjectId = ObjectId(2);
+    const TOO_BIG: ObjectId = ObjectId(3);
+    const Q1: ObjectId = ObjectId(4);
+    const Q2: ObjectId = ObjectId(5);
+    const Q3: ObjectId = ObjectId(6);
 
     fn obj_cfg(enabled: bool, capacity: u64) -> ObjectCacheConfig {
         ObjectCacheConfig {
@@ -144,9 +170,9 @@ mod tests {
     fn object_cache_miss_then_hit() {
         let mut cache = CacheState::new();
         let cfg = obj_cfg(true, 1_000_000);
-        assert!(!cache.object_lookup("/a", &cfg));
-        cache.object_insert("/a", 500, &cfg);
-        assert!(cache.object_lookup("/a", &cfg));
+        assert!(!cache.object_lookup(A, &cfg));
+        cache.object_insert(A, 500, &cfg);
+        assert!(cache.object_lookup(A, &cfg));
         assert_eq!(cache.object_stats(), (1, 1));
         assert_eq!(cache.object_cache_bytes(), 500);
     }
@@ -155,10 +181,10 @@ mod tests {
     fn object_cache_respects_capacity() {
         let mut cache = CacheState::new();
         let cfg = obj_cfg(true, 1_000);
-        cache.object_insert("/big", 900, &cfg);
-        cache.object_insert("/too-big", 200, &cfg);
-        assert!(cache.object_lookup("/big", &cfg));
-        assert!(!cache.object_lookup("/too-big", &cfg));
+        cache.object_insert(BIG, 900, &cfg);
+        cache.object_insert(TOO_BIG, 200, &cfg);
+        assert!(cache.object_lookup(BIG, &cfg));
+        assert!(!cache.object_lookup(TOO_BIG, &cfg));
         assert_eq!(cache.object_cache_bytes(), 900);
     }
 
@@ -166,16 +192,16 @@ mod tests {
     fn disabled_object_cache_never_hits() {
         let mut cache = CacheState::new();
         let cfg = obj_cfg(false, 1_000_000);
-        cache.object_insert("/a", 10, &cfg);
-        assert!(!cache.object_lookup("/a", &cfg));
+        cache.object_insert(A, 10, &cfg);
+        assert!(!cache.object_lookup(A, &cfg));
     }
 
     #[test]
     fn duplicate_insert_does_not_double_count() {
         let mut cache = CacheState::new();
         let cfg = obj_cfg(true, 1_000);
-        cache.object_insert("/a", 400, &cfg);
-        cache.object_insert("/a", 400, &cfg);
+        cache.object_insert(A, 400, &cfg);
+        cache.object_insert(A, 400, &cfg);
         assert_eq!(cache.object_cache_bytes(), 400);
     }
 
@@ -183,9 +209,9 @@ mod tests {
     fn query_cache_behaviour() {
         let mut cache = CacheState::new();
         let cfg = db_cfg(true);
-        assert!(!cache.query_lookup("/q?x=1", true, &cfg));
-        cache.query_insert("/q?x=1", true, &cfg);
-        assert!(cache.query_lookup("/q?x=1", true, &cfg));
+        assert!(!cache.query_lookup(Q1, true, &cfg));
+        cache.query_insert(Q1, true, &cfg);
+        assert!(cache.query_lookup(Q1, true, &cfg));
         assert_eq!(cache.query_cache_entries(), 1);
         assert_eq!(cache.query_stats(), (1, 1));
     }
@@ -194,8 +220,8 @@ mod tests {
     fn uncacheable_queries_always_miss() {
         let mut cache = CacheState::new();
         let cfg = db_cfg(true);
-        cache.query_insert("/q?x=2", false, &cfg);
-        assert!(!cache.query_lookup("/q?x=2", false, &cfg));
+        cache.query_insert(Q2, false, &cfg);
+        assert!(!cache.query_lookup(Q2, false, &cfg));
         assert_eq!(cache.query_cache_entries(), 0);
     }
 
@@ -203,8 +229,8 @@ mod tests {
     fn disabled_query_cache_always_misses() {
         let mut cache = CacheState::new();
         let cfg = db_cfg(false);
-        cache.query_insert("/q?x=3", true, &cfg);
-        assert!(!cache.query_lookup("/q?x=3", true, &cfg));
+        cache.query_insert(Q3, true, &cfg);
+        assert!(!cache.query_lookup(Q3, true, &cfg));
     }
 
     #[test]
@@ -212,13 +238,13 @@ mod tests {
         let mut cache = CacheState::new();
         let ocfg = obj_cfg(true, 1_000);
         let dcfg = db_cfg(true);
-        cache.object_insert("/a", 10, &ocfg);
-        cache.query_insert("/q", true, &dcfg);
-        cache.object_lookup("/a", &ocfg);
+        cache.object_insert(A, 10, &ocfg);
+        cache.query_insert(Q1, true, &dcfg);
+        cache.object_lookup(A, &ocfg);
         cache.invalidate();
         assert_eq!(cache.object_cache_bytes(), 0);
         assert_eq!(cache.query_cache_entries(), 0);
         assert_eq!(cache.object_stats().0, 1);
-        assert!(!cache.object_lookup("/a", &ocfg));
+        assert!(!cache.object_lookup(A, &ocfg));
     }
 }

@@ -132,6 +132,12 @@ impl ServerCluster {
         self.carry.active
     }
 
+    /// The content every replica hosts: what its requests' object ids
+    /// are resolved against.
+    pub fn catalog(&self) -> &ContentCatalog {
+        self.engine.catalog()
+    }
+
     /// The per-replica cache states (useful for inspecting warmth).
     pub fn caches(&self) -> &[CacheState] {
         &self.carry.caches
@@ -481,12 +487,18 @@ mod tests {
     use crate::request::RequestClass;
     use mfc_simcore::SimDuration;
 
+    /// The id `path` resolves to in the lab-validation catalog (whose base
+    /// page, `/index.html`, is also the typical site's).
+    fn lab_object(path: &str) -> Option<crate::ObjectId> {
+        ContentCatalog::lab_validation().resolve(path)
+    }
+
     fn head(id: u64) -> ServerRequest {
         ServerRequest {
             id,
             arrival: SimTime::ZERO,
             class: RequestClass::Head,
-            path: "/index.html".to_string(),
+            object: lab_object("/index.html"),
             client_downlink: 1e7,
             client_rtt: SimDuration::from_millis(40),
             client_addr: id as u32,
@@ -499,7 +511,7 @@ mod tests {
             id,
             arrival: SimTime::ZERO,
             class: RequestClass::Dynamic,
-            path: path.to_string(),
+            object: lab_object(path),
             client_downlink: 1e7,
             client_rtt: SimDuration::from_millis(40),
             client_addr: id as u32,
@@ -606,7 +618,7 @@ mod tests {
             id: 0,
             arrival: SimTime::ZERO,
             class: RequestClass::Dynamic,
-            path: "/cgi/stats?table=t1".to_string(),
+            object: lab_object("/cgi/stats?table=t1"),
             client_downlink: 1e7,
             client_rtt: SimDuration::from_millis(40),
             client_addr: 0,
@@ -801,7 +813,7 @@ mod tests {
                 .collect();
             let mut session = engine.session(CacheState::new());
             for request in &requests {
-                session.push_request(request.clone());
+                session.push_request(*request);
             }
             let (alone, _) = session.finish();
             let result = ServerCluster::new(config.clone(), catalog.clone(), 1)

@@ -90,8 +90,24 @@ pub const LARGE_OBJECT_MIN_BYTES: u64 = 100 * 1024;
 /// Upper size bound for the Small Queries class (paper §2.2.1: < 15 KB).
 pub const SMALL_QUERY_MAX_BYTES: u64 = 15 * 1024;
 
-/// Catalog index of the base page; `objects()[i]` has index `i + 1`.
-pub(crate) const BASE_PAGE_INDEX: usize = 0;
+/// Names one object of a [`ContentCatalog`]: its position in the catalog,
+/// with the base page first and `objects()[i]` at `i + 1`.
+///
+/// A request carries the id [`ContentCatalog::resolve`] returned for its
+/// path, so the server never compares, clones or hashes a path per
+/// request.  An id means something only for the catalog that issued it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ObjectId(pub(crate) u32);
+
+impl ObjectId {
+    /// The base page's id in every catalog.
+    pub const BASE_PAGE: ObjectId = ObjectId(0);
+
+    /// The id as a dense table index.
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// Everything a crawl of the simulated site would discover.
 ///
@@ -105,6 +121,8 @@ pub(crate) const BASE_PAGE_INDEX: usize = 0;
 /// assert!(!catalog.large_objects().is_empty());
 /// assert!(!catalog.small_queries().is_empty());
 /// assert!(catalog.lookup(&catalog.base_page().path).is_some());
+/// let query = catalog.resolve(&catalog.small_queries()[0].path).unwrap();
+/// assert!(catalog.object(query).kind.is_dynamic());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ContentCatalog {
@@ -131,24 +149,29 @@ impl ContentCatalog {
 
     /// Finds an object by path (including the base page).
     pub fn lookup(&self, path: &str) -> Option<&ObjectSpec> {
-        self.position(path).map(|index| self.object(index))
+        self.resolve(path).map(|id| self.object(id))
     }
 
-    /// The catalog index of the object at `path`: [`BASE_PAGE_INDEX`] for
-    /// the base page, `i + 1` for `objects()[i]`.
-    pub(crate) fn position(&self, path: &str) -> Option<usize> {
+    /// The id of the first object at `path` ([`ObjectId::BASE_PAGE`] for
+    /// the base page), or `None` when the catalog does not host it.  A
+    /// path listed twice always resolves to its first copy.
+    pub fn resolve(&self, path: &str) -> Option<ObjectId> {
         if self.base_page.path == path {
-            return Some(BASE_PAGE_INDEX);
+            return Some(ObjectId::BASE_PAGE);
         }
         self.objects
             .iter()
             .position(|o| o.path == path)
-            .map(|i| i + 1)
+            .map(|i| ObjectId(i as u32 + 1))
     }
 
-    /// The object at a catalog index from [`Self::position`].
-    pub(crate) fn object(&self, index: usize) -> &ObjectSpec {
-        index
+    /// The object an id from [`Self::resolve`] names.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id was issued by a larger catalog.
+    pub fn object(&self, id: ObjectId) -> &ObjectSpec {
+        id.index()
             .checked_sub(1)
             .map_or(&self.base_page, |i| &self.objects[i])
     }

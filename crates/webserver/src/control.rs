@@ -172,7 +172,7 @@ mod tests {
             id: 1,
             arrival: SimTime::ZERO,
             class: crate::request::RequestClass::Head,
-            path: "/".to_string(),
+            object: Some(crate::ObjectId::BASE_PAGE),
             client_downlink: 1e6,
             client_rtt: mfc_simcore::SimDuration::from_millis(10),
             client_addr: 1,

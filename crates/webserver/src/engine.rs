@@ -33,7 +33,7 @@ use mfc_topology::{BuiltTopology, TopologySpec};
 
 use crate::cache::CacheState;
 use crate::config::{DynamicHandler, ServerConfig};
-use crate::content::{ContentCatalog, ObjectSpec, BASE_PAGE_INDEX};
+use crate::content::{ContentCatalog, ObjectId, ObjectSpec};
 use crate::request::{ArrivalRecord, RequestClass, RequestOutcome, RequestStatus, ServerRequest};
 use crate::resource::{FifoResource, MemoryTracker, PsResource, SlotPool};
 use crate::telemetry::UtilizationReport;
@@ -61,18 +61,18 @@ pub struct RunResult {
 ///                     ServerRequest};
 ///
 /// // A single server is a cluster of one.
-/// let mut server =
-///     ServerCluster::new(ServerConfig::lab_apache(), ContentCatalog::lab_validation(), 1);
+/// let catalog = ContentCatalog::lab_validation();
 /// let req = ServerRequest {
 ///     id: 1,
 ///     arrival: SimTime::ZERO,
 ///     class: RequestClass::Head,
-///     path: "/index.html".to_string(),
+///     object: catalog.resolve("/index.html"),
 ///     client_downlink: 1e7,
 ///     client_rtt: SimDuration::from_millis(40),
 ///     client_addr: 1,
 ///     background: false,
 /// };
+/// let mut server = ServerCluster::new(ServerConfig::lab_apache(), catalog, 1);
 /// let result = server.run(vec![req], &mut NullControl);
 /// assert!(result.outcomes[0].is_ok());
 /// ```
@@ -243,9 +243,6 @@ enum Phase {
 #[derive(Debug, Clone)]
 struct InFlight {
     req: ServerRequest,
-    /// The catalog index of the object the request names, resolved once at
-    /// arrival; `None` for HEAD requests and unknown paths.
-    object: Option<usize>,
     phase: Phase,
     body_bytes: u64,
     /// Memory charged for a fork-per-request handler, released at the end.
@@ -296,12 +293,13 @@ enum Event {
 ///                     ServerRequest};
 ///
 /// let engine = ServerEngine::new(ServerConfig::lab_apache(), ContentCatalog::lab_validation());
+/// let object = engine.catalog().resolve("/index.html");
 /// let mut session = engine.session(CacheState::new());
 /// session.push_request(ServerRequest {
 ///     id: 1,
 ///     arrival: SimTime::ZERO,
 ///     class: RequestClass::Head,
-///     path: "/index.html".to_string(),
+///     object,
 ///     client_downlink: 1e7,
 ///     client_rtt: SimDuration::from_millis(40),
 ///     client_addr: 1,
@@ -437,7 +435,6 @@ impl<'a> EngineSession<'a> {
         }
         self.requests.push(InFlight {
             req: request,
-            object: None,
             phase: Phase::AwaitWorker,
             body_bytes: 0,
             fork_memory: 0,
@@ -635,13 +632,9 @@ impl<'a> EngineSession<'a> {
         });
         // Unknown paths are rejected before consuming a worker; HEAD
         // requests are always served against the base page.
-        if req.class != RequestClass::Head {
-            let object = self.catalog.position(&req.path);
-            if object.is_none() {
-                self.complete(idx, RequestStatus::NotFound, self.now, 0);
-                return;
-            }
-            self.requests[idx].object = object;
+        if req.class != RequestClass::Head && req.object.is_none() {
+            self.complete(idx, RequestStatus::NotFound, self.now, 0);
+            return;
         }
         if self.workers.try_acquire(idx as u64) {
             self.admit(idx);
@@ -664,7 +657,7 @@ impl<'a> EngineSession<'a> {
         // server to render the base page, so they carry its generation
         // cost in addition to the per-request protocol overhead.
         let base_page_cost = if self.requests[idx].req.class == RequestClass::Head
-            || self.requests[idx].object == Some(BASE_PAGE_INDEX)
+            || self.requests[idx].req.object == Some(ObjectId::BASE_PAGE)
         {
             self.config.workers.base_page_cpu
         } else {
@@ -703,13 +696,10 @@ impl<'a> EngineSession<'a> {
                 self.complete(idx, RequestStatus::Ok, completion, 0);
             }
             RequestClass::Static => {
-                let object = self.object_of(idx);
+                let (id, object) = self.object_of(idx);
                 let size = object.size_bytes;
                 self.requests[idx].body_bytes = size;
-                if self
-                    .cache
-                    .object_lookup(&object.path, &self.config.object_cache)
-                {
+                if self.cache.object_lookup(id, &self.config.object_cache) {
                     self.start_transfer(idx);
                 } else {
                     let service_secs = self.config.hardware.disk_seek.as_secs_f64()
@@ -721,17 +711,17 @@ impl<'a> EngineSession<'a> {
                 }
             }
             RequestClass::Dynamic => {
-                let object = self.object_of(idx);
-                let (rows, cacheable, path) = (object.db_rows, object.cacheable, &object.path);
+                let (id, object) = self.object_of(idx);
+                let (rows, cacheable) = (object.db_rows, object.cacheable);
                 self.requests[idx].body_bytes = object.size_bytes;
                 // Pre-compute the database work so the query-cache decision
                 // is made at classification time (the hit/miss counters then
                 // reflect what the back end actually did).
                 let db = &self.config.database;
-                let work = if self.cache.query_lookup(path, cacheable, db) {
+                let work = if self.cache.query_lookup(id, cacheable, db) {
                     db.cache_hit_cpu
                 } else {
-                    self.cache.query_insert(path, cacheable, db);
+                    self.cache.query_insert(id, cacheable, db);
                     db.base_query_cpu + rows as f64 / 1_000.0 * db.cpu_per_1k_rows
                 };
                 self.requests[idx].pending_db_work = work;
@@ -761,10 +751,11 @@ impl<'a> EngineSession<'a> {
         }
     }
 
-    /// The catalog object request `idx` names, resolved at arrival.
-    fn object_of(&self, idx: usize) -> &'a ObjectSpec {
-        let index = self.requests[idx].object.expect("path resolved at arrival");
-        self.catalog.object(index)
+    /// The catalog object a static or dynamic request `idx` names, which
+    /// [`Self::on_arrival`] checked it has.
+    fn object_of(&self, idx: usize) -> (ObjectId, &'a ObjectSpec) {
+        let id = self.requests[idx].req.object.expect("checked at arrival");
+        (id, self.catalog.object(id))
     }
 
     /// The request has a handler (forked or pooled) and now needs a
@@ -809,12 +800,10 @@ impl<'a> EngineSession<'a> {
     }
 
     fn on_disk_done(&mut self, idx: usize) {
-        let inflight = &self.requests[idx];
-        self.cache.object_insert(
-            &inflight.req.path,
-            inflight.body_bytes,
-            &self.config.object_cache,
-        );
+        let (id, _) = self.object_of(idx);
+        let bytes = self.requests[idx].body_bytes;
+        self.cache
+            .object_insert(id, bytes, &self.config.object_cache);
         self.start_transfer(idx);
     }
 
@@ -1014,12 +1003,18 @@ mod tests {
     use crate::control::{AdmissionVerdict, ControlAction, NullControl, ServerControl, TickSample};
     use mfc_simnet::mbps;
 
+    /// The id `path` resolves to in the lab-validation catalog every test
+    /// server here hosts.
+    fn lab_object(path: &str) -> Option<ObjectId> {
+        ContentCatalog::lab_validation().resolve(path)
+    }
+
     fn head_request(id: u64, at_ms: u64) -> ServerRequest {
         ServerRequest {
             id,
             arrival: SimTime::ZERO + SimDuration::from_millis(at_ms),
             class: RequestClass::Head,
-            path: "/index.html".to_string(),
+            object: lab_object("/index.html"),
             client_downlink: 1e7,
             client_rtt: SimDuration::from_millis(40),
             client_addr: id as u32,
@@ -1032,7 +1027,7 @@ mod tests {
             id,
             arrival: SimTime::ZERO + SimDuration::from_millis(at_ms),
             class: RequestClass::Static,
-            path: path.to_string(),
+            object: lab_object(path),
             client_downlink: 1e8,
             client_rtt: SimDuration::from_millis(40),
             client_addr: id as u32,
@@ -1045,7 +1040,7 @@ mod tests {
             id,
             arrival: SimTime::ZERO + SimDuration::from_millis(at_ms),
             class: RequestClass::Dynamic,
-            path: path.to_string(),
+            object: lab_object(path),
             client_downlink: 1e8,
             client_rtt: SimDuration::from_millis(40),
             client_addr: id as u32,

@@ -45,7 +45,7 @@ pub use cluster::{BalancePolicy, ServerCluster};
 pub use config::{
     DatabaseConfig, DynamicHandler, HardwareSpec, ObjectCacheConfig, ServerConfig, WorkerConfig,
 };
-pub use content::{ContentCatalog, ObjectKind, ObjectSpec};
+pub use content::{ContentCatalog, ObjectId, ObjectKind, ObjectSpec};
 pub use control::{AdmissionVerdict, ControlAction, NullControl, ServerControl, TickSample};
 pub use engine::{EngineSession, ServerEngine};
 pub use request::{ArrivalRecord, RequestClass, RequestOutcome, RequestStatus, ServerRequest};

@@ -10,6 +10,8 @@ use mfc_simcore::{SimDuration, SimTime};
 use mfc_simnet::Bandwidth;
 use serde::{Deserialize, Serialize};
 
+use crate::content::ObjectId;
+
 /// What kind of HTTP request this is, which determines which server
 /// sub-systems it exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -27,7 +29,12 @@ pub enum RequestClass {
 }
 
 /// A single request arrival as seen by the server simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The request names its object by the [`ObjectId`] the server's catalog
+/// resolved for its path where the request was made
+/// ([`crate::ContentCatalog::resolve`]), so it owns no heap data and the
+/// server never looks at a path.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ServerRequest {
     /// Caller-chosen identifier, echoed back in the outcome.
     pub id: u64,
@@ -36,9 +43,11 @@ pub struct ServerRequest {
     pub arrival: SimTime,
     /// Request class.
     pub class: RequestClass,
-    /// Path of the requested object; must exist in the server's catalog for
-    /// static/dynamic requests.
-    pub path: String,
+    /// The requested object, resolved against the server's catalog; `None`
+    /// when the catalog does not host the path, which a static or dynamic
+    /// request answers with [`RequestStatus::NotFound`].  HEAD requests are
+    /// served against the base page whatever they name.
+    pub object: Option<ObjectId>,
     /// Downstream bandwidth of the requesting client in bytes/s (caps the
     /// response transfer rate).
     pub client_downlink: Bandwidth,

@@ -73,7 +73,7 @@ impl ResponseModel {
 ///
 /// ```
 /// use mfc_simcore::{SimDuration, SimTime};
-/// use mfc_webserver::{RequestClass, ResponseModel, ServerRequest, SyntheticServer};
+/// use mfc_webserver::{ObjectId, RequestClass, ResponseModel, ServerRequest, SyntheticServer};
 ///
 /// let server = SyntheticServer::new(SimDuration::from_millis(20),
 ///                                   ResponseModel::Linear { slope_ms: 5.0 });
@@ -81,7 +81,7 @@ impl ResponseModel {
 ///     id: i,
 ///     arrival: SimTime::ZERO,
 ///     class: RequestClass::Head,
-///     path: "/".into(),
+///     object: Some(ObjectId::BASE_PAGE),
 ///     client_downlink: 1e7,
 ///     client_rtt: SimDuration::from_millis(10),
 ///     client_addr: i as u32,
@@ -181,7 +181,7 @@ mod tests {
             id,
             arrival: SimTime::ZERO + SimDuration::from_millis(arrival_ms),
             class: RequestClass::Head,
-            path: "/".to_string(),
+            object: Some(crate::ObjectId::BASE_PAGE),
             client_downlink: 1e7,
             client_rtt: SimDuration::ZERO,
             client_addr: id as u32,

@@ -231,13 +231,7 @@ impl SessionState {
     /// Starts a session: picks the entry page.  The first page view fires
     /// at the session's arrival instant.
     pub fn start(model: &SessionModel, user: u64, source: u32, mut rng: SimRng) -> Self {
-        let weights: Vec<(u32, f64)> = model
-            .entry_weights
-            .iter()
-            .enumerate()
-            .map(|(i, w)| (i as u32, w.max(0.0)))
-            .collect();
-        let page = *rng.weighted_choice(&weights);
+        let page = rng.weighted_index(model.entry_weights.iter().copied()) as u32;
         SessionState {
             rng,
             user,
@@ -288,19 +282,16 @@ impl SessionState {
             if total <= 0.0 {
                 return (kind, None);
             }
-            let mut choices: Vec<(Option<u32>, f64)> = row
-                .iter()
-                .enumerate()
-                .map(|(j, w)| (Some(j as u32), w.max(0.0)))
-                .collect();
-            choices.push((None, exit));
-            match *self.rng.weighted_choice(&choices) {
-                Some(next_page) => {
-                    self.page = next_page;
-                    let think = self.rng.sample_tail(&model.think_time);
-                    Some(now + SimDuration::from_secs_f64(think).max(SimDuration::from_micros(1)))
-                }
-                None => None,
+            // One draw over the row's weights followed by the exit weight:
+            // the last index leaves.
+            let choices = row.iter().copied().chain(std::iter::once(exit));
+            let next_page = self.rng.weighted_index(choices);
+            if next_page < row.len() {
+                self.page = next_page as u32;
+                let think = self.rng.sample_tail(&model.think_time);
+                Some(now + SimDuration::from_secs_f64(think).max(SimDuration::from_micros(1)))
+            } else {
+                None
             }
         };
         (kind, next)
@@ -356,6 +347,113 @@ mod tests {
                 }
             }
             assert!(requests >= 1);
+        }
+    }
+
+    /// The session walk as it was when it collected its choices into a
+    /// `Vec` for `SimRng::weighted_choice`: the entry draw, then per page
+    /// transition one draw over the row's choices followed by the exit.
+    /// Returns each request's kind and next time, then the RNG's next value.
+    fn collecting_walk(model: &SessionModel, mut rng: SimRng) -> (Vec<(RequestKind, u64)>, u64) {
+        let entry: Vec<(u32, f64)> = model
+            .entry_weights
+            .iter()
+            .enumerate()
+            .map(|(i, w)| (i as u32, w.max(0.0)))
+            .collect();
+        let mut page = *rng.weighted_choice(&entry);
+        let (mut embedded_left, mut issued) = (0u32, 0u32);
+        let mut now = SimTime::ZERO;
+        let mut walk = Vec::new();
+        loop {
+            let spec = &model.pages[page as usize];
+            let kind = if embedded_left > 0 {
+                embedded_left -= 1;
+                spec.embedded_kind
+            } else {
+                embedded_left = if spec.embedded_max > spec.embedded_min {
+                    rng.uniform_u64(u64::from(spec.embedded_min), u64::from(spec.embedded_max))
+                        as u32
+                } else {
+                    spec.embedded_min
+                };
+                spec.kind
+            };
+            issued += 1;
+            let next = if issued >= SESSION_REQUEST_CAP {
+                None
+            } else if embedded_left > 0 {
+                let gap_micros = spec.embedded_gap.as_micros();
+                let gap = if gap_micros == 0 {
+                    SimDuration::from_micros(1)
+                } else {
+                    SimDuration::from_micros(rng.uniform_u64(1, gap_micros))
+                };
+                Some(now + gap)
+            } else {
+                let row = &model.transitions[page as usize];
+                let exit = model.exit_weights[page as usize].max(0.0);
+                let total: f64 = row.iter().map(|w| w.max(0.0)).sum::<f64>() + exit;
+                if total <= 0.0 {
+                    walk.push((kind, 0));
+                    return (walk, rng.next_u64());
+                }
+                let mut choices: Vec<(Option<u32>, f64)> = row
+                    .iter()
+                    .enumerate()
+                    .map(|(j, w)| (Some(j as u32), w.max(0.0)))
+                    .collect();
+                choices.push((None, exit));
+                match *rng.weighted_choice(&choices) {
+                    Some(next_page) => {
+                        page = next_page;
+                        let think = model.think_time.sample(&mut rng);
+                        Some(
+                            now + SimDuration::from_secs_f64(think)
+                                .max(SimDuration::from_micros(1)),
+                        )
+                    }
+                    None => None,
+                }
+            };
+            walk.push((kind, next.map_or(0, |t| t.as_micros())));
+            match next {
+                Some(t) => now = t,
+                None => return (walk, rng.next_u64()),
+            }
+        }
+    }
+
+    #[test]
+    fn the_walk_draws_what_the_collecting_walk_drew() {
+        let mut model = SessionModel::browsing();
+        // A page whose row and exit are all zero: the walk ends without a
+        // draw.
+        model.pages.push(PageSpec::bare(RequestKind::StaticLarge));
+        model.entry_weights.push(0.05);
+        for row in &mut model.transitions {
+            row.push(0.01);
+        }
+        model.transitions.push(vec![0.0; 5]);
+        model.exit_weights.push(0.0);
+        assert!(model.validate().is_ok());
+        let mut seeds = SimRng::seed_from(29);
+        for user in 0..2_000 {
+            let rng = SimRng::seed_from(seeds.next_u64());
+            let (expected, expected_next) = collecting_walk(&model, rng.clone());
+            let mut session = SessionState::start(&model, user, 0, rng);
+            let mut now = SimTime::ZERO;
+            let mut walk = Vec::new();
+            loop {
+                let (kind, next) = session.step(&model, now);
+                walk.push((kind, next.map_or(0, |t| t.as_micros())));
+                match next {
+                    Some(t) => now = t,
+                    None => break,
+                }
+            }
+            assert_eq!(walk, expected, "session {user}");
+            assert_eq!(session.rng.next_u64(), expected_next, "session {user}");
         }
     }
 

@@ -96,13 +96,14 @@ fn main() {
         ..ServerConfig::lab_apache()
     };
     let mut server = ServerCluster::new(config, ContentCatalog::lab_validation(), 1);
+    let large = server.catalog().resolve("/objects/large_100k.bin");
     let requests: Vec<ServerRequest> = (0..crowd_size)
         .map(|i| ServerRequest {
             id: i,
             // The whole crowd lands inside one second.
             arrival: SimTime::ZERO + SimDuration::from_micros(i * 100),
             class: RequestClass::Static,
-            path: "/objects/large_100k.bin".to_string(),
+            object: large,
             client_downlink: 1e8,
             client_rtt: SimDuration::from_millis(40),
             client_addr: (i % 251) as u32,
@@ -157,7 +158,7 @@ fn main() {
                         (ramp_secs * 1e6 * (i as f64 / crowd as f64).sqrt()) as u64,
                     ),
                 class: RequestClass::Static,
-                path: "/objects/large_100k.bin".to_string(),
+                object: large,
                 client_downlink: 1e8,
                 client_rtt: SimDuration::from_millis(40),
                 client_addr: (i % 251) as u32,

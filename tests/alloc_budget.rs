@@ -12,14 +12,15 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mfc_simcore::{SimDuration, SimTime};
+use mfc_simcore::{SimDuration, SimRng, SimTime};
 use mfc_simnet::{mbps, FlowId};
 use mfc_topology::{NetworkGraph, TopologySpec};
 use mfc_webserver::resource::PsResource;
 use mfc_webserver::{
-    CacheState, ContentCatalog, NullControl, RequestClass, ServerCluster, ServerConfig,
-    ServerEngine, ServerRequest,
+    CacheState, CatalogSampler, ContentCatalog, NullControl, RequestClass, ServerCluster,
+    ServerConfig, ServerEngine, ServerRequest, WorkloadSpec, WorkloadStream,
 };
+use mfc_workload::{ArrivalProcess, ClientSpec, MixWeights, SessionModel};
 
 struct CountingAlloc;
 
@@ -197,11 +198,12 @@ fn one_request_run_allocations(topology: TopologySpec, class: RequestClass, path
     };
     let mut cluster =
         ServerCluster::new(config, ContentCatalog::lab_validation(), 1).with_topology(topology);
+    let object = cluster.catalog().resolve(path);
     let request = |id: u64| ServerRequest {
         id,
         arrival: ms(500 * id),
         class,
-        path: path.to_string(),
+        object,
         client_downlink: 1e7,
         client_rtt: SimDuration::from_millis(40),
         // One client, so both runs take the same route: a route's flow
@@ -233,6 +235,60 @@ fn a_one_request_run_on_a_warm_cluster_reuses_its_session_buffers() {
             allocations <= ONE_REQUEST_RUN_BUDGET,
             "{shape}: a warm one-request run allocated {allocations} times \
              (budget {ONE_REQUEST_RUN_BUDGET})"
+        );
+    }
+}
+
+/// How many more allocations a background window ten times as long may
+/// make: the stream's pending-event heap and session slots grow with the
+/// peak number of live sessions, which a longer window raises only a
+/// little, and each growth is one doubling.
+const LONGER_WINDOW_SLACK: u64 = 8;
+
+/// Streams `secs` seconds of `spec` against the typical site through
+/// `CatalogSampler`, consuming the requests one at a time; returns the
+/// allocations made (sampler and stream set-up included) and the number of
+/// requests.
+fn streamed_window_allocations(spec: &WorkloadSpec, secs: u64) -> (u64, u64) {
+    let catalog = ContentCatalog::typical_site(1);
+    let master = SimRng::seed_from(0xa110c);
+    allocations_during(|| {
+        let stream = WorkloadStream::new(
+            spec,
+            SimTime::ZERO,
+            SimTime::ZERO + SimDuration::from_secs(secs),
+            0,
+            &master,
+            CatalogSampler::background(&catalog),
+        );
+        let mut requests = 0u64;
+        for request in stream {
+            std::hint::black_box(request);
+            requests += 1;
+        }
+        requests
+    })
+}
+
+#[test]
+fn a_streamed_background_window_allocates_nothing_per_request() {
+    let flat = WorkloadSpec::poisson_mix(200.0, MixWeights::default(), ClientSpec::default());
+    let sessions = WorkloadSpec::sessions(
+        ArrivalProcess::Poisson { rate_per_sec: 8.0 },
+        SessionModel::browsing(),
+        ClientSpec::default(),
+    );
+    for (shape, spec, secs) in [("flat mix", flat, 60), ("browsing sessions", sessions, 300)] {
+        let (short, short_requests) = streamed_window_allocations(&spec, secs);
+        let (long, long_requests) = streamed_window_allocations(&spec, 10 * secs);
+        assert!(
+            long_requests > 9 * short_requests && short_requests > 10_000,
+            "{shape}: {short_requests} then {long_requests} requests"
+        );
+        assert!(
+            long <= short + LONGER_WINDOW_SLACK,
+            "{shape}: {long} allocations for {long_requests} requests against {short} for \
+             {short_requests} (slack {LONGER_WINDOW_SLACK})"
         );
     }
 }

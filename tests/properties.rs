@@ -17,7 +17,7 @@ use mfc_simcore::{SimDuration, SimRng, SimTime};
 use mfc_simnet::{FlowId, PopulationProfile, TcpModel, WideAreaModel};
 use mfc_topology::{LinkId, NaiveNetwork, NetworkGraph, RouteId, TopologySpec};
 use mfc_webserver::{
-    ContentCatalog, NullControl, RequestClass, ServerCluster, ServerConfig, ServerRequest,
+    ContentCatalog, NullControl, ObjectId, RequestClass, ServerCluster, ServerConfig, ServerRequest,
 };
 
 const CASES: usize = 64;
@@ -989,7 +989,7 @@ fn engine_accounts_for_every_request() {
                 id: i as u64,
                 arrival: SimTime::from_micros(i as u64 * stagger_us),
                 class: RequestClass::Head,
-                path: "/index.html".to_string(),
+                object: Some(ObjectId::BASE_PAGE),
                 client_downlink: 1e7,
                 client_rtt: SimDuration::from_millis(40),
                 client_addr: i as u32,
@@ -1115,7 +1115,7 @@ fn streamed_engine_run_matches_the_batch_run() {
                 id: i as u64,
                 arrival: SimTime::from_micros(i as u64 * 10_000 + rng.uniform_u64(0, 7_919)),
                 class: RequestClass::Head,
-                path: "/index.html".to_string(),
+                object: Some(ObjectId::BASE_PAGE),
                 client_downlink: 1e7,
                 client_rtt: SimDuration::from_millis(40),
                 client_addr: i as u32,
@@ -1126,14 +1126,14 @@ fn streamed_engine_run_matches_the_batch_run() {
 
         let mut batch_session = engine.session(CacheState::new());
         for request in &requests {
-            batch_session.push_request(request.clone());
+            batch_session.push_request(*request);
         }
         let (batch, _) = batch_session.finish();
 
         let mut stream_session = engine.session(CacheState::new());
         for request in &requests {
             stream_session.run_until(request.arrival);
-            stream_session.push_request(request.clone());
+            stream_session.push_request(*request);
         }
         let (streamed, _) = stream_session.finish();
         assert_eq!(batch.outcomes, streamed.outcomes);
@@ -1160,7 +1160,7 @@ fn streamed_cluster_run_matches_the_batch_controlled_run() {
                 id: i as u64,
                 arrival: SimTime::from_micros(i as u64 * 15_000 + rng.uniform_u64(0, 9_973)),
                 class: RequestClass::Head,
-                path: "/index.html".to_string(),
+                object: Some(ObjectId::BASE_PAGE),
                 client_downlink: 1e7,
                 client_rtt: SimDuration::from_millis(40),
                 client_addr: i as u32,
@@ -1251,7 +1251,7 @@ fn cluster_sweep_matches_per_replica_sessions_under_coincident_events() {
                     id: requests.len() as u64,
                     arrival: SimTime::ZERO + SimDuration::from_millis(at_ms),
                     class,
-                    path: path.to_string(),
+                    object: catalog.resolve(path),
                     client_downlink: 1e7,
                     client_rtt: SimDuration::from_millis(40),
                     client_addr: 7,
@@ -1276,7 +1276,7 @@ fn cluster_sweep_matches_per_replica_sessions_under_coincident_events() {
             .map(|_| engine.session(CacheState::new()))
             .collect();
         for request in &requests {
-            sessions[request.id as usize % replicas].push_request(request.clone());
+            sessions[request.id as usize % replicas].push_request(*request);
         }
         let parts: Vec<_> = sessions.into_iter().map(|s| s.finish().0).collect();
         let by_id: HashMap<u64, _> = parts
@@ -1401,7 +1401,7 @@ fn a_reused_session_matches_a_newly_built_one() {
                     id: id as u64,
                     arrival: SimTime::from_micros(at_us),
                     class,
-                    path: path.clone(),
+                    object: catalog.resolve(path),
                     client_downlink: rng.uniform(100_000.0, 5e6),
                     client_rtt: SimDuration::from_millis(rng.uniform_u64(5, 120)),
                     client_addr: rng.index(16) as u32,

@@ -126,18 +126,18 @@ fn thousand_request_large_object_crowd_completes_quickly() {
         id: 0,
         arrival: SimTime::ZERO,
         class: RequestClass::Static,
-        path: "/objects/large_100k.bin".to_string(),
+        object: server.catalog().resolve("/objects/large_100k.bin"),
         client_downlink: 1e8,
         client_rtt: SimDuration::from_millis(40),
         client_addr: 0,
         background: false,
     };
-    server.run(vec![warm.clone()], &mut NullControl);
+    server.run(vec![warm], &mut NullControl);
     let crowd: Vec<ServerRequest> = (0..1_000)
         .map(|i| ServerRequest {
             id: i + 1,
             arrival: SimTime::ZERO + SimDuration::from_micros(i * 50),
-            ..warm.clone()
+            ..warm
         })
         .collect();
     let result = server.run(crowd, &mut NullControl);
@@ -173,6 +173,7 @@ fn ten_k_crowd_with_all_four_defenses_stays_under_wall_clock_budget() {
         },
         ..ServerConfig::lab_apache()
     };
+    let large = ContentCatalog::lab_validation().resolve("/objects/large_100k.bin");
     let crowd: Vec<ServerRequest> = (0..10_000u64)
         .map(|i| ServerRequest {
             id: i,
@@ -180,7 +181,7 @@ fn ten_k_crowd_with_all_four_defenses_stays_under_wall_clock_budget() {
             arrival: SimTime::ZERO
                 + SimDuration::from_micros((1e8 * (i as f64 / 10_000.0).sqrt()) as u64),
             class: RequestClass::Static,
-            path: "/objects/large_100k.bin".to_string(),
+            object: large,
             client_downlink: 1e8,
             client_rtt: SimDuration::from_millis(40),
             client_addr: (i % 509) as u32,
