@@ -36,9 +36,6 @@ pub struct LiveBackendConfig {
     pub artificial_latency: (Duration, Duration),
     /// HTTP client settings (timeouts).
     pub http: ClientConfig,
-    /// Whether to actually sleep for inter-epoch gaps (`false` keeps test
-    /// runs fast; `true` matches the paper's pacing).
-    pub honor_epoch_gaps: bool,
 }
 
 impl Default for LiveBackendConfig {
@@ -47,12 +44,15 @@ impl Default for LiveBackendConfig {
             clients: 50,
             artificial_latency: (Duration::from_millis(0), Duration::from_millis(30)),
             http: ClientConfig::default(),
-            honor_epoch_gaps: false,
         }
     }
 }
 
 /// The live execution environment.
+///
+/// A live run goes straight on to its next epoch rather than sleeping
+/// through the gap the paper paces epochs with: [`MfcBackend::wait`] keeps
+/// its no-op default.
 #[derive(Debug)]
 pub struct LiveBackend {
     target: Url,
@@ -215,12 +215,6 @@ impl MfcBackend for LiveBackend {
         self.crawler
             .crawl(&self.target)
             .unwrap_or_else(|_| TargetProfile::from_objects(self.target.path_and_query(), vec![]))
-    }
-
-    fn wait(&mut self, gap: SimDuration) {
-        if self.config.honor_epoch_gaps {
-            thread::sleep(Duration::from_micros(gap.as_micros()));
-        }
     }
 }
 

@@ -64,8 +64,8 @@ pub trait MfcBackend {
     fn profile_target(&mut self) -> TargetProfile;
 
     /// Lets the backend account for idle time between epochs (the ~10 s
-    /// gap); simulation backends advance their virtual clock, live backends
-    /// may simply sleep or ignore it.
+    /// gap); simulation backends advance their virtual clock, the live
+    /// backend ignores it.
     fn wait(&mut self, gap: SimDuration) {
         let _ = gap;
     }

@@ -15,8 +15,8 @@ use mfc_simcore::{SimDuration, SimRng, SimTime};
 use mfc_simnet::{ControlChannel, PopulationProfile, WideAreaModel};
 use mfc_topology::TopologySpec;
 use mfc_webserver::{
-    BackgroundTraffic, ContentCatalog, RequestClass, RequestOutcome, RequestStatus, ServerCluster,
-    ServerConfig, ServerRequest,
+    BackgroundTraffic, CatalogSampler, ContentCatalog, RequestClass, RequestOutcome, RequestStatus,
+    ServerCluster, ServerConfig, ServerRequest, WorkloadStream,
 };
 use serde::{Deserialize, Serialize};
 
@@ -364,28 +364,31 @@ impl MfcBackend for SimBackend {
 
         // Background traffic competes over the whole epoch window.  A full
         // workload spec (sessions, diurnal/MMPP/flash-crowd arrivals,
-        // traces) streams through the shared merged-heap generator; the
-        // flat `background` model keeps its original draw stream.  Both are
+        // traces) streams with per-source RNGs forked from `bg_rng`; the
+        // flat `background` model streams its one-source spec on `bg_rng`
+        // itself, the draws `BackgroundTraffic::generate` makes.  Both are
         // time-ordered, so they merge with the sorted probes (probes first
         // on a tie) straight into the server's sweep.
         let window_end = last_arrival + plan.timeout;
-        let mut bg_rng = self.rng.fork_indexed("background", origin.as_micros());
+        let bg_rng = self.rng.fork_indexed("background", origin.as_micros());
         let id_base = 1_000_000_000 + self.next_request_id;
-        let background: Box<dyn Iterator<Item = ServerRequest> + '_> = match &self.spec.workload {
-            Some(workload) if !workload.is_empty() => Box::new(mfc_workload::WorkloadStream::new(
-                workload,
-                origin,
-                window_end,
-                id_base,
-                &bg_rng,
-                mfc_webserver::CatalogSampler::background(&self.spec.catalog),
-            )),
-            _ => Box::new(
-                self.spec
-                    .background
-                    .generate(&self.spec.catalog, origin, window_end, id_base, &mut bg_rng)
-                    .into_iter(),
-            ),
+        let sampler = CatalogSampler::background(&self.spec.catalog);
+        let flat;
+        let background = match &self.spec.workload {
+            Some(workload) if !workload.is_empty() => {
+                WorkloadStream::new(workload, origin, window_end, id_base, &bg_rng, sampler)
+            }
+            _ => {
+                flat = self.spec.background.workload_spec();
+                WorkloadStream::with_source_rngs(
+                    &flat,
+                    origin,
+                    window_end,
+                    id_base,
+                    vec![bg_rng],
+                    sampler,
+                )
+            }
         };
         mfc_requests.sort_by_key(|r| r.arrival);
         let result = self.target.run(
@@ -429,11 +432,13 @@ impl MfcBackend for SimBackend {
             });
         }
 
+        // The outcomes are in arrival order: the probes' arrival times, as
+        // the target's access log records them.
         let target_arrivals: Vec<SimTime> = result
-            .arrival_log
+            .outcomes
             .iter()
-            .filter(|r| !r.background)
-            .map(|r| r.arrival)
+            .filter(|o| !o.background)
+            .map(|o| o.arrival)
             .collect();
 
         // Advance the clock past the epoch.
@@ -617,6 +622,31 @@ mod tests {
         backend.measure_base(ClientId(0), &probe);
         let obs = backend.run_epoch(&plan(probe, &[0, 1, 2], 15_000));
         assert!(obs.background_requests > 0);
+    }
+
+    #[test]
+    fn target_arrivals_are_the_probes_in_arrival_order() {
+        let spec = SimTargetSpec::single_server(
+            ServerConfig::lab_apache(),
+            ContentCatalog::lab_validation(),
+        )
+        .with_background(BackgroundTraffic::at_rate(200.0));
+        let mut backend = SimBackend::new(spec, 60, 4);
+        for c in 0..30u32 {
+            backend.measure_base(ClientId(c), &base_spec());
+        }
+        let obs = backend.run_epoch(&plan(base_spec(), &(0..30u32).collect::<Vec<_>>(), 15_000));
+        assert!(
+            obs.background_requests > obs.observations.len() as u64,
+            "background arrivals must outnumber the probes: {}",
+            obs.background_requests
+        );
+        assert_eq!(obs.target_arrivals.len(), obs.observations.len());
+        assert!(
+            obs.target_arrivals.windows(2).all(|w| w[0] <= w[1]),
+            "{:?}",
+            obs.target_arrivals
+        );
     }
 
     #[test]

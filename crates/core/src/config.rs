@@ -103,14 +103,6 @@ pub struct MfcConfig {
     /// Minimum number of registered clients required to start (the paper
     /// aborts below 50 so the crowd reflects genuine wide-area diversity).
     pub min_registered_clients: usize,
-    /// Minimum crowd size before the check phase may terminate a stage
-    /// (below this the median is considered statistically meaningless and
-    /// the coordinator always progresses).
-    pub min_crowd_for_inference: usize,
-    /// Gap between successive epochs.
-    pub epoch_gap: SimDuration,
-    /// Client-side request timeout.
-    pub client_timeout: SimDuration,
     /// Delay between the latency-measurement step and the intended arrival
     /// instant of the first epoch's requests.
     pub schedule_lead: SimDuration,
@@ -148,9 +140,6 @@ impl MfcConfig {
             crowd_increment: 5,
             max_crowd: 55,
             min_registered_clients: 50,
-            min_crowd_for_inference: 15,
-            epoch_gap: SimDuration::from_secs(10),
-            client_timeout: SimDuration::from_secs(10),
             schedule_lead: SimDuration::from_secs(15),
             requests_per_client: 1,
             stagger: None,
@@ -274,9 +263,6 @@ impl MfcConfig {
         if !(0.0..=1.0).contains(&self.large_object_quantile) {
             return Err("large_object_quantile must be within [0, 1]".to_string());
         }
-        if self.client_timeout.is_zero() {
-            return Err("client_timeout must be positive".to_string());
-        }
         if let Some(policy) = &self.quiescence {
             policy.validate()?;
         }
@@ -293,9 +279,6 @@ mod tests {
         let cfg = MfcConfig::standard();
         assert_eq!(cfg.threshold, SimDuration::from_millis(100));
         assert_eq!(cfg.min_registered_clients, 50);
-        assert_eq!(cfg.min_crowd_for_inference, 15);
-        assert_eq!(cfg.client_timeout, SimDuration::from_secs(10));
-        assert_eq!(cfg.epoch_gap, SimDuration::from_secs(10));
         assert_eq!(cfg.requests_per_client, 1);
         assert!(cfg.validate().is_ok());
     }

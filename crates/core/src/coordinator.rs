@@ -32,6 +32,17 @@ use crate::types::{
     StageOutcome,
 };
 
+/// Minimum crowd size before the check phase may terminate a stage (below
+/// this the median is considered statistically meaningless and the
+/// coordinator always progresses).
+const MIN_CROWD_FOR_INFERENCE: usize = 15;
+
+/// Gap between successive epochs.
+const EPOCH_GAP: SimDuration = SimDuration::from_secs(10);
+
+/// Client-side request timeout.
+const CLIENT_TIMEOUT: SimDuration = SimDuration::from_secs(10);
+
 /// Why an MFC experiment could not run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MfcError {
@@ -249,13 +260,13 @@ impl Coordinator {
             );
             let triggered = summary.detector_ms > threshold_ms;
             state.epochs.push(summary);
-            backend.wait(self.config.epoch_gap);
+            backend.wait(EPOCH_GAP);
 
             if !triggered {
                 continue;
             }
             // Below the minimum crowd the median is not trusted; progress.
-            if crowd < self.config.min_crowd_for_inference {
+            if crowd < MIN_CROWD_FOR_INFERENCE {
                 continue;
             }
 
@@ -276,7 +287,7 @@ impl Coordinator {
                 );
                 let exceeded = summary.detector_ms > threshold_ms;
                 state.epochs.push(summary);
-                backend.wait(self.config.epoch_gap);
+                backend.wait(EPOCH_GAP);
                 if exceeded {
                     confirmed = true;
                     break;
@@ -401,7 +412,7 @@ impl Coordinator {
             stage,
             index,
             commands,
-            timeout: self.config.client_timeout,
+            timeout: CLIENT_TIMEOUT,
         };
         let observation = backend.run_epoch(&plan);
 

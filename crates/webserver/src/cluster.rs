@@ -18,7 +18,7 @@ use crate::config::ServerConfig;
 use crate::content::ContentCatalog;
 use crate::control::{AdmissionVerdict, ControlAction, ServerControl, TickSample};
 use crate::engine::{EngineSession, RunResult, ServerEngine, SessionBuffers};
-use crate::request::{ArrivalRecord, RequestOutcome, RequestStatus, ServerRequest};
+use crate::request::{RequestOutcome, RequestStatus, ServerRequest};
 use crate::telemetry::UtilizationReport;
 
 /// How the balancer assigns requests to replicas.
@@ -428,27 +428,17 @@ impl<'e, 'c> Sweep<'e, 'c> {
             ..
         } = self;
         let mut run_end = last_time;
-        let mut arrival_log: Vec<ArrivalRecord> = shed
-            .iter()
-            .map(|o| ArrivalRecord {
-                id: o.id,
-                arrival: o.arrival,
-                background: o.background,
-            })
-            .collect();
         let mut parts: Vec<Option<RunResult>> = Vec::with_capacity(sessions.len());
         for (replica, slot) in sessions.into_iter().enumerate() {
             parts.push(slot.map(|session| {
                 let start = session.start();
                 let (result, cache, buffers) = session.finish_reusable();
                 carry.caches[replica] = cache;
-                arrival_log.extend_from_slice(&buffers.arrival_log);
                 carry.spare.push(buffers.cleared());
                 run_end = run_end.max(start + result.utilization.window);
                 result
             }));
         }
-        arrival_log.sort_by_key(|r| (r.arrival, r.id));
 
         let mut utilization =
             UtilizationReport::merge(parts.iter().flatten().map(|part| &part.utilization));
@@ -474,7 +464,6 @@ impl<'e, 'c> Sweep<'e, 'c> {
         RunResult {
             outcomes,
             utilization,
-            arrival_log,
         }
     }
 }
@@ -577,14 +566,14 @@ mod tests {
     }
 
     #[test]
-    fn arrival_log_covers_all_requests() {
+    fn outcomes_cover_all_requests() {
         let mut cluster = ServerCluster::new(
             ServerConfig::commercial_frontend(),
             ContentCatalog::typical_site(1),
             3,
         );
         let result = cluster.run((0..9).map(head), &mut NullControl);
-        assert_eq!(result.arrival_log.len(), 9);
+        assert_eq!(result.outcomes.len(), 9);
     }
 
     #[test]
@@ -819,7 +808,6 @@ mod tests {
             let result = ServerCluster::new(config.clone(), catalog.clone(), 1)
                 .run(requests, &mut NullControl);
             assert_eq!(result.outcomes, alone.outcomes);
-            assert_eq!(result.arrival_log, alone.arrival_log);
             assert_eq!(result.utilization, alone.utilization);
             assert_eq!(result.utilization.link_capacity, config.access_link);
         }
@@ -853,7 +841,7 @@ mod tests {
         assert_eq!(result.utilization.shed_requests, 5);
         assert_eq!(result.utilization.throttled_requests, 5);
         assert_eq!(result.utilization.completed_requests, 5);
-        assert_eq!(result.arrival_log.len(), 10);
+        assert_eq!(result.outcomes.len(), 10);
         let shed: Vec<u64> = result
             .outcomes
             .iter()

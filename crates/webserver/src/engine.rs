@@ -34,7 +34,7 @@ use mfc_topology::{BuiltTopology, TopologySpec};
 use crate::cache::CacheState;
 use crate::config::{DynamicHandler, ServerConfig};
 use crate::content::{ContentCatalog, ObjectId, ObjectSpec};
-use crate::request::{ArrivalRecord, RequestClass, RequestOutcome, RequestStatus, ServerRequest};
+use crate::request::{RequestClass, RequestOutcome, RequestStatus, ServerRequest};
 use crate::resource::{FifoResource, MemoryTracker, PsResource, SlotPool};
 use crate::telemetry::UtilizationReport;
 
@@ -45,8 +45,6 @@ pub struct RunResult {
     pub outcomes: Vec<RequestOutcome>,
     /// Server resource usage over the run window.
     pub utilization: UtilizationReport,
-    /// The server's access log for the run.
-    pub arrival_log: Vec<ArrivalRecord>,
 }
 
 /// A configured simulated server: its configuration, hosted content and
@@ -154,8 +152,7 @@ impl ServerEngine {
         let hardware = &self.config.hardware;
         SessionBuffers {
             requests: Vec::new(),
-            arrival_log: Vec::new(),
-            listen_queue: VecDeque::new(),
+            workers: SlotPool::new(self.config.workers.max_workers),
             disk_done: VecDeque::new(),
             cpu: PsResource::new(
                 f64::from(hardware.cpu_cores) * hardware.cpu_speed,
@@ -189,15 +186,13 @@ fn start_cross_traffic(net: &mut BuiltTopology) {
 }
 
 /// The allocations a session fills, kept by [`crate::ServerCluster`] so
-/// its next run's sessions reuse them: the request, arrival-log,
-/// listen-queue and disk-completion buffers, the CPU and the WAN graph.
+/// its next run's sessions reuse them: the request and disk-completion
+/// buffers, the worker pool with its listen queue, the CPU and the WAN
+/// graph.
 #[derive(Debug, Clone)]
 pub(crate) struct SessionBuffers {
     requests: Vec<InFlight>,
-    /// The access log of the session that filled the buffers, sorted by
-    /// arrival time then request id.
-    pub(crate) arrival_log: Vec<ArrivalRecord>,
-    listen_queue: VecDeque<usize>,
+    workers: SlotPool,
     disk_done: VecDeque<(SimTime, usize)>,
     cpu: PsResource,
     net: BuiltTopology,
@@ -208,8 +203,7 @@ impl SessionBuffers {
     /// traffic restarted at time zero: afterwards they equal new ones.
     pub(crate) fn cleared(mut self) -> Self {
         self.requests.clear();
-        self.arrival_log.clear();
-        self.listen_queue.clear();
+        self.workers.reset();
         self.disk_done.clear();
         self.cpu.reset();
         self.net.graph.reset();
@@ -320,8 +314,8 @@ pub struct EngineSession<'a> {
     /// The arrival FIFO: `requests[next_arrival..]` have been pushed but
     /// not yet admitted.
     next_arrival: usize,
+    /// The worker slots; its wait queue is the listen queue.
     workers: SlotPool,
-    listen_queue: VecDeque<usize>,
     handler_pool: SlotPool,
     db_pool: SlotPool,
     cpu: PsResource,
@@ -347,7 +341,6 @@ pub struct EngineSession<'a> {
     end: SimTime,
     busy_workers: TimeWeighted,
     memory_series: TimeWeighted,
-    arrival_log: Vec<ArrivalRecord>,
     refused: u64,
     completed: u64,
     /// Requests whose outcome has been recorded (any status).
@@ -382,8 +375,7 @@ impl<'a> EngineSession<'a> {
             cache,
             requests: buffers.requests,
             next_arrival: 0,
-            workers: SlotPool::new(config.workers.max_workers),
-            listen_queue: buffers.listen_queue,
+            workers: buffers.workers,
             handler_pool: SlotPool::new(handler_capacity),
             db_pool: SlotPool::new(config.database.max_concurrent_queries),
             cpu: buffers.cpu,
@@ -400,7 +392,6 @@ impl<'a> EngineSession<'a> {
             end: SimTime::ZERO,
             busy_workers: TimeWeighted::new(SimTime::ZERO, 0.0),
             memory_series: TimeWeighted::new(SimTime::ZERO, 0.0),
-            arrival_log: buffers.arrival_log,
             refused: 0,
             completed: 0,
             settled: 0,
@@ -484,7 +475,7 @@ impl<'a> EngineSession<'a> {
 
     /// Connections waiting in the listen queue right now.
     pub fn queued(&self) -> usize {
-        self.listen_queue.len()
+        self.workers.queued()
     }
 
     /// Instantaneous CPU utilization in 0–1.
@@ -547,14 +538,12 @@ impl<'a> EngineSession<'a> {
     /// Runs the session to completion and returns the merged result plus
     /// the warmed cache state.
     pub fn finish(self) -> (RunResult, CacheState) {
-        let (mut result, cache, buffers) = self.finish_reusable();
-        result.arrival_log = buffers.arrival_log;
+        let (result, cache, _) = self.finish_reusable();
         (result, cache)
     }
 
     /// [`Self::finish`], also handing back the session's buffers for the
-    /// next session to reuse.  The arrival log stays in the buffers; the
-    /// result's is empty.
+    /// next session to reuse.
     pub(crate) fn finish_reusable(mut self) -> (RunResult, CacheState, SessionBuffers) {
         self.process(None);
         self.into_result()
@@ -625,22 +614,16 @@ impl<'a> EngineSession<'a> {
 
     fn on_arrival(&mut self, idx: usize) {
         let req = &self.requests[idx].req;
-        self.arrival_log.push(ArrivalRecord {
-            id: req.id,
-            arrival: self.now,
-            background: req.background,
-        });
         // Unknown paths are rejected before consuming a worker; HEAD
         // requests are always served against the base page.
         if req.class != RequestClass::Head && req.object.is_none() {
             self.complete(idx, RequestStatus::NotFound, self.now, 0);
             return;
         }
-        if self.workers.try_acquire(idx as u64) {
+        if self.workers.try_acquire() {
             self.admit(idx);
-        } else if self.listen_queue.len() < self.config.workers.listen_queue as usize {
-            self.requests[idx].phase = Phase::AwaitWorker;
-            self.listen_queue.push_back(idx);
+        } else if self.workers.queued() < self.config.workers.listen_queue as usize {
+            self.workers.enqueue(idx as u64);
         } else {
             self.refused += 1;
             self.complete(idx, RequestStatus::Refused, self.now, 0);
@@ -705,7 +688,7 @@ impl<'a> EngineSession<'a> {
                     let service_secs = self.config.hardware.disk_seek.as_secs_f64()
                         + size as f64 / self.config.hardware.disk_bandwidth;
                     let service = SimDuration::from_secs_f64(service_secs * self.memory.slowdown());
-                    let done = self.now + self.disk.enqueue(idx as u64, self.now, service);
+                    let done = self.now + self.disk.enqueue(self.now, service);
                     debug_assert!(self.disk_done.back().is_none_or(|&(last, _)| last <= done));
                     self.disk_done.push_back((done, idx));
                 }
@@ -738,7 +721,7 @@ impl<'a> EngineSession<'a> {
                         self.cpu.add_task(idx as u64, work, self.now);
                     }
                     DynamicHandler::PersistentPool { .. } => {
-                        if self.handler_pool.try_acquire(idx as u64) {
+                        if self.handler_pool.try_acquire() {
                             self.requests[idx].holds_handler = true;
                             self.enter_db_stage(idx);
                         } else {
@@ -761,7 +744,7 @@ impl<'a> EngineSession<'a> {
     /// The request has a handler (forked or pooled) and now needs a
     /// database connection.
     fn enter_db_stage(&mut self, idx: usize) {
-        if self.db_pool.try_acquire(idx as u64) {
+        if self.db_pool.try_acquire() {
             self.requests[idx].holds_db = true;
             self.start_db_work(idx);
         } else {
@@ -868,26 +851,9 @@ impl<'a> EngineSession<'a> {
             self.requests[idx].fork_memory = 0;
         }
         self.sample_gauges();
-        match self.workers.release_and_next() {
-            Some(_) => {
-                // The released slot passes to the head of the listen queue.
-                if let Some(next_idx) = self.listen_queue.pop_front() {
-                    self.admit(next_idx);
-                } else {
-                    // The SlotPool's own queue is only used for handler and
-                    // DB pools; worker admission uses `listen_queue`, so a
-                    // Some here without a queued connection cannot happen.
-                    unreachable!("worker handoff without a queued connection");
-                }
-            }
-            None => {
-                if let Some(next_idx) = self.listen_queue.pop_front() {
-                    // A slot is free again; take it for the queued request.
-                    let acquired = self.workers.try_acquire(next_idx as u64);
-                    debug_assert!(acquired, "a just-released worker slot must be free");
-                    self.admit(next_idx);
-                }
-            }
+        // The released slot passes to the head of the listen queue.
+        if let Some(next) = self.workers.release_and_next() {
+            self.admit(next as usize);
         }
     }
 
@@ -974,11 +940,9 @@ impl<'a> EngineSession<'a> {
             });
             outcomes.push(outcome);
         }
-        self.arrival_log.sort_by_key(|r| (r.arrival, r.id));
         let buffers = SessionBuffers {
             requests: self.requests,
-            arrival_log: self.arrival_log,
-            listen_queue: self.listen_queue,
+            workers: self.workers,
             disk_done: self.disk_done,
             cpu: self.cpu,
             net: self.net,
@@ -987,7 +951,6 @@ impl<'a> EngineSession<'a> {
             RunResult {
                 outcomes,
                 utilization,
-                arrival_log: Vec::new(),
             },
             self.cache,
             buffers,
@@ -1237,6 +1200,51 @@ mod tests {
     }
 
     #[test]
+    fn the_listen_queue_admits_waiting_connections_in_order() {
+        let config = ServerConfig {
+            workers: WorkerConfig {
+                max_workers: 1,
+                listen_queue: 2,
+                ..WorkerConfig::default()
+            },
+            ..ServerConfig::lab_apache()
+        };
+        let burst = || (0..4).map(|id| head_request(id, 0)).collect::<Vec<_>>();
+        let engine = ServerEngine::new(config.clone(), ContentCatalog::lab_validation());
+        let mut session = engine.session(CacheState::new());
+        for request in burst() {
+            session.push_request(request);
+        }
+        session.run_until(SimTime::ZERO);
+        assert_eq!((session.busy_workers(), session.queued()), (1, 2));
+        let (result, _) = session.finish();
+        let statuses: Vec<_> = result.outcomes.iter().map(|o| o.status).collect();
+        assert_eq!(
+            statuses,
+            [
+                RequestStatus::Ok,
+                RequestStatus::Ok,
+                RequestStatus::Ok,
+                RequestStatus::Refused
+            ]
+        );
+        let served = &result.outcomes[..3];
+        assert!(
+            served.windows(2).all(|w| w[0].completion < w[1].completion),
+            "queued connections are served first come, first served: {served:?}"
+        );
+        assert_eq!(result.utilization.peak_busy_workers, 1);
+
+        // The warm cluster's next run reuses the worker pool; its peak is
+        // its own, and a request rejected before admission holds no worker.
+        let mut cluster = server(config);
+        assert_eq!(run(&mut cluster, burst()).outcomes, result.outcomes);
+        let again = run(&mut cluster, vec![static_request(9, 0, "/no/such/file")]);
+        assert_eq!(again.outcomes[0].status, RequestStatus::NotFound);
+        assert_eq!(again.utilization.peak_busy_workers, 0);
+    }
+
+    #[test]
     fn worker_limit_serializes_excess_requests() {
         let mut server = server(ServerConfig {
             workers: WorkerConfig {
@@ -1259,16 +1267,6 @@ mod tests {
         // times; the spread between fastest and slowest must be large.
         assert!(latencies.last().unwrap() > &(latencies[0] * 5.0));
         assert_eq!(result.utilization.peak_busy_workers, 2);
-    }
-
-    #[test]
-    fn arrival_log_is_time_ordered_with_ties_by_id() {
-        let result = run(
-            &mut lab_server(),
-            vec![head_request(3, 1), head_request(1, 1), head_request(2, 3)],
-        );
-        let ids: Vec<u64> = result.arrival_log.iter().map(|r| r.id).collect();
-        assert_eq!(ids, vec![1, 3, 2], "arrival log is time-ordered");
     }
 
     #[test]
@@ -1409,7 +1407,6 @@ mod tests {
         req.background = true;
         let result = run(&mut lab_server(), vec![req]);
         assert!(result.outcomes[0].background);
-        assert!(result.arrival_log[0].background);
     }
 
     #[test]
@@ -1539,7 +1536,6 @@ mod tests {
         let fresh = run_session(&wan_engine(), wan_batch());
         assert_eq!(again.outcomes, fresh.outcomes);
         assert_eq!(again.utilization, fresh.utilization);
-        assert_eq!(again.arrival_log, fresh.arrival_log);
     }
 
     #[test]

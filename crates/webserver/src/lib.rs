@@ -48,7 +48,7 @@ pub use config::{
 pub use content::{ContentCatalog, ObjectId, ObjectKind, ObjectSpec};
 pub use control::{AdmissionVerdict, ControlAction, NullControl, ServerControl, TickSample};
 pub use engine::{EngineSession, ServerEngine};
-pub use request::{ArrivalRecord, RequestClass, RequestOutcome, RequestStatus, ServerRequest};
+pub use request::{RequestClass, RequestOutcome, RequestStatus, ServerRequest};
 pub use synthetic::{ResponseModel, SyntheticServer};
 pub use telemetry::UtilizationReport;
 

@@ -2,9 +2,11 @@
 //!
 //! `mfc-core` (or the background-traffic generator) decides *when* a request
 //! arrives and *what* it asks for; this module defines the shapes of those
-//! inputs and of what the server reports back — completion times, status and
-//! the per-request arrival log that stands in for the cooperating operators'
-//! server logs (used for Figure 3 and Table 2).
+//! inputs and of what the server reports back — completion times and status.
+//! A run's outcomes come back in arrival order, each carrying its request's
+//! id, arrival time and background flag, so they double as the server's
+//! access log: the stand-in for the cooperating operators' server logs
+//! (used for Figure 3 and Table 2).
 
 use mfc_simcore::{SimDuration, SimTime};
 use mfc_simnet::Bandwidth;
@@ -108,20 +110,6 @@ impl RequestOutcome {
     pub fn is_ok(&self) -> bool {
         self.status == RequestStatus::Ok
     }
-}
-
-/// One line of the simulated server's access log: which request arrived
-/// when.  This is the reproduction's stand-in for the logs the cooperating
-/// site operators shared with the authors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ArrivalRecord {
-    /// Request id.
-    pub id: u64,
-    /// Arrival time of the first byte of the request.
-    pub arrival: SimTime,
-    /// Whether the request belonged to the MFC (false) or to background
-    /// traffic (true).
-    pub background: bool,
 }
 
 /// Computes the time spread containing the middle `fraction` of the given

@@ -153,8 +153,8 @@ impl PsResource {
 /// use mfc_webserver::resource::FifoResource;
 ///
 /// let mut disk = FifoResource::new();
-/// let d1 = disk.enqueue(1, SimTime::ZERO, SimDuration::from_millis(10));
-/// let d2 = disk.enqueue(2, SimTime::ZERO, SimDuration::from_millis(10));
+/// let d1 = disk.enqueue(SimTime::ZERO, SimDuration::from_millis(10));
+/// let d2 = disk.enqueue(SimTime::ZERO, SimDuration::from_millis(10));
 /// assert_eq!(d1.as_millis_f64(), 10.0);
 /// assert_eq!(d2.as_millis_f64(), 20.0, "the second op waits for the first");
 /// ```
@@ -172,10 +172,10 @@ impl FifoResource {
         FifoResource::default()
     }
 
-    /// Enqueues operation `_id` arriving at `now` with the given service
-    /// time and returns the *total* delay (queueing + service) until it
+    /// Enqueues an operation arriving at `now` with the given service time
+    /// and returns the *total* delay (queueing + service) until it
     /// completes.
-    pub fn enqueue(&mut self, _id: u64, now: SimTime, service: SimDuration) -> SimDuration {
+    pub fn enqueue(&mut self, now: SimTime, service: SimDuration) -> SimDuration {
         let start = self.busy_until.max(now);
         let finish = start + service;
         self.busy_until = finish;
@@ -281,7 +281,9 @@ impl MemoryTracker {
 }
 
 /// A bounded pool of identical slots (worker threads, handler processes,
-/// database connections) with a FIFO wait queue of request ids.
+/// database connections) with a FIFO wait queue of request ids.  The
+/// server's worker pool queues its waiting connections here: that queue is
+/// the listen queue.
 ///
 /// # Examples
 ///
@@ -289,9 +291,9 @@ impl MemoryTracker {
 /// use mfc_webserver::resource::SlotPool;
 ///
 /// let mut pool = SlotPool::new(2);
-/// assert!(pool.try_acquire(10));
-/// assert!(pool.try_acquire(11));
-/// assert!(!pool.try_acquire(12), "third request must wait");
+/// assert!(pool.try_acquire());
+/// assert!(pool.try_acquire());
+/// assert!(!pool.try_acquire(), "third request must wait");
 /// pool.enqueue(12);
 /// assert_eq!(pool.release_and_next(), Some(12));
 /// assert_eq!(pool.release_and_next(), None);
@@ -315,9 +317,9 @@ impl SlotPool {
         }
     }
 
-    /// Tries to occupy a slot for `_id`; returns `false` if the pool is
-    /// full (the caller should then [`SlotPool::enqueue`] the id).
-    pub fn try_acquire(&mut self, _id: u64) -> bool {
+    /// Tries to occupy a slot; returns `false` if the pool is full (the
+    /// caller should then [`SlotPool::enqueue`] the request's id).
+    pub fn try_acquire(&mut self) -> bool {
         if self.busy < self.capacity {
             self.busy += 1;
             self.peak_busy = self.peak_busy.max(self.busy);
@@ -343,6 +345,15 @@ impl SlotPool {
             self.busy = self.busy.saturating_sub(1);
             None
         }
+    }
+
+    /// Frees every slot, empties the wait queue (keeping its allocation)
+    /// and zeroes the peak: afterwards the pool equals a new one of the
+    /// same capacity.
+    pub fn reset(&mut self) {
+        self.busy = 0;
+        self.waiting.clear();
+        self.peak_busy = 0;
     }
 
     /// Number of occupied slots.
@@ -456,9 +467,9 @@ mod tests {
     #[test]
     fn fifo_serializes_operations() {
         let mut disk = FifoResource::new();
-        let d1 = disk.enqueue(1, t(0.0), SimDuration::from_millis(20));
-        let d2 = disk.enqueue(2, t(0.0), SimDuration::from_millis(30));
-        let d3 = disk.enqueue(3, t(0.1), SimDuration::from_millis(10));
+        let d1 = disk.enqueue(t(0.0), SimDuration::from_millis(20));
+        let d2 = disk.enqueue(t(0.0), SimDuration::from_millis(30));
+        let d3 = disk.enqueue(t(0.1), SimDuration::from_millis(10));
         assert_eq!(d1, SimDuration::from_millis(20));
         assert_eq!(d2, SimDuration::from_millis(50));
         // The third op arrives at 100ms, the disk frees at 50ms, so no wait.
@@ -470,8 +481,8 @@ mod tests {
     #[test]
     fn fifo_idle_gap_does_not_accumulate() {
         let mut disk = FifoResource::new();
-        disk.enqueue(1, t(0.0), SimDuration::from_millis(10));
-        let d = disk.enqueue(2, t(10.0), SimDuration::from_millis(10));
+        disk.enqueue(t(0.0), SimDuration::from_millis(10));
+        let d = disk.enqueue(t(10.0), SimDuration::from_millis(10));
         assert_eq!(d, SimDuration::from_millis(10));
     }
 
@@ -494,9 +505,9 @@ mod tests {
     #[test]
     fn slot_pool_fifo_handoff() {
         let mut pool = SlotPool::new(1);
-        assert!(pool.try_acquire(1));
-        assert!(!pool.try_acquire(2));
-        assert!(!pool.try_acquire(3));
+        assert!(pool.try_acquire());
+        assert!(!pool.try_acquire());
+        assert!(!pool.try_acquire());
         pool.enqueue(2);
         pool.enqueue(3);
         assert_eq!(pool.queued(), 2);
@@ -509,8 +520,20 @@ mod tests {
     }
 
     #[test]
+    fn a_reset_pool_starts_over() {
+        let mut pool = SlotPool::new(1);
+        assert!(pool.try_acquire());
+        pool.enqueue(7);
+        pool.reset();
+        assert_eq!((pool.busy(), pool.queued(), pool.peak_busy()), (0, 0, 0));
+        assert!(pool.try_acquire());
+        assert_eq!(pool.release_and_next(), None, "the old waiter is gone");
+        assert_eq!(pool.capacity(), 1);
+    }
+
+    #[test]
     fn slot_pool_zero_capacity_never_admits() {
         let mut pool = SlotPool::new(0);
-        assert!(!pool.try_acquire(1));
+        assert!(!pool.try_acquire());
     }
 }

@@ -47,7 +47,6 @@ fn main() {
         LiveBackendConfig {
             clients: 30,
             artificial_latency: (Duration::from_millis(1), Duration::from_millis(25)),
-            honor_epoch_gaps: false,
             ..LiveBackendConfig::default()
         },
         5,

@@ -38,7 +38,6 @@ fn live_backend(handle: &mfc_httpd::ServerHandle, clients: usize) -> LiveBackend
         LiveBackendConfig {
             clients,
             artificial_latency: (Duration::from_millis(0), Duration::from_millis(5)),
-            honor_epoch_gaps: false,
             ..LiveBackendConfig::default()
         },
         3,
