@@ -29,8 +29,8 @@ use mfc_core::runner::TrialRunner;
 use mfc_core::types::Stage;
 use mfc_webserver::{ContentCatalog, ServerConfig};
 use mfc_workload::{
-    ArrivalProcess, ClientSpec, MixWeights, MmppState, RequestModel, SessionModel, SourceKind,
-    SourceSpec, WorkloadSpec,
+    ArrivalProcess, ClientSpec, MixWeights, MmppState, RequestModel, SessionModel, SourceSpec,
+    WorkloadSpec,
 };
 use serde::{Deserialize, Serialize};
 
@@ -83,40 +83,36 @@ impl WorkloadScenario {
             WorkloadScenario::Mmpp => Some(WorkloadSpec::empty().with_source(SourceSpec {
                 label: "bursty-downloads".to_string(),
                 client: ClientSpec::default(),
-                kind: SourceKind::Open {
-                    arrivals: ArrivalProcess::Mmpp {
-                        states: vec![
-                            MmppState {
-                                rate_per_sec: 0.3,
-                                mean_dwell_secs: 60.0,
-                            },
-                            MmppState {
-                                rate_per_sec: 20.0,
-                                mean_dwell_secs: 8.0,
-                            },
-                        ],
-                    },
-                    requests: RequestModel::Mix(MixWeights::downloads()),
+                arrivals: ArrivalProcess::Mmpp {
+                    states: vec![
+                        MmppState {
+                            rate_per_sec: 0.3,
+                            mean_dwell_secs: 60.0,
+                        },
+                        MmppState {
+                            rate_per_sec: 20.0,
+                            mean_dwell_secs: 8.0,
+                        },
+                    ],
                 },
+                requests: RequestModel::Mix(MixWeights::downloads()),
             })),
             WorkloadScenario::FlashCrowd => Some(WorkloadSpec::empty().with_source(SourceSpec {
                 label: "organic-surge".to_string(),
                 client: ClientSpec::default(),
-                kind: SourceKind::Open {
-                    arrivals: ArrivalProcess::FlashCrowd {
-                        base_rate: 0.2,
-                        peak_rate: 40.0,
-                        // The base measurements plus the first
-                        // (sub-inference-threshold) epoch take ~90 s; the
-                        // surge then covers every evidence epoch, while
-                        // epoch 1 anchors the quiet baseline.
-                        onset_secs: 100.0,
-                        ramp_secs: 15.0,
-                        hold_secs: 600.0,
-                        decay_secs: 60.0,
-                    },
-                    requests: RequestModel::Mix(MixWeights::downloads()),
+                arrivals: ArrivalProcess::FlashCrowd {
+                    base_rate: 0.2,
+                    peak_rate: 40.0,
+                    // The base measurements plus the first
+                    // (sub-inference-threshold) epoch take ~90 s; the
+                    // surge then covers every evidence epoch, while
+                    // epoch 1 anchors the quiet baseline.
+                    onset_secs: 100.0,
+                    ramp_secs: 15.0,
+                    hold_secs: 600.0,
+                    decay_secs: 60.0,
                 },
+                requests: RequestModel::Mix(MixWeights::downloads()),
             })),
         }
     }

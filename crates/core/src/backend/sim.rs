@@ -41,7 +41,7 @@ pub struct SimTargetSpec {
     /// flat-Poisson model, used whenever `workload` is `None`.
     pub background: BackgroundTraffic,
     /// A full workload specification for the background traffic — session
-    /// models, diurnal/MMPP/flash-crowd arrival processes, trace replay.
+    /// models and diurnal/MMPP/flash-crowd arrival processes.
     /// When set it *replaces* the flat `background` model (which is just
     /// its degenerate single-source case).
     pub workload: Option<mfc_workload::WorkloadSpec>,
@@ -92,8 +92,8 @@ impl SimTargetSpec {
     }
 
     /// Replaces the flat background model with a full workload spec:
-    /// session-structured, nonstationary, trace-replayed — whatever the
-    /// spec describes streams against the target during every epoch.
+    /// session-structured, nonstationary — whatever the spec describes
+    /// streams against the target during every epoch.
     ///
     /// # Panics
     ///
@@ -363,8 +363,8 @@ impl MfcBackend for SimBackend {
         }
 
         // Background traffic competes over the whole epoch window.  A full
-        // workload spec (sessions, diurnal/MMPP/flash-crowd arrivals,
-        // traces) streams with per-source RNGs forked from `bg_rng`; the
+        // workload spec (sessions, diurnal/MMPP/flash-crowd arrivals)
+        // streams with per-source RNGs forked from `bg_rng`; the
         // flat `background` model streams its one-source spec on `bg_rng`
         // itself, the draws `BackgroundTraffic::generate` makes.  Both are
         // time-ordered, so they merge with the sorted probes (probes first

@@ -39,20 +39,14 @@ impl StageSelection {
 ///
 /// The paper runs its cooperating-site MFCs at negotiated quiet hours and
 /// notes that background load shifts stopping sizes (Univ-3, §4).  With a
-/// policy set, the coordinator tracks each stage's baseline background
-/// rate (the median over epochs that were not themselves surged) and,
-/// when an epoch's server-reported background rate exceeds
-/// `surge_factor × baseline` (and `min_surge_rate` absolutely), flags the
-/// epoch as surge-suspected, waits `backoff`, and re-runs it — up to
+/// policy set, the coordinator keeps the background rates of each stage's
+/// epochs that were not themselves surged and, when an epoch's
+/// server-reported background rate exceeds
+/// [`surge_threshold`](crate::inference::surge_threshold) over them, flags
+/// the epoch as surge-suspected, waits `backoff`, and re-runs it — up to
 /// `max_retries` times.  Flagged attempts stay in the report for audit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QuiescencePolicy {
-    /// An epoch is surged when its background rate exceeds this multiple
-    /// of the stage's baseline rate.
-    pub surge_factor: f64,
-    /// …and exceeds this absolute floor (requests/s), so idle-site noise
-    /// never counts as a surge.
-    pub min_surge_rate: f64,
     /// How long to wait before re-running a surged epoch.
     pub backoff: SimDuration,
     /// Maximum re-runs per epoch; when exhausted the surged epoch's result
@@ -63,30 +57,9 @@ pub struct QuiescencePolicy {
 impl Default for QuiescencePolicy {
     fn default() -> Self {
         QuiescencePolicy {
-            surge_factor: 3.0,
-            min_surge_rate: 1.0,
             backoff: SimDuration::from_secs(60),
             max_retries: 2,
         }
-    }
-}
-
-impl QuiescencePolicy {
-    /// The surge threshold for a given baseline rate: an epoch whose
-    /// background rate exceeds this is surge-suspected.
-    pub fn threshold(&self, baseline_rate: f64) -> f64 {
-        (self.surge_factor * baseline_rate).max(self.min_surge_rate)
-    }
-
-    /// Checks the policy for internal consistency.
-    pub fn validate(&self) -> Result<(), String> {
-        if !self.surge_factor.is_finite() || self.surge_factor <= 1.0 {
-            return Err("surge_factor must be finite and > 1".to_string());
-        }
-        if !self.min_surge_rate.is_finite() || self.min_surge_rate < 0.0 {
-            return Err("min_surge_rate must be finite and >= 0".to_string());
-        }
-        Ok(())
     }
 }
 
@@ -263,9 +236,6 @@ impl MfcConfig {
         if !(0.0..=1.0).contains(&self.large_object_quantile) {
             return Err("large_object_quantile must be within [0, 1]".to_string());
         }
-        if let Some(policy) = &self.quiescence {
-            policy.validate()?;
-        }
         Ok(())
     }
 }
@@ -337,26 +307,6 @@ mod tests {
         assert!(cfg.validate().is_err());
         let mut cfg = MfcConfig::standard();
         cfg.requests_per_client = 0;
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn quiescence_policy_validates() {
-        let cfg = MfcConfig::standard().with_quiescence(QuiescencePolicy::default());
-        assert!(cfg.validate().is_ok());
-        let policy = QuiescencePolicy::default();
-        assert_eq!(policy.threshold(10.0), 30.0);
-        // The absolute floor dominates near-idle baselines.
-        assert_eq!(policy.threshold(0.1), 1.0);
-        let cfg = MfcConfig::standard().with_quiescence(QuiescencePolicy {
-            surge_factor: 1.0,
-            ..QuiescencePolicy::default()
-        });
-        assert!(cfg.validate().is_err());
-        let cfg = MfcConfig::standard().with_quiescence(QuiescencePolicy {
-            min_surge_rate: -2.0,
-            ..QuiescencePolicy::default()
-        });
         assert!(cfg.validate().is_err());
     }
 

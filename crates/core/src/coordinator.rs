@@ -23,7 +23,7 @@ use mfc_simcore::{stats, SimDuration, SimRng};
 
 use crate::backend::MfcBackend;
 use crate::config::MfcConfig;
-use crate::inference::InferenceReport;
+use crate::inference::{surge_threshold, InferenceReport};
 use crate::profile::TargetProfile;
 use crate::report::{MfcReport, StageReport};
 use crate::sync::{ClientLatency, SyncScheduler};
@@ -145,7 +145,8 @@ struct StageRun {
     requests_issued: usize,
     max_crowd_tested: usize,
     /// Server-reported background rates of epochs that were *not*
-    /// surge-flagged; their median is the stage's baseline.
+    /// surge-flagged: what `surge_threshold` takes the stage's baseline
+    /// from.
     clean_rates: Vec<f64>,
 }
 
@@ -339,11 +340,10 @@ impl Coordinator {
             state.requests_issued += summary.requests_scheduled;
             state.max_crowd_tested = state.max_crowd_tested.max(summary.crowd_size);
             let surged = match (&self.config.quiescence, summary.background_rate) {
-                (Some(policy), Some(rate)) => {
+                (Some(_), Some(rate)) => {
                     // The baseline needs at least one clean epoch; the
                     // stage's first epoch seeds it.
-                    stats::median(&state.clean_rates)
-                        .is_some_and(|baseline| rate > policy.threshold(baseline))
+                    surge_threshold(&state.clean_rates).is_some_and(|threshold| rate > threshold)
                 }
                 _ => false,
             };
@@ -1024,11 +1024,13 @@ mod tests {
     /// A scripted backend whose regular traffic surges inside a fixed
     /// wall-clock window: epochs that land in the window see 50 req/s of
     /// background (reported through the utilization window) and inflated
-    /// response times; outside it the server is quiet and fast.
+    /// response times; outside it the server is quiet and fast, at the
+    /// next of its scripted quiet rates (0.2 req/s once they run out).
     struct SurgeBackend {
         clock: SimDuration,
         surge_from: SimDuration,
         surge_until: SimDuration,
+        quiet_rates: std::collections::VecDeque<f64>,
     }
 
     impl SurgeBackend {
@@ -1037,7 +1039,13 @@ mod tests {
                 clock: SimDuration::ZERO,
                 surge_from: SimDuration::from_secs(surge_from_secs),
                 surge_until: SimDuration::from_secs(surge_until_secs),
+                quiet_rates: Default::default(),
             }
+        }
+
+        fn with_quiet_rates(mut self, rates: &[f64]) -> Self {
+            self.quiet_rates = rates.iter().copied().collect();
+            self
         }
 
         fn surging(&self) -> bool {
@@ -1077,7 +1085,11 @@ mod tests {
             } else {
                 SimDuration::from_millis(30)
             };
-            let background_rate = if surging { 50.0 } else { 0.2 };
+            let background_rate = if surging {
+                50.0
+            } else {
+                self.quiet_rates.pop_front().unwrap_or(0.2)
+            };
             let window = SimDuration::from_secs(10);
             let observations = plan
                 .commands
@@ -1182,6 +1194,28 @@ mod tests {
             Some(crate::inference::DegradationCause::NotDegraded)
         );
         assert!(!report.inference.background_interference_suspected());
+    }
+
+    #[test]
+    fn the_surge_baseline_is_the_lower_quartile_of_the_clean_rates() {
+        // Quiet epochs at 2, 5 and 5 req/s leave a lower-quartile baseline
+        // of 2 (threshold 6), where their median of 5 would set 15: the
+        // fourth epoch's 7 req/s is flagged and re-run, and nothing else.
+        let mut backend =
+            SurgeBackend::new(1_000_000, 1_000_000).with_quiet_rates(&[2.0, 5.0, 5.0, 7.0]);
+        let config = MfcConfig::standard()
+            .with_stages(vec![Stage::Base])
+            .with_max_crowd(50)
+            .with_increment(10)
+            .with_quiescence(crate::config::QuiescencePolicy::default());
+        let report = Coordinator::new(config).run(&mut backend).unwrap();
+        let flagged: Vec<(u32, Option<f64>)> = report.stages[0]
+            .epochs
+            .iter()
+            .filter(|e| e.surge_suspected)
+            .map(|e| (e.index, e.background_rate))
+            .collect();
+        assert_eq!(flagged, [(4, Some(7.0))]);
     }
 
     #[test]

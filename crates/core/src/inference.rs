@@ -17,9 +17,25 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::config::{MfcConfig, QuiescencePolicy};
+use crate::config::MfcConfig;
 use crate::report::StageReport;
 use crate::types::{EpochSummary, Stage, StageOutcome};
+
+/// The one surge rule, shared by the coordinator's quiescence policy and
+/// the inference: an epoch whose background rate exceeds the returned
+/// threshold ran inside a background-load surge.
+///
+/// The baseline is the lower quartile of `rates` (`sorted[(n − 1) / 4]`),
+/// so a surge that starts mid-run is caught while steady heavy background
+/// (the Univ-3 normality) is not; the threshold is three times that
+/// baseline, never below 1 request/s, so idle-site noise never reads as a
+/// surge.  `None` when there are no rates to take a baseline from.
+pub fn surge_threshold(rates: &[f64]) -> Option<f64> {
+    let mut sorted = rates.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let baseline = sorted.get(rates.len().checked_sub(1)? / 4)?;
+    Some((3.0 * baseline).max(1.0))
+}
 
 /// The coordinator's verdict for one sub-system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -275,10 +291,8 @@ impl InferenceReport {
         // attribution — only the interference verdict.  The last three
         // epochs cover the triggering epoch plus its check phase (or, for
         // NoStop, the largest crowds) — the evidence the verdict rests on.
-        // The baseline is the lower quartile of the stage's observed
-        // background rates, so a surge that *starts mid-run* is caught
-        // while steady heavy background (the Univ-3 normality) is not
-        // flagged.
+        // The threshold is `surge_threshold` over the stage's observed
+        // background rates, once there are at least two of them.
         let tail_all = &epochs[epochs.len().saturating_sub(3)..];
         let rates: Vec<f64> = epochs.iter().filter_map(|e| e.background_rate).collect();
         let surged_epochs = |threshold: f64| {
@@ -293,20 +307,14 @@ impl InferenceReport {
             .iter()
             .filter(|e| e.surge_suspected || e.background_rate.is_some())
             .count();
-        let surge_detected = if rates.len() >= 2 && evidence > 0 {
-            let mut sorted = rates.clone();
-            sorted.sort_by(f64::total_cmp);
-            let baseline = sorted[(sorted.len() - 1) / 4];
-            // The coordinator's default surge rule: a multiple of the
-            // baseline, with an absolute floor so idle-site noise never
-            // reads as a surge.
-            let threshold = QuiescencePolicy::default().threshold(baseline);
-            surged_epochs(threshold) * 2 > evidence
+        // Without enough rate data only the coordinator's own flags count.
+        let threshold = if rates.len() >= 2 {
+            surge_threshold(&rates)
         } else {
-            // No rate data at all, but the coordinator's own quiescence
-            // policy may have flagged the evidence epochs.
-            evidence > 0 && surged_epochs(f64::INFINITY) * 2 > evidence
+            None
         };
+        let surge_detected =
+            evidence > 0 && surged_epochs(threshold.unwrap_or(f64::INFINITY)) * 2 > evidence;
         if surge_detected {
             // A surge confounds a *stop* (the stage measured crowd plus
             // surge) and an error-ridden tail (surge-born 503s would
@@ -829,6 +837,21 @@ mod tests {
         let mut e = epoch(crowd, 0.0, None);
         e.background_rate = Some(rate);
         e
+    }
+
+    #[test]
+    fn surge_threshold_is_three_lower_quartiles_with_a_floor() {
+        assert_eq!(surge_threshold(&[]), None);
+        assert_eq!(surge_threshold(&[10.0]), Some(30.0));
+        // The absolute floor dominates near-idle baselines.
+        assert_eq!(surge_threshold(&[0.1]), Some(1.0));
+        // The baseline is `sorted[(n - 1) / 4]`, whatever the input order:
+        // index 1 of five rates, index 2 of nine.
+        assert_eq!(surge_threshold(&[50.0, 4.0, 2.0, 40.0, 30.0]), Some(12.0));
+        let nine = [9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0];
+        assert_eq!(surge_threshold(&nine), Some(9.0));
+        assert_eq!(surge_threshold(&nine[..8]), Some(9.0));
+        assert_eq!(surge_threshold(&nine[..4]), Some(18.0));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * [`AdmissionController`] — sheds load (503) on queue depth, outstanding
 //!   requests, or a per-window admission budget (surge protection),
 //! * [`TokenBucketRateLimiter`] — per-client-address token buckets that
-//!   reject or bandwidth-clamp clients who probe too often, which directly
+//!   bandwidth-clamp clients who probe too often, which directly
 //!   interferes with MFC probe clients across epochs,
 //! * [`CapacitySchedule`] — time-varying link/CPU capacity applied through
 //!   the engine's mid-run `set_capacity` path.
@@ -40,6 +40,6 @@ pub mod stack;
 pub use admission::{AdmissionController, AdmissionControllerConfig};
 pub use autoscaler::{AutoScaler, AutoScalerConfig};
 pub use policy::DynamicsPolicy;
-pub use ratelimit::{RateLimitMode, TokenBucketConfig, TokenBucketRateLimiter};
+pub use ratelimit::{TokenBucketConfig, TokenBucketRateLimiter};
 pub use schedule::{CapacitySchedule, CapacityScheduleConfig, CapacityStep};
 pub use stack::{DefenseConfig, DefenseStack};

@@ -9,18 +9,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::policy::DynamicsPolicy;
 
-/// What happens to a request from a client whose bucket is empty.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum RateLimitMode {
-    /// Reject outright with a 503.
-    Reject,
-    /// Serve, but clamp the response transfer to this many bytes/second.
-    /// This is the mode whose degradation signature an MFC misreads as a
-    /// bandwidth constraint: every probe client's throughput clamps to the
-    /// same ceiling while the server's aggregate link sits nearly idle.
-    Throttle(Bandwidth),
-}
-
 /// Parameters of a [`TokenBucketRateLimiter`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TokenBucketConfig {
@@ -28,12 +16,12 @@ pub struct TokenBucketConfig {
     pub burst: f64,
     /// Sustained refill rate in requests/second.
     pub refill_per_sec: f64,
-    /// What to do when a client's bucket is empty.
-    pub mode: RateLimitMode,
-    /// Whether background (regular-user) traffic is exempt — real limiters
-    /// often allowlist logged-in users or CDN ranges; exempting background
-    /// traffic isolates the limiter's effect on the probing clients.
-    pub exempt_background: bool,
+    /// The transfer rate, in bytes/second, a client whose bucket is empty
+    /// is clamped to.  The request is still served: this is the response
+    /// whose degradation signature an MFC misreads as a bandwidth
+    /// constraint, since every probe client's throughput clamps to the
+    /// same ceiling while the server's aggregate link sits nearly idle.
+    pub clamp: Bandwidth,
 }
 
 impl Default for TokenBucketConfig {
@@ -41,8 +29,7 @@ impl Default for TokenBucketConfig {
         TokenBucketConfig {
             burst: 3.0,
             refill_per_sec: 0.05,
-            mode: RateLimitMode::Throttle(16.0 * 1024.0),
-            exempt_background: true,
+            clamp: 16.0 * 1024.0,
         }
     }
 }
@@ -59,9 +46,13 @@ struct Bucket {
 /// `refill_per_sec`.  MFC probe clients re-use the same addresses for the
 /// base measurement and every epoch, so a limiter tuned against repeated
 /// probing drains their buckets after a few epochs — from then on every
-/// probe is rejected or clamped regardless of the crowd size, which is
-/// precisely the defense-triggered degradation the inference layer has to
-/// tell apart from a real constraint.
+/// probe is clamped regardless of the crowd size, which is precisely the
+/// defense-triggered degradation the inference layer has to tell apart
+/// from a real constraint.
+///
+/// Background (regular-user) traffic is always exempt, as real limiters
+/// allowlist logged-in users or CDN ranges; that isolates the limiter's
+/// effect on the probing clients.
 ///
 /// Buckets live in a [`BTreeMap`] so iteration and float accumulation stay
 /// deterministic.
@@ -82,7 +73,7 @@ impl TokenBucketRateLimiter {
         }
     }
 
-    /// Requests rejected or clamped so far (across runs).
+    /// Requests clamped so far (across runs).
     pub fn limited_total(&self) -> u64 {
         self.limited_total
     }
@@ -104,7 +95,7 @@ impl DynamicsPolicy for TokenBucketRateLimiter {
         request: &ServerRequest,
         _last_sample: &TickSample,
     ) -> AdmissionVerdict {
-        if self.config.exempt_background && request.background {
+        if request.background {
             return AdmissionVerdict::Accept;
         }
         let bucket = self.buckets.entry(request.client_addr).or_insert(Bucket {
@@ -120,10 +111,7 @@ impl DynamicsPolicy for TokenBucketRateLimiter {
             AdmissionVerdict::Accept
         } else {
             self.limited_total += 1;
-            match self.config.mode {
-                RateLimitMode::Reject => AdmissionVerdict::Shed,
-                RateLimitMode::Throttle(rate) => AdmissionVerdict::Throttle(rate),
-            }
+            AdmissionVerdict::Throttle(self.config.clamp)
         }
     }
 }
@@ -156,8 +144,7 @@ mod tests {
         let mut limiter = TokenBucketRateLimiter::new(TokenBucketConfig {
             burst: 2.0,
             refill_per_sec: 0.1,
-            mode: RateLimitMode::Throttle(10_000.0),
-            exempt_background: true,
+            clamp: 10_000.0,
         });
         let idle = TickSample::idle(SimTime::ZERO, 1);
         assert_eq!(
@@ -187,31 +174,11 @@ mod tests {
     }
 
     #[test]
-    fn reject_mode_sheds_instead_of_clamping() {
-        let mut limiter = TokenBucketRateLimiter::new(TokenBucketConfig {
-            burst: 1.0,
-            refill_per_sec: 0.01,
-            mode: RateLimitMode::Reject,
-            exempt_background: true,
-        });
-        let idle = TickSample::idle(SimTime::ZERO, 1);
-        assert_eq!(
-            limiter.on_arrival(t(0.0), &req(1, t(0.0)), &idle),
-            AdmissionVerdict::Accept
-        );
-        assert_eq!(
-            limiter.on_arrival(t(0.5), &req(1, t(0.5)), &idle),
-            AdmissionVerdict::Shed
-        );
-    }
-
-    #[test]
-    fn background_traffic_can_be_exempt() {
+    fn background_traffic_is_exempt() {
         let mut limiter = TokenBucketRateLimiter::new(TokenBucketConfig {
             burst: 1.0,
             refill_per_sec: 0.0,
-            mode: RateLimitMode::Reject,
-            exempt_background: true,
+            clamp: 10_000.0,
         });
         let idle = TickSample::idle(SimTime::ZERO, 1);
         let mut bg = req(9, t(0.0));

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use crate::admission::{AdmissionController, AdmissionControllerConfig};
 use crate::autoscaler::{AutoScaler, AutoScalerConfig};
 use crate::policy::DynamicsPolicy;
-use crate::ratelimit::{RateLimitMode, TokenBucketConfig, TokenBucketRateLimiter};
+use crate::ratelimit::{TokenBucketConfig, TokenBucketRateLimiter};
 use crate::schedule::{CapacitySchedule, CapacityScheduleConfig, CapacityStep};
 
 /// Serializable description of a target's reactive defenses — what a
@@ -88,8 +88,7 @@ impl DefenseConfig {
             rate_limiter: Some(TokenBucketConfig {
                 burst,
                 refill_per_sec,
-                mode: RateLimitMode::Throttle(clamp_bytes_per_sec),
-                exempt_background: true,
+                clamp: clamp_bytes_per_sec,
             }),
             ..DefenseConfig::none()
         }
@@ -339,8 +338,9 @@ mod tests {
 
     #[test]
     fn shed_wins_over_throttle() {
-        // A one-token reject bucket plus a throttle bucket: the second
-        // request is shed by whichever policy fires first, never served.
+        // A one-request admission budget plus a one-token bucket: the
+        // second request is both over budget and out of tokens, and the
+        // shed wins over the clamp — it is never served.
         let config = DefenseConfig {
             admission: Some(AdmissionControllerConfig {
                 window_budget: 1,
@@ -349,8 +349,7 @@ mod tests {
             rate_limiter: Some(TokenBucketConfig {
                 burst: 1.0,
                 refill_per_sec: 0.0,
-                mode: RateLimitMode::Throttle(10_000.0),
-                exempt_background: true,
+                clamp: 10_000.0,
             }),
             ..DefenseConfig::none()
         };

@@ -9,8 +9,6 @@
 //! not perturb another (a classic source of accidental non-reproducibility
 //! in event simulations).
 
-use crate::time::SimDuration;
-
 /// The raw generator behind [`SimRng`]: xoshiro256** seeded via SplitMix64.
 ///
 /// Implemented in-tree (no `rand` dependency) so the simulation stack builds
@@ -223,18 +221,6 @@ impl SimRng {
         assert!(alpha > 0.0, "pareto shape must be positive");
         let u = self.inner.next_f64().max(f64::EPSILON);
         x_min / u.powf(1.0 / alpha)
-    }
-
-    /// Draws a random duration uniformly between `low` and `high`.
-    pub fn duration_between(&mut self, low: SimDuration, high: SimDuration) -> SimDuration {
-        let lo = low.as_micros();
-        let hi = high.as_micros().max(lo);
-        SimDuration::from_micros(self.uniform_u64(lo, hi))
-    }
-
-    /// Draws an exponentially distributed duration with the given mean.
-    pub fn exponential_duration(&mut self, mean: SimDuration) -> SimDuration {
-        SimDuration::from_secs_f64(self.exponential(mean.as_secs_f64()))
     }
 
     /// Chooses `count` distinct elements uniformly at random from `items`,
@@ -480,24 +466,5 @@ mod tests {
         let mut sorted = items.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn duration_helpers() {
-        let mut rng = SimRng::seed_from(50);
-        let lo = SimDuration::from_millis(10);
-        let hi = SimDuration::from_millis(20);
-        for _ in 0..100 {
-            let d = rng.duration_between(lo, hi);
-            assert!(d >= lo && d <= hi);
-        }
-        let mean = SimDuration::from_millis(100);
-        let n = 5_000;
-        let total: SimDuration = (0..n).map(|_| rng.exponential_duration(mean)).sum();
-        let observed = total.as_millis_f64() / n as f64;
-        assert!(
-            (observed - 100.0).abs() < 10.0,
-            "observed mean {observed}ms"
-        );
     }
 }

@@ -253,12 +253,6 @@ impl WideAreaModel {
         mean.mul_f64(factor)
     }
 
-    /// Samples the one-way coordinator→client delay for `client`.
-    pub fn coordinator_to_client(&mut self, client: usize) -> SimDuration {
-        let profile = self.clients[client].clone();
-        self.jittered_delay(profile.one_way_coordinator(), profile.jitter_frac)
-    }
-
     /// Measured round-trip time from the coordinator to `client`, as the
     /// coordinator would observe it during registration (one jittered sample
     /// of the full RTT).

@@ -45,7 +45,7 @@
 //! algorithm as the executable specification (one link included);
 //! randomized property tests in `tests/properties.rs` assert the graph produces the same rates,
 //! completion times and completion order under arbitrary
-//! add/remove/cap-change/capacity-change/advance interleavings.
+//! add/remove/capacity-change/advance interleavings.
 //!
 //! Flows live in one `mfc_simnet::heap::FlowSlab` and each route orders
 //! its flows in `IndexedHeap`s.  Repro artifacts stay
@@ -265,7 +265,7 @@ pub struct NetworkGraph {
     drained: FinishHeap,
     last_event: SimTime,
     /// Routes whose flows changed since the last reallocation, each once:
-    /// the started, finished or re-capped flow's route and every route the
+    /// the started or finished flow's route and every route the
     /// sweep drained.  Empty between events, so a clone copies nothing.
     touched: Vec<RouteId>,
     /// Set by a change no route list describes (a capacity change): the
@@ -566,73 +566,6 @@ impl NetworkGraph {
         self.sweep_completed();
         self.reallocate();
         Some(remaining)
-    }
-
-    /// Changes the private rate cap of an active flow.
-    pub fn set_rate_cap(&mut self, id: FlowId, rate_cap: Bandwidth, now: SimTime) {
-        self.advance(now);
-        let Some(slot) = self.flows.slot_of(id) else {
-            return;
-        };
-        self.sweep_completed();
-        let flow = *self.flows.get(slot);
-        touch(&mut self.touched, flow.route);
-        let rate_cap = rate_cap.max(0.0);
-        let route = &mut self.routes[flow.route.0 as usize];
-        assert!(
-            !route.links.is_empty() || rate_cap.is_finite(),
-            "a flow on an empty route must carry a finite cap"
-        );
-        if flow.rate_cap.to_bits() == rate_cap.to_bits() {
-            self.reallocate();
-            return;
-        }
-        let now_secs = self.last_event.as_secs_f64();
-        match flow.regime {
-            Regime::Drained => {}
-            Regime::Sharing { .. } => {
-                if flow.rate_cap.is_finite() {
-                    route.caps.remove(flow.rate_cap);
-                    route.sharing_by_cap.remove(slot, &mut self.flows);
-                } else {
-                    route.inf_count -= 1;
-                }
-                if rate_cap.is_finite() {
-                    route.caps.insert(rate_cap);
-                    route
-                        .sharing_by_cap
-                        .push(rate_cap.to_bits(), slot, &mut self.flows);
-                } else {
-                    route.inf_count += 1;
-                }
-            }
-            Regime::Capped {
-                r_ref, t_ref_secs, ..
-            } => {
-                // Materialize the remaining bytes and re-enter as sharing;
-                // the reallocation below re-freezes the flow if its new cap
-                // is still under the route's water level.
-                route.caps.remove(flow.rate_cap);
-                route.capped.remove(slot, &mut self.flows);
-                route.capped_by_cap.remove(slot, &mut self.flows);
-                let r = r_ref - flow.rate_cap * (now_secs - t_ref_secs);
-                let v_finish = route.vtime + r.max(0.0);
-                route
-                    .sharing
-                    .push(v_finish.to_bits(), slot, &mut self.flows);
-                if rate_cap.is_finite() {
-                    route.caps.insert(rate_cap);
-                    route
-                        .sharing_by_cap
-                        .push(rate_cap.to_bits(), slot, &mut self.flows);
-                } else {
-                    route.inf_count += 1;
-                }
-                self.flows.get_mut(slot).regime = Regime::Sharing { v_finish };
-            }
-        }
-        self.flows.get_mut(slot).rate_cap = rate_cap;
-        self.reallocate();
     }
 
     /// Advances the fluid model to `now`: per-link bytes drain in aggregate
@@ -1199,7 +1132,7 @@ mod tests {
             for op in 0..rng.index(120) + 60 {
                 let ctx = format!("case {case} op {op}");
                 full.touch_all();
-                match rng.index(12) {
+                match rng.index(11) {
                     0..=4 => {
                         let (route, empty) = routes[rng.index(routes.len())];
                         let bytes = match rng.index(20) {
@@ -1224,18 +1157,6 @@ mod tests {
                         }
                     }
                     7 => {
-                        if !active.is_empty() {
-                            let id = FlowId(active[rng.index(active.len())]);
-                            let route = fast.flows.get(fast.flows.slot_of(id).unwrap()).route;
-                            let mut cap = random_cap(&mut rng);
-                            if routes[route.0 as usize].1 && cap.is_infinite() {
-                                cap = 80_000.0;
-                            }
-                            fast.set_rate_cap(id, cap, now);
-                            full.set_rate_cap(id, cap, now);
-                        }
-                    }
-                    8 => {
                         let link = links[rng.index(links.len())];
                         let capacity = rng.uniform(2e5, 5e6);
                         fast.set_link_capacity(link, capacity, now);
@@ -1243,7 +1164,7 @@ mod tests {
                     }
                     // A clock jump past several completions: the next
                     // event's sweep drains them on many routes at once.
-                    9 => now += SimDuration::from_secs_f64(rng.uniform(0.5, 8.0)),
+                    8 => now += SimDuration::from_secs_f64(rng.uniform(0.5, 8.0)),
                     _ => {
                         let next = fast.next_completion(now);
                         assert_eq!(next, full.next_completion(now), "{ctx}");
@@ -1366,26 +1287,6 @@ mod tests {
             net.finish_flow(FlowId(i), t(0.0));
         }
         assert_eq!(net.current_rate(FlowId(1)), Some(300_000.0));
-    }
-
-    #[test]
-    fn redundant_cap_change_still_releases_a_drained_flows_share() {
-        let (mut net, route, link) = one_link(1_000_000.0);
-        net.start_flow(FlowId(1), route, 1e6, f64::INFINITY, t(0.0));
-        net.start_flow(FlowId(2), route, 1e7, 500_000.0, t(0.0));
-        // Both run at 500 kB/s; flow 1 finishes at t=2 but stays until the
-        // caller harvests it.
-        net.advance(t(3.0));
-        // A no-op cap change must still drop the drained flow from the
-        // allocation; a stale aggregate would accrue phantom bytes.
-        net.set_rate_cap(FlowId(2), 500_000.0, t(3.0));
-        assert!((net.link_utilization_bytes_per_sec(link) - 500_000.0).abs() < 1e-6);
-        net.advance(t(4.0));
-        net.finish_flow(FlowId(1), t(4.0));
-        let leftover = net.finish_flow(FlowId(2), t(4.0)).unwrap();
-        // Flow 2 moved 500 kB/s × 4 s = 2 MB; flow 1 its full 1 MB.
-        assert!((leftover - 8e6).abs() < 1.0);
-        assert!((net.link_bytes_transferred(link) - 3e6).abs() < 1.0);
     }
 
     #[test]
@@ -1594,16 +1495,5 @@ mod tests {
         let (mut net, routes, _) = star(&[mbps(8.0)], mbps(80.0));
         net.start_flow(FlowId(1), routes[0], 10.0, f64::INFINITY, t(0.0));
         net.start_flow(FlowId(1), routes[0], 10.0, f64::INFINITY, t(0.0));
-    }
-
-    #[test]
-    fn raising_a_cap_speeds_up_the_flow() {
-        let (mut net, routes, _) = star(&[mbps(8.0)], mbps(80.0));
-        net.start_flow(FlowId(1), routes[0], 400_000.0, 100_000.0, t(0.0));
-        assert_eq!(net.current_rate(FlowId(1)), Some(100_000.0));
-        net.set_rate_cap(FlowId(1), f64::INFINITY, t(1.0));
-        assert_eq!(net.current_rate(FlowId(1)), Some(1_000_000.0));
-        let (done, _) = net.peek_completion().unwrap();
-        assert!((done.as_secs_f64() - 1.3).abs() < 1e-9);
     }
 }

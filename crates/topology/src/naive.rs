@@ -119,15 +119,6 @@ impl NaiveNetwork {
         Some(flow.remaining_bytes)
     }
 
-    /// Changes the private cap of an active flow.
-    pub fn set_rate_cap(&mut self, id: FlowId, rate_cap: Bandwidth, now: SimTime) {
-        self.advance(now);
-        if let Some(flow) = self.flows.get_mut(&id) {
-            flow.rate_cap = rate_cap.max(0.0);
-            self.reallocate();
-        }
-    }
-
     /// Advances the fluid model, draining every flow individually.
     pub fn advance(&mut self, now: SimTime) {
         if now <= self.last_advance {

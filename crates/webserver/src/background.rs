@@ -19,8 +19,8 @@
 //!
 //! [`CatalogSampler`] is the bridge for every workload, not just this one:
 //! it maps the abstract request intents a [`WorkloadStream`] emits (mix
-//! draws, session page views, trace entries) onto concrete
-//! [`ServerRequest`]s against a server's [`ContentCatalog`].
+//! draws and session page views) onto concrete [`ServerRequest`]s against
+//! a server's [`ContentCatalog`].
 
 use mfc_simcore::{SimDuration, SimRng, SimTime};
 use mfc_simnet::Bandwidth;
@@ -144,23 +144,22 @@ impl BackgroundTraffic {
     }
 }
 
-/// Maps workload request intents onto concrete [`ServerRequest`]s against a
+/// Maps workload request intents onto concrete *background* requests (the
+/// non-MFC traffic the server serves alongside the probes) against a
 /// server's [`ContentCatalog`].
 ///
 /// The sampler resolves every object it may pick once, at construction,
-/// and its requests carry those [`ObjectId`]s: sampling a mix draw or a
-/// session page view indexes a bucket and touches no path.  A replayed
-/// trace entry resolves its path once, when it is sampled.
+/// and keeps only their [`ObjectId`]s: sampling a mix draw or a session
+/// page view indexes a bucket and touches no path, and the sampler does
+/// not borrow the catalog.
 ///
 /// The mix path reproduces the pre-workload `BackgroundTraffic` sampling
 /// logic draw for draw (one weighted-choice draw, then one index draw for
 /// the chosen class), which is what keeps the adapter bit-compatible.
-/// Session page views and trace entries use the same catalog buckets with
-/// a base-page fallback when the site lacks the requested class.
+/// Session page views use the same catalog buckets with a base-page
+/// fallback when the site lacks the requested class.
 #[derive(Debug)]
-pub struct CatalogSampler<'a> {
-    catalog: &'a ContentCatalog,
-    background: bool,
+pub struct CatalogSampler {
     /// Static objects below the Large Object bound, in catalog order.
     small_static: Vec<ObjectId>,
     /// The catalog's Large Objects, in catalog order.
@@ -169,24 +168,12 @@ pub struct CatalogSampler<'a> {
     queries: Vec<ObjectId>,
 }
 
-impl<'a> CatalogSampler<'a> {
-    /// A sampler producing *background* requests (the non-MFC traffic the
-    /// server serves alongside the probes).
-    pub fn background(catalog: &'a ContentCatalog) -> Self {
-        Self::new(catalog, true)
-    }
-
-    /// A sampler producing foreground requests (workload-as-subject
-    /// experiments that drive the engine directly).
-    pub fn foreground(catalog: &'a ContentCatalog) -> Self {
-        Self::new(catalog, false)
-    }
-
-    /// Buckets the catalog once, so sampling a request filters nothing.
-    /// Each object is stored as the id its path resolves to, so a path the
-    /// catalog lists twice names its first copy, as a request for that
-    /// path always has.
-    fn new(catalog: &'a ContentCatalog, background: bool) -> Self {
+impl CatalogSampler {
+    /// A sampler over `catalog`, which it buckets once, so sampling a
+    /// request filters nothing.  Each object is stored as the id its path
+    /// resolves to, so a path the catalog lists twice names its first
+    /// copy, as a request for that path always has.
+    pub fn background(catalog: &ContentCatalog) -> Self {
         let ids = |objects: Vec<&ObjectSpec>| -> Vec<ObjectId> {
             objects
                 .into_iter()
@@ -194,8 +181,6 @@ impl<'a> CatalogSampler<'a> {
                 .collect()
         };
         CatalogSampler {
-            catalog,
-            background,
             small_static: ids(catalog
                 .objects()
                 .iter()
@@ -261,41 +246,19 @@ impl<'a> CatalogSampler<'a> {
     }
 }
 
-impl RequestSampler for CatalogSampler<'_> {
+impl RequestSampler for CatalogSampler {
     type Request = ServerRequest;
 
     fn sample(&mut self, ctx: RequestContext<'_>, rng: &mut SimRng) -> ServerRequest {
         let (class, object) = match ctx.intent {
-            RequestIntent::Mix(mix) => {
-                let (class, object) = self.pick_mix(mix, rng);
-                (class, Some(object))
-            }
-            RequestIntent::Kind(kind) => {
-                let (class, object) = self.pick_kind(kind, rng);
-                (class, Some(object))
-            }
-            RequestIntent::Trace(entry) if entry.head => {
-                (RequestClass::Head, Some(ObjectId::BASE_PAGE))
-            }
-            RequestIntent::Trace(entry) => {
-                // Replayed paths are issued verbatim; paths the catalog
-                // does not host come back 404, exactly like replaying a
-                // mismatched log against a real server.
-                let object = self.catalog.resolve(&entry.path);
-                let class = match object.map(|id| self.catalog.object(id)) {
-                    Some(spec) if spec.kind.is_dynamic() => RequestClass::Dynamic,
-                    Some(_) => RequestClass::Static,
-                    None if entry.dynamic => RequestClass::Dynamic,
-                    None => RequestClass::Static,
-                };
-                (class, object)
-            }
+            RequestIntent::Mix(mix) => self.pick_mix(mix, rng),
+            RequestIntent::Kind(kind) => self.pick_kind(kind, rng),
         };
         ServerRequest {
             id: ctx.id,
             arrival: ctx.time,
             class,
-            object,
+            object: Some(object),
             client_downlink: ctx.downlink,
             client_rtt: ctx.rtt,
             // Background users come from a large, churned population:
@@ -303,7 +266,7 @@ impl RequestSampler for CatalogSampler<'_> {
             // disjoint from MFC clients (which use small ClientId values).
             // A session's requests share one user, hence one address.
             client_addr: 0x8000_0000 | (ctx.user % 4093) as u32,
-            background: self.background,
+            background: true,
         }
     }
 }
@@ -311,7 +274,7 @@ impl RequestSampler for CatalogSampler<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mfc_workload::{ArrivalProcess, RequestModel, SessionModel, SourceKind, SourceSpec};
+    use mfc_workload::{ArrivalProcess, RequestModel, SessionModel, SourceSpec};
 
     fn window() -> (SimTime, SimTime) {
         (SimTime::ZERO, SimTime::ZERO + SimDuration::from_secs(120))
@@ -626,10 +589,8 @@ mod tests {
         let spec = WorkloadSpec::empty().with_source(SourceSpec {
             label: "sessions".to_string(),
             client: ClientSpec::default(),
-            kind: SourceKind::Open {
-                arrivals: ArrivalProcess::Poisson { rate_per_sec: 1.0 },
-                requests: RequestModel::Sessions(SessionModel::browsing()),
-            },
+            arrivals: ArrivalProcess::Poisson { rate_per_sec: 1.0 },
+            requests: RequestModel::Sessions(SessionModel::browsing()),
         });
         let master = SimRng::seed_from(31);
         let requests: Vec<ServerRequest> = WorkloadStream::new(

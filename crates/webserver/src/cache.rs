@@ -131,14 +131,6 @@ impl CacheState {
     pub fn query_stats(&self) -> (u64, u64) {
         (self.query_hits, self.query_misses)
     }
-
-    /// Drops all cached content but keeps the hit/miss counters.
-    pub fn invalidate(&mut self) {
-        self.objects.clear();
-        self.object_bytes = 0;
-        self.queries.clear();
-        self.query_entries = 0;
-    }
 }
 
 #[cfg(test)]
@@ -231,20 +223,5 @@ mod tests {
         let cfg = db_cfg(false);
         cache.query_insert(Q3, true, &cfg);
         assert!(!cache.query_lookup(Q3, true, &cfg));
-    }
-
-    #[test]
-    fn invalidate_clears_contents_but_not_counters() {
-        let mut cache = CacheState::new();
-        let ocfg = obj_cfg(true, 1_000);
-        let dcfg = db_cfg(true);
-        cache.object_insert(A, 10, &ocfg);
-        cache.query_insert(Q1, true, &dcfg);
-        cache.object_lookup(A, &ocfg);
-        cache.invalidate();
-        assert_eq!(cache.object_cache_bytes(), 0);
-        assert_eq!(cache.query_cache_entries(), 0);
-        assert_eq!(cache.object_stats().0, 1);
-        assert!(!cache.object_lookup(A, &ocfg));
     }
 }

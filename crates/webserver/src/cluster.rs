@@ -6,7 +6,7 @@
 //! response-time impact even with 375 simultaneous requests because the
 //! load spread across those replicas.  [`ServerCluster`] reproduces that
 //! arrangement: a front-end dispatcher offers each arrival to a
-//! [`ServerControl`] (admission control, rate limiting), routes it to one
+//! [`ServerControl`] (admission control, rate limiting), rotates it onto one
 //! of `n` identical [`ServerEngine`] replicas, each with its own caches,
 //! and merges the results.  A single server is a cluster of one.
 
@@ -20,23 +20,6 @@ use crate::control::{AdmissionVerdict, ControlAction, ServerControl, TickSample}
 use crate::engine::{EngineSession, RunResult, ServerEngine, SessionBuffers};
 use crate::request::{RequestOutcome, RequestStatus, ServerRequest};
 use crate::telemetry::UtilizationReport;
-
-/// How the balancer assigns requests to replicas.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BalancePolicy {
-    /// Strict rotation over the replicas in arrival order.
-    RoundRobin,
-    /// Assignment by a stable hash of the request id (models flow-hash /
-    /// source-hash balancers; keeps a client's retries on one replica).
-    HashById,
-    /// Each request goes to the replica with the fewest requests currently
-    /// in flight (a least-connections balancer).  This is what lets an
-    /// autoscaler's freshly provisioned replicas actually absorb load: a
-    /// new replica starts with zero outstanding requests and immediately
-    /// attracts the incoming tail of the crowd, where round robin would
-    /// keep handing it only its 1/n share.
-    LeastOutstanding,
-}
 
 /// A load-balanced group of identical servers.
 ///
@@ -56,7 +39,6 @@ pub enum BalancePolicy {
 pub struct ServerCluster {
     engine: ServerEngine,
     replicas: usize,
-    policy: BalancePolicy,
     carry: Carry,
 }
 
@@ -89,7 +71,6 @@ impl ServerCluster {
         ServerCluster {
             engine: ServerEngine::new(config, catalog),
             replicas,
-            policy: BalancePolicy::RoundRobin,
             carry: Carry {
                 active: replicas,
                 link_override: None,
@@ -98,12 +79,6 @@ impl ServerCluster {
                 spare: Vec::new(),
             },
         }
-    }
-
-    /// Selects the balancing policy (round robin by default).
-    pub fn with_policy(mut self, policy: BalancePolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Places a shared-bottleneck WAN topology in front of every serving
@@ -155,10 +130,10 @@ impl ServerCluster {
     /// One sweep interleaves the control's telemetry ticks with the
     /// arrivals; a tick at time *t* sees the server just before anything
     /// else happens at *t*.  Each arrival is offered to the control, which
-    /// may shed it with a 503 or clamp its transfer rate, and is then routed
-    /// over the currently *active* replicas.  Replica sessions are stepped
-    /// only when something reads them — a tick or least-outstanding routing
-    /// — so a static run costs nothing per replica and arrival.
+    /// may shed it with a 503 or clamp its transfer rate; the admitted
+    /// arrivals rotate over the currently *active* replicas in arrival
+    /// order.  Replica sessions are stepped only when a tick reads them, so
+    /// a static run costs nothing per replica and arrival.
     /// `SetReplicas` actions take effect for subsequent arrivals: scale-up
     /// replicas start cold, scale-down replicas finish their in-flight work
     /// but stop receiving traffic.  The active count and any capacity step
@@ -223,15 +198,8 @@ impl ServerCluster {
                 }
                 AdmissionVerdict::Accept => {}
             }
-            let replica = match self.policy {
-                BalancePolicy::RoundRobin => {
-                    let replica = rotation % sweep.carry.active;
-                    rotation += 1;
-                    replica
-                }
-                BalancePolicy::HashById => (req.id as usize) % sweep.carry.active,
-                BalancePolicy::LeastOutstanding => sweep.least_outstanding(arrival),
-            };
+            let replica = rotation % sweep.carry.active;
+            rotation += 1;
             sweep.session(replica).push_request(req);
             placement.push(Some(replica));
         }
@@ -334,20 +302,6 @@ impl<'e, 'c> Sweep<'e, 'c> {
             .iter()
             .flatten()
             .any(|session| session.next_event_time().is_some())
-    }
-
-    /// The active replica with the fewest requests in flight at `now`
-    /// (the lowest index on a tie).
-    fn least_outstanding(&mut self, now: SimTime) -> usize {
-        self.step_all(now);
-        (0..self.carry.active)
-            .min_by_key(|&r| {
-                self.sessions
-                    .get(r)
-                    .and_then(Option::as_ref)
-                    .map_or(0, EngineSession::in_flight)
-            })
-            .expect("at least one active replica")
     }
 
     fn sample(&self, now: SimTime) -> TickSample {
@@ -471,7 +425,6 @@ impl<'e, 'c> Sweep<'e, 'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{DatabaseConfig, WorkerConfig};
     use crate::control::NullControl;
     use crate::request::RequestClass;
     use mfc_simcore::SimDuration;
@@ -574,122 +527,6 @@ mod tests {
         );
         let result = cluster.run((0..9).map(head), &mut NullControl);
         assert_eq!(result.outcomes.len(), 9);
-    }
-
-    #[test]
-    fn hash_policy_is_deterministic_per_id() {
-        let mut a = ServerCluster::new(
-            ServerConfig::commercial_frontend(),
-            ContentCatalog::typical_site(1),
-            4,
-        )
-        .with_policy(BalancePolicy::HashById);
-        let mut b = ServerCluster::new(
-            ServerConfig::commercial_frontend(),
-            ContentCatalog::typical_site(1),
-            4,
-        )
-        .with_policy(BalancePolicy::HashById);
-        let ra = a.run((0..16).map(head), &mut NullControl);
-        let rb = b.run((0..16).map(head), &mut NullControl);
-        let la: Vec<_> = ra.outcomes.iter().map(|o| o.completion).collect();
-        let lb: Vec<_> = rb.outcomes.iter().map(|o| o.completion).collect();
-        assert_eq!(la, lb);
-    }
-
-    /// A slow dynamic query parked on one replica plus a trickle of HEADs
-    /// spaced so each settles before the next arrives: under round robin
-    /// every second HEAD lands behind the query and shares the CPU with it;
-    /// least-outstanding sees the busy replica's outstanding count and
-    /// steers every HEAD to the idle one.
-    fn skewed_workload() -> Vec<ServerRequest> {
-        let mut requests = vec![ServerRequest {
-            id: 0,
-            arrival: SimTime::ZERO,
-            class: RequestClass::Dynamic,
-            object: lab_object("/cgi/stats?table=t1"),
-            client_downlink: 1e7,
-            client_rtt: SimDuration::from_millis(40),
-            client_addr: 0,
-            background: false,
-        }];
-        for id in 1..=6u64 {
-            let mut r = head(id);
-            r.arrival = SimTime::ZERO + SimDuration::from_millis(25 * id);
-            requests.push(r);
-        }
-        requests
-    }
-
-    /// Lab server with an expensive base page and a very slow back end, so
-    /// CPU sharing against the parked query visibly inflates HEAD parses.
-    fn skewed_config() -> ServerConfig {
-        ServerConfig {
-            workers: WorkerConfig {
-                per_request_cpu: 0.002,
-                base_page_cpu: 0.008,
-                ..WorkerConfig::default()
-            },
-            database: DatabaseConfig {
-                query_cache: false,
-                base_query_cpu: 0.5,
-                ..DatabaseConfig::default()
-            },
-            ..ServerConfig::lab_apache()
-        }
-    }
-
-    #[test]
-    fn least_outstanding_avoids_the_busy_replica() {
-        let catalog = ContentCatalog::lab_validation();
-        let run_with = |policy: BalancePolicy| {
-            let mut cluster =
-                ServerCluster::new(skewed_config(), catalog.clone(), 2).with_policy(policy);
-            cluster.run(skewed_workload(), &mut NullControl)
-        };
-        let rr = run_with(BalancePolicy::RoundRobin);
-        let lo = run_with(BalancePolicy::LeastOutstanding);
-
-        // Pin the routing against round robin: RR deals HEADs 2, 4, 6 onto
-        // the replica stuck with the 500 ms query, where processor sharing
-        // doubles their 10 ms parse; LO parses every HEAD at full speed.
-        let worst = |result: &RunResult| {
-            result.outcomes[1..]
-                .iter()
-                .map(|o| o.latency())
-                .max()
-                .unwrap()
-        };
-        assert!(
-            worst(&rr) >= worst(&lo) + SimDuration::from_millis(5),
-            "round robin must queue HEADs behind the busy replica: rr {} vs lo {}",
-            worst(&rr),
-            worst(&lo)
-        );
-        // Everything still completes under both policies.
-        assert!(rr.outcomes.iter().all(|o| o.is_ok()));
-        assert!(lo.outcomes.iter().all(|o| o.is_ok()));
-        assert_eq!(lo.outcomes.len(), 7);
-        // Outcomes come back in arrival order.
-        let ids: Vec<u64> = lo.outcomes.iter().map(|o| o.id).collect();
-        assert_eq!(ids, (0..7).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn least_outstanding_is_deterministic() {
-        let config = ServerConfig::lab_apache();
-        let catalog = ContentCatalog::lab_validation();
-        let run_once = || {
-            let mut cluster = ServerCluster::new(config.clone(), catalog.clone(), 3)
-                .with_policy(BalancePolicy::LeastOutstanding);
-            let result = cluster.run(skewed_workload(), &mut NullControl);
-            result
-                .outcomes
-                .iter()
-                .map(|o| o.completion)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run_once(), run_once());
     }
 
     #[test]

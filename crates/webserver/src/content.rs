@@ -234,49 +234,6 @@ impl ContentCatalog {
         ContentCatalog::new(base_page, objects)
     }
 
-    /// A catalog whose static-object sizes are drawn from an explicit
-    /// heavy-tailed distribution — the measured shape of real sites, where
-    /// a few huge downloads coexist with thousands of small pages.  The
-    /// object kind follows from the drawn size (text under the small-query
-    /// bound, images up to the large-object bound, binaries above), and a
-    /// block of small queries keeps every MFC stage probeable.
-    ///
-    /// Because the sizes name their distribution, a generated catalog can
-    /// be *audited* against it: the property tests compare the empirical
-    /// size quantiles with [`mfc_workload::TailDistribution::quantile`].
-    pub fn heavy_tailed_site(
-        seed_tag: u64,
-        static_objects: usize,
-        sizes: &mfc_workload::TailDistribution,
-        rng: &mut mfc_simcore::SimRng,
-    ) -> Self {
-        let base_page = ObjectSpec::static_object("/index.html", ObjectKind::Text, 18 * 1024);
-        let mut objects = Vec::with_capacity(static_objects + 16);
-        for i in 0..static_objects {
-            let size = sizes.sample(rng).round().max(64.0) as u64;
-            let kind = if size <= SMALL_QUERY_MAX_BYTES {
-                ObjectKind::Text
-            } else if size < LARGE_OBJECT_MIN_BYTES {
-                ObjectKind::Image
-            } else {
-                ObjectKind::Binary
-            };
-            objects.push(ObjectSpec::static_object(
-                format!("/files/object_{seed_tag}_{i}.bin"),
-                kind,
-                size,
-            ));
-        }
-        for i in 0..16 {
-            objects.push(ObjectSpec::query(
-                format!("/search?site={seed_tag}&q=item{i}"),
-                4 * 1024,
-                50_000,
-            ));
-        }
-        ContentCatalog::new(base_page, objects)
-    }
-
     /// The minimal catalog used by the §3 lab validation experiments: one
     /// 100 KB object for the Large Object workload and one query that scans
     /// 50 000 rows and returns a sub-100-byte response, mirroring the

@@ -41,7 +41,7 @@ pub mod telemetry;
 
 pub use background::{BackgroundMix, BackgroundTraffic, CatalogSampler};
 pub use cache::CacheState;
-pub use cluster::{BalancePolicy, ServerCluster};
+pub use cluster::ServerCluster;
 pub use config::{
     DatabaseConfig, DynamicHandler, HardwareSpec, ObjectCacheConfig, ServerConfig, WorkerConfig,
 };

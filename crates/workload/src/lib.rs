@@ -20,8 +20,6 @@
 //! * **session models** ([`SessionModel`]) — Markov page graphs with
 //!   think times and embedded-object fetches, so load arrives as correlated
 //!   request *trains* instead of independent requests;
-//! * **trace replay** ([`TraceReplay`]) — Common-Log-Format lines become a
-//!   replayable request schedule;
 //! * **a lazily evaluated merged stream** ([`WorkloadStream`]) — a heap of
 //!   per-source next-arrivals, O(log S) per emitted request with S the
 //!   number of sources plus *currently active* sessions, so million-session
@@ -48,13 +46,11 @@ pub mod session;
 pub mod spec;
 pub mod stream;
 pub mod tail;
-pub mod trace;
 
 pub use arrival::{ArrivalProcess, MmppState, RateSegment};
 pub use session::{PageSpec, SessionModel, SESSION_REQUEST_CAP};
-pub use spec::{ClientSpec, MixWeights, RequestModel, SourceKind, SourceSpec, WorkloadSpec};
+pub use spec::{ClientSpec, MixWeights, RequestModel, SourceSpec, WorkloadSpec};
 pub use stream::{
     KindSampler, RequestContext, RequestIntent, RequestKind, RequestSampler, WorkloadStream,
 };
 pub use tail::TailDistribution;
-pub use trace::{TraceEntry, TraceReplay};

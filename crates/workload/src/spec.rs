@@ -12,7 +12,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::arrival::ArrivalProcess;
 use crate::session::SessionModel;
-use crate::trace::TraceReplay;
 
 /// Mix of request classes, as weights (need not sum to one).
 ///
@@ -95,22 +94,8 @@ pub enum RequestModel {
     Sessions(SessionModel),
 }
 
-/// How a source produces load.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum SourceKind {
-    /// An open-loop stochastic source: an arrival process feeding a request
-    /// model.
-    Open {
-        /// When arrivals (requests or sessions) occur.
-        arrivals: ArrivalProcess,
-        /// What each arrival produces.
-        requests: RequestModel,
-    },
-    /// Replay of a parsed access log.
-    Trace(TraceReplay),
-}
-
-/// One traffic source.
+/// One traffic source: an open-loop stochastic arrival process feeding a
+/// request model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SourceSpec {
     /// Human-readable label (also keeps multi-source specs auditable in
@@ -118,8 +103,10 @@ pub struct SourceSpec {
     pub label: String,
     /// Client network profile for the requests this source emits.
     pub client: ClientSpec,
-    /// The load generator.
-    pub kind: SourceKind,
+    /// When arrivals (requests or sessions) occur.
+    pub arrivals: ArrivalProcess,
+    /// What each arrival produces.
+    pub requests: RequestModel,
 }
 
 /// A complete workload: zero or more sources merged into one time-ordered
@@ -143,10 +130,8 @@ impl WorkloadSpec {
         WorkloadSpec::empty().with_source(SourceSpec {
             label: "poisson".to_string(),
             client,
-            kind: SourceKind::Open {
-                arrivals: ArrivalProcess::Poisson { rate_per_sec },
-                requests: RequestModel::Mix(mix),
-            },
+            arrivals: ArrivalProcess::Poisson { rate_per_sec },
+            requests: RequestModel::Mix(mix),
         })
     }
 
@@ -156,19 +141,8 @@ impl WorkloadSpec {
         WorkloadSpec::empty().with_source(SourceSpec {
             label: "sessions".to_string(),
             client,
-            kind: SourceKind::Open {
-                arrivals,
-                requests: RequestModel::Sessions(model),
-            },
-        })
-    }
-
-    /// A trace-replay workload.
-    pub fn replay(trace: TraceReplay, client: ClientSpec) -> Self {
-        WorkloadSpec::empty().with_source(SourceSpec {
-            label: "trace".to_string(),
-            client,
-            kind: SourceKind::Trace(trace),
+            arrivals,
+            requests: RequestModel::Sessions(model),
         })
     }
 
@@ -189,14 +163,11 @@ impl WorkloadSpec {
     pub fn mean_request_rate(&self) -> f64 {
         self.sources
             .iter()
-            .map(|source| match &source.kind {
-                SourceKind::Open { arrivals, requests } => match requests {
-                    RequestModel::Mix(_) => arrivals.mean_rate(),
-                    RequestModel::Sessions(model) => {
-                        arrivals.mean_rate() * model.mean_requests_per_session()
-                    }
-                },
-                SourceKind::Trace(trace) => trace.mean_rate(),
+            .map(|source| match &source.requests {
+                RequestModel::Mix(_) => source.arrivals.mean_rate(),
+                RequestModel::Sessions(model) => {
+                    source.arrivals.mean_rate() * model.mean_requests_per_session()
+                }
             })
             .sum()
     }
@@ -204,15 +175,10 @@ impl WorkloadSpec {
     /// Validates every source.
     pub fn validate(&self) -> Result<(), String> {
         for (index, source) in self.sources.iter().enumerate() {
-            let check = match &source.kind {
-                SourceKind::Open { arrivals, requests } => {
-                    arrivals.validate().and(match requests {
-                        RequestModel::Mix(_) => Ok(()),
-                        RequestModel::Sessions(model) => model.validate(),
-                    })
-                }
-                SourceKind::Trace(trace) => trace.validate(),
-            };
+            let check = source.arrivals.validate().and(match &source.requests {
+                RequestModel::Mix(_) => Ok(()),
+                RequestModel::Sessions(model) => model.validate(),
+            });
             check.map_err(|e| format!("source {index} ({}): {e}", source.label))?;
         }
         Ok(())
@@ -265,18 +231,14 @@ mod tests {
             .with_source(SourceSpec {
                 label: "good".to_string(),
                 client: ClientSpec::default(),
-                kind: SourceKind::Open {
-                    arrivals: ArrivalProcess::Poisson { rate_per_sec: 1.0 },
-                    requests: RequestModel::Mix(MixWeights::default()),
-                },
+                arrivals: ArrivalProcess::Poisson { rate_per_sec: 1.0 },
+                requests: RequestModel::Mix(MixWeights::default()),
             })
             .with_source(SourceSpec {
                 label: "bad".to_string(),
                 client: ClientSpec::default(),
-                kind: SourceKind::Open {
-                    arrivals: ArrivalProcess::Poisson { rate_per_sec: -2.0 },
-                    requests: RequestModel::Mix(MixWeights::default()),
-                },
+                arrivals: ArrivalProcess::Poisson { rate_per_sec: -2.0 },
+                requests: RequestModel::Mix(MixWeights::default()),
             });
         let err = spec.validate().unwrap_err();
         assert!(err.contains("source 1 (bad)"), "{err}");

@@ -28,8 +28,7 @@ use mfc_simnet::Bandwidth;
 use serde::{Deserialize, Serialize};
 
 use crate::session::SessionState;
-use crate::spec::{MixWeights, RequestModel, SourceKind, WorkloadSpec};
-use crate::trace::TraceEntry;
+use crate::spec::{MixWeights, RequestModel, WorkloadSpec};
 
 /// Abstract request classes a workload can ask for; the sampler maps them
 /// onto the target's actual content.
@@ -54,8 +53,6 @@ pub enum RequestIntent<'a> {
     /// A request of this specific class (session page views and embedded
     /// objects).
     Kind(RequestKind),
-    /// Replay this trace entry verbatim.
-    Trace(&'a TraceEntry),
 }
 
 /// Everything the sampler needs to build one concrete request.
@@ -65,8 +62,8 @@ pub struct RequestContext<'a> {
     pub time: SimTime,
     /// The stream-assigned request id (`id_base` plus emission index).
     pub id: u64,
-    /// A stable synthetic user: one id per mix arrival or trace entry, one
-    /// per *session* for session sources (so a session's requests share a
+    /// A stable synthetic user: one id per mix arrival, one per *session*
+    /// for session sources (so a session's requests share a
     /// client address).
     pub user: u64,
     /// What to produce.
@@ -113,15 +110,6 @@ impl RequestSampler for KindSampler {
                     ])
                 }
             }
-            RequestIntent::Trace(entry) => {
-                if entry.head {
-                    RequestKind::BasePage
-                } else if entry.dynamic {
-                    RequestKind::Dynamic
-                } else {
-                    RequestKind::StaticSmall
-                }
-            }
         };
         (ctx.time, kind)
     }
@@ -130,7 +118,7 @@ impl RequestSampler for KindSampler {
 /// Who owns a pending heap instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Actor {
-    /// A source's next arrival (or next trace entry).
+    /// A source's next arrival.
     Source(u32),
     /// An active session's next step (index into the session slab).
     Session(u32),
@@ -147,9 +135,7 @@ struct Pending {
 /// Live state of one source.
 struct SourceRuntime {
     rng: SimRng,
-    arrivals: Option<crate::arrival::ArrivalState>,
-    /// Next entry to replay, for trace sources.
-    trace_index: usize,
+    arrivals: crate::arrival::ArrivalState,
 }
 
 /// The merged, lazily evaluated request stream.  See the module docs.
@@ -225,39 +211,9 @@ impl<'a, S: RequestSampler> WorkloadStream<'a, S> {
             peak_active_sessions: 0,
         };
         for (index, (source, mut rng)) in spec.sources.iter().zip(rngs).enumerate() {
-            let mut runtime = match &source.kind {
-                SourceKind::Open { arrivals, .. } => {
-                    let state = crate::arrival::ArrivalState::new(arrivals, start, &mut rng);
-                    SourceRuntime {
-                        rng,
-                        arrivals: Some(state),
-                        trace_index: 0,
-                    }
-                }
-                SourceKind::Trace(trace) => {
-                    let first = trace
-                        .entries
-                        .partition_point(|e| trace.anchor + e.offset < start);
-                    SourceRuntime {
-                        rng,
-                        arrivals: None,
-                        trace_index: first,
-                    }
-                }
-            };
-            let first_time = match &source.kind {
-                SourceKind::Open { .. } => runtime
-                    .arrivals
-                    .as_mut()
-                    .expect("open source has arrival state")
-                    .next(end, &mut runtime.rng),
-                SourceKind::Trace(trace) => trace
-                    .entries
-                    .get(runtime.trace_index)
-                    .map(|e| trace.anchor + e.offset)
-                    .filter(|t| *t < end),
-            };
-            stream.sources.push(runtime);
+            let mut arrivals = crate::arrival::ArrivalState::new(&source.arrivals, start, &mut rng);
+            let first_time = arrivals.next(end, &mut rng);
+            stream.sources.push(SourceRuntime { rng, arrivals });
             if let Some(time) = first_time {
                 stream.push(time, Actor::Source(index as u32));
             }
@@ -318,92 +274,56 @@ impl<'a, S: RequestSampler> WorkloadStream<'a, S> {
     /// Emits the request for a source arrival and schedules the follow-ups.
     fn emit_source(&mut self, index: u32, time: SimTime) -> S::Request {
         let source_spec = &self.spec.sources[index as usize];
-        match &source_spec.kind {
-            SourceKind::Open { requests, .. } => match requests {
-                RequestModel::Mix(mix) => {
-                    let id = self.alloc_id();
-                    let runtime = &mut self.sources[index as usize];
-                    let request = self.sampler.sample(
-                        RequestContext {
-                            time,
-                            id,
-                            user: id,
-                            intent: RequestIntent::Mix(mix),
-                            downlink: source_spec.client.downlink,
-                            rtt: source_spec.client.rtt,
-                        },
-                        &mut runtime.rng,
-                    );
-                    let next = runtime
-                        .arrivals
-                        .as_mut()
-                        .expect("open source has arrival state")
-                        .next(self.end, &mut runtime.rng);
-                    if let Some(t) = next {
-                        self.push(t, Actor::Source(index));
-                    }
-                    request
-                }
-                RequestModel::Sessions(model) => {
-                    // Schedule the source's next session arrival first, so
-                    // the source RNG only ever produces arrival draws and
-                    // session seeds, in arrival order.
-                    let runtime = &mut self.sources[index as usize];
-                    let next_arrival = runtime
-                        .arrivals
-                        .as_mut()
-                        .expect("open source has arrival state")
-                        .next(self.end, &mut runtime.rng);
-                    let session_seed = runtime.rng.next_u64();
-                    if let Some(t) = next_arrival {
-                        self.push(t, Actor::Source(index));
-                    }
-                    let user = self.next_user;
-                    self.next_user += 1;
-                    let mut session =
-                        SessionState::start(model, user, index, SimRng::seed_from(session_seed));
-                    let (kind, next_step) = session.step(model, time);
-                    let id = self.alloc_id();
-                    let request = self.sampler.sample(
-                        RequestContext {
-                            time,
-                            id,
-                            user,
-                            intent: RequestIntent::Kind(kind),
-                            downlink: source_spec.client.downlink,
-                            rtt: source_spec.client.rtt,
-                        },
-                        &mut session.rng,
-                    );
-                    if let Some(t) = next_step.filter(|t| *t < self.end) {
-                        let slot = self.store_session(session);
-                        self.push(t, Actor::Session(slot));
-                    }
-                    request
-                }
-            },
-            SourceKind::Trace(trace) => {
-                let runtime = &mut self.sources[index as usize];
-                let entry = &trace.entries[runtime.trace_index];
-                runtime.trace_index += 1;
+        match &source_spec.requests {
+            RequestModel::Mix(mix) => {
                 let id = self.alloc_id();
+                let runtime = &mut self.sources[index as usize];
                 let request = self.sampler.sample(
                     RequestContext {
                         time,
                         id,
                         user: id,
-                        intent: RequestIntent::Trace(entry),
+                        intent: RequestIntent::Mix(mix),
                         downlink: source_spec.client.downlink,
                         rtt: source_spec.client.rtt,
                     },
-                    &mut self.sources[index as usize].rng,
+                    &mut runtime.rng,
                 );
-                let runtime = &self.sources[index as usize];
-                if let Some(next) = trace.entries.get(runtime.trace_index) {
-                    let t = trace.anchor + next.offset;
-                    if t < self.end {
-                        self.push(t, Actor::Source(index));
-                    }
+                if let Some(t) = runtime.arrivals.next(self.end, &mut runtime.rng) {
+                    self.push(t, Actor::Source(index));
+                }
+                request
+            }
+            RequestModel::Sessions(model) => {
+                // Schedule the source's next session arrival first, so the
+                // source RNG only ever produces arrival draws and session
+                // seeds, in arrival order.
+                let runtime = &mut self.sources[index as usize];
+                let next_arrival = runtime.arrivals.next(self.end, &mut runtime.rng);
+                let session_seed = runtime.rng.next_u64();
+                if let Some(t) = next_arrival {
+                    self.push(t, Actor::Source(index));
+                }
+                let user = self.next_user;
+                self.next_user += 1;
+                let mut session =
+                    SessionState::start(model, user, index, SimRng::seed_from(session_seed));
+                let (kind, next_step) = session.step(model, time);
+                let id = self.alloc_id();
+                let request = self.sampler.sample(
+                    RequestContext {
+                        time,
+                        id,
+                        user,
+                        intent: RequestIntent::Kind(kind),
+                        downlink: source_spec.client.downlink,
+                        rtt: source_spec.client.rtt,
+                    },
+                    &mut session.rng,
+                );
+                if let Some(t) = next_step.filter(|t| *t < self.end) {
+                    let slot = self.store_session(session);
+                    self.push(t, Actor::Session(slot));
                 }
                 request
             }
@@ -417,11 +337,7 @@ impl<'a, S: RequestSampler> WorkloadStream<'a, S> {
             .take()
             .expect("scheduled session is live");
         let source_spec = &self.spec.sources[session.source as usize];
-        let SourceKind::Open {
-            requests: RequestModel::Sessions(model),
-            ..
-        } = &source_spec.kind
-        else {
+        let RequestModel::Sessions(model) = &source_spec.requests else {
             unreachable!("sessions only spawn from session sources");
         };
         let (kind, next_step) = session.step(model, time);
@@ -484,17 +400,15 @@ mod tests {
             .with_source(SourceSpec {
                 label: "surge".to_string(),
                 client: ClientSpec::default(),
-                kind: SourceKind::Open {
-                    arrivals: ArrivalProcess::FlashCrowd {
-                        base_rate: 0.0,
-                        peak_rate: 30.0,
-                        onset_secs: 20.0,
-                        ramp_secs: 5.0,
-                        hold_secs: 20.0,
-                        decay_secs: 5.0,
-                    },
-                    requests: RequestModel::Mix(MixWeights::downloads()),
+                arrivals: ArrivalProcess::FlashCrowd {
+                    base_rate: 0.0,
+                    peak_rate: 30.0,
+                    onset_secs: 20.0,
+                    ramp_secs: 5.0,
+                    hold_secs: 20.0,
+                    decay_secs: 5.0,
                 },
+                requests: RequestModel::Mix(MixWeights::downloads()),
             });
         let (start, end) = window(60);
         let requests = collect(&spec, 60, 1);
@@ -599,42 +513,6 @@ mod tests {
             (n - expected).abs() < 0.2 * expected,
             "{n} requests vs expected {expected}"
         );
-    }
-
-    #[test]
-    fn trace_sources_replay_their_entries() {
-        let log = r#"
-a - - [10/Oct/2000:00:00:00 +0000] "GET /a.html HTTP/1.0" 200 100
-a - - [10/Oct/2000:00:00:05 +0000] "HEAD / HTTP/1.0" 200 -
-a - - [10/Oct/2000:00:00:30 +0000] "GET /q?x=1 HTTP/1.0" 200 55
-a - - [10/Oct/2000:00:10:00 +0000] "GET /late.html HTTP/1.0" 200 1
-"#;
-        let trace = crate::trace::TraceReplay::parse(log).unwrap();
-        let spec = WorkloadSpec::replay(trace, ClientSpec::default());
-        // The window cuts off the last entry.
-        let requests = collect(&spec, 60, 5);
-        assert_eq!(requests.len(), 3);
-        assert_eq!(requests[0].0, SimTime::ZERO);
-        assert_eq!(requests[1].0, SimTime::ZERO + SimDuration::from_secs(5));
-        assert_eq!(requests[1].1, RequestKind::BasePage);
-        assert_eq!(requests[2].1, RequestKind::Dynamic);
-    }
-
-    #[test]
-    fn windowed_trace_skips_earlier_entries() {
-        let log = r#"
-a - - [10/Oct/2000:00:00:00 +0000] "GET /a.html HTTP/1.0" 200 100
-a - - [10/Oct/2000:00:01:40 +0000] "GET /b.html HTTP/1.0" 200 100
-"#;
-        let trace = crate::trace::TraceReplay::parse(log).unwrap();
-        let spec = WorkloadSpec::replay(trace, ClientSpec::default());
-        let start = SimTime::ZERO + SimDuration::from_secs(50);
-        let end = SimTime::ZERO + SimDuration::from_secs(200);
-        let master = SimRng::seed_from(6);
-        let requests: Vec<(SimTime, RequestKind)> =
-            WorkloadStream::new(&spec, start, end, 0, &master, KindSampler).collect();
-        assert_eq!(requests.len(), 1);
-        assert_eq!(requests[0].0, SimTime::ZERO + SimDuration::from_secs(100));
     }
 
     #[test]

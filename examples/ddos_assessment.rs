@@ -32,8 +32,7 @@ use mfc_simcore::stats::Summary;
 use mfc_simcore::{SimDuration, SimRng, SimTime};
 use mfc_sites::SiteClass;
 use mfc_webserver::{
-    BalancePolicy, ContentCatalog, RequestClass, ServerCluster, ServerConfig, ServerRequest,
-    WorkerConfig,
+    ContentCatalog, RequestClass, ServerCluster, ServerConfig, ServerRequest, WorkerConfig,
 };
 
 fn target() -> SimTargetSpec {
@@ -140,9 +139,9 @@ fn main() {
     // T = 200 s, so the request rate grows linearly from zero to 100/s —
     // the 8-replica ceiling — the canonical flash-crowd onset.  The
     // defended target autoscales between 1 and 8 replicas (3 s
-    // provisioning lag, eager 1 s re-evaluation) behind a
-    // least-outstanding balancer and sheds with 503s when a replica's
-    // backlog grows — the de Paula-style cloud response to a flash-crowd
+    // provisioning lag, eager 1 s re-evaluation) behind a balancer that
+    // rotates arrivals over the active replicas, and sheds with 503s when
+    // a replica's backlog grows — the de Paula-style cloud response to a flash-crowd
     // event.  The number to watch is the *degradation point*: the first
     // served transfer slower than 2 s, in arrival order, plus how many
     // transfers ever degrade.
@@ -232,16 +231,16 @@ fn main() {
         ..DefenseConfig::none()
     };
     let mut stack = defenses.build();
-    let mut defended_cluster = ServerCluster::new(server, ContentCatalog::lab_validation(), 1)
-        .with_policy(BalancePolicy::LeastOutstanding);
+    let mut defended_cluster = ServerCluster::new(server, ContentCatalog::lab_validation(), 1);
     let wall = Instant::now();
     let defended_result = defended_cluster.run(burst(crowd_size), &mut stack);
     describe("defended", &defended_result, wall.elapsed());
     println!(
         "  the autoscaler provisioned {} replicas as the ramp grew (admission control shed {}).\n\
          \x20 The static server degrades permanently once the ramp crosses one link's capacity;\n\
-         \x20 the defended one only wobbles during the first provisioning lag, then absorbs the\n\
-         \x20 entire flood — the class of scenario the static-target methodology cannot see.",
+         \x20 the defended one degrades only in short bursts, each while the ramp outgrows the\n\
+         \x20 replicas provisioned so far, and serves the rest of the flood within 2 s — the\n\
+         \x20 class of scenario the static-target methodology cannot see.",
         defended_cluster.active_replicas(),
         defended_result.utilization.shed_requests,
     );
@@ -343,21 +342,19 @@ fn main() {
         mfc_workload::WorkloadSpec::empty().with_source(mfc_workload::SourceSpec {
             label: "organic-surge".to_string(),
             client: mfc_workload::ClientSpec::default(),
-            kind: mfc_workload::SourceKind::Open {
-                arrivals: mfc_workload::ArrivalProcess::FlashCrowd {
-                    base_rate: 0.2,
-                    peak_rate: 40.0,
-                    // Base measurements plus the first (sub-threshold)
-                    // epoch take ~90 s; the surge then sits on the
-                    // evidence epochs and is over by ~265 s, so a backoff
-                    // can escape it.
-                    onset_secs: 100.0,
-                    ramp_secs: 15.0,
-                    hold_secs: 120.0,
-                    decay_secs: 30.0,
-                },
-                requests: mfc_workload::RequestModel::Mix(mfc_workload::MixWeights::downloads()),
+            arrivals: mfc_workload::ArrivalProcess::FlashCrowd {
+                base_rate: 0.2,
+                peak_rate: 40.0,
+                // Base measurements plus the first (sub-threshold)
+                // epoch take ~90 s; the surge then sits on the
+                // evidence epochs and is over by ~265 s, so a backoff
+                // can escape it.
+                onset_secs: 100.0,
+                ramp_secs: 15.0,
+                hold_secs: 120.0,
+                decay_secs: 30.0,
             },
+            requests: mfc_workload::RequestModel::Mix(mfc_workload::MixWeights::downloads()),
         })
     };
     let ladder = MfcConfig::standard()
@@ -404,7 +401,6 @@ fn main() {
         ladder.with_quiescence(mfc_core::config::QuiescencePolicy {
             backoff: SimDuration::from_secs(90),
             max_retries: 3,
-            ..mfc_core::config::QuiescencePolicy::default()
         }),
     );
     assert_eq!(

@@ -259,3 +259,47 @@ fn skipped_stage_when_content_class_is_missing() {
         StageOutcome::Skipped
     );
 }
+
+#[test]
+fn quiescence_flags_exactly_the_epochs_above_the_one_surge_threshold() {
+    use mfc_bench::experiments::workload_matrix::WorkloadScenario;
+    use mfc_core::config::QuiescencePolicy;
+    use mfc_core::inference::surge_threshold;
+
+    // The workload matrix's thin-link flash-crowd cell at quick scale
+    // (60 clients, seed 104 + 12), with the coordinator allowed to wait
+    // the surge out.
+    let seed = 116;
+    let spec = lab_target().with_workload(WorkloadScenario::FlashCrowd.workload().unwrap());
+    let config = MfcConfig::standard()
+        .with_stages(vec![Stage::LargeObject])
+        .with_max_crowd(40)
+        .with_increment(10)
+        .with_quiescence(QuiescencePolicy::default());
+    let mut backend = SimBackend::new(spec, 60, seed);
+    let report = Coordinator::new(config)
+        .with_seed(seed ^ 0x3A_17)
+        .run(&mut backend)
+        .unwrap();
+    let epochs = &report.stages[0].epochs;
+    assert!(
+        epochs.iter().any(|e| e.surge_suspected),
+        "the surge must flag at least one epoch: {epochs:?}"
+    );
+    // Every flag is the one rule applied to the earlier unflagged epochs'
+    // background rates, and nothing else.
+    let mut clean_rates = Vec::new();
+    for epoch in epochs {
+        let expected = epoch.background_rate.is_some_and(|rate| {
+            surge_threshold(&clean_rates).is_some_and(|threshold| rate > threshold)
+        });
+        assert_eq!(
+            epoch.surge_suspected, expected,
+            "epoch {} at rate {:?} over clean rates {clean_rates:?}",
+            epoch.index, epoch.background_rate
+        );
+        if !epoch.surge_suspected {
+            clean_rates.extend(epoch.background_rate);
+        }
+    }
+}

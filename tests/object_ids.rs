@@ -1,16 +1,16 @@
 //! Requests name catalog objects by id, resolved once where the request is
-//! made.  These tests drive workloads through `CatalogSampler` and
-//! `ServerCluster::run` and check that ids behave exactly as paths did: a
-//! path the catalog does not host still comes back 404, a path listed twice
-//! is one object with one cache entry, and each distinct query has a query
-//! cache entry of its own.
+//! made.  These tests build requests from `ContentCatalog::resolve` or
+//! `CatalogSampler`, serve them through `ServerCluster::run` and check that
+//! ids behave exactly as paths did: a path the catalog does not host still
+//! comes back 404, a path listed twice is one object with one cache entry,
+//! and each distinct query has a query cache entry of its own.
 
 use mfc_simcore::{SimDuration, SimRng, SimTime};
 use mfc_webserver::{
-    CatalogSampler, ContentCatalog, NullControl, ObjectKind, ObjectSpec, RequestStatus,
-    ServerCluster, ServerConfig, ServerRequest, WorkloadSpec, WorkloadStream,
+    CatalogSampler, ContentCatalog, NullControl, ObjectKind, ObjectSpec, RequestClass,
+    RequestStatus, ServerCluster, ServerConfig, ServerRequest, WorkloadSpec, WorkloadStream,
 };
-use mfc_workload::{ClientSpec, MixWeights, TraceReplay};
+use mfc_workload::{ClientSpec, MixWeights};
 
 /// The requests `spec` streams over its first `secs` seconds against
 /// `catalog`, sampled by `CatalogSampler`.
@@ -26,31 +26,49 @@ fn sample(spec: &WorkloadSpec, catalog: &ContentCatalog, secs: u64) -> Vec<Serve
     .collect()
 }
 
-/// A replay of `paths`, one GET a second.
-fn replay_of(paths: &[&str]) -> WorkloadSpec {
-    let log: String = paths
+/// One GET a second for each of `paths`, naming the object the path
+/// resolves to in `catalog` (`None` when the catalog does not host it).
+/// A hosted query, or an unhosted path with a query string, is a dynamic
+/// request.
+fn gets(catalog: &ContentCatalog, paths: &[&str]) -> Vec<ServerRequest> {
+    let client = ClientSpec::default();
+    paths
         .iter()
         .enumerate()
         .map(|(i, path)| {
-            format!("10.0.0.1 - - [10/Oct/2000:13:55:{i:02} -0700] \"GET {path} HTTP/1.0\" 200 1\n")
+            let object = catalog.resolve(path);
+            let dynamic = object.map_or(path.contains('?'), |id| {
+                catalog.object(id).kind.is_dynamic()
+            });
+            ServerRequest {
+                id: i as u64,
+                arrival: SimTime::ZERO + SimDuration::from_secs(i as u64),
+                class: if dynamic {
+                    RequestClass::Dynamic
+                } else {
+                    RequestClass::Static
+                },
+                object,
+                client_downlink: client.downlink,
+                client_rtt: client.rtt,
+                client_addr: i as u32,
+                background: false,
+            }
         })
-        .collect();
-    WorkloadSpec::replay(
-        TraceReplay::parse(&log).expect("well-formed log"),
-        ClientSpec::default(),
-    )
+        .collect()
 }
 
 #[test]
-fn a_replayed_path_the_catalog_does_not_host_completes_not_found() {
+fn a_path_the_catalog_does_not_host_completes_not_found() {
     let catalog = ContentCatalog::lab_validation();
-    let spec = replay_of(&[
-        "/no/such/file.bin",
-        "/objects/large_100k.bin",
-        "/cgi/missing?table=t9",
-    ]);
-    let requests = sample(&spec, &catalog, 60);
-    assert_eq!(requests.len(), 3);
+    let requests = gets(
+        &catalog,
+        &[
+            "/no/such/file.bin",
+            "/objects/large_100k.bin",
+            "/cgi/missing?table=t9",
+        ],
+    );
     let objects: Vec<_> = requests.iter().map(|r| r.object).collect();
     assert_eq!(
         objects,
@@ -111,13 +129,14 @@ fn both_copies_of_a_path_listed_twice_are_its_first_object() {
 fn distinct_queries_miss_the_query_cache_separately_and_a_repeat_hits() {
     let mut catalog = ContentCatalog::lab_validation();
     catalog.push(ObjectSpec::query("/cgi/stats?table=t2", 100, 50_000));
-    let spec = replay_of(&[
-        "/cgi/stats?table=t1",
-        "/cgi/stats?table=t2",
-        "/cgi/stats?table=t1",
-    ]);
-    let requests = sample(&spec, &catalog, 60);
-    assert_eq!(requests.len(), 3);
+    let requests = gets(
+        &catalog,
+        &[
+            "/cgi/stats?table=t1",
+            "/cgi/stats?table=t2",
+            "/cgi/stats?table=t1",
+        ],
+    );
     assert_ne!(requests[0].object, requests[1].object);
     assert_eq!(requests[0].object, requests[2].object);
 

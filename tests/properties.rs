@@ -122,7 +122,7 @@ fn fluid_link_never_exceeds_capacity_and_conserves_bytes() {
 // Fluid link: the virtual-time / water-level core must match the retained
 // naive progressive-filling model (the executable specification) on rates,
 // completion times and completion order, across arbitrary interleavings of
-// flow arrivals, departures, cap changes and partial advances.
+// flow arrivals, departures and partial advances.
 // -------------------------------------------------------------------
 
 /// Draws a rate cap: sometimes unlimited, sometimes a broad range, and
@@ -207,7 +207,7 @@ fn fluid_link_matches_naive_reference_under_random_ops() {
         let ops = rng.index(100) + 40;
         for op in 0..ops {
             let ctx = format!("case {case} op {op}");
-            match rng.index(10) {
+            match rng.index(9) {
                 // Arrival.
                 0..=3 => {
                     let bytes = if rng.chance(0.05) {
@@ -234,17 +234,8 @@ fn fluid_link_matches_naive_reference_under_random_ops() {
                         );
                     }
                 }
-                // Cap change on a random flow.
-                5 => {
-                    if !active.is_empty() {
-                        let id = active[rng.index(active.len())];
-                        let cap = random_cap(&mut rng);
-                        fast.set_rate_cap(FlowId(id), cap, now);
-                        naive.set_rate_cap(FlowId(id), cap, now);
-                    }
-                }
                 // Run to the next completion and retire that flow.
-                6..=7 => {
+                5..=6 => {
                     let naive_next = naive.next_completion(now);
                     let fast_next = fast.next_completion(now);
                     match (naive_next, fast_next) {
@@ -419,7 +410,7 @@ fn network_graph_matches_naive_progressive_filling_on_random_topologies() {
         let ops = rng.index(80) + 40;
         for op in 0..ops {
             let ctx = format!("case {case} op {op}");
-            match rng.index(10) {
+            match rng.index(9) {
                 // Arrival on a random route.
                 0..=3 => {
                     let bytes = if rng.chance(0.05) {
@@ -447,24 +438,15 @@ fn network_graph_matches_naive_progressive_filling_on_random_topologies() {
                         );
                     }
                 }
-                // Cap change.
-                5 => {
-                    if !active.is_empty() {
-                        let id = active[rng.index(active.len())];
-                        let cap = random_cap(&mut rng);
-                        fast.set_rate_cap(FlowId(id), cap, now);
-                        naive.set_rate_cap(FlowId(id), cap, now);
-                    }
-                }
                 // Mid-run link capacity change.
-                6 => {
+                5 => {
                     let link = links[rng.index(links.len())];
                     let capacity = rng.uniform(2e5, 5e6);
                     fast.set_link_capacity(link, capacity, now);
                     naive.set_link_capacity(link, capacity, now);
                 }
                 // Run to the next completion and retire that flow.
-                7..=8 => {
+                6..=7 => {
                     let naive_next = naive.next_completion(now);
                     let fast_next = fast.next_completion(now);
                     match (naive_next, fast_next) {
@@ -648,7 +630,7 @@ fn run_shifted(
     let mut active: Vec<u64> = Vec::new();
     let mut now = SimTime::ZERO;
     for op in 0..400u64 {
-        match rng.index(10) {
+        match rng.index(9) {
             0..=3 => {
                 let bytes = if rng.chance(0.05) {
                     0.0
@@ -661,10 +643,6 @@ fn run_shifted(
                 active.push(op);
             }
             4 if !active.is_empty() => {
-                let id = active[rng.index(active.len())];
-                net.set_rate_cap(FlowId(offset + id), random_cap(&mut rng), now);
-            }
-            5 if !active.is_empty() => {
                 let id = active.swap_remove(rng.index(active.len()));
                 let left = net.finish_flow(FlowId(offset + id), now).expect("active");
                 log.push((now.as_micros(), id, left.to_bits()));
@@ -811,7 +789,8 @@ fn schedule_lands_the_planetlab_crowd_within_tolerance() {
             let profile = wan.client(index).clone();
             // Command transit plus the 1.5·RTT handshake-to-first-byte, each
             // jittered independently of the measurement samples.
-            let command_delay = wan.coordinator_to_client(index);
+            let command_delay =
+                wan.jittered_delay(profile.one_way_coordinator(), profile.jitter_frac);
             let handshake =
                 wan.jittered_delay(profile.rtt_target.mul_f64(1.5), profile.jitter_frac);
             let actual = command.send_offset + command_delay + handshake;
@@ -1044,12 +1023,9 @@ fn workload_arrival_streams_hit_their_configured_mean_rates() {
     let end = SimTime::ZERO + SimDuration::from_secs(6_000);
     for (index, process) in processes.into_iter().enumerate() {
         let expected = process.expected_count(start, end);
-        let spec = WorkloadSpec::poisson_mix(0.0, MixWeights::default(), ClientSpec::default());
-        let mut spec = spec;
+        let mut spec = WorkloadSpec::poisson_mix(0.0, MixWeights::default(), ClientSpec::default());
         // Swap the arrival process in (poisson_mix built the shell).
-        if let mfc_workload::SourceKind::Open { arrivals, .. } = &mut spec.sources[0].kind {
-            *arrivals = process;
-        }
+        spec.sources[0].arrivals = process;
         let master = SimRng::seed_from(0x0601 + index as u64);
         let count = WorkloadStream::new(&spec, start, end, 0, &master, KindSampler).count() as f64;
         assert!(
@@ -1060,7 +1036,7 @@ fn workload_arrival_streams_hit_their_configured_mean_rates() {
 }
 
 #[test]
-fn heavy_tailed_catalog_sizes_match_the_spec_quantiles() {
+fn tail_distribution_samples_match_the_spec_quantiles() {
     use mfc_workload::TailDistribution;
     let specs = [
         TailDistribution::Pareto {
@@ -1074,14 +1050,7 @@ fn heavy_tailed_catalog_sizes_match_the_spec_quantiles() {
     ];
     for (index, sizes) in specs.iter().enumerate() {
         let mut rng = SimRng::seed_from(0x0611 + index as u64);
-        let catalog = ContentCatalog::heavy_tailed_site(9, 4_000, sizes, &mut rng);
-        let mut drawn: Vec<f64> = catalog
-            .objects()
-            .iter()
-            .filter(|o| !o.kind.is_dynamic())
-            .map(|o| o.size_bytes as f64)
-            .collect();
-        assert_eq!(drawn.len(), 4_000);
+        let mut drawn: Vec<f64> = (0..4_000).map(|_| sizes.sample(&mut rng)).collect();
         drawn.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for q in [0.25, 0.5, 0.75, 0.9] {
             let empirical = drawn[((drawn.len() - 1) as f64 * q) as usize];
@@ -1219,7 +1188,7 @@ impl mfc_webserver::ServerControl for Watcher {
 fn cluster_sweep_matches_per_replica_sessions_under_coincident_events() {
     use std::collections::HashMap;
 
-    use mfc_webserver::{BalancePolicy, CacheState, ServerEngine, UtilizationReport};
+    use mfc_webserver::{CacheState, ServerEngine, UtilizationReport};
 
     // Bursts of identical requests on a 1 ms grid: arrivals coincide with
     // each other and with the watcher's ticks, and identical requests
@@ -1259,7 +1228,6 @@ fn cluster_sweep_matches_per_replica_sessions_under_coincident_events() {
 
         let sweep = |control: &mut dyn mfc_webserver::ServerControl| {
             ServerCluster::new(config.clone(), catalog.clone(), replicas)
-                .with_policy(BalancePolicy::HashById)
                 .run(requests.clone(), control)
         };
         let quiet = sweep(&mut NullControl);
@@ -1271,6 +1239,8 @@ fn cluster_sweep_matches_per_replica_sessions_under_coincident_events() {
         let mut sessions: Vec<_> = (0..replicas)
             .map(|_| engine.session(CacheState::new()))
             .collect();
+        // Ids follow arrival order from 0, so the cluster's rotation puts
+        // request `id` on replica `id % replicas`.
         for request in &requests {
             sessions[request.id as usize % replicas].push_request(*request);
         }
@@ -1339,6 +1309,70 @@ impl mfc_webserver::ServerControl for Meddler {
             _ => {}
         }
     }
+}
+
+/// Scales the cluster to a fixed replica count at its first tick.
+struct ScaleTo(usize);
+
+impl mfc_webserver::ServerControl for ScaleTo {
+    fn tick_interval(&self) -> Option<SimDuration> {
+        Some(SimDuration::from_millis(10))
+    }
+
+    fn on_arrival(
+        &mut self,
+        _now: SimTime,
+        _request: &ServerRequest,
+    ) -> mfc_webserver::AdmissionVerdict {
+        mfc_webserver::AdmissionVerdict::Accept
+    }
+
+    fn on_tick(
+        &mut self,
+        _now: SimTime,
+        _sample: &mfc_webserver::TickSample,
+        actions: &mut Vec<mfc_webserver::ControlAction>,
+    ) {
+        actions.push(mfc_webserver::ControlAction::SetReplicas(self.0));
+    }
+}
+
+#[test]
+fn scaled_up_replicas_receive_later_arrivals() {
+    // A one-replica cluster scales to four at its first tick (10 ms); the
+    // static GETs arriving after it must rotate onto every new replica, so
+    // each replica's object cache sees at least one lookup.
+    let catalog = ContentCatalog::lab_validation();
+    let requests: Vec<ServerRequest> = (0..40u64)
+        .map(|i| ServerRequest {
+            id: i,
+            arrival: SimTime::ZERO + SimDuration::from_millis(5 * i),
+            class: RequestClass::Static,
+            object: catalog.resolve("/index.html"),
+            client_downlink: 1e7,
+            client_rtt: SimDuration::from_millis(40),
+            client_addr: i as u32,
+            background: false,
+        })
+        .collect();
+    let mut cluster = ServerCluster::new(ServerConfig::lab_apache(), catalog, 1);
+    let result = cluster.run(requests, &mut ScaleTo(4));
+    assert!(result.outcomes.iter().all(|o| o.is_ok()));
+    assert_eq!(cluster.active_replicas(), 4);
+    let lookups: Vec<u64> = cluster
+        .caches()
+        .iter()
+        .map(|cache| {
+            let (hits, misses) = cache.object_stats();
+            hits + misses
+        })
+        .collect();
+    assert_eq!(lookups.len(), 4);
+    assert!(
+        lookups.iter().all(|&n| n > 0),
+        "lookups per replica: {lookups:?}"
+    );
+    assert_eq!(lookups.iter().sum::<u64>(), 40);
 }
 
 #[test]

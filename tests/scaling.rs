@@ -16,8 +16,8 @@ use mfc_simcore::{SimDuration, SimRng, SimTime};
 use mfc_simnet::FlowId;
 use mfc_topology::{NetworkGraph, RouteId};
 use mfc_webserver::{
-    BalancePolicy, ContentCatalog, NullControl, RequestClass, ServerCluster, ServerConfig,
-    ServerRequest, WorkerConfig,
+    ContentCatalog, NullControl, RequestClass, ServerCluster, ServerConfig, ServerRequest,
+    WorkerConfig,
 };
 
 #[test]
@@ -189,8 +189,7 @@ fn ten_k_crowd_with_all_four_defenses_stays_under_wall_clock_budget() {
         })
         .collect();
     let mut stack = DefenseConfig::fortress(1, 8).build();
-    let mut cluster = ServerCluster::new(config, ContentCatalog::lab_validation(), 1)
-        .with_policy(BalancePolicy::LeastOutstanding);
+    let mut cluster = ServerCluster::new(config, ContentCatalog::lab_validation(), 1);
     let result = cluster.run(crowd, &mut stack);
     assert_eq!(result.outcomes.len(), 10_000);
     // Every request was answered one way or another: served, refused or
