@@ -69,87 +69,31 @@ fn write_json(dir: &Option<PathBuf>, name: &str, value: &impl serde::Serialize) 
 fn run_one(name: &str, scale: Scale, json_dir: &Option<PathBuf>) -> std::time::Duration {
     println!("==> {name}");
     let started = Instant::now();
+    // Prints one experiment's result and writes its JSON copy.
+    macro_rules! emit {
+        ($result:expr) => {{
+            let result = $result;
+            print!("{}", result.render_text());
+            write_json(json_dir, name, &result);
+        }};
+    }
     match name {
-        "fig3" => {
-            let result = fig3::run(scale, SEED);
-            print!("{}", result.render_text());
-            write_json(json_dir, name, &result);
-        }
-        "fig4" => {
-            let result = fig4::run(scale, SEED);
-            print!("{}", result.render_text());
-            write_json(json_dir, name, &result);
-        }
-        "fig5" => {
-            let result = fig5::run(scale, SEED);
-            print!("{}", result.render_text());
-            write_json(json_dir, name, &result);
-        }
-        "fig6" => {
-            let result = fig6::run(scale, SEED);
-            print!("{}", result.render_text());
-            write_json(json_dir, name, &result);
-        }
-        "table1" => {
-            let result = table1::run(scale, SEED);
-            print!("{}", result.render_text());
-            write_json(json_dir, name, &result);
-        }
-        "table2" => {
-            let result = table2::run(scale, SEED);
-            print!("{}", result.render_text());
-            write_json(json_dir, name, &result);
-        }
-        "table3" => {
-            let result = table3::run(scale, SEED);
-            print!("{}", result.render_text());
-            write_json(json_dir, name, &result);
-        }
-        "dynamics" => {
-            let result = dynamics_matrix::run(scale, SEED);
-            print!("{}", result.render_text());
-            write_json(json_dir, name, &result);
-        }
-        "topology" => {
-            let result = topology_matrix::run(scale, SEED);
-            print!("{}", result.render_text());
-            write_json(json_dir, name, &result);
-        }
-        "workload" => {
-            let result = workload_matrix::run(scale, SEED);
-            print!("{}", result.render_text());
-            write_json(json_dir, name, &result);
-        }
-        "fig7" => {
-            let result = rank_figs::run(Stage::Base, scale, SEED);
-            print!("{}", result.render_text());
-            write_json(json_dir, name, &result);
-        }
-        "fig8" => {
-            let result = rank_figs::run(Stage::SmallQuery, scale, SEED);
-            print!("{}", result.render_text());
-            write_json(json_dir, name, &result);
-        }
-        "fig9" => {
-            let result = rank_figs::run(Stage::LargeObject, scale, SEED);
-            print!("{}", result.render_text());
-            write_json(json_dir, name, &result);
-        }
-        "table4" => {
-            let result = special_tables::run_table4(scale, SEED);
-            print!("{}", result.render_text());
-            write_json(json_dir, name, &result);
-        }
-        "table5" => {
-            let result = special_tables::run_table5(scale, SEED);
-            print!("{}", result.render_text());
-            write_json(json_dir, name, &result);
-        }
-        "ablation" => {
-            let result = ablation::run(scale, SEED);
-            print!("{}", result.render_text());
-            write_json(json_dir, name, &result);
-        }
+        "fig3" => emit!(fig3::run(scale, SEED)),
+        "fig4" => emit!(fig4::run(scale, SEED)),
+        "fig5" => emit!(fig5::run(scale, SEED)),
+        "fig6" => emit!(fig6::run(scale, SEED)),
+        "table1" => emit!(table1::run(scale, SEED)),
+        "table2" => emit!(table2::run(scale, SEED)),
+        "table3" => emit!(table3::run(scale, SEED)),
+        "dynamics" => emit!(dynamics_matrix::run(scale, SEED)),
+        "topology" => emit!(topology_matrix::run(scale, SEED)),
+        "workload" => emit!(workload_matrix::run(scale, SEED)),
+        "fig7" => emit!(rank_figs::run(Stage::Base, scale, SEED)),
+        "fig8" => emit!(rank_figs::run(Stage::SmallQuery, scale, SEED)),
+        "fig9" => emit!(rank_figs::run(Stage::LargeObject, scale, SEED)),
+        "table4" => emit!(special_tables::run_table4(scale, SEED)),
+        "table5" => emit!(special_tables::run_table5(scale, SEED)),
+        "ablation" => emit!(ablation::run(scale, SEED)),
         other => {
             eprintln!("unknown experiment: {other}");
             usage();

@@ -22,15 +22,6 @@ impl Scale {
             Scale::Paper => paper,
         }
     }
-
-    /// Parses a `--full` style flag.
-    pub fn from_full_flag(full: bool) -> Scale {
-        if full {
-            Scale::Paper
-        } else {
-            Scale::Quick
-        }
-    }
 }
 
 #[cfg(test)]
@@ -41,7 +32,5 @@ mod tests {
     fn pick_selects_by_scale() {
         assert_eq!(Scale::Quick.pick(1, 100), 1);
         assert_eq!(Scale::Paper.pick(1, 100), 100);
-        assert_eq!(Scale::from_full_flag(true), Scale::Paper);
-        assert_eq!(Scale::from_full_flag(false), Scale::Quick);
     }
 }

@@ -522,15 +522,12 @@ impl Coordinator {
             .as_ref()
             .map(|u| u.link_capacity)
             .filter(|&c| c > 0.0);
-        // Background-load observables: the non-MFC request rate the target
-        // served while the epoch ran (per second of the server's busy
-        // window), and the drift of the fastest clients above their
-        // calibrated base times.
+        // The non-MFC request rate the target served while the epoch ran,
+        // per second of the server's busy window.
         let background_rate = observation.server_utilization.as_ref().and_then(|u| {
             let secs = u.window.as_secs_f64();
             (secs > 0.0).then(|| observation.background_requests as f64 / secs)
         });
-        let baseline_drift_ms = stats::percentile(&normalized, 0.1);
 
         let summary = EpochSummary {
             index,
@@ -549,7 +546,6 @@ impl Coordinator {
             aggregate_goodput,
             link_capacity,
             background_rate,
-            baseline_drift_ms,
             surge_suspected: false,
         };
         (summary, observation)

@@ -122,9 +122,7 @@ pub enum DegradationCause {
     /// plus surge*, not the crowd, so the verdict is confounded and says
     /// nothing about the server's provisioning at normal load.  Re-run the
     /// stage in a quiet window (the quiescence policy automates exactly
-    /// that).  Checked before every defense fingerprint: a surge fakes
-    /// both the shedding signature (overload 503s) and the rate-limit
-    /// clamp (starved uniform goodputs over an idle-looking link).
+    /// that).
     BackgroundInterference,
     /// No confirmed degradation and no defense fingerprints.
     NotDegraded,
@@ -215,10 +213,7 @@ impl InferenceReport {
 
     /// Finds the verdict for a stage, if that stage was evaluated.
     pub fn provisioning_of(&self, stage: Stage) -> Option<Provisioning> {
-        self.constraints
-            .iter()
-            .find(|c| c.stage == stage)
-            .map(|c| c.provisioning)
+        provisioning_in(&self.constraints, stage)
     }
 
     /// Finds the attributed cause for a stage, if that stage was evaluated.
@@ -259,321 +254,345 @@ impl InferenceReport {
             .any(|c| c.cause == DegradationCause::BackgroundInterference)
     }
 
-    /// Minimum fraction of HTTP-error samples in the assessed tail epochs
-    /// above which an outcome is attributed to load shedding.
-    const SHED_RATE_THRESHOLD: f64 = 0.25;
-    /// Maximum goodput coefficient of variation for the "everyone clamps
-    /// to one ceiling" half of the rate-limit signature.
-    const CLAMP_COV_THRESHOLD: f64 = 0.3;
-    /// Maximum delivered-aggregate / link-capacity ratio for the "the link
-    /// was never the problem" half of the rate-limit signature.
-    const CLAMP_HEADROOM_THRESHOLD: f64 = 0.5;
-    /// A vantage group counts as *flat* when its median normalized
-    /// response time stays below this fraction of θ while another group
-    /// exceeds θ — the asymmetry a server-side constraint cannot produce.
-    const PATH_FLAT_FRACTION: f64 = 0.25;
-
-    /// Attributes a stage outcome by fingerprinting its final epochs.
+    /// Attributes a stage outcome: the first rule of [`CAUSE_RULES`] that
+    /// matches the stage's evidence names the cause.
     fn assess_cause(report: &StageReport, threshold_ms: f64) -> DegradationCause {
-        let epochs: Vec<&EpochSummary> = report
-            .epochs
-            .iter()
-            .filter(|e| e.requests_observed > 0)
-            .collect();
-        if epochs.is_empty() {
+        let Some(evidence) = Evidence::new(report, threshold_ms) else {
             return DegradationCause::Indeterminate;
-        }
-        // Background-surge confound comes first, before *any* defense
-        // fingerprint: a surge that overruns the server produces fast 503s
-        // (a fake shedding signature) and starved uniform goodputs over an
-        // idle-looking link (a fake rate-limit clamp), so evidence epochs
-        // that ran inside a surge must never support a defense
-        // attribution — only the interference verdict.  The last three
-        // epochs cover the triggering epoch plus its check phase (or, for
-        // NoStop, the largest crowds) — the evidence the verdict rests on.
-        // The threshold is `surge_threshold` over the stage's observed
-        // background rates, once there are at least two of them.
-        let tail_all = &epochs[epochs.len().saturating_sub(3)..];
-        let rates: Vec<f64> = epochs.iter().filter_map(|e| e.background_rate).collect();
-        let surged_epochs = |threshold: f64| {
-            tail_all
-                .iter()
-                .filter(|e| {
-                    e.surge_suspected || e.background_rate.is_some_and(|rate| rate > threshold)
-                })
-                .count()
         };
-        let evidence = tail_all
+        CAUSE_RULES
             .iter()
-            .filter(|e| e.surge_suspected || e.background_rate.is_some())
-            .count();
-        // Without enough rate data only the coordinator's own flags count.
-        let threshold = if rates.len() >= 2 {
-            surge_threshold(&rates)
-        } else {
-            None
-        };
-        let surge_detected =
-            evidence > 0 && surged_epochs(threshold.unwrap_or(f64::INFINITY)) * 2 > evidence;
-        if surge_detected {
-            // A surge confounds a *stop* (the stage measured crowd plus
-            // surge) and an error-ridden tail (surge-born 503s would
-            // otherwise read as an operator defense, or mask a NoStop as
-            // healthy).  A clean NoStop straight through the surge is the
-            // one honest survivor: the server absorbed even more than the
-            // crowd.
-            let stopped = matches!(report.outcome, StageOutcome::Stopped { .. });
-            let tail_shed =
-                tail_all.iter().map(|e| e.error_rate).sum::<f64>() / tail_all.len() as f64;
-            if stopped || tail_shed >= Self::SHED_RATE_THRESHOLD {
-                return DegradationCause::BackgroundInterference;
-            }
-        }
-        // Everything downstream fingerprints the *clean* epochs only:
-        // surge-flagged epochs are known-contaminated evidence.  Without a
-        // quiescence policy no epoch is flagged and this is exactly the
-        // pre-workload view.
-        let clean: Vec<&EpochSummary> = epochs
-            .iter()
-            .filter(|e| !e.surge_suspected)
-            .copied()
-            .collect();
-        if clean.is_empty() {
-            return DegradationCause::BackgroundInterference;
-        }
-        let tail = &clean[clean.len().saturating_sub(3)..];
-        let shed_rate = tail.iter().map(|e| e.error_rate).sum::<f64>() / tail.len() as f64;
-        if shed_rate >= Self::SHED_RATE_THRESHOLD {
-            return DegradationCause::LoadSheddingDefense;
-        }
-        let stopped = matches!(report.outcome, StageOutcome::Stopped { .. });
-        if !stopped {
-            return DegradationCause::NotDegraded;
-        }
-        // Path localization comes before the rate-limit fingerprint: both
-        // leave the server's link idle, but only a path bottleneck is
-        // asymmetric across vantage groups (a per-client limiter clamps
-        // every group alike).  The verdict needs a strict majority of the
-        // evidence epochs that carry group data to show the skew — one
-        // group's median past θ while another stays flat.
-        let with_groups: Vec<&&EpochSummary> = tail
-            .iter()
-            .filter(|e| e.group_median_ms.len() > 1)
-            .collect();
-        if !with_groups.is_empty() {
-            let skewed = with_groups
-                .iter()
-                .filter(|e| {
-                    let max = e
-                        .group_median_ms
-                        .iter()
-                        .map(|&(_, m)| m)
-                        .fold(f64::NEG_INFINITY, f64::max);
-                    let min = e
-                        .group_median_ms
-                        .iter()
-                        .map(|&(_, m)| m)
-                        .fold(f64::INFINITY, f64::min);
-                    max > threshold_ms && min < Self::PATH_FLAT_FRACTION * threshold_ms
-                })
-                .count();
-            if skewed * 2 > with_groups.len() {
-                return DegradationCause::PathCongestion;
-            }
-        }
-        // The clamp signature needs bandwidth-bound transfers, so it is
-        // only diagnostic for the Large Object stage.  Any tail epoch
-        // bearing the signature suffices — a stray client whose bucket
-        // refilled mid-check-phase must not hide the clamp behind one
-        // high-variance epoch.  (Under a genuine constraint no epoch shows
-        // clamped goodputs *and* link headroom, so this stays safe.)
-        if report.stage == Stage::LargeObject {
-            let signature = |e: &EpochSummary| match (
-                e.client_goodput_cov,
-                e.aggregate_goodput,
-                e.link_capacity,
-            ) {
-                (Some(cov), Some(aggregate), Some(capacity)) if capacity > 0.0 => {
-                    cov < Self::CLAMP_COV_THRESHOLD
-                        && aggregate / capacity < Self::CLAMP_HEADROOM_THRESHOLD
-                }
-                _ => false,
-            };
-            if tail.iter().any(|e| signature(e)) {
-                // The signature says "everyone clamps to a common ceiling
-                // while the measured link idles" — true of a per-client
-                // limiter *and* of a shared upstream bottleneck every
-                // vantage group traverses (a thin backbone).  The two are
-                // still separable by how the ceiling moves with the crowd:
-                // a token bucket grants each client a fixed rate regardless
-                // of crowd size, while shared bandwidth divides, scaling
-                // the per-client goodput like 1/crowd.  Compare the
-                // smallest- and largest-crowd epochs that bear the
-                // signature; a goodput ratio beyond the geometric midpoint
-                // of the crowd ratio is bandwidth division, not a limiter.
-                let clamped_epochs: Vec<(usize, f64)> = clean
-                    .iter()
-                    .filter(|e| signature(e))
-                    .filter_map(|e| e.client_goodput_median.map(|m| (e.crowd_size, m)))
-                    .collect();
-                let small = clamped_epochs.iter().min_by_key(|&&(c, _)| c);
-                let large = clamped_epochs.iter().max_by_key(|&&(c, _)| c);
-                let divides_like_bandwidth = match (small, large) {
-                    (Some(&(c_small, m_small)), Some(&(c_large, m_large)))
-                        if c_large >= 2 * c_small && m_large > 0.0 =>
-                    {
-                        let crowd_ratio = c_large as f64 / c_small as f64;
-                        m_small / m_large > crowd_ratio.sqrt()
-                    }
-                    // Too narrow a crowd span to tell: keep the defense
-                    // attribution (the pre-topology behaviour).
-                    _ => false,
-                };
-                if !divides_like_bandwidth {
-                    return DegradationCause::RateLimitDefense;
-                }
-            }
-        }
-        DegradationCause::ResourceConstraint
+            .find(|(_, rule)| rule(&evidence))
+            .map_or(DegradationCause::ResourceConstraint, |&(cause, _)| cause)
     }
 
     fn assess_ddos(constraints: &[Constraint]) -> DdosExposure {
-        let find = |stage: Stage| {
-            constraints
-                .iter()
-                .find(|c| c.stage == stage)
-                .map(|c| c.provisioning)
-        };
-        let small_query = find(Stage::SmallQuery);
-        let large_object = find(Stage::LargeObject);
-        match (small_query, large_object) {
-            (
-                Some(Provisioning::ConstrainedAt { crowd }),
-                Some(Provisioning::Unconstrained { .. }),
-            ) if crowd <= 50 => DdosExposure::HighBackendExposure,
-            _ => {
-                let any_constrained = constraints
-                    .iter()
-                    .any(|c| matches!(c.provisioning, Provisioning::ConstrainedAt { .. }));
-                let any_known = constraints
-                    .iter()
-                    .any(|c| c.provisioning != Provisioning::Unknown);
-                if any_constrained {
-                    DdosExposure::SomeExposure
-                } else if any_known {
-                    DdosExposure::LowExposure
-                } else {
-                    DdosExposure::Unknown
-                }
-            }
+        if backend_keels_over(constraints).is_some() {
+            DdosExposure::HighBackendExposure
+        } else if constraints
+            .iter()
+            .any(|c| matches!(c.provisioning, Provisioning::ConstrainedAt { .. }))
+        {
+            DdosExposure::SomeExposure
+        } else if constraints
+            .iter()
+            .any(|c| c.provisioning != Provisioning::Unknown)
+        {
+            DdosExposure::LowExposure
+        } else {
+            DdosExposure::Unknown
         }
     }
 
     fn notes(constraints: &[Constraint], config: &MfcConfig) -> Vec<String> {
-        let mut notes = Vec::new();
         let threshold = config.threshold.as_millis_f64();
-        for c in constraints {
-            match c.provisioning {
-                Provisioning::ConstrainedAt { crowd } => notes.push(format!(
-                    "{} stage: {} shows a persistent >{:.0} ms degradation at {} simultaneous requests.",
-                    c.stage.name(),
-                    c.subsystem,
-                    threshold,
-                    crowd
-                )),
-                Provisioning::Unconstrained { tested_up_to } => notes.push(format!(
-                    "{} stage: no confirmed degradation up to {} simultaneous requests; {} appears well provisioned at this load.",
-                    c.stage.name(),
-                    tested_up_to,
-                    c.subsystem
-                )),
-                Provisioning::Unknown => notes.push(format!(
-                    "{} stage: not evaluated (no suitable content discovered).",
-                    c.stage.name()
-                )),
-            }
-        }
+        let mut notes: Vec<String> = constraints
+            .iter()
+            .map(|c| {
+                let (stage, subsystem) = (c.stage.name(), &c.subsystem);
+                match c.provisioning {
+                    Provisioning::ConstrainedAt { crowd } => format!(
+                        "{stage} stage: {subsystem} shows a persistent >{threshold:.0} ms \
+                         degradation at {crowd} simultaneous requests."
+                    ),
+                    Provisioning::Unconstrained { tested_up_to } => format!(
+                        "{stage} stage: no confirmed degradation up to {tested_up_to} simultaneous \
+                         requests; {subsystem} appears well provisioned at this load."
+                    ),
+                    Provisioning::Unknown => {
+                        format!("{stage} stage: not evaluated (no suitable content discovered).")
+                    }
+                }
+            })
+            .collect();
 
         // Defense fingerprints: where the static-target assumption broke.
         for c in constraints {
-            match c.cause {
-                DegradationCause::RateLimitDefense => notes.push(format!(
-                    "{} stage: the confirmed degradation bears a per-client rate-limit \
+            let (stage, subsystem) = (c.stage.name(), &c.subsystem);
+            notes.push(match (c.cause, c.provisioning) {
+                (DegradationCause::RateLimitDefense, _) => format!(
+                    "{stage} stage: the confirmed degradation bears a per-client rate-limit \
                      signature — every client's throughput clamps to one common ceiling while \
                      the access link runs far below capacity.  This is a defense reacting to \
-                     the probe, not a {} constraint.",
-                    c.stage.name(),
-                    c.subsystem
-                )),
-                DegradationCause::LoadSheddingDefense => match c.provisioning {
-                    Provisioning::Unconstrained { .. } => notes.push(format!(
-                        "{} stage: the NoStop verdict is defense-masked — a large share of \
+                     the probe, not a {subsystem} constraint."
+                ),
+                (DegradationCause::LoadSheddingDefense, Provisioning::Unconstrained { .. }) => {
+                    format!(
+                        "{stage} stage: the NoStop verdict is defense-masked — a large share of \
                          probes were answered with fast 503s, which the response-time detector \
-                         reads as a healthy server.  The site is shedding load, not absorbing it.",
-                        c.stage.name()
-                    )),
-                    _ => notes.push(format!(
-                        "{} stage: the outcome is dominated by deliberate 503 load shedding; \
-                         the stopping crowd reflects an admission-control policy, not the \
-                         capacity of the {}.",
-                        c.stage.name(),
-                        c.subsystem
-                    )),
-                },
-                DegradationCause::BackgroundInterference => notes.push(format!(
-                    "{} stage: the evidence epochs coincide with a background-load surge — \
+                         reads as a healthy server.  The site is shedding load, not absorbing it."
+                    )
+                }
+                (DegradationCause::LoadSheddingDefense, _) => format!(
+                    "{stage} stage: the outcome is dominated by deliberate 503 load shedding; \
+                     the stopping crowd reflects an admission-control policy, not the \
+                     capacity of the {subsystem}."
+                ),
+                (DegradationCause::BackgroundInterference, _) => format!(
+                    "{stage} stage: the evidence epochs coincide with a background-load surge — \
                      the server's non-MFC request rate sat far above the stage's baseline.  \
-                     The outcome measures crowd plus surge, not the {} alone; re-run the \
-                     stage in a quiet window.",
-                    c.stage.name(),
-                    c.subsystem
-                )),
-                DegradationCause::PathCongestion => notes.push(format!(
-                    "{} stage: the confirmed degradation is localized to a subset of vantage \
+                     The outcome measures crowd plus surge, not the {subsystem} alone; re-run \
+                     the stage in a quiet window."
+                ),
+                (DegradationCause::PathCongestion, _) => format!(
+                    "{stage} stage: the confirmed degradation is localized to a subset of vantage \
                      groups — their normalized response times blow past the threshold while \
-                     other groups stay flat.  A {} constraint would hit every vantage point \
-                     alike; this is congestion on the affected groups' shared path, not a \
-                     server bottleneck.",
-                    c.stage.name(),
-                    c.subsystem
-                )),
-                DegradationCause::ResourceConstraint
-                | DegradationCause::NotDegraded
-                | DegradationCause::Indeterminate => {}
-            }
+                     other groups stay flat.  A {subsystem} constraint would hit every vantage \
+                     point alike; this is congestion on the affected groups' shared path, not a \
+                     server bottleneck."
+                ),
+                (
+                    DegradationCause::ResourceConstraint
+                    | DegradationCause::NotDegraded
+                    | DegradationCause::Indeterminate,
+                    _,
+                ) => continue,
+            });
         }
 
         // Comparative observations mirroring the paper's discussions.
-        let get = |stage: Stage| {
-            constraints
-                .iter()
-                .find(|c| c.stage == stage)
-                .map(|c| c.provisioning)
-        };
-        if let (Some(Provisioning::ConstrainedAt { crowd: base }), Some(lo)) =
-            (get(Stage::Base), get(Stage::LargeObject))
-        {
-            if matches!(lo, Provisioning::Unconstrained { .. }) {
-                notes.push(format!(
-                    "Basic request handling degrades at {base} requests while bandwidth does not: \
-                     the problem is more likely request handling than bandwidth provisioning."
-                ));
-            }
-        }
         if let (
-            Some(Provisioning::ConstrainedAt { crowd: query }),
+            Some(Provisioning::ConstrainedAt { crowd: base }),
             Some(Provisioning::Unconstrained { .. }),
-        ) = (get(Stage::SmallQuery), get(Stage::LargeObject))
-        {
-            if query <= 50 {
-                notes.push(format!(
-                    "The back-end data processing subsystem keels over at only {query} simultaneous \
-                     queries while the access link absorbs every tested load: the site is highly \
-                     vulnerable to low-volume application-level attacks."
-                ));
-            }
+        ) = (
+            provisioning_in(constraints, Stage::Base),
+            provisioning_in(constraints, Stage::LargeObject),
+        ) {
+            notes.push(format!(
+                "Basic request handling degrades at {base} requests while bandwidth does not: \
+                 the problem is more likely request handling than bandwidth provisioning."
+            ));
+        }
+        if let Some(query) = backend_keels_over(constraints) {
+            notes.push(format!(
+                "The back-end data processing subsystem keels over at only {query} simultaneous \
+                 queries while the access link absorbs every tested load: the site is highly \
+                 vulnerable to low-volume application-level attacks."
+            ));
         }
         notes
+    }
+}
+
+/// The verdict for `stage` among `constraints`, if that stage was evaluated.
+fn provisioning_in(constraints: &[Constraint], stage: Stage) -> Option<Provisioning> {
+    constraints
+        .iter()
+        .find(|c| c.stage == stage)
+        .map(|c| c.provisioning)
+}
+
+/// §6's high back-end exposure: the Small Query stage stops at a crowd of
+/// at most 50 while the Large Object stage never stops.  Returns that crowd.
+fn backend_keels_over(constraints: &[Constraint]) -> Option<usize> {
+    match (
+        provisioning_in(constraints, Stage::SmallQuery),
+        provisioning_in(constraints, Stage::LargeObject),
+    ) {
+        (Some(Provisioning::ConstrainedAt { crowd }), Some(Provisioning::Unconstrained { .. }))
+            if crowd <= 50 =>
+        {
+            Some(crowd)
+        }
+        _ => None,
+    }
+}
+
+/// What one stage's cause is read from, built once per stage.
+struct Evidence<'a> {
+    stage: Stage,
+    stopped: bool,
+    /// The degradation threshold θ in milliseconds.
+    threshold_ms: f64,
+    /// The epochs that produced samples, in run order; never empty.
+    sampled: Vec<&'a EpochSummary>,
+    /// The sampled epochs the coordinator did not flag as surged: flagged
+    /// epochs are known-contaminated evidence.  Without a quiescence
+    /// policy no epoch is flagged and this is every sampled epoch.
+    clean: Vec<&'a EpochSummary>,
+}
+
+impl<'a> Evidence<'a> {
+    /// `None` when no epoch produced samples.
+    fn new(report: &'a StageReport, threshold_ms: f64) -> Option<Evidence<'a>> {
+        let sampled: Vec<&EpochSummary> = report
+            .epochs
+            .iter()
+            .filter(|e| e.requests_observed > 0)
+            .collect();
+        if sampled.is_empty() {
+            return None;
+        }
+        let clean = sampled
+            .iter()
+            .copied()
+            .filter(|e| !e.surge_suspected)
+            .collect();
+        Some(Evidence {
+            stage: report.stage,
+            stopped: matches!(report.outcome, StageOutcome::Stopped { .. }),
+            threshold_ms,
+            sampled,
+            clean,
+        })
+    }
+}
+
+/// A cause's fingerprint: does the stage's evidence bear it?
+type Rule = fn(&Evidence) -> bool;
+
+/// The cause rules in precedence order; the first that matches names the
+/// cause, and a stage no rule matches reads as
+/// [`DegradationCause::ResourceConstraint`].  The order is the whole of the
+/// precedence:
+///
+/// 1. A background surge comes before every defense fingerprint: a surge
+///    that overruns the server fakes the shedding signature (overload
+///    503s) and the rate-limit clamp (starved uniform goodputs over an
+///    idle-looking link), so surged evidence must never support a defense.
+/// 2. Shedding comes before the NoStop check: a NoStop whose tail is mostly
+///    fast 503s is defense-masked, not healthy.
+/// 3. Without a confirmed stop there is no degradation to localize or
+///    attribute, whatever the group medians or goodputs look like.
+/// 4. The path comes before the clamp: both leave the server's link idle,
+///    but only a path bottleneck is asymmetric across vantage groups (a
+///    per-client limiter clamps every group alike).
+const CAUSE_RULES: [(DegradationCause, Rule); 5] = [
+    (DegradationCause::BackgroundInterference, surge_confounds),
+    (DegradationCause::LoadSheddingDefense, sheds_load),
+    (DegradationCause::NotDegraded, no_stop),
+    (DegradationCause::PathCongestion, groups_skewed),
+    (DegradationCause::RateLimitDefense, clamped_by_limiter),
+];
+
+/// The last three of `epochs`: the triggering epoch plus its check phase
+/// (or, for NoStop, the largest crowds) — what a verdict rests on.
+fn tail<'e>(epochs: &'e [&'e EpochSummary]) -> &'e [&'e EpochSummary] {
+    &epochs[epochs.len().saturating_sub(3)..]
+}
+
+/// Mean fraction of HTTP-error samples over `epochs`.
+fn error_rate(epochs: &[&EpochSummary]) -> f64 {
+    epochs.iter().map(|e| e.error_rate).sum::<f64>() / epochs.len() as f64
+}
+
+/// Minimum fraction of HTTP-error samples in the assessed tail epochs
+/// above which an outcome is attributed to load shedding.
+const SHED_RATE_THRESHOLD: f64 = 0.25;
+
+/// A strict majority of the sampled tail epochs that carry surge evidence
+/// ran inside a surge — flagged by the coordinator, or a background rate
+/// above [`surge_threshold`] over the stage's rates once there are at
+/// least two of them — and the stage stopped or its tail is error-ridden
+/// (surge-born 503s would otherwise read as a defense, or mask a NoStop
+/// as healthy).  A clean NoStop straight through a surge is the one honest
+/// survivor: the server absorbed even more than the crowd.  A stage with
+/// no unflagged epoch is confounded outright.
+fn surge_confounds(evidence: &Evidence) -> bool {
+    let tail = tail(&evidence.sampled);
+    let rates: Vec<f64> = evidence
+        .sampled
+        .iter()
+        .filter_map(|e| e.background_rate)
+        .collect();
+    // Without enough rate data only the coordinator's own flags count.
+    let threshold = surge_threshold(&rates)
+        .filter(|_| rates.len() >= 2)
+        .unwrap_or(f64::INFINITY);
+    let with_evidence = tail
+        .iter()
+        .filter(|e| e.surge_suspected || e.background_rate.is_some());
+    let surged = with_evidence
+        .clone()
+        .filter(|e| e.surge_suspected || e.background_rate.is_some_and(|rate| rate > threshold));
+    let surge = surged.count() * 2 > with_evidence.count();
+    evidence.clean.is_empty()
+        || (surge && (evidence.stopped || error_rate(tail) >= SHED_RATE_THRESHOLD))
+}
+
+/// The clean tail is mostly fast 503s.
+fn sheds_load(evidence: &Evidence) -> bool {
+    error_rate(tail(&evidence.clean)) >= SHED_RATE_THRESHOLD
+}
+
+/// The stage never confirmed a degradation.
+fn no_stop(evidence: &Evidence) -> bool {
+    !evidence.stopped
+}
+
+/// A vantage group counts as *flat* when its median normalized response
+/// time stays below this fraction of θ while another group exceeds θ —
+/// the asymmetry a server-side constraint cannot produce.
+const PATH_FLAT_FRACTION: f64 = 0.25;
+
+/// A strict majority of the clean tail epochs that carry group data show
+/// one group's median past θ while another stays flat.
+fn groups_skewed(evidence: &Evidence) -> bool {
+    let theta = evidence.threshold_ms;
+    let with_groups = tail(&evidence.clean)
+        .iter()
+        .filter(|e| e.group_median_ms.len() > 1);
+    let skewed = with_groups.clone().filter(|e| {
+        let medians = || e.group_median_ms.iter().map(|&(_, m)| m);
+        medians().any(|m| m > theta) && medians().any(|m| m < PATH_FLAT_FRACTION * theta)
+    });
+    skewed.count() * 2 > with_groups.count()
+}
+
+/// Maximum goodput coefficient of variation for the "everyone clamps to
+/// one ceiling" half of the rate-limit signature.
+const CLAMP_COV_THRESHOLD: f64 = 0.3;
+/// Maximum delivered-aggregate / link-capacity ratio for the "the link was
+/// never the problem" half of the rate-limit signature.
+const CLAMP_HEADROOM_THRESHOLD: f64 = 0.5;
+
+/// Every client's goodput clamps to one common ceiling while the measured
+/// link idles.
+fn clamp_signature(e: &EpochSummary) -> bool {
+    match (e.client_goodput_cov, e.aggregate_goodput, e.link_capacity) {
+        (Some(cov), Some(aggregate), Some(capacity)) if capacity > 0.0 => {
+            cov < CLAMP_COV_THRESHOLD && aggregate / capacity < CLAMP_HEADROOM_THRESHOLD
+        }
+        _ => false,
+    }
+}
+
+/// A Large Object stage (the signature needs bandwidth-bound transfers)
+/// with any clean tail epoch bearing the clamp signature — a stray client
+/// whose bucket refilled mid-check-phase must not hide the clamp behind
+/// one high-variance epoch; under a genuine constraint no epoch shows
+/// clamped goodputs *and* link headroom.
+///
+/// The signature is also true of a shared upstream bottleneck every
+/// vantage group traverses (a thin backbone).  The two are separable by
+/// how the ceiling moves with the crowd: a token bucket grants each client
+/// a fixed rate, while shared bandwidth divides, scaling the per-client
+/// goodput like 1/crowd.  So the smallest- and largest-crowd clean epochs
+/// bearing the signature are compared, and a goodput ratio beyond the
+/// geometric midpoint of the crowd ratio is bandwidth division, not a
+/// limiter.  Too narrow a crowd span to tell keeps the limiter.
+fn clamped_by_limiter(evidence: &Evidence) -> bool {
+    if evidence.stage != Stage::LargeObject
+        || !tail(&evidence.clean).iter().any(|e| clamp_signature(e))
+    {
+        return false;
+    }
+    let clamped: Vec<(usize, f64)> = evidence
+        .clean
+        .iter()
+        .filter(|e| clamp_signature(e))
+        .filter_map(|e| e.client_goodput_median.map(|m| (e.crowd_size, m)))
+        .collect();
+    match (
+        clamped.iter().min_by_key(|&&(c, _)| c),
+        clamped.iter().max_by_key(|&&(c, _)| c),
+    ) {
+        (Some(&(c_small, m_small)), Some(&(c_large, m_large)))
+            if c_large >= 2 * c_small && m_large > 0.0 =>
+        {
+            m_small / m_large <= (c_large as f64 / c_small as f64).sqrt()
+        }
+        _ => true,
     }
 }
 
@@ -613,7 +632,6 @@ mod tests {
             aggregate_goodput: aggregate,
             link_capacity: Some(1_250_000.0),
             background_rate: None,
-            baseline_drift_ms: None,
             surge_suspected: false,
         }
     }
@@ -1033,5 +1051,160 @@ mod tests {
             .notes
             .iter()
             .any(|n| n.contains("request handling")));
+    }
+
+    fn clamped(crowd: usize, groups: &[(u32, f64)]) -> EpochSummary {
+        let mut e = epoch(crowd, 0.0, Some((16_384.0, 0.05, 16_384.0 * crowd as f64)));
+        e.group_median_ms = groups.to_vec();
+        e
+    }
+
+    #[test]
+    fn path_skew_outranks_the_clamp_signature() {
+        // Both fingerprints in one tail: group 0 far past θ while group 1
+        // stays flat, and every client clamped to 16 KB/s over an idle
+        // link.  A per-client limiter cannot be that selective.
+        let skew = [(0, 1_200.0), (1, 10.0)];
+        let mut report = stage_report(Stage::LargeObject, StageOutcome::Stopped { crowd_size: 30 });
+        report.epochs = vec![clamped(10, &skew), clamped(20, &skew), clamped(30, &skew)];
+        let inference = InferenceReport::from_stages(&[report], &config());
+        assert_eq!(
+            inference.cause_of(Stage::LargeObject),
+            Some(DegradationCause::PathCongestion)
+        );
+    }
+
+    #[test]
+    fn a_nostop_stage_with_skewed_groups_is_not_degraded() {
+        // Without a confirmed stop there is no degradation to localize.
+        let mut report = stage_report(
+            Stage::LargeObject,
+            StageOutcome::NoStop {
+                max_crowd_tested: 40,
+            },
+        );
+        report.epochs = vec![
+            epoch_with_groups(20, &[(0, 900.0), (1, 8.0)]),
+            epoch_with_groups(30, &[(0, 1_400.0), (1, 10.0)]),
+            epoch_with_groups(40, &[(0, 1_500.0), (1, 12.0)]),
+        ];
+        let inference = InferenceReport::from_stages(&[report], &config());
+        assert_eq!(
+            inference.cause_of(Stage::LargeObject),
+            Some(DegradationCause::NotDegraded)
+        );
+    }
+
+    #[test]
+    fn the_clamp_signature_speaks_only_for_large_object() {
+        // The same clamped epochs read as a limiter on the bandwidth stage
+        // and as a genuine constraint on the back-end stage, whose
+        // transfers are too small to be bandwidth-bound.
+        let cause = |stage: Stage| {
+            let mut report = stage_report(stage, StageOutcome::Stopped { crowd_size: 30 });
+            report.epochs = vec![clamped(10, &[]), clamped(30, &[])];
+            InferenceReport::from_stages(&[report], &config()).cause_of(stage)
+        };
+        assert_eq!(
+            cause(Stage::LargeObject),
+            Some(DegradationCause::RateLimitDefense)
+        );
+        assert_eq!(
+            cause(Stage::SmallQuery),
+            Some(DegradationCause::ResourceConstraint)
+        );
+    }
+
+    #[test]
+    fn every_note_reads_in_full() {
+        let with = |stage: Stage, outcome: StageOutcome, epochs: Vec<EpochSummary>| {
+            let mut report = stage_report(stage, outcome);
+            report.epochs = epochs;
+            report
+        };
+        let surged = |crowd: usize, rate: f64| epoch_with_background(crowd, rate);
+        // A surge on Base, shedding on both other stages: every cause note
+        // but the clamp and path ones, plus both comparative notes.
+        let stages = vec![
+            with(
+                Stage::Base,
+                StageOutcome::Stopped { crowd_size: 20 },
+                vec![surged(10, 0.2), surged(20, 42.0), surged(20, 40.0)],
+            ),
+            with(
+                Stage::SmallQuery,
+                StageOutcome::Stopped { crowd_size: 45 },
+                vec![epoch(40, 0.5, None), epoch(45, 0.6, None)],
+            ),
+            with(
+                Stage::LargeObject,
+                StageOutcome::NoStop {
+                    max_crowd_tested: 150,
+                },
+                vec![epoch(100, 0.4, None), epoch(150, 0.7, None)],
+            ),
+        ];
+        let notes = InferenceReport::from_stages(&stages, &config()).notes;
+        let expected = [
+            "Base stage: HTTP request processing shows a persistent >100 ms degradation at 20 \
+             simultaneous requests.",
+            "Small Query stage: back-end data processing (database / dynamic handler) shows a \
+             persistent >100 ms degradation at 45 simultaneous requests.",
+            "Large Object stage: no confirmed degradation up to 150 simultaneous requests; \
+             outbound access bandwidth appears well provisioned at this load.",
+            "Base stage: the evidence epochs coincide with a background-load surge — the \
+             server's non-MFC request rate sat far above the stage's baseline.  The outcome \
+             measures crowd plus surge, not the HTTP request processing alone; re-run the \
+             stage in a quiet window.",
+            "Small Query stage: the outcome is dominated by deliberate 503 load shedding; the \
+             stopping crowd reflects an admission-control policy, not the capacity of the \
+             back-end data processing (database / dynamic handler).",
+            "Large Object stage: the NoStop verdict is defense-masked — a large share of probes \
+             were answered with fast 503s, which the response-time detector reads as a healthy \
+             server.  The site is shedding load, not absorbing it.",
+            "Basic request handling degrades at 20 requests while bandwidth does not: the \
+             problem is more likely request handling than bandwidth provisioning.",
+            "The back-end data processing subsystem keels over at only 45 simultaneous queries \
+             while the access link absorbs every tested load: the site is highly vulnerable \
+             to low-volume application-level attacks.",
+        ];
+        assert_eq!(notes, expected);
+
+        // The clamp and path notes, one Large Object stage each.
+        let large_object = |epochs: Vec<EpochSummary>| {
+            let stage = with(
+                Stage::LargeObject,
+                StageOutcome::Stopped { crowd_size: 30 },
+                epochs,
+            );
+            InferenceReport::from_stages(&[stage], &config()).notes
+        };
+        let stop_note = "Large Object stage: outbound access bandwidth shows a persistent >100 ms \
+                         degradation at 30 simultaneous requests.";
+        assert_eq!(
+            large_object(vec![clamped(10, &[]), clamped(30, &[])]),
+            [
+                stop_note,
+                "Large Object stage: the confirmed degradation bears a per-client rate-limit \
+                 signature — every client's throughput clamps to one common ceiling while the \
+                 access link runs far below capacity.  This is a defense reacting to the probe, \
+                 not a outbound access bandwidth constraint.",
+            ]
+        );
+        let skew = [(0, 1_200.0), (1, 10.0)];
+        assert_eq!(
+            large_object(vec![
+                epoch_with_groups(20, &skew),
+                epoch_with_groups(30, &skew)
+            ]),
+            [
+                stop_note,
+                "Large Object stage: the confirmed degradation is localized to a subset of \
+                 vantage groups — their normalized response times blow past the threshold \
+                 while other groups stay flat.  A outbound access bandwidth constraint would \
+                 hit every vantage point alike; this is congestion on the affected groups' \
+                 shared path, not a server bottleneck.",
+            ]
+        );
     }
 }

@@ -61,16 +61,6 @@ impl StageReport {
             self.epochs.iter().map(|e| e.requests_observed).sum(),
         )
     }
-
-    /// The series `(crowd size, detector milliseconds)` over the stage's
-    /// non-check epochs — the data behind Figure 4/5/6-style plots.
-    pub fn detector_series(&self) -> Vec<(usize, f64)> {
-        self.epochs
-            .iter()
-            .filter(|e| !e.check_phase)
-            .map(|e| (e.crowd_size, e.detector_ms))
-            .collect()
-    }
 }
 
 /// The complete result of one MFC experiment.
@@ -172,7 +162,6 @@ mod tests {
             aggregate_goodput: None,
             link_capacity: None,
             background_rate: None,
-            baseline_drift_ms: None,
             surge_suspected: false,
         }
     }
@@ -228,13 +217,6 @@ mod tests {
         assert_eq!(report.stages[0].outcome_cell(), "25");
         assert_eq!(report.stages[1].outcome_cell(), "NoStop (55)");
         assert_eq!(report.stages[2].outcome_cell(), "skipped");
-    }
-
-    #[test]
-    fn detector_series_excludes_check_epochs() {
-        let report = sample_report();
-        let series = report.stages[0].detector_series();
-        assert_eq!(series, vec![(10, 20.0), (25, 140.0)]);
     }
 
     #[test]

@@ -259,14 +259,6 @@ pub struct EpochSummary {
     /// evidence epochs' rate against the stage's baseline: a surge
     /// coinciding with the triggering epochs confounds the verdict.
     pub background_rate: Option<f64>,
-    /// The 10th percentile of the epoch's normalized response times, in
-    /// milliseconds — a *baseline-drift* observable.  The base response
-    /// times were calibrated before the stage started; if even the fastest
-    /// clients in an epoch sit far above their calibrated base, the
-    /// server's unloaded operating point has moved (background load, a
-    /// capacity change) since calibration, independent of any crowd-size
-    /// effect.
-    pub baseline_drift_ms: Option<f64>,
     /// Set by the coordinator's quiescence policy when this epoch ran
     /// inside a detected background-load surge window.  Flagged epochs are
     /// kept in the report for audit; with retries enabled the coordinator

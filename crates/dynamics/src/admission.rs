@@ -1,10 +1,8 @@
 //! Self-* overload control: shed load before it queues.
 
 use mfc_simcore::{SimDuration, SimTime};
-use mfc_webserver::{AdmissionVerdict, ServerRequest, TickSample};
+use mfc_webserver::{AdmissionVerdict, TickSample};
 use serde::{Deserialize, Serialize};
-
-use crate::policy::DynamicsPolicy;
 
 /// Parameters of an [`AdmissionController`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -73,19 +71,12 @@ impl AdmissionController {
             }
         }
     }
-}
 
-impl DynamicsPolicy for AdmissionController {
-    fn name(&self) -> &'static str {
-        "admission"
-    }
-
-    fn on_arrival(
-        &mut self,
-        now: SimTime,
-        _request: &ServerRequest,
-        last_sample: &TickSample,
-    ) -> AdmissionVerdict {
+    /// Decides the fate of one arriving request.  `last_sample` is the most
+    /// recent telemetry tick — a control plane never sees the instantaneous
+    /// truth, only its last scrape, which is exactly the lag that lets a
+    /// tightly synchronized burst slip past threshold-based shedding.
+    pub fn on_arrival(&mut self, now: SimTime, last_sample: &TickSample) -> AdmissionVerdict {
         self.roll_window(now);
         let replicas = last_sample.active_replicas.max(1) as f64;
         let queued = last_sample.queued as f64 / replicas;
@@ -106,21 +97,6 @@ impl DynamicsPolicy for AdmissionController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mfc_simcore::SimTime;
-    use mfc_webserver::{ObjectId, RequestClass};
-
-    fn req(id: u64, at: SimTime) -> ServerRequest {
-        ServerRequest {
-            id,
-            arrival: at,
-            class: RequestClass::Head,
-            object: Some(ObjectId::BASE_PAGE),
-            client_downlink: 1e7,
-            client_rtt: SimDuration::from_millis(40),
-            client_addr: id as u32,
-            background: false,
-        }
-    }
 
     #[test]
     fn surge_budget_sheds_the_tail_of_a_burst() {
@@ -130,9 +106,7 @@ mod tests {
         });
         let now = SimTime::ZERO;
         let idle = TickSample::idle(now, 1);
-        let verdicts: Vec<AdmissionVerdict> = (0..8)
-            .map(|i| ctrl.on_arrival(now, &req(i, now), &idle))
-            .collect();
+        let verdicts: Vec<AdmissionVerdict> = (0..8).map(|_| ctrl.on_arrival(now, &idle)).collect();
         let shed = verdicts
             .iter()
             .filter(|v| matches!(v, AdmissionVerdict::Shed))
@@ -141,10 +115,7 @@ mod tests {
         assert_eq!(ctrl.shed_total(), 3);
         // A new window restores the budget.
         let later = now + SimDuration::from_secs(2);
-        assert_eq!(
-            ctrl.on_arrival(later, &req(9, later), &idle),
-            AdmissionVerdict::Accept
-        );
+        assert_eq!(ctrl.on_arrival(later, &idle), AdmissionVerdict::Accept);
     }
 
     #[test]
@@ -158,17 +129,11 @@ mod tests {
             queued: 64,
             ..TickSample::idle(now, 2)
         };
-        assert_eq!(
-            ctrl.on_arrival(now, &req(1, now), &pressured),
-            AdmissionVerdict::Shed
-        );
+        assert_eq!(ctrl.on_arrival(now, &pressured), AdmissionVerdict::Shed);
         let recovered = TickSample {
             queued: 4,
             ..TickSample::idle(now, 2)
         };
-        assert_eq!(
-            ctrl.on_arrival(now, &req(2, now), &recovered),
-            AdmissionVerdict::Accept
-        );
+        assert_eq!(ctrl.on_arrival(now, &recovered), AdmissionVerdict::Accept);
     }
 }

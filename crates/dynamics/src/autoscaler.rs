@@ -4,8 +4,6 @@ use mfc_simcore::{SimDuration, SimTime};
 use mfc_webserver::{ControlAction, TickSample};
 use serde::{Deserialize, Serialize};
 
-use crate::policy::DynamicsPolicy;
-
 /// Parameters of an [`AutoScaler`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AutoScalerConfig {
@@ -89,14 +87,9 @@ impl AutoScaler {
             None => true,
         }
     }
-}
 
-impl DynamicsPolicy for AutoScaler {
-    fn name(&self) -> &'static str {
-        "autoscaler"
-    }
-
-    fn on_tick(&mut self, now: SimTime, sample: &TickSample, actions: &mut Vec<ControlAction>) {
+    /// Observes one telemetry tick and appends any replica-count change.
+    pub fn on_tick(&mut self, now: SimTime, sample: &TickSample, actions: &mut Vec<ControlAction>) {
         // Mature any boots that completed.
         let matured = self.pending.iter().filter(|&&ready| ready <= now).count();
         if matured > 0 {

@@ -6,8 +6,7 @@
 //! controllers shed requests with 503s, per-client rate limiters clamp
 //! exactly the kind of repeated probing an MFC performs, and capacity
 //! itself drifts on schedules.  This crate packages those reactions as
-//! [`DynamicsPolicy`] implementations driven on a deterministic
-//! virtual-time tick:
+//! four policies driven on a deterministic virtual-time tick:
 //!
 //! * [`AutoScaler`] — adds/removes cluster replicas against an in-flight
 //!   load target, with a cloud-style provisioning lag and cooldown,
@@ -32,14 +31,12 @@
 
 pub mod admission;
 pub mod autoscaler;
-pub mod policy;
 pub mod ratelimit;
 pub mod schedule;
 pub mod stack;
 
 pub use admission::{AdmissionController, AdmissionControllerConfig};
 pub use autoscaler::{AutoScaler, AutoScalerConfig};
-pub use policy::DynamicsPolicy;
 pub use ratelimit::{TokenBucketConfig, TokenBucketRateLimiter};
 pub use schedule::{CapacitySchedule, CapacityScheduleConfig, CapacityStep};
 pub use stack::{DefenseConfig, DefenseStack};

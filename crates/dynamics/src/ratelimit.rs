@@ -4,10 +4,8 @@ use std::collections::BTreeMap;
 
 use mfc_simcore::SimTime;
 use mfc_simnet::Bandwidth;
-use mfc_webserver::{AdmissionVerdict, ServerRequest, TickSample};
+use mfc_webserver::{AdmissionVerdict, ServerRequest};
 use serde::{Deserialize, Serialize};
-
-use crate::policy::DynamicsPolicy;
 
 /// Parameters of a [`TokenBucketRateLimiter`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -82,19 +80,10 @@ impl TokenBucketRateLimiter {
     pub fn tracked_clients(&self) -> usize {
         self.buckets.len()
     }
-}
 
-impl DynamicsPolicy for TokenBucketRateLimiter {
-    fn name(&self) -> &'static str {
-        "rate-limiter"
-    }
-
-    fn on_arrival(
-        &mut self,
-        now: SimTime,
-        request: &ServerRequest,
-        _last_sample: &TickSample,
-    ) -> AdmissionVerdict {
+    /// Charges the request's client one token, or clamps it when the
+    /// client's bucket is empty; background requests pass free.
+    pub fn on_arrival(&mut self, now: SimTime, request: &ServerRequest) -> AdmissionVerdict {
         if request.background {
             return AdmissionVerdict::Accept;
         }
@@ -146,29 +135,28 @@ mod tests {
             refill_per_sec: 0.1,
             clamp: 10_000.0,
         });
-        let idle = TickSample::idle(SimTime::ZERO, 1);
         assert_eq!(
-            limiter.on_arrival(t(0.0), &req(7, t(0.0)), &idle),
+            limiter.on_arrival(t(0.0), &req(7, t(0.0))),
             AdmissionVerdict::Accept
         );
         assert_eq!(
-            limiter.on_arrival(t(1.0), &req(7, t(1.0)), &idle),
+            limiter.on_arrival(t(1.0), &req(7, t(1.0))),
             AdmissionVerdict::Accept
         );
         // Third probe from the same address within the burst window: clamp.
         assert_eq!(
-            limiter.on_arrival(t(2.0), &req(7, t(2.0)), &idle),
+            limiter.on_arrival(t(2.0), &req(7, t(2.0))),
             AdmissionVerdict::Throttle(10_000.0)
         );
         assert_eq!(limiter.limited_total(), 1);
         // A different address still has a full bucket.
         assert_eq!(
-            limiter.on_arrival(t(2.0), &req(8, t(2.0)), &idle),
+            limiter.on_arrival(t(2.0), &req(8, t(2.0))),
             AdmissionVerdict::Accept
         );
         // After enough refill time the first address recovers.
         assert_eq!(
-            limiter.on_arrival(t(30.0), &req(7, t(30.0)), &idle),
+            limiter.on_arrival(t(30.0), &req(7, t(30.0))),
             AdmissionVerdict::Accept
         );
     }
@@ -180,14 +168,10 @@ mod tests {
             refill_per_sec: 0.0,
             clamp: 10_000.0,
         });
-        let idle = TickSample::idle(SimTime::ZERO, 1);
         let mut bg = req(9, t(0.0));
         bg.background = true;
         for _ in 0..5 {
-            assert_eq!(
-                limiter.on_arrival(t(0.0), &bg, &idle),
-                AdmissionVerdict::Accept
-            );
+            assert_eq!(limiter.on_arrival(t(0.0), &bg), AdmissionVerdict::Accept);
         }
         assert_eq!(limiter.tracked_clients(), 0);
     }

@@ -2,10 +2,8 @@
 
 use mfc_simcore::{SimDuration, SimTime};
 use mfc_simnet::Bandwidth;
-use mfc_webserver::{ControlAction, TickSample};
+use mfc_webserver::ControlAction;
 use serde::{Deserialize, Serialize};
-
-use crate::policy::DynamicsPolicy;
 
 /// One step of a [`CapacitySchedule`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -55,14 +53,10 @@ impl CapacitySchedule {
     pub fn remaining(&self) -> usize {
         self.steps.len() - self.next
     }
-}
 
-impl DynamicsPolicy for CapacitySchedule {
-    fn name(&self) -> &'static str {
-        "capacity-schedule"
-    }
-
-    fn on_tick(&mut self, now: SimTime, _sample: &TickSample, actions: &mut Vec<ControlAction>) {
+    /// Appends the actions of every step due by `now`; the first call
+    /// anchors the schedule.
+    pub fn on_tick(&mut self, now: SimTime, actions: &mut Vec<ControlAction>) {
         let origin = *self.origin.get_or_insert(now);
         while let Some(step) = self.steps.get(self.next) {
             if origin + step.at > now {
@@ -104,13 +98,12 @@ mod tests {
             ],
         });
         assert_eq!(schedule.remaining(), 2);
-        let sample = TickSample::idle(t(1.0), 1);
         let mut actions = Vec::new();
         // Anchor at t=1; nothing due yet.
-        schedule.on_tick(t(1.0), &sample, &mut actions);
+        schedule.on_tick(t(1.0), &mut actions);
         assert!(actions.is_empty());
         // t=7 (offset 6): the 5-second step fires, sorted first.
-        schedule.on_tick(t(7.0), &sample, &mut actions);
+        schedule.on_tick(t(7.0), &mut actions);
         assert_eq!(
             actions,
             vec![
@@ -120,11 +113,11 @@ mod tests {
         );
         actions.clear();
         // t=12 (offset 11): the 10-second step fires; nothing remains.
-        schedule.on_tick(t(12.0), &sample, &mut actions);
+        schedule.on_tick(t(12.0), &mut actions);
         assert_eq!(actions, vec![ControlAction::SetAccessLink(2e6)]);
         assert_eq!(schedule.remaining(), 0);
         actions.clear();
-        schedule.on_tick(t(100.0), &sample, &mut actions);
+        schedule.on_tick(t(100.0), &mut actions);
         assert!(actions.is_empty(), "a schedule does not repeat");
     }
 }

@@ -6,7 +6,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::admission::{AdmissionController, AdmissionControllerConfig};
 use crate::autoscaler::{AutoScaler, AutoScalerConfig};
-use crate::policy::DynamicsPolicy;
 use crate::ratelimit::{TokenBucketConfig, TokenBucketRateLimiter};
 use crate::schedule::{CapacitySchedule, CapacityScheduleConfig, CapacityStep};
 
@@ -166,22 +165,12 @@ impl DefenseConfig {
 
     /// Builds the runtime stack.
     pub fn build(&self) -> DefenseStack {
-        let mut policies: Vec<Box<dyn DynamicsPolicy>> = Vec::new();
-        if let Some(config) = &self.autoscaler {
-            policies.push(Box::new(AutoScaler::new(config.clone())));
-        }
-        if let Some(config) = &self.admission {
-            policies.push(Box::new(AdmissionController::new(config.clone())));
-        }
-        if let Some(config) = &self.rate_limiter {
-            policies.push(Box::new(TokenBucketRateLimiter::new(config.clone())));
-        }
-        if let Some(config) = &self.capacity_schedule {
-            policies.push(Box::new(CapacitySchedule::new(config.clone())));
-        }
         DefenseStack {
-            tick: self.tick,
-            policies,
+            tick: (!self.is_static()).then_some(self.tick),
+            autoscaler: self.autoscaler.clone().map(AutoScaler::new),
+            admission: self.admission.clone().map(AdmissionController::new),
+            rate_limiter: self.rate_limiter.clone().map(TokenBucketRateLimiter::new),
+            capacity_schedule: self.capacity_schedule.clone().map(CapacitySchedule::new),
             last_sample: TickSample::idle(SimTime::ZERO, 1),
             sheds: 0,
             throttles: 0,
@@ -216,13 +205,21 @@ impl DefenseConfig {
 /// [`DefenseConfig::none`] is empty: it never ticks and accepts every
 /// request, which is how a static target runs.
 ///
-/// Verdicts compose conservatively: any policy's `Shed` wins outright, and
-/// concurrent throttles clamp to the lowest rate.  The stack is carried
-/// across runs so per-client buckets and scaling state persist between MFC
+/// A tick steps the autoscaler, then the capacity schedule; an arrival
+/// asks the admission controller, then the rate limiter.  A shed wins
+/// outright: a shed arrival never reaches (and never charges) the rate
+/// limiter, the one policy that throttles.  The stack is carried across
+/// runs so per-client buckets and scaling state persist between MFC
 /// epochs.
 pub struct DefenseStack {
-    tick: SimDuration,
-    policies: Vec<Box<dyn DynamicsPolicy>>,
+    /// `None` when no policy is set: a static target never ticks.
+    tick: Option<SimDuration>,
+    autoscaler: Option<AutoScaler>,
+    admission: Option<AdmissionController>,
+    rate_limiter: Option<TokenBucketRateLimiter>,
+    capacity_schedule: Option<CapacitySchedule>,
+    /// The most recent telemetry tick: a control plane never sees the
+    /// instantaneous truth, only its last scrape.
     last_sample: TickSample,
     sheds: u64,
     throttles: u64,
@@ -238,41 +235,24 @@ impl DefenseStack {
     pub fn throttles(&self) -> u64 {
         self.throttles
     }
-
-    /// Names of the composed policies, in evaluation order.
-    pub fn policy_names(&self) -> Vec<&'static str> {
-        self.policies.iter().map(|p| p.name()).collect()
-    }
 }
 
 impl ServerControl for DefenseStack {
     fn tick_interval(&self) -> Option<SimDuration> {
-        if self.policies.is_empty() {
-            None
-        } else {
-            Some(self.tick)
-        }
+        self.tick
     }
 
     fn on_arrival(&mut self, now: SimTime, request: &ServerRequest) -> AdmissionVerdict {
-        let mut verdict = AdmissionVerdict::Accept;
-        for policy in self.policies.iter_mut() {
-            match policy.on_arrival(now, request, &self.last_sample) {
-                AdmissionVerdict::Shed => {
-                    self.sheds += 1;
-                    return AdmissionVerdict::Shed;
-                }
-                AdmissionVerdict::Throttle(rate) => {
-                    verdict = match verdict {
-                        AdmissionVerdict::Throttle(existing) => {
-                            AdmissionVerdict::Throttle(existing.min(rate))
-                        }
-                        _ => AdmissionVerdict::Throttle(rate),
-                    };
-                }
-                AdmissionVerdict::Accept => {}
+        if let Some(admission) = &mut self.admission {
+            if admission.on_arrival(now, &self.last_sample) == AdmissionVerdict::Shed {
+                self.sheds += 1;
+                return AdmissionVerdict::Shed;
             }
         }
+        let verdict = match &mut self.rate_limiter {
+            Some(limiter) => limiter.on_arrival(now, request),
+            None => AdmissionVerdict::Accept,
+        };
         if matches!(verdict, AdmissionVerdict::Throttle(_)) {
             self.throttles += 1;
         }
@@ -281,8 +261,11 @@ impl ServerControl for DefenseStack {
 
     fn on_tick(&mut self, now: SimTime, sample: &TickSample, actions: &mut Vec<ControlAction>) {
         self.last_sample = *sample;
-        for policy in self.policies.iter_mut() {
-            policy.on_tick(now, sample, actions);
+        if let Some(scaler) = &mut self.autoscaler {
+            scaler.on_tick(now, sample, actions);
+        }
+        if let Some(schedule) = &mut self.capacity_schedule {
+            schedule.on_tick(now, actions);
         }
     }
 }
@@ -323,15 +306,9 @@ mod tests {
             "autoscaler+admission+rate-limiter+capacity-schedule"
         );
         let stack = config.build();
-        assert_eq!(
-            stack.policy_names(),
-            vec![
-                "autoscaler",
-                "admission",
-                "rate-limiter",
-                "capacity-schedule"
-            ]
-        );
+        assert!(stack.autoscaler.is_some() && stack.admission.is_some());
+        assert!(stack.rate_limiter.is_some() && stack.capacity_schedule.is_some());
+        assert_eq!(stack.tick_interval(), Some(config.tick));
         assert_eq!(config.initial_replicas(1), 2);
         assert_eq!(DefenseConfig::none().initial_replicas(5), 5);
     }
@@ -363,6 +340,9 @@ mod tests {
             AdmissionVerdict::Shed
         );
         assert_eq!(stack.sheds(), 1);
+        // The shed arrival never reached the limiter's bucket.
+        let limiter = stack.rate_limiter.as_ref().expect("limiter");
+        assert_eq!(limiter.limited_total(), 0);
     }
 
     #[test]

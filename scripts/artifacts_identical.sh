@@ -5,19 +5,24 @@
 # Builds `repro` in PARENT_TREE and in this tree, each into its own target
 # directory, runs `repro all --json` at quick and `--full` scale with
 # MFC_THREADS=1 and 8 on both sides, and compares every artifact against
-# the parent's MFC_THREADS=1 output of the same scale.  Prints one line per
-# run and exits non-zero on any missing, extra or differing file.
+# the parent's MFC_THREADS=1 output of the same scale.  It also runs the
+# `quickstart` and `profile_cluster` examples on both sides and diffs their
+# stdout: no `repro` artifact carries an `InferenceReport`'s notes, ranking
+# or DDoS exposure, and these two examples print all three.  Prints one
+# line per run and per example and exits non-zero on any missing, extra or
+# differing file or output.
 #
 # Usage:
 #   scripts/artifacts_identical.sh PARENT_TREE
 #
 # The target directories are new temporary ones unless PARENT_TARGET_DIR /
 # CHANGE_TARGET_DIR name directories to build into (and reuse).  The
-# artifacts land in $ARTIFACTS_DIR (default: a new temporary directory).
+# artifacts and example outputs land in $ARTIFACTS_DIR (default: a new
+# temporary directory).
 set -euo pipefail
 
 if [ "$#" -ne 1 ]; then
-    sed -n '2,16p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,21p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent_tree="$(cd "$1" && pwd)"
@@ -26,9 +31,12 @@ parent_target="${PARENT_TARGET_DIR:-$(mktemp -d)}"
 change_target="${CHANGE_TARGET_DIR:-$(mktemp -d)}"
 out="${ARTIFACTS_DIR:-$(mktemp -d)}"
 
+examples=(quickstart profile_cluster)
 build() { # tree target_dir
     CARGO_TARGET_DIR="$2" cargo build --release --offline --quiet \
         --manifest-path "$1/Cargo.toml" -p mfc-bench --bin repro
+    CARGO_TARGET_DIR="$2" cargo build --release --offline --quiet \
+        --manifest-path "$1/Cargo.toml" -p mfc-repro "${examples[@]/#/--example=}"
 }
 build "$parent_tree" "$parent_target"
 build "$change_tree" "$change_target"
@@ -64,6 +72,22 @@ for scale in quick full; do
             status=1
         fi
     done
+done
+mkdir -p "$out/examples"
+for example in "${examples[@]}"; do
+    for side in parent change; do
+        target="$parent_target"
+        [ "$side" = change ] && target="$change_target"
+        "$target/release/examples/$example" > "$out/examples/$example.$side.txt"
+    done
+    if diff "$out/examples/$example.parent.txt" "$out/examples/$example.change.txt" \
+        > "$out/examples/$example.diff"; then
+        echo "example $example: stdout identical"
+    else
+        echo "example $example: stdout DIFFERS" >&2
+        cat "$out/examples/$example.diff" >&2
+        status=1
+    fi
 done
 echo "artifacts in $out"
 exit "$status"
