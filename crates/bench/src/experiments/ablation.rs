@@ -192,14 +192,16 @@ mod tests {
 
     #[test]
     fn compensation_tightens_arrival_spread() {
-        let result = run(Scale::Quick, 17);
-        assert!(
-            result.scheduling_helps(),
-            "compensated spread {:.3}s should beat naive {:.3}s",
-            result.compensated_spread_s,
-            result.naive_spread_s
-        );
-        assert!(result.render_text().contains("Ablations"));
+        for seed in [17, 1] {
+            let result = run(Scale::Quick, seed);
+            assert!(
+                result.scheduling_helps(),
+                "seed {seed}: compensated spread {:.3}s should beat naive {:.3}s",
+                result.compensated_spread_s,
+                result.naive_spread_s
+            );
+            assert!(result.render_text().contains("Ablations"));
+        }
     }
 
     #[test]

@@ -15,7 +15,6 @@
 use mfc_core::backend::sim::SimBackend;
 use mfc_core::coordinator::Coordinator;
 use mfc_core::inference::DegradationCause;
-use mfc_core::runner::TrialRunner;
 use mfc_core::types::Stage;
 use mfc_dynamics::DefenseConfig;
 use mfc_sites::CoopSite;
@@ -176,24 +175,14 @@ fn run_cell(
 }
 
 /// Runs the matrix: each (site, scenario) cell is an independent trial on
-/// the shared [`TrialRunner`].
+/// the shared [`TrialRunner`](mfc_core::runner::TrialRunner).
 pub fn run(scale: Scale, seed: u64) -> DynamicsMatrixResult {
     let clients = scale.pick(60, 75);
     let sites = match scale {
         Scale::Quick => vec![CoopSite::Qtnp, CoopSite::Univ3],
         Scale::Paper => vec![CoopSite::Qtnp, CoopSite::Univ2, CoopSite::Univ3],
     };
-    let mut trials = Vec::new();
-    for (site_index, site) in sites.into_iter().enumerate() {
-        for (scenario_index, scenario) in Scenario::ALL.into_iter().enumerate() {
-            trials.push((
-                site,
-                scenario,
-                seed + (site_index * 10 + scenario_index) as u64,
-            ));
-        }
-    }
-    let cells = TrialRunner::from_env().run(trials, |_, (site, scenario, cell_seed)| {
+    let cells = super::grid(&sites, &Scenario::ALL, seed, |site, scenario, cell_seed| {
         run_cell(site, scenario, clients, scale, cell_seed)
     });
     DynamicsMatrixResult { cells }

@@ -5,13 +5,8 @@
 //! network usage against the crowd size, and observes that CPU, memory and
 //! disk stay negligible — the access link alone explains the slowdown.
 
-use mfc_core::backend::sim::{SimBackend, SimTargetSpec};
-use mfc_core::config::MfcConfig;
-use mfc_core::coordinator::Coordinator;
-use mfc_core::runner::TrialRunner;
 use mfc_core::types::Stage;
-use mfc_simnet::PopulationProfile;
-use mfc_webserver::{ContentCatalog, ServerConfig};
+use mfc_webserver::ServerConfig;
 use serde::{Deserialize, Serialize};
 
 use crate::Scale;
@@ -82,42 +77,20 @@ pub fn run(scale: Scale, seed: u64) -> Fig5Result {
         Scale::Quick => vec![5, 15, 30, 50],
         Scale::Paper => (1..=10).map(|i| i * 5).collect(),
     };
-    let spec =
-        SimTargetSpec::single_server(ServerConfig::lab_apache(), ContentCatalog::lab_validation())
-            .with_population(PopulationProfile::lan())
-            .with_control_loss(0.0);
-    let coordinator = Coordinator::new(MfcConfig::standard().with_min_clients(5)).with_seed(seed);
-
-    // A fresh backend per crowd size keeps epochs independent, as in the
-    // paper's sweep (each crowd size is its own measurement) — which also
-    // makes every crowd size an independent trial.
-    let points = TrialRunner::from_env().run(crowds, |_, crowd| {
-        let mut backend = SimBackend::new(spec.clone(), 50, seed ^ crowd as u64);
-        let (summary, observation) = coordinator
-            .probe_crowd(&mut backend, Stage::LargeObject, crowd)
-            .expect("enough clients");
-        let raw_median = {
-            let mut times: Vec<f64> = observation
-                .observations
-                .iter()
-                .map(|o| o.response_time.as_millis_f64())
-                .collect();
-            times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            times.get(times.len() / 2).copied().unwrap_or(0.0)
-        };
-        let utilization = observation
-            .server_utilization
-            .as_ref()
-            .expect("simulation always reports utilization");
-        Fig5Point {
-            crowd: summary.crowd_size,
-            median_response_ms: raw_median,
+    let points = super::lab_sweep(
+        Stage::LargeObject,
+        ServerConfig::lab_apache(),
+        &crowds,
+        seed,
+        |crowd, median_response_ms, utilization| Fig5Point {
+            crowd,
+            median_response_ms,
             network_kb: utilization.network_kb_sent(),
             cpu_percent: utilization.cpu_percent(),
             peak_memory_mb: utilization.peak_memory_mb(),
             disk_ops: utilization.disk_operations,
-        }
-    });
+        },
+    );
     Fig5Result { points }
 }
 
@@ -127,21 +100,23 @@ mod tests {
 
     #[test]
     fn network_bound_shape_matches_paper() {
-        let result = run(Scale::Quick, 5);
-        assert_eq!(result.points.len(), 4);
-        // Response time grows with the crowd.
-        assert!(
-            result.points.last().unwrap().median_response_ms
-                > result.points.first().unwrap().median_response_ms
-        );
-        // Network bytes grow roughly linearly with the crowd (same object,
-        // more copies).
-        assert!(result.points.last().unwrap().network_kb > result.points[0].network_kb * 3.0);
-        assert!(
-            result.network_is_the_bottleneck(),
-            "CPU/disk must stay negligible: {:?}",
-            result.points
-        );
-        assert!(result.render_text().contains("Figure 5"));
+        for seed in [5, 1] {
+            let result = run(Scale::Quick, seed);
+            assert_eq!(result.points.len(), 4);
+            // Response time grows with the crowd.
+            assert!(
+                result.points.last().unwrap().median_response_ms
+                    > result.points.first().unwrap().median_response_ms
+            );
+            // Network bytes grow roughly linearly with the crowd (same
+            // object, more copies).
+            assert!(result.points.last().unwrap().network_kb > result.points[0].network_kb * 3.0);
+            assert!(
+                result.network_is_the_bottleneck(),
+                "seed {seed}: CPU/disk must stay negligible: {:?}",
+                result.points
+            );
+            assert!(result.render_text().contains("Figure 5"));
+        }
     }
 }

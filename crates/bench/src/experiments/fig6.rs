@@ -8,13 +8,8 @@
 //! persistent Mongrel pool the same workload stays flat — the paper reports
 //! response times "within 10 ms for crowd sizes up to 50".
 
-use mfc_core::backend::sim::{SimBackend, SimTargetSpec};
-use mfc_core::config::MfcConfig;
-use mfc_core::coordinator::Coordinator;
-use mfc_core::runner::TrialRunner;
 use mfc_core::types::Stage;
-use mfc_simnet::PopulationProfile;
-use mfc_webserver::{ContentCatalog, ServerConfig};
+use mfc_webserver::ServerConfig;
 use serde::{Deserialize, Serialize};
 
 use crate::Scale;
@@ -76,37 +71,18 @@ impl Fig6Result {
 }
 
 fn sweep(config: ServerConfig, crowds: &[usize], seed: u64) -> Vec<Fig6Point> {
-    let spec = SimTargetSpec::single_server(config, ContentCatalog::lab_validation())
-        .with_population(PopulationProfile::lan())
-        .with_control_loss(0.0);
-    let coordinator = Coordinator::new(MfcConfig::standard().with_min_clients(5)).with_seed(seed);
-    // Each crowd size is its own measurement with a fresh backend, so the
-    // sweep fans out as independent trials.
-    TrialRunner::from_env().run(crowds.to_vec(), |_, crowd| {
-        let mut backend = SimBackend::new(spec.clone(), 50, seed ^ crowd as u64);
-        let (summary, observation) = coordinator
-            .probe_crowd(&mut backend, Stage::SmallQuery, crowd)
-            .expect("enough clients");
-        let raw_median = {
-            let mut times: Vec<f64> = observation
-                .observations
-                .iter()
-                .map(|o| o.response_time.as_millis_f64())
-                .collect();
-            times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            times.get(times.len() / 2).copied().unwrap_or(0.0)
-        };
-        let utilization = observation
-            .server_utilization
-            .as_ref()
-            .expect("simulation always reports utilization");
-        Fig6Point {
-            crowd: summary.crowd_size,
-            median_response_ms: raw_median,
+    super::lab_sweep(
+        Stage::SmallQuery,
+        config,
+        crowds,
+        seed,
+        |crowd, median_response_ms, utilization| Fig6Point {
+            crowd,
+            median_response_ms,
             cpu_percent: utilization.cpu_percent(),
             peak_memory_mb: utilization.peak_memory_mb(),
-        }
-    })
+        },
+    )
 }
 
 /// Runs the Figure 6 sweep.
@@ -127,13 +103,15 @@ mod tests {
 
     #[test]
     fn fastcgi_memory_blowup_matches_paper() {
-        let result = run(Scale::Quick, 9);
-        assert!(
-            result.fastcgi_blows_up_and_mongrel_does_not(),
-            "FastCGI: {:?}\nMongrel: {:?}",
-            result.fastcgi,
-            result.mongrel
-        );
-        assert!(result.render_text().contains("FastCGI"));
+        for seed in [9, 1] {
+            let result = run(Scale::Quick, seed);
+            assert!(
+                result.fastcgi_blows_up_and_mongrel_does_not(),
+                "seed {seed}: FastCGI: {:?}\nMongrel: {:?}",
+                result.fastcgi,
+                result.mongrel
+            );
+            assert!(result.render_text().contains("FastCGI"));
+        }
     }
 }

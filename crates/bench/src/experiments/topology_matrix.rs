@@ -28,7 +28,6 @@ use mfc_core::backend::sim::{SimBackend, SimTargetSpec};
 use mfc_core::config::MfcConfig;
 use mfc_core::coordinator::Coordinator;
 use mfc_core::inference::DegradationCause;
-use mfc_core::runner::TrialRunner;
 use mfc_core::types::Stage;
 use mfc_dynamics::DefenseConfig;
 use mfc_simnet::mbps;
@@ -241,7 +240,7 @@ fn run_cell(server: ServerRow, scenario: NetScenario, clients: usize, seed: u64)
 }
 
 /// Runs the matrix: each (server, scenario) cell is an independent trial on
-/// the shared [`TrialRunner`].
+/// the shared [`TrialRunner`](mfc_core::runner::TrialRunner).
 pub fn run(scale: Scale, seed: u64) -> TopologyMatrixResult {
     let clients = scale.pick(60, 75);
     let scenarios: Vec<NetScenario> = match scale {
@@ -252,19 +251,12 @@ pub fn run(scale: Scale, seed: u64) -> TopologyMatrixResult {
         ],
         Scale::Paper => NetScenario::ALL.to_vec(),
     };
-    let mut trials = Vec::new();
-    for (server_index, server) in ServerRow::ALL.into_iter().enumerate() {
-        for (scenario_index, scenario) in scenarios.iter().enumerate() {
-            trials.push((
-                server,
-                *scenario,
-                seed + (server_index * 10 + scenario_index) as u64,
-            ));
-        }
-    }
-    let cells = TrialRunner::from_env().run(trials, |_, (server, scenario, cell_seed)| {
-        run_cell(server, scenario, clients, cell_seed)
-    });
+    let cells = super::grid(
+        &ServerRow::ALL,
+        &scenarios,
+        seed,
+        |server, scenario, cell_seed| run_cell(server, scenario, clients, cell_seed),
+    );
     TopologyMatrixResult { cells }
 }
 

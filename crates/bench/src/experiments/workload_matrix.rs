@@ -25,7 +25,6 @@ use mfc_core::backend::sim::{SimBackend, SimTargetSpec};
 use mfc_core::config::MfcConfig;
 use mfc_core::coordinator::Coordinator;
 use mfc_core::inference::DegradationCause;
-use mfc_core::runner::TrialRunner;
 use mfc_core::types::Stage;
 use mfc_webserver::{ContentCatalog, ServerConfig};
 use mfc_workload::{
@@ -255,7 +254,7 @@ fn run_cell(
 }
 
 /// Runs the matrix: each (target, scenario) cell is an independent trial on
-/// the shared [`TrialRunner`].
+/// the shared [`TrialRunner`](mfc_core::runner::TrialRunner).
 pub fn run(scale: Scale, seed: u64) -> WorkloadMatrixResult {
     let clients = scale.pick(60, 75);
     let scenarios: Vec<WorkloadScenario> = match scale {
@@ -266,19 +265,12 @@ pub fn run(scale: Scale, seed: u64) -> WorkloadMatrixResult {
         ],
         Scale::Paper => WorkloadScenario::ALL.to_vec(),
     };
-    let mut trials = Vec::new();
-    for (target_index, target) in TargetRow::ALL.into_iter().enumerate() {
-        for (scenario_index, scenario) in scenarios.iter().enumerate() {
-            trials.push((
-                target,
-                *scenario,
-                seed + (target_index * 10 + scenario_index) as u64,
-            ));
-        }
-    }
-    let cells = TrialRunner::from_env().run(trials, |_, (target, scenario, cell_seed)| {
-        run_cell(target, scenario, clients, cell_seed)
-    });
+    let cells = super::grid(
+        &TargetRow::ALL,
+        &scenarios,
+        seed,
+        |target, scenario, cell_seed| run_cell(target, scenario, clients, cell_seed),
+    );
     WorkloadMatrixResult { cells }
 }
 

@@ -2,12 +2,13 @@
 //!
 //! Each submodule of [`experiments`] corresponds to one table or figure of
 //! the paper's evaluation and produces a structured result plus a
-//! paper-style text rendering.  The same functions are driven three ways:
+//! paper-style text rendering.  [`experiments::EXPERIMENTS`] lists them once,
+//! by name, and that table is driven three ways:
 //!
 //! * the `repro` binary (`cargo run -p mfc-bench --bin repro -- <experiment>`)
 //!   prints the tables and writes JSON artifacts,
-//! * the Criterion benches under `benches/` time a scaled-down version of
-//!   each experiment and print its table once, and
+//! * the `experiments` bench prints each table once and times each
+//!   experiment at [`Scale::Quick`], and
 //! * `EXPERIMENTS.md` records the measured numbers next to the paper's.
 //!
 //! [`Scale::Quick`] runs small populations/crowds so everything completes in

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Scale {
     /// Small populations and crowds: every experiment finishes in seconds.
-    /// Used by the Criterion benches and the integration tests.
+    /// Used by the `experiments` bench and the unit tests.
     Quick,
     /// The paper's sample sizes (hundreds of servers per class, crowds up
     /// to the paper's ceilings).  Used by `repro --full` to produce the

@@ -122,16 +122,6 @@ impl MfcConfig {
         }
     }
 
-    /// The MFC-mr variant: each client opens `requests_per_client` parallel
-    /// connections, multiplying the simultaneous request count without
-    /// needing more client hosts (paper §4.1).
-    pub fn multi_request(requests_per_client: usize) -> Self {
-        MfcConfig {
-            requests_per_client: requests_per_client.max(1),
-            ..MfcConfig::standard()
-        }
-    }
-
     /// The configuration used against QTNP and the university servers after
     /// consulting their operators: MFC-mr(2) with a 250 ms threshold and a
     /// larger crowd ceiling.

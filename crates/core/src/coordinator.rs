@@ -1239,7 +1239,8 @@ mod tests {
     #[test]
     fn mfc_mr_multiplies_requests_not_crowd() {
         let mut backend = lab_backend(60, 10);
-        let config = MfcConfig::multi_request(2)
+        let config = MfcConfig::standard()
+            .with_requests_per_client(2)
             .with_stages(vec![Stage::Base])
             .with_max_crowd(10)
             .with_increment(10);
@@ -1344,7 +1345,8 @@ mod tests {
     #[test]
     fn each_sample_is_normalized_by_its_own_clients_base_from_the_current_stage() {
         // One Base epoch of all six clients, two requests each (MFC-mr).
-        let config = MfcConfig::multi_request(2)
+        let config = MfcConfig::standard()
+            .with_requests_per_client(2)
             .with_stages(vec![Stage::Base])
             .with_min_clients(6)
             .with_max_crowd(6)

@@ -314,7 +314,7 @@ impl InferenceReport {
                     "{stage} stage: the confirmed degradation bears a per-client rate-limit \
                      signature — every client's throughput clamps to one common ceiling while \
                      the access link runs far below capacity.  This is a defense reacting to \
-                     the probe, not a {subsystem} constraint."
+                     the probe, not a constraint of the {subsystem}."
                 ),
                 (DegradationCause::LoadSheddingDefense, Provisioning::Unconstrained { .. }) => {
                     format!(
@@ -337,9 +337,9 @@ impl InferenceReport {
                 (DegradationCause::PathCongestion, _) => format!(
                     "{stage} stage: the confirmed degradation is localized to a subset of vantage \
                      groups — their normalized response times blow past the threshold while \
-                     other groups stay flat.  A {subsystem} constraint would hit every vantage \
-                     point alike; this is congestion on the affected groups' shared path, not a \
-                     server bottleneck."
+                     other groups stay flat.  A constraint of the {subsystem} would hit every \
+                     vantage point alike; this is congestion on the affected groups' shared \
+                     path, not a server bottleneck."
                 ),
                 (
                     DegradationCause::ResourceConstraint
@@ -1188,7 +1188,7 @@ mod tests {
                 "Large Object stage: the confirmed degradation bears a per-client rate-limit \
                  signature — every client's throughput clamps to one common ceiling while the \
                  access link runs far below capacity.  This is a defense reacting to the probe, \
-                 not a outbound access bandwidth constraint.",
+                 not a constraint of the outbound access bandwidth.",
             ]
         );
         let skew = [(0, 1_200.0), (1, 10.0)];
@@ -1201,9 +1201,9 @@ mod tests {
                 stop_note,
                 "Large Object stage: the confirmed degradation is localized to a subset of \
                  vantage groups — their normalized response times blow past the threshold \
-                 while other groups stay flat.  A outbound access bandwidth constraint would \
-                 hit every vantage point alike; this is congestion on the affected groups' \
-                 shared path, not a server bottleneck.",
+                 while other groups stay flat.  A constraint of the outbound access bandwidth \
+                 would hit every vantage point alike; this is congestion on the affected \
+                 groups' shared path, not a server bottleneck.",
             ]
         );
     }

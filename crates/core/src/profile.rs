@@ -21,16 +21,11 @@
 //! links and sizes each object with HEAD/GET requests.
 
 use mfc_http::{Client, Method, Url};
+use mfc_webserver::content::{LARGE_OBJECT_MIN_BYTES, SMALL_QUERY_MAX_BYTES};
 use mfc_webserver::{ContentCatalog, ObjectKind};
 use serde::{Deserialize, Serialize};
 
 use crate::types::{ProbeMethod, RequestSpec, Stage};
-
-/// Lower bound for the Large Objects group (paper §2.2.1).
-pub const LARGE_OBJECT_MIN_BYTES: u64 = 100 * 1024;
-
-/// Upper bound for the Small Queries group (paper §2.2.1).
-pub const SMALL_QUERY_MAX_BYTES: u64 = 15 * 1024;
 
 /// Content classes used by the profiler's heuristics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

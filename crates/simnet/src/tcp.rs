@@ -7,8 +7,8 @@
 //! being big enough (> 100 KB) "to allow TCP to exit slow start and fully
 //! utilize the available network bandwidth" (paper §2.2.2) — so short
 //! transfers must be window-limited while long transfers approach the fluid
-//! fair-share rate.  [`TcpModel`] captures exactly these two effects and
-//! nothing more.
+//! fair-share rate.  [`TcpModel`] captures the second effect; the 1.5 × RTT
+//! arrival is applied where requests are scheduled.
 
 use mfc_simcore::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -25,9 +25,6 @@ use crate::Bandwidth;
 ///
 /// let tcp = TcpModel::default();
 /// let rtt = SimDuration::from_millis(100);
-///
-/// // Request arrival: SYN + SYN/ACK + first data segment = 1.5 RTT.
-/// assert_eq!(tcp.request_arrival_delay(rtt), SimDuration::from_millis(150));
 ///
 /// // A tiny response is dominated by round trips, not bandwidth.
 /// let small = tcp.slow_start_delay(10_000, rtt);
@@ -67,13 +64,6 @@ impl TcpModel {
             initial_cwnd_segments: 10,
             max_window_bytes: 1024 * 1024,
         }
-    }
-
-    /// Delay from the client initiating a connection until the first byte of
-    /// the HTTP request arrives at the server: SYN, SYN-ACK, then the ACK
-    /// carrying (or immediately followed by) the request — 1.5 RTT.
-    pub fn request_arrival_delay(&self, rtt: SimDuration) -> SimDuration {
-        rtt.mul_f64(1.5)
     }
 
     /// Extra latency incurred because the transfer starts with a small
@@ -144,13 +134,6 @@ mod tests {
 
     fn ms(v: u64) -> SimDuration {
         SimDuration::from_millis(v)
-    }
-
-    #[test]
-    fn request_arrival_is_one_and_a_half_rtt() {
-        let tcp = TcpModel::default();
-        assert_eq!(tcp.request_arrival_delay(ms(80)), ms(120));
-        assert_eq!(tcp.request_arrival_delay(ms(0)), ms(0));
     }
 
     #[test]

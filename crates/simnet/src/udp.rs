@@ -28,11 +28,6 @@ impl Delivery {
             Delivery::Lost => None,
         }
     }
-
-    /// Returns `true` if the message was lost.
-    pub fn is_lost(self) -> bool {
-        matches!(self, Delivery::Lost)
-    }
 }
 
 /// Parameters and state of the UDP control plane.
@@ -70,12 +65,6 @@ impl ControlChannel {
         }
     }
 
-    /// A lossless channel with the given jitter — useful for ablations that
-    /// isolate the effect of command loss.
-    pub fn lossless(jitter_frac: f64, rng: SimRng) -> Self {
-        Self::new(0.0, jitter_frac, rng)
-    }
-
     /// Sends one message whose mean one-way delay is `mean_delay`.
     pub fn send(&mut self, mean_delay: SimDuration) -> Delivery {
         self.sent += 1;
@@ -107,15 +96,6 @@ impl ControlChannel {
     pub fn lost(&self) -> u64 {
         self.lost
     }
-
-    /// Observed loss rate so far (0 if nothing was sent).
-    pub fn observed_loss_rate(&self) -> f64 {
-        if self.sent == 0 {
-            0.0
-        } else {
-            self.lost as f64 / self.sent as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -124,9 +104,9 @@ mod tests {
 
     #[test]
     fn lossless_channel_never_drops() {
-        let mut chan = ControlChannel::lossless(0.1, SimRng::seed_from(1));
+        let mut chan = ControlChannel::new(0.0, 0.1, SimRng::seed_from(1));
         for _ in 0..1_000 {
-            assert!(!chan.send(SimDuration::from_millis(10)).is_lost());
+            assert!(chan.send(SimDuration::from_millis(10)).delay().is_some());
         }
         assert_eq!(chan.lost(), 0);
         assert_eq!(chan.sent(), 1_000);
@@ -138,7 +118,7 @@ mod tests {
         for _ in 0..20_000 {
             chan.send(SimDuration::from_millis(10));
         }
-        let observed = chan.observed_loss_rate();
+        let observed = chan.lost() as f64 / chan.sent() as f64;
         assert!((observed - 0.05).abs() < 0.01, "observed {observed}");
     }
 
@@ -162,17 +142,15 @@ mod tests {
     #[test]
     fn probability_is_clamped() {
         let mut always = ControlChannel::new(5.0, 0.0, SimRng::seed_from(5));
-        assert!(always.send(SimDuration::from_millis(1)).is_lost());
+        assert!(always.send(SimDuration::from_millis(1)).delay().is_none());
         let mut never = ControlChannel::new(-1.0, 0.0, SimRng::seed_from(6));
-        assert!(!never.send(SimDuration::from_millis(1)).is_lost());
+        assert!(never.send(SimDuration::from_millis(1)).delay().is_some());
     }
 
     #[test]
     fn delivery_helpers() {
-        assert!(Delivery::Lost.is_lost());
         assert_eq!(Delivery::Lost.delay(), None);
         let d = Delivery::Delivered(SimDuration::from_millis(9));
-        assert!(!d.is_lost());
         assert_eq!(d.delay(), Some(SimDuration::from_millis(9)));
     }
 }

@@ -32,14 +32,6 @@ pub enum ResponseModel {
         /// Per-request growth factor (> 1).
         growth: f64,
     },
-    /// `f(n) = 0` for `n < knee`, `jump_ms` afterwards — a buffer-exhaustion
-    /// style cliff.
-    Step {
-        /// Crowd size at which the response time jumps.
-        knee: usize,
-        /// Added milliseconds beyond the knee.
-        jump_ms: f64,
-    },
     /// `f(n) = 0`: an ideally provisioned (unconstrained) server.
     Flat,
 }
@@ -52,13 +44,6 @@ impl ResponseModel {
             ResponseModel::Linear { slope_ms } => slope_ms * n as f64,
             ResponseModel::Exponential { scale_ms, growth } => {
                 scale_ms * (growth.powi(n as i32) - 1.0)
-            }
-            ResponseModel::Step { knee, jump_ms } => {
-                if n >= knee {
-                    jump_ms
-                } else {
-                    0.0
-                }
             }
             ResponseModel::Flat => 0.0,
         };
@@ -240,25 +225,6 @@ mod tests {
             .max()
             .unwrap();
         assert!(exp_max > lin_max);
-    }
-
-    #[test]
-    fn step_model_jumps_at_knee() {
-        let server = SyntheticServer::new(
-            SimDuration::from_millis(5),
-            ResponseModel::Step {
-                knee: 20,
-                jump_ms: 500.0,
-            },
-        );
-        let below = server.run((0..10).map(|i| req(i, 0)).collect());
-        assert!(below
-            .iter()
-            .all(|o| o.latency() == SimDuration::from_millis(5)));
-        let above = server.run((0..30).map(|i| req(i, 0)).collect());
-        assert!(above
-            .iter()
-            .any(|o| o.latency() >= SimDuration::from_millis(505)));
     }
 
     #[test]
