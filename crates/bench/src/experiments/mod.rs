@@ -96,6 +96,37 @@ pub const EXPERIMENTS: &[Experiment] = &[
     experiment!("workload", workload_matrix::run),
 ];
 
+/// The two targets on the rows of the [`topology_matrix`] and the
+/// [`workload_matrix`].  Their cells record the row's label.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TargetRow {
+    /// A well-provisioned target: gigabit access link, ample workers.
+    Fortress,
+    /// The §3.2 lab box behind its 10 Mbit/s access link.
+    ThinLink,
+}
+
+impl TargetRow {
+    /// All rows in display order.
+    pub const ALL: [TargetRow; 2] = [TargetRow::Fortress, TargetRow::ThinLink];
+
+    /// Row label.
+    pub fn label(self) -> &'static str {
+        match self {
+            TargetRow::Fortress => "fortress",
+            TargetRow::ThinLink => "thin-link",
+        }
+    }
+
+    fn spec(self) -> SimTargetSpec {
+        let config = match self {
+            TargetRow::Fortress => ServerConfig::validation_server(),
+            TargetRow::ThinLink => ServerConfig::lab_apache(),
+        };
+        SimTargetSpec::single_server(config, ContentCatalog::lab_validation())
+    }
+}
+
 /// The lab sweep of Figures 5 and 6: one [`Stage`] probe of each crowd size
 /// against `config` serving the lab catalog to LAN clients over a lossless
 /// control channel.  Each crowd size is its own measurement with a fresh

@@ -32,9 +32,9 @@ use mfc_core::types::Stage;
 use mfc_dynamics::DefenseConfig;
 use mfc_simnet::mbps;
 use mfc_topology::TopologySpec;
-use mfc_webserver::{ContentCatalog, ServerConfig};
 use serde::{Deserialize, Serialize};
 
+use super::TargetRow;
 use crate::Scale;
 
 /// The network scenarios on the matrix's columns.
@@ -107,41 +107,6 @@ impl NetScenario {
     }
 }
 
-/// The servers on the matrix's rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ServerRow {
-    /// A well-provisioned target: gigabit access link, ample workers.
-    Fortress,
-    /// The §3.2 lab box behind its 10 Mbit/s access link.
-    ThinLink,
-}
-
-impl ServerRow {
-    /// All rows in display order.
-    pub const ALL: [ServerRow; 2] = [ServerRow::Fortress, ServerRow::ThinLink];
-
-    /// Row label.
-    pub fn label(self) -> &'static str {
-        match self {
-            ServerRow::Fortress => "fortress",
-            ServerRow::ThinLink => "thin-link",
-        }
-    }
-
-    fn spec(self) -> SimTargetSpec {
-        match self {
-            ServerRow::Fortress => SimTargetSpec::single_server(
-                ServerConfig::validation_server(),
-                ContentCatalog::lab_validation(),
-            ),
-            ServerRow::ThinLink => SimTargetSpec::single_server(
-                ServerConfig::lab_apache(),
-                ContentCatalog::lab_validation(),
-            ),
-        }
-    }
-}
-
 /// One cell: one server behind one network scenario.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TopologyCell {
@@ -170,7 +135,7 @@ pub struct TopologyMatrixResult {
 
 impl TopologyMatrixResult {
     /// The cell for a server/scenario pair.
-    pub fn cell(&self, server: ServerRow, scenario: NetScenario) -> Option<&TopologyCell> {
+    pub fn cell(&self, server: TargetRow, scenario: NetScenario) -> Option<&TopologyCell> {
         self.cells
             .iter()
             .find(|c| c.server == server.label() && c.scenario == scenario.label())
@@ -214,7 +179,7 @@ impl TopologyMatrixResult {
     }
 }
 
-fn run_cell(server: ServerRow, scenario: NetScenario, clients: usize, seed: u64) -> TopologyCell {
+fn run_cell(server: TargetRow, scenario: NetScenario, clients: usize, seed: u64) -> TopologyCell {
     let spec = scenario.apply(server.spec());
     let config = MfcConfig::standard()
         .with_stages(vec![Stage::LargeObject])
@@ -252,7 +217,7 @@ pub fn run(scale: Scale, seed: u64) -> TopologyMatrixResult {
         Scale::Paper => NetScenario::ALL.to_vec(),
     };
     let cells = super::grid(
-        &ServerRow::ALL,
+        &TargetRow::ALL,
         &scenarios,
         seed,
         |server, scenario, cell_seed| run_cell(server, scenario, clients, cell_seed),
@@ -271,7 +236,7 @@ mod tests {
 
         // The fortress shrugs off the crowd over a transparent network...
         let baseline = result
-            .cell(ServerRow::Fortress, NetScenario::Direct)
+            .cell(TargetRow::Fortress, NetScenario::Direct)
             .unwrap();
         assert_eq!(baseline.large_object, None, "{baseline:?}");
         assert!(!baseline.path_suspected);
@@ -279,7 +244,7 @@ mod tests {
         // ...but the same crowd "stops" it once one group is pinned behind
         // a thin transit — and the verdict must say path, not server.
         let pinned = result
-            .cell(ServerRow::Fortress, NetScenario::TransitPinned)
+            .cell(TargetRow::Fortress, NetScenario::TransitPinned)
             .unwrap();
         assert!(pinned.large_object.is_some(), "{pinned:?}");
         assert_eq!(pinned.cause, DegradationCause::PathCongestion, "{pinned:?}");
@@ -288,14 +253,14 @@ mod tests {
 
         // The genuinely thin server keeps its honest constraint verdict.
         let thin = result
-            .cell(ServerRow::ThinLink, NetScenario::Direct)
+            .cell(TargetRow::ThinLink, NetScenario::Direct)
             .unwrap();
         assert!(thin.large_object.is_some(), "{thin:?}");
         assert_eq!(thin.cause, DegradationCause::ResourceConstraint, "{thin:?}");
 
         // A symmetric per-client clamp stays a defense, never a path.
         let limited = result
-            .cell(ServerRow::Fortress, NetScenario::RateLimited)
+            .cell(TargetRow::Fortress, NetScenario::RateLimited)
             .unwrap();
         assert_eq!(
             limited.cause,
@@ -310,7 +275,7 @@ mod tests {
     #[test]
     fn labels_are_stable() {
         assert_eq!(NetScenario::TransitPinned.label(), "transit-pinned");
-        assert_eq!(ServerRow::Fortress.label(), "fortress");
+        assert_eq!(TargetRow::Fortress.label(), "fortress");
         assert_eq!(NetScenario::ALL.len(), 5);
     }
 }

@@ -21,18 +21,18 @@
 //!   to a gigabit link — which pins that the verdict tracks *interference
 //!   with the measurement*, not the mere presence of background traffic.
 
-use mfc_core::backend::sim::{SimBackend, SimTargetSpec};
+use mfc_core::backend::sim::SimBackend;
 use mfc_core::config::MfcConfig;
 use mfc_core::coordinator::Coordinator;
 use mfc_core::inference::DegradationCause;
 use mfc_core::types::Stage;
-use mfc_webserver::{ContentCatalog, ServerConfig};
 use mfc_workload::{
     ArrivalProcess, ClientSpec, MixWeights, MmppState, RequestModel, SessionModel, SourceSpec,
     WorkloadSpec,
 };
 use serde::{Deserialize, Serialize};
 
+use super::TargetRow;
 use crate::Scale;
 
 /// The background-workload scenarios on the matrix's columns.
@@ -113,41 +113,6 @@ impl WorkloadScenario {
                 },
                 requests: RequestModel::Mix(MixWeights::downloads()),
             })),
-        }
-    }
-}
-
-/// The servers on the matrix's rows (same pair as the topology matrix).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TargetRow {
-    /// A well-provisioned target: gigabit access link, ample workers.
-    Fortress,
-    /// The §3.2 lab box behind its 10 Mbit/s access link.
-    ThinLink,
-}
-
-impl TargetRow {
-    /// All rows in display order.
-    pub const ALL: [TargetRow; 2] = [TargetRow::Fortress, TargetRow::ThinLink];
-
-    /// Row label.
-    pub fn label(self) -> &'static str {
-        match self {
-            TargetRow::Fortress => "fortress",
-            TargetRow::ThinLink => "thin-link",
-        }
-    }
-
-    fn spec(self) -> SimTargetSpec {
-        match self {
-            TargetRow::Fortress => SimTargetSpec::single_server(
-                ServerConfig::validation_server(),
-                ContentCatalog::lab_validation(),
-            ),
-            TargetRow::ThinLink => SimTargetSpec::single_server(
-                ServerConfig::lab_apache(),
-                ContentCatalog::lab_validation(),
-            ),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Cloud-style horizontal autoscaling.
 
 use mfc_simcore::{SimDuration, SimTime};
-use mfc_webserver::{ControlAction, TickSample};
+use mfc_webserver::TickSample;
 use serde::{Deserialize, Serialize};
 
 /// Parameters of an [`AutoScaler`].
@@ -88,14 +88,17 @@ impl AutoScaler {
         }
     }
 
-    /// Observes one telemetry tick and appends any replica-count change.
-    pub fn on_tick(&mut self, now: SimTime, sample: &TickSample, actions: &mut Vec<ControlAction>) {
+    /// Observes one telemetry tick and returns the new routable count if
+    /// it changed.  A tick can change it twice (a boot matures, then the
+    /// scaler scales down); the count returned is the final one.
+    pub fn on_tick(&mut self, now: SimTime, sample: &TickSample) -> Option<usize> {
+        let mut changed = false;
         // Mature any boots that completed.
         let matured = self.pending.iter().filter(|&&ready| ready <= now).count();
         if matured > 0 {
             self.pending.drain(..matured);
             self.target = (self.target + matured).min(self.config.max_replicas);
-            actions.push(ControlAction::SetReplicas(self.target));
+            changed = true;
         }
 
         let load = sample.in_flight_per_replica();
@@ -112,8 +115,9 @@ impl AutoScaler {
         {
             self.target -= 1;
             self.last_decision = Some(now);
-            actions.push(ControlAction::SetReplicas(self.target));
+            changed = true;
         }
+        changed.then_some(self.target)
     }
 }
 
@@ -147,28 +151,24 @@ mod tests {
     fn scale_up_waits_for_the_provisioning_lag() {
         let mut scaler = AutoScaler::new(config());
         assert_eq!(scaler.routable(), 2);
-        let mut actions = Vec::new();
         // Overloaded: 2 replicas, 40 in flight.
-        scaler.on_tick(t(1.0), &sample(t(1.0), 2, 40), &mut actions);
-        assert!(actions.is_empty(), "the boot has not completed yet");
+        let first = scaler.on_tick(t(1.0), &sample(t(1.0), 2, 40));
+        assert_eq!(first, None, "the boot has not completed yet");
         assert_eq!(scaler.provisioning(), 1);
         // Two seconds later: still booting.
-        scaler.on_tick(t(3.0), &sample(t(3.0), 2, 40), &mut actions);
-        assert!(actions.is_empty());
+        assert_eq!(scaler.on_tick(t(3.0), &sample(t(3.0), 2, 40)), None);
         // Lag elapsed: the replica becomes routable, and the continued
         // overload (cooldown long passed) starts another boot.
-        scaler.on_tick(t(4.5), &sample(t(4.5), 2, 40), &mut actions);
-        assert_eq!(actions, vec![ControlAction::SetReplicas(3)]);
+        assert_eq!(scaler.on_tick(t(4.5), &sample(t(4.5), 2, 40)), Some(3));
         assert_eq!(scaler.provisioning(), 1);
     }
 
     #[test]
     fn never_exceeds_max_replicas() {
         let mut scaler = AutoScaler::new(config());
-        let mut actions = Vec::new();
         for step in 0..20 {
             let now = t(step as f64 * 2.0);
-            scaler.on_tick(now, &sample(now, scaler.routable(), 500), &mut actions);
+            scaler.on_tick(now, &sample(now, scaler.routable(), 500));
         }
         assert!(scaler.routable() + scaler.provisioning() <= 4);
     }
@@ -176,21 +176,21 @@ mod tests {
     #[test]
     fn scales_back_down_to_minimum_when_idle() {
         let mut scaler = AutoScaler::new(config());
-        let mut actions = Vec::new();
-        // Grow to 3.
-        scaler.on_tick(t(0.0), &sample(t(0.0), 2, 40), &mut actions);
-        scaler.on_tick(t(4.0), &sample(t(4.0), 2, 40), &mut actions);
+        // Grow to 3, with a fourth replica booting from 4 s to 7 s.
+        scaler.on_tick(t(0.0), &sample(t(0.0), 2, 40));
+        scaler.on_tick(t(4.0), &sample(t(4.0), 2, 40));
         assert_eq!(scaler.routable(), 3);
-        actions.clear();
-        // Idle for a while: back to the floor, one step per cooldown.
-        for step in 0..10 {
-            scaler.on_tick(
-                t(10.0 + step as f64 * 2.0),
-                &sample(t(10.0), 3, 0),
-                &mut actions,
-            );
-        }
+        assert_eq!(scaler.provisioning(), 1);
+        // Idle for a while: back to the floor, one step per cooldown.  The
+        // first idle tick matures the boot (4) and scales down (3) at once,
+        // and reports only the final count.
+        let counts: Vec<usize> = (0..10)
+            .filter_map(|step| {
+                let now = t(10.0 + step as f64 * 2.0);
+                scaler.on_tick(now, &sample(now, 3, 0))
+            })
+            .collect();
         assert_eq!(scaler.routable(), 2);
-        assert!(actions.contains(&ControlAction::SetReplicas(2)));
+        assert_eq!(counts, [3, 2]);
     }
 }

@@ -38,14 +38,14 @@
 //!   re-levels the touched routes (every flow at its cap) and refreshes
 //!   their links' sums, O(route length × routes per link) instead of the
 //!   full water-fill.  Unsaturated WAN traffic takes this path on almost
-//!   every event; a capacity change, an uncapped flow or a saturated link
-//!   takes the full pass.
+//!   every event; an uncapped flow or a saturated link takes the full
+//!   pass.
 //!
 //! [`super::NaiveNetwork`] retains the textbook progressive-filling
 //! algorithm as the executable specification (one link included);
 //! randomized property tests in `tests/properties.rs` assert the graph produces the same rates,
 //! completion times and completion order under arbitrary
-//! add/remove/capacity-change/advance interleavings.
+//! add/remove/advance interleavings.
 //!
 //! Flows live in one `mfc_simnet::heap::FlowSlab` and each route orders
 //! its flows in `IndexedHeap`s.  Repro artifacts stay
@@ -100,8 +100,6 @@ struct Flow {
 
 #[derive(Debug, Clone)]
 struct Link {
-    /// The capacity the link was added with, restored by a reset.
-    built_capacity: Bandwidth,
     capacity: Bandwidth,
     /// Routes traversing this link, in route-id order.
     routes: Vec<RouteId>,
@@ -268,8 +266,7 @@ pub struct NetworkGraph {
     /// the started or finished flow's route and every route the
     /// sweep drained.  Empty between events, so a clone copies nothing.
     touched: Vec<RouteId>,
-    /// Set by a change no route list describes (a capacity change): the
-    /// next reallocation runs the full pass.
+    /// Set only by tests: the next reallocation runs the full pass.
     touched_all: bool,
     /// Work counters: full multi-link passes and their water-filling rounds.
     full_passes: u64,
@@ -333,7 +330,6 @@ impl NetworkGraph {
         );
         let id = LinkId(u32::try_from(self.links.len()).expect("too many links"));
         self.links.push(Link {
-            built_capacity: capacity,
             capacity,
             routes: Vec::new(),
             agg_rate: 0.0,
@@ -378,7 +374,6 @@ impl NetworkGraph {
     /// the module docs), so a reset graph behaves exactly like a new one.
     pub fn reset(&mut self) {
         for link in &mut self.links {
-            link.capacity = link.built_capacity;
             link.agg_rate = 0.0;
             link.bytes_transferred = 0.0;
             link.headroom = true;
@@ -438,24 +433,6 @@ impl NetworkGraph {
     /// Number of currently active flows.
     pub fn active_flows(&self) -> usize {
         self.flows.len()
-    }
-
-    /// Changes a link's capacity mid-run; in-flight flows keep their
-    /// remaining bytes and the global allocation is recomputed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is not positive and finite.
-    pub fn set_link_capacity(&mut self, link: LinkId, capacity: Bandwidth, now: SimTime) {
-        assert!(
-            capacity > 0.0 && capacity.is_finite(),
-            "link capacity must be positive and finite, got {capacity}"
-        );
-        self.advance(now);
-        self.sweep_completed();
-        self.links[link.0 as usize].capacity = capacity;
-        self.touch_all();
-        self.reallocate();
     }
 
     /// Starts a transfer of `bytes` bytes over `route` at `now`, privately
@@ -716,11 +693,6 @@ impl NetworkGraph {
         }
     }
 
-    /// Makes the next reallocation run the full pass.
-    fn touch_all(&mut self) {
-        self.touched_all = true;
-    }
-
     /// Recomputes the global max–min allocation after a structural change
     /// and flips flows whose regime changed.
     ///
@@ -735,12 +707,12 @@ impl NetworkGraph {
     /// links' sums: O(route length × routes per link) per touched route,
     /// plus O(log C) per flow that flips.
     ///
-    /// **Full pass.**  Every other event — a capacity change, an uncapped
-    /// flow, a touched link without headroom before or after — water-fills
-    /// over links in saturation order: each round finds the unsaturated
-    /// link with the lowest saturation level (an O(log C) partition walk
-    /// per route on the link), saturates it, and freezes the routes through
-    /// it; frozen routes contribute a fixed demand to their other links.
+    /// **Full pass.**  Every other event — an uncapped flow, a touched
+    /// link without headroom before or after — water-fills over links in
+    /// saturation order: each round finds the unsaturated link with the
+    /// lowest saturation level (an O(log C) partition walk per route on the
+    /// link), saturates it, and freezes the routes through it; frozen
+    /// routes contribute a fixed demand to their other links.
     /// At most `L` rounds, so the pass costs O(L² · R_ℓ · log² C) plus
     /// O(log C) per flow that actually flips.  It records every link's
     /// headroom for the next event's test.
@@ -986,12 +958,19 @@ fn ceil_micros(secs: f64) -> SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NaiveNetwork;
     use mfc_simcore::SimRng;
     use mfc_simnet::mbps;
 
     fn t(secs: f64) -> SimTime {
         SimTime::from_secs_f64(secs)
+    }
+
+    impl NetworkGraph {
+        /// Makes the next reallocation run the full pass, so a test can
+        /// hold the headroom path against it.
+        fn touch_all(&mut self) {
+            self.touched_all = true;
+        }
     }
 
     /// A star: per-group transit links feeding one target access link.
@@ -1017,8 +996,8 @@ mod tests {
         (net, route, link)
     }
 
-    /// Starts, resizes and finishes a mix of capped and uncapped flows on
-    /// `routes`, and returns every completion with the links' byte counts.
+    /// Starts and finishes a mix of capped and uncapped flows on `routes`,
+    /// and returns every completion with the links' byte counts.
     fn replay(net: &mut NetworkGraph, routes: &[RouteId]) -> Vec<(SimTime, FlowId, u64)> {
         for id in 0..24u64 {
             let cap = [f64::INFINITY, 40_000.0, 300_000.0][id as usize % 3];
@@ -1031,7 +1010,6 @@ mod tests {
                 t(0.01 * id as f64),
             );
         }
-        net.set_link_capacity(LinkId(0), 400_000.0, t(0.3));
         let mut log = Vec::new();
         let mut now = t(0.3);
         while let Some((time, id)) = net.next_completion(now) {
@@ -1132,7 +1110,7 @@ mod tests {
             for op in 0..rng.index(120) + 60 {
                 let ctx = format!("case {case} op {op}");
                 full.touch_all();
-                match rng.index(11) {
+                match rng.index(10) {
                     0..=4 => {
                         let (route, empty) = routes[rng.index(routes.len())];
                         let bytes = match rng.index(20) {
@@ -1156,15 +1134,9 @@ mod tests {
                             assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "{ctx}");
                         }
                     }
-                    7 => {
-                        let link = links[rng.index(links.len())];
-                        let capacity = rng.uniform(2e5, 5e6);
-                        fast.set_link_capacity(link, capacity, now);
-                        full.set_link_capacity(link, capacity, now);
-                    }
                     // A clock jump past several completions: the next
                     // event's sweep drains them on many routes at once.
-                    8 => now += SimDuration::from_secs_f64(rng.uniform(0.5, 8.0)),
+                    7 => now += SimDuration::from_secs_f64(rng.uniform(0.5, 8.0)),
                     _ => {
                         let next = fast.next_completion(now);
                         assert_eq!(next, full.next_completion(now), "{ctx}");
@@ -1249,9 +1221,8 @@ mod tests {
     fn a_reset_graph_replays_like_a_new_one() {
         let (mut used, routes, _) = star(&[200_000.0, 900_000.0], 1_000_000.0);
         let first = replay(&mut used, &routes);
-        // Leave flows in flight and the access link resized, then reset.
+        // Leave flows in flight, then reset.
         used.start_flow(FlowId(99), routes[0], 1e9, 50_000.0, t(5.0));
-        used.set_link_capacity(LinkId(0), 10_000.0, t(5.5));
         used.reset();
         assert_eq!(used.active_flows(), 0);
         assert_eq!(used.link_capacity(LinkId(0)), 1_000_000.0);
@@ -1287,48 +1258,6 @@ mod tests {
             net.finish_flow(FlowId(i), t(0.0));
         }
         assert_eq!(net.current_rate(FlowId(1)), Some(300_000.0));
-    }
-
-    #[test]
-    fn one_link_capacity_changes_match_the_naive_link() {
-        let (mut net, route, link) = one_link(1_000_000.0);
-        let mut naive = NaiveNetwork::new();
-        let naive_link = naive.add_link(1_000_000.0);
-        for i in 0..8u64 {
-            let cap = if i % 2 == 0 {
-                f64::INFINITY
-            } else {
-                150_000.0 + 40_000.0 * i as f64
-            };
-            let bytes = 500_000.0 + 100_000.0 * i as f64;
-            net.start_flow(FlowId(i), route, bytes, cap, t(0.1 * i as f64));
-            naive.start_flow(FlowId(i), &[naive_link], bytes, cap, t(0.1 * i as f64));
-        }
-        for (step, capacity) in [(1.0, 400_000.0), (2.0, 2_000_000.0), (3.0, 700_000.0)] {
-            net.set_link_capacity(link, capacity, t(step));
-            naive.set_link_capacity(naive_link, capacity, t(step));
-            for i in 0..8u64 {
-                let (a, b) = (
-                    net.remaining_bytes(FlowId(i)).unwrap(),
-                    naive.remaining_bytes(FlowId(i)).unwrap(),
-                );
-                assert!((a - b).abs() < 1.0, "flow {i}: {a} vs {b}");
-            }
-        }
-        // Drain both and compare the completion order.
-        let mut now = t(3.0);
-        while let Some((tf, idf)) = net.next_completion(now) {
-            let (tn, idn) = naive.next_completion(now).expect("naive still active");
-            assert_eq!(idf, idn);
-            assert!(
-                (tf.as_secs_f64() - tn.as_secs_f64()).abs() < 1e-3,
-                "{tf} vs {tn}"
-            );
-            now = now.max(tf);
-            net.finish_flow(idf, now);
-            naive.finish_flow(idn, now);
-        }
-        assert!(naive.next_completion(now).is_none());
     }
 
     #[test]
@@ -1404,19 +1333,6 @@ mod tests {
         // The cross flows keep running and never show up as completions.
         assert!(net.peek_completion().is_none());
         assert_eq!(net.active_flows(), 2);
-    }
-
-    #[test]
-    fn capacity_change_moves_the_bottleneck() {
-        let (mut net, routes, access) = star(&[mbps(8.0)], mbps(80.0));
-        net.start_flow(FlowId(1), routes[0], 10e6, f64::INFINITY, t(0.0));
-        assert_eq!(net.route_bottleneck(routes[0]), Some(LinkId(1)));
-        // Shrinking the access link below the transit moves the bottleneck.
-        net.set_link_capacity(access, mbps(4.0), t(1.0));
-        assert_eq!(net.route_bottleneck(routes[0]), Some(access));
-        assert!((net.current_rate(FlowId(1)).unwrap() - 500_000.0).abs() < 1e-6);
-        // One second at 1 MB/s drained 1 MB.
-        assert!((net.remaining_bytes(FlowId(1)).unwrap() - 9e6).abs() < 1.0);
     }
 
     #[test]

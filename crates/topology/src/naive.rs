@@ -57,17 +57,6 @@ impl NaiveNetwork {
         id
     }
 
-    /// Changes a link's capacity; see [`super::NetworkGraph::set_link_capacity`].
-    pub fn set_link_capacity(&mut self, link: LinkId, capacity: Bandwidth, now: SimTime) {
-        assert!(
-            capacity > 0.0 && capacity.is_finite(),
-            "link capacity must be positive and finite"
-        );
-        self.advance(now);
-        self.capacities[link.0 as usize] = capacity;
-        self.reallocate();
-    }
-
     /// Total bytes drained through a link since construction.
     pub fn link_bytes_transferred(&self, link: LinkId) -> f64 {
         self.bytes_transferred[link.0 as usize]

@@ -11,12 +11,11 @@
 //! and merges the results.  A single server is a cluster of one.
 
 use mfc_simcore::{SimTime, TimeWeighted};
-use mfc_simnet::Bandwidth;
 
 use crate::cache::CacheState;
 use crate::config::ServerConfig;
 use crate::content::ContentCatalog;
-use crate::control::{AdmissionVerdict, ControlAction, ServerControl, TickSample};
+use crate::control::{AdmissionVerdict, ServerControl, TickSample};
 use crate::engine::{EngineSession, RunResult, ServerEngine, SessionBuffers};
 use crate::request::{RequestOutcome, RequestStatus, ServerRequest};
 use crate::telemetry::UtilizationReport;
@@ -48,11 +47,6 @@ struct Carry {
     /// Replicas currently routable, so an autoscaler's provisioning
     /// decisions outlive one epoch.
     active: usize,
-    /// Capacity overrides installed by ControlActions, so a capacity step
-    /// keeps holding after the run it fired in.  Applied to open sessions
-    /// immediately and to later-opened ones at birth.
-    link_override: Option<Bandwidth>,
-    cpu_override: Option<f64>,
     /// The per-replica cache states.
     caches: Vec<CacheState>,
     /// The buffers of finished sessions, cleared, for the next run's
@@ -73,8 +67,6 @@ impl ServerCluster {
             replicas,
             carry: Carry {
                 active: replicas,
-                link_override: None,
-                cpu_override: None,
                 caches: vec![CacheState::new(); replicas],
                 spare: Vec::new(),
             },
@@ -96,12 +88,12 @@ impl ServerCluster {
 
     /// Number of replicas the cluster was configured with: the routable
     /// count [`ServerCluster::run`] starts from until a control loop's
-    /// `SetReplicas` action changes it.
+    /// tick changes it.
     pub fn replicas(&self) -> usize {
         self.replicas
     }
 
-    /// Replicas currently routable (changed by `ControlAction::SetReplicas`;
+    /// Replicas currently routable (changed by [`ServerControl::on_tick`];
     /// starts at the configured count).
     pub fn active_replicas(&self) -> usize {
         self.carry.active
@@ -134,16 +126,17 @@ impl ServerCluster {
     /// arrivals rotate over the currently *active* replicas in arrival
     /// order.  Replica sessions are stepped only when a tick reads them, so
     /// a static run costs nothing per replica and arrival.
-    /// `SetReplicas` actions take effect for subsequent arrivals: scale-up
-    /// replicas start cold, scale-down replicas finish their in-flight work
-    /// but stop receiving traffic.  The active count and any capacity step
-    /// (`SetAccessLink`, `ScaleCpu`) persist to the next run, and so do the
-    /// sessions' buffers, which the next run's sessions reuse.
+    /// A replica count returned by a tick takes effect for subsequent
+    /// arrivals: scale-up replicas start cold, scale-down replicas finish
+    /// their in-flight work but stop receiving traffic.  Each replica's link
+    /// and CPU keep their configured capacity throughout.  The active count
+    /// persists to the next run, and so do the sessions' buffers, which the
+    /// next run's sessions reuse.
     ///
     /// The report merges the replicas that served the run
     /// ([`UtilizationReport::merge`]); shed and throttled requests are
-    /// counted at the front door, and `link_capacity` is the time-weighted
-    /// aggregate capacity of the active replicas over the run.
+    /// counted at the front door, and `link_capacity` is the active replica
+    /// count times the configured access link, time-weighted over the run.
     ///
     /// # Panics
     ///
@@ -233,7 +226,7 @@ struct Sweep<'e, 'c> {
     throttled: u64,
     /// Aggregate outbound capacity (active replicas × per-replica link)
     /// over time, so the reported `link_capacity` reflects mid-run
-    /// scale-ups and capacity steps instead of only the end-of-run state.
+    /// scale-ups instead of only the end-of-run state.
     capacity_series: TimeWeighted,
     /// Latest virtual time the sweep stepped its sessions to.
     last_time: SimTime,
@@ -241,7 +234,7 @@ struct Sweep<'e, 'c> {
 
 /// Aggregate outbound capacity: active replicas × per-replica link.
 fn aggregate_capacity(engine: &ServerEngine, carry: &Carry) -> f64 {
-    carry.active as f64 * carry.link_override.unwrap_or(engine.config().access_link)
+    carry.active as f64 * engine.config().access_link
 }
 
 impl<'e, 'c> Sweep<'e, 'c> {
@@ -272,26 +265,14 @@ impl<'e, 'c> Sweep<'e, 'c> {
             carry.caches.resize_with(replica + 1, CacheState::new);
         }
         let engine = self.engine;
-        let (link, cpu) = (carry.link_override, carry.cpu_override);
         self.sessions[replica].get_or_insert_with(|| {
             let cache = std::mem::take(&mut carry.caches[replica]);
-            let mut session = engine.session_on(carry.spare.pop(), cache);
-            if let Some(bw) = link {
-                session.set_access_link(bw, SimTime::ZERO);
-            }
-            if let Some(factor) = cpu {
-                session.scale_cpu(factor, SimTime::ZERO);
-            }
-            session
+            engine.session_on(carry.spare.pop(), cache)
         })
     }
 
-    fn open_sessions(&mut self) -> impl Iterator<Item = &mut EngineSession<'e>> {
-        self.sessions.iter_mut().flatten()
-    }
-
     fn step_all(&mut self, now: SimTime) {
-        for session in self.open_sessions() {
+        for session in self.sessions.iter_mut().flatten() {
             session.run_until(now);
         }
         self.last_time = self.last_time.max(now);
@@ -332,39 +313,15 @@ impl<'e, 'c> Sweep<'e, 'c> {
         sample
     }
 
-    fn apply(&mut self, action: ControlAction, now: SimTime) {
-        match action {
-            ControlAction::SetReplicas(n) => {
-                self.carry.active = n.max(1);
-                self.capacity_series
-                    .set(now, aggregate_capacity(self.engine, self.carry));
-            }
-            ControlAction::SetAccessLink(bw) => {
-                self.carry.link_override = Some(bw);
-                for session in self.open_sessions() {
-                    session.set_access_link(bw, now);
-                }
-                self.capacity_series
-                    .set(now, aggregate_capacity(self.engine, self.carry));
-            }
-            ControlAction::ScaleCpu(factor) => {
-                self.carry.cpu_override = Some(factor);
-                for session in self.open_sessions() {
-                    session.scale_cpu(factor, now);
-                }
-            }
-        }
-    }
-
     /// Steps to `now`, hands the control loop a fresh telemetry sample and
-    /// applies whatever it decided.
+    /// routes over the replica count it returns, if any.
     fn tick(&mut self, now: SimTime, control: &mut dyn ServerControl) {
         self.step_all(now);
         let sample = self.sample(now);
-        let mut actions = Vec::new();
-        control.on_tick(now, &sample, &mut actions);
-        for action in actions {
-            self.apply(action, now);
+        if let Some(replicas) = control.on_tick(now, &sample) {
+            self.carry.active = replicas.max(1);
+            self.capacity_series
+                .set(now, aggregate_capacity(self.engine, self.carry));
         }
     }
 
@@ -530,8 +487,8 @@ mod tests {
     }
 
     #[test]
-    fn set_replicas_action_persists_across_runs() {
-        use crate::control::{AdmissionVerdict, ControlAction, ServerControl, TickSample};
+    fn a_replica_count_from_a_tick_persists_across_runs() {
+        use crate::control::{AdmissionVerdict, ServerControl, TickSample};
 
         /// Scales to a fixed target at the first tick.
         struct ScaleTo(usize);
@@ -542,8 +499,8 @@ mod tests {
             fn on_arrival(&mut self, _: SimTime, _: &ServerRequest) -> AdmissionVerdict {
                 AdmissionVerdict::Accept
             }
-            fn on_tick(&mut self, _: SimTime, _: &TickSample, actions: &mut Vec<ControlAction>) {
-                actions.push(ControlAction::SetReplicas(self.0));
+            fn on_tick(&mut self, _: SimTime, _: &TickSample) -> Option<usize> {
+                Some(self.0)
             }
         }
 
@@ -664,7 +621,9 @@ mod tests {
                 AdmissionVerdict::Throttle(1e6)
             }
         }
-        fn on_tick(&mut self, _: SimTime, _: &TickSample, _: &mut Vec<ControlAction>) {}
+        fn on_tick(&mut self, _: SimTime, _: &TickSample) -> Option<usize> {
+            None
+        }
     }
 
     #[test]

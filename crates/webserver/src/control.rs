@@ -1,4 +1,4 @@
-//! The mid-run mutation seam between a running server and a control loop.
+//! The seam between a running server and a control loop.
 //!
 //! The paper profiles *static* targets: the server's capacity, replica
 //! count and admission behaviour are fixed for the duration of an MFC run.
@@ -6,14 +6,15 @@
 //! front ends shed load, rate limiters clamp abusive clients.  This module
 //! defines the seam those reactions act through: a [`ServerControl`]
 //! observes fresh [`TickSample`] telemetry on a fixed virtual-time tick and
-//! answers with [`ControlAction`]s (replica / capacity mutations) and
-//! per-arrival [`AdmissionVerdict`]s (shed / throttle decisions).
+//! answers with the replica count to route over, and with per-arrival
+//! [`AdmissionVerdict`]s (shed / throttle decisions).  Capacity itself is
+//! fixed for a run: the server's link and CPU are never changed mid-run.
 //!
 //! The concrete defense policies (autoscaler, admission controller, token
-//! bucket, capacity schedule) live in the `mfc-dynamics` crate; this crate
-//! only knows how to *host* a control loop inside [`crate::ServerCluster::run`],
-//! which runs every server — static targets under a control that never
-//! ticks and accepts everything.
+//! bucket) live in the `mfc-dynamics` crate; this crate only knows how to
+//! *host* a control loop inside [`crate::ServerCluster::run`], which runs
+//! every server — static targets under a control that never ticks and
+//! accepts everything.
 
 use mfc_simcore::{SimDuration, SimTime};
 use mfc_simnet::Bandwidth;
@@ -90,21 +91,6 @@ pub enum AdmissionVerdict {
     Throttle(Bandwidth),
 }
 
-/// A mutation the control loop applies to the running server at a tick.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ControlAction {
-    /// Set the number of routable replicas.  Clamped to at least 1.  New
-    /// replicas start cold (empty caches) and only receive requests
-    /// arriving after the action.
-    SetReplicas(usize),
-    /// Set the outbound access-link capacity (bytes/second) of every
-    /// replica.
-    SetAccessLink(Bandwidth),
-    /// Scale every replica's total CPU capacity by this factor relative to
-    /// the configured hardware (1.0 = nominal).
-    ScaleCpu(f64),
-}
-
 /// A control loop hosted by a tick-driven server run.
 ///
 /// The host calls [`ServerControl::on_arrival`] for every request in
@@ -122,8 +108,11 @@ pub trait ServerControl {
     /// Decides the fate of one arriving request.
     fn on_arrival(&mut self, now: SimTime, request: &ServerRequest) -> AdmissionVerdict;
 
-    /// Observes one telemetry tick and appends any actions to apply.
-    fn on_tick(&mut self, now: SimTime, sample: &TickSample, actions: &mut Vec<ControlAction>);
+    /// Observes one telemetry tick and returns the number of replicas to
+    /// route over from now on, or `None` to leave it unchanged.  The count
+    /// is clamped to at least 1.  New replicas start cold (empty caches)
+    /// and only receive requests arriving after the tick.
+    fn on_tick(&mut self, now: SimTime, sample: &TickSample) -> Option<usize>;
 }
 
 /// The do-nothing control loop for tests: accepts everything, never ticks,
@@ -140,7 +129,9 @@ impl ServerControl for NullControl {
         AdmissionVerdict::Accept
     }
 
-    fn on_tick(&mut self, _now: SimTime, _sample: &TickSample, _actions: &mut Vec<ControlAction>) {}
+    fn on_tick(&mut self, _now: SimTime, _sample: &TickSample) -> Option<usize> {
+        None
+    }
 }
 
 #[cfg(test)]

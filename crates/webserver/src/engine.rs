@@ -28,7 +28,7 @@ use std::collections::VecDeque;
 use std::sync::OnceLock;
 
 use mfc_simcore::{SimDuration, SimTime, TimeWeighted};
-use mfc_simnet::{Bandwidth, FlowId};
+use mfc_simnet::FlowId;
 use mfc_topology::{BuiltTopology, TopologySpec};
 
 use crate::cache::CacheState;
@@ -261,23 +261,23 @@ enum Event {
 }
 
 /// A tick-driven, incrementally-fed run of one server — the per-replica
-/// building block of [`crate::ServerCluster::run`] and the mid-run mutation
-/// seam the dynamics layer drives.
+/// building block of [`crate::ServerCluster::run`].
 ///
 /// A session accepts request arrivals in time order while it is running
 /// ([`EngineSession::push_request`]), advances virtual time in bounded
-/// steps ([`EngineSession::run_until`]), exposes instantaneous telemetry
-/// between steps, and lets a control loop mutate link and CPU capacity
-/// without disturbing in-flight work.
+/// steps ([`EngineSession::run_until`]) and exposes instantaneous telemetry
+/// between steps, which is what a control loop's ticks read.  Its link and
+/// CPU keep their configured capacity for the whole session.
 ///
 /// The next engine event is the earliest of three sources: the FIFO of
 /// disk completions, the time the CPU next completes a task and the time
 /// the network next completes a transfer.  The two checks are re-armed
-/// after every event, CPU first; a tie goes to the disk, then to the check
-/// armed earlier.  Pushed arrivals wait in a FIFO of their own, and an
-/// arrival at time *t* runs before any engine event at *t*.  Stepping
-/// therefore never changes a result: a session stepped after every push
-/// ends exactly like one that is only [finished](EngineSession::finish).
+/// after every event.  Completions at one instant run in a fixed order:
+/// disk, then CPU, then network.  Pushed arrivals wait in a FIFO of their
+/// own, and an arrival at time *t* runs before any engine event at *t*.
+/// Stepping therefore never changes a result: a session stepped after
+/// every push ends exactly like one that is only
+/// [finished](EngineSession::finish).
 ///
 /// # Examples
 ///
@@ -332,10 +332,6 @@ pub struct EngineSession<'a> {
     /// When the CPU and the network next complete work, as last armed.
     cpu_check: Option<SimTime>,
     net_check: Option<SimTime>,
-    /// Whether the CPU check was armed after the network check, which
-    /// then goes first on a tie; only [`EngineSession::scale_cpu`] arms
-    /// the CPU alone.
-    cpu_armed_last: bool,
     now: SimTime,
     start: SimTime,
     end: SimTime,
@@ -386,7 +382,6 @@ impl<'a> EngineSession<'a> {
             topology,
             cpu_check: None,
             net_check: None,
-            cpu_armed_last: false,
             now: SimTime::ZERO,
             start: SimTime::ZERO,
             end: SimTime::ZERO,
@@ -506,35 +501,6 @@ impl<'a> EngineSession<'a> {
         self.refused
     }
 
-    /// Changes the outbound access-link capacity mid-run.  In-flight
-    /// transfers keep their remaining bytes and are re-shared immediately.
-    /// Transit links from the topology are untouched — they are WAN
-    /// infrastructure, not the server's.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is infinite.
-    pub fn set_access_link(&mut self, capacity: Bandwidth, now: SimTime) {
-        let access = self.net.access;
-        self.net
-            .graph
-            .set_link_capacity(access, capacity.max(1.0), now.max(self.now));
-        self.arm_net_check();
-    }
-
-    /// Scales total CPU capacity to `factor` × the configured hardware.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is infinite (`DefenseConfig::validate` rejects
-    /// such a schedule up front).
-    pub fn scale_cpu(&mut self, factor: f64, now: SimTime) {
-        let nominal = f64::from(self.config.hardware.cpu_cores) * self.config.hardware.cpu_speed;
-        self.cpu
-            .set_capacity((nominal * factor).max(f64::EPSILON), now.max(self.now));
-        self.arm_cpu_check();
-    }
-
     /// Runs the session to completion and returns the merged result plus
     /// the warmed cache state.
     pub fn finish(self) -> (RunResult, CacheState) {
@@ -549,22 +515,17 @@ impl<'a> EngineSession<'a> {
         self.into_result()
     }
 
-    /// The next engine event and its time: a disk completion first on a
-    /// tie, then the CPU and network checks in the order they were armed.
+    /// The next engine event and its time: on a tie, a disk completion
+    /// first, then the CPU check, then the network check.
     fn next_event(&self) -> Option<(SimTime, Event)> {
         let cpu = self.cpu_check.map(|time| (time, Event::CpuCheck));
         let net = self.net_check.map(|time| (time, Event::NetCheck));
-        let (first, second) = if self.cpu_armed_last {
-            (net, cpu)
-        } else {
-            (cpu, net)
-        };
         let mut next = self
             .disk_done
             .front()
             .map(|&(time, idx)| (time, Event::DiskDone(idx)));
         // Only a strictly earlier time displaces an earlier source.
-        for candidate in [first, second].into_iter().flatten() {
+        for candidate in [cpu, net].into_iter().flatten() {
             if next.is_none_or(|(time, _)| candidate.0 < time) {
                 next = Some(candidate);
             }
@@ -607,8 +568,7 @@ impl<'a> EngineSession<'a> {
                 }
             };
             self.end = self.end.max(time);
-            self.arm_cpu_check();
-            self.arm_net_check();
+            self.arm_checks();
         }
     }
 
@@ -887,21 +847,16 @@ impl<'a> EngineSession<'a> {
     // to advance the fluid models on every event just to read the next
     // deadline.
 
-    fn arm_cpu_check(&mut self) {
+    fn arm_checks(&mut self) {
         self.cpu_check = self
             .cpu
             .peek_completion()
             .map(|(time, _)| time.max(self.now));
-        self.cpu_armed_last = true;
-    }
-
-    fn arm_net_check(&mut self) {
         self.net_check = self
             .net
             .graph
             .peek_completion()
             .map(|(time, _)| time.max(self.now));
-        self.cpu_armed_last = false;
     }
 
     fn into_result(mut self) -> (RunResult, CacheState, SessionBuffers) {
@@ -963,7 +918,7 @@ mod tests {
     use super::*;
     use crate::cluster::ServerCluster;
     use crate::config::{DatabaseConfig, HardwareSpec, ObjectCacheConfig, WorkerConfig};
-    use crate::control::{AdmissionVerdict, ControlAction, NullControl, ServerControl, TickSample};
+    use crate::control::NullControl;
     use mfc_simnet::mbps;
 
     /// The id `path` resolves to in the lab-validation catalog every test
@@ -1326,24 +1281,6 @@ mod tests {
         assert_eq!(stepped[1].status, RequestStatus::Refused);
     }
 
-    /// Scales the CPU to its nominal speed at its first tick, 101 ms in:
-    /// the capacity stays the same, but the CPU check is re-armed alone.
-    struct RearmCpuOnce(bool);
-
-    impl ServerControl for RearmCpuOnce {
-        fn tick_interval(&self) -> Option<SimDuration> {
-            Some(SimDuration::from_millis(101))
-        }
-        fn on_arrival(&mut self, _: SimTime, _: &ServerRequest) -> AdmissionVerdict {
-            AdmissionVerdict::Accept
-        }
-        fn on_tick(&mut self, _: SimTime, _: &TickSample, actions: &mut Vec<ControlAction>) {
-            if !std::mem::replace(&mut self.0, true) {
-                actions.push(ControlAction::ScaleCpu(1.0));
-            }
-        }
-    }
-
     #[test]
     fn simultaneous_cpu_and_transfer_completions_keep_their_order() {
         // RAM is overcommitted from the start, so each busy worker slows
@@ -1365,33 +1302,29 @@ mod tests {
         // and finishes parsing at the same microsecond.  Its disk read costs
         // less if request 1 has already released its worker's memory, so
         // request 2's completion shows which check ran first.
-        let completions = |control: &mut dyn ServerControl| {
-            let mut server = server(config.clone());
-            run(
-                &mut server,
-                vec![static_request(0, 0, "/objects/large_100k.bin")],
-            );
-            let mut requests = vec![
-                static_request(1, 0, "/objects/large_100k.bin"),
-                static_request(2, 0, "/index.html"),
-            ];
-            requests[1].arrival = SimTime::from_micros(100_200);
-            for request in &mut requests {
-                request.client_downlink = 1e6;
-            }
-            let result = server.run(requests, control);
-            result
-                .outcomes
-                .iter()
-                .map(|o| o.completion.as_micros())
-                .collect::<Vec<_>>()
-        };
-        // The CPU check was armed first after the last event, so it runs
-        // first: request 2 reads the disk while request 1 still holds memory.
-        assert_eq!(completions(&mut NullControl), [243_200, 151_491]);
-        // `ScaleCpu` re-armed only the CPU check, so the network check is
-        // the older one and runs first.
-        assert_eq!(completions(&mut RearmCpuOnce(false)), [243_200, 143_427]);
+        let mut server = server(config);
+        run(
+            &mut server,
+            vec![static_request(0, 0, "/objects/large_100k.bin")],
+        );
+        let mut requests = vec![
+            static_request(1, 0, "/objects/large_100k.bin"),
+            static_request(2, 0, "/index.html"),
+        ];
+        requests[1].arrival = SimTime::from_micros(100_200);
+        for request in &mut requests {
+            request.client_downlink = 1e6;
+        }
+        let completions: Vec<_> = run(&mut server, requests)
+            .outcomes
+            .iter()
+            .map(|o| o.completion.as_micros())
+            .collect();
+        // The CPU check runs before the network check at one instant:
+        // request 2 reads the disk while request 1 still holds memory.  Had
+        // the transfer's completion run first, request 2 would finish at
+        // 143_427 µs.
+        assert_eq!(completions, [243_200, 151_491]);
     }
 
     #[test]
@@ -1519,18 +1452,10 @@ mod tests {
     #[test]
     fn cached_network_matches_a_fresh_build() {
         let seasoned = wan_engine();
-        // Serve many sessions first, some of which reshape their own copy
-        // of the access link mid-run; none of that may leak into the graph
-        // later sessions start from.
-        for round in 0..12u64 {
-            let mut session = seasoned.session(CacheState::new());
-            for request in wan_batch() {
-                session.push_request(request);
-            }
-            if round % 3 == 0 {
-                session.set_access_link(mbps(1.0), SimTime::ZERO);
-            }
-            session.finish();
+        // Serve many sessions first; none of their flows may leak into the
+        // graph later sessions start from.
+        for _ in 0..12 {
+            run_session(&seasoned, wan_batch());
         }
         let again = run_session(&seasoned, wan_batch());
         let fresh = run_session(&wan_engine(), wan_batch());

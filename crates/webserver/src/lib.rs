@@ -46,7 +46,7 @@ pub use config::{
     DatabaseConfig, DynamicHandler, HardwareSpec, ObjectCacheConfig, ServerConfig, WorkerConfig,
 };
 pub use content::{ContentCatalog, ObjectId, ObjectKind, ObjectSpec};
-pub use control::{AdmissionVerdict, ControlAction, NullControl, ServerControl, TickSample};
+pub use control::{AdmissionVerdict, NullControl, ServerControl, TickSample};
 pub use engine::{EngineSession, ServerEngine};
 pub use request::{RequestClass, RequestOutcome, RequestStatus, ServerRequest};
 pub use synthetic::{ResponseModel, SyntheticServer};

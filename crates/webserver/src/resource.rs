@@ -62,8 +62,7 @@ impl PsResource {
     }
 
     /// Returns the resource to the state [`Self::new`] left it in: no
-    /// tasks, no work done, and the capacity it was created with (undoing
-    /// any [`Self::set_capacity`]).
+    /// tasks and no work done.
     pub fn reset(&mut self) {
         self.graph.reset();
     }
@@ -112,17 +111,6 @@ impl PsResource {
     /// The configured capacity in work-units/second.
     pub fn capacity(&self) -> f64 {
         self.graph.link_capacity(self.link)
-    }
-
-    /// Changes the total capacity mid-run (a CPU frequency/quota schedule).
-    /// In-flight tasks keep their remaining work; shares are re-balanced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is infinite.
-    pub fn set_capacity(&mut self, capacity: f64, now: SimTime) {
-        self.graph
-            .set_link_capacity(self.link, capacity.max(f64::EPSILON), now);
     }
 
     /// Number of active tasks.
@@ -419,41 +407,6 @@ mod tests {
         assert_eq!(cpu.active(), 0);
         assert!(cpu.next_completion(t(0.3)).is_none());
         assert!(cpu.remove_task(1, t(0.3)).is_none());
-    }
-
-    #[test]
-    fn ps_resource_capacity_change_matches_the_naive_link() {
-        // Two one-core tasks on two cores run at their caps.  Halving the
-        // capacity at 0.1 s makes them share one core (0.5 each); once task
-        // 1 leaves, task 2 is capped at one core again.
-        let mut cpu = PsResource::new(2.0, 1.0);
-        let mut naive = mfc_topology::NaiveNetwork::new();
-        let core = naive.add_link(2.0);
-        for (id, work) in [(1, 0.3), (2, 0.5)] {
-            cpu.add_task(id, work, t(0.0));
-            naive.start_flow(FlowId(id), &[core], work, 1.0, t(0.0));
-        }
-        cpu.set_capacity(1.0, t(0.1));
-        naive.set_link_capacity(core, 1.0, t(0.1));
-        assert_eq!(cpu.capacity(), 1.0);
-        let mut now = t(0.1);
-        let mut finished = Vec::new();
-        while let Some((done, id)) = cpu.next_completion(now) {
-            let (naive_done, naive_id) = naive.next_completion(now).unwrap();
-            assert_eq!((done, id), (naive_done, naive_id.0));
-            now = done;
-            cpu.remove_task(id, now);
-            naive.finish_flow(naive_id, now);
-            finished.push((id, done.as_secs_f64()));
-        }
-        assert!(naive.next_completion(now).is_none());
-        assert_eq!(finished.len(), 2);
-        // Task 1: 0.2 left at 0.1 s, at 0.5/s → 0.5 s.  Task 2: 0.4 left at
-        // 0.1 s, 0.2 of it by 0.5 s, the rest at 1.0/s → 0.7 s.
-        assert_eq!(finished[0].0, 1);
-        assert!((finished[0].1 - 0.5).abs() < 1e-6, "{finished:?}");
-        assert!((finished[1].1 - 0.7).abs() < 1e-6, "{finished:?}");
-        assert!((cpu.work_done() - 0.8).abs() < 1e-9);
     }
 
     #[test]

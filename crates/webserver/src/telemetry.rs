@@ -40,13 +40,12 @@ pub struct UtilizationReport {
     /// Requests whose response transfer was bandwidth-clamped by a
     /// per-client rate-limiting defense.
     pub throttled_requests: u64,
-    /// Aggregate outbound link capacity over the window in bytes/second
-    /// (summed over active replicas).  Under a control loop this is the
-    /// time-weighted mean, so mid-run scale-ups and capacity steps are
-    /// reflected proportionally; in plain runs the capacity never changes,
-    /// so it is simply the configured value.  The instrumented analogue of
-    /// the operator telling the MFC authors what their access link was
-    /// provisioned at.
+    /// Aggregate outbound link capacity over the window in bytes/second:
+    /// the configured access link times the active replicas.  Each
+    /// replica's link is fixed for the run, so only a control loop's
+    /// replica changes move it, and it is their time-weighted mean.  The
+    /// instrumented analogue of the operator telling the MFC authors what
+    /// their access link was provisioned at.
     pub link_capacity: f64,
 }
 

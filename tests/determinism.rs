@@ -47,7 +47,7 @@ fn dynamics_survey_is_byte_identical_across_thread_counts() {
     // The defended path adds a control loop (ticks, per-client buckets,
     // replica scaling) on top of the engine; the guarantee must not bend:
     // a dynamics-enabled survey is byte-identical on 1 or N workers, with
-    // all four policy kinds active.
+    // all three policy kinds active.
     let config = SurveyConfig::quick(SiteClass::Rank10KTo100K, Stage::LargeObject, 8)
         .with_defenses(mfc_dynamics::DefenseConfig::fortress(1, 4));
     let serial = survey_json(SiteClass::Rank10KTo100K, &config, &TrialRunner::serial());

@@ -410,7 +410,7 @@ fn network_graph_matches_naive_progressive_filling_on_random_topologies() {
         let ops = rng.index(80) + 40;
         for op in 0..ops {
             let ctx = format!("case {case} op {op}");
-            match rng.index(9) {
+            match rng.index(8) {
                 // Arrival on a random route.
                 0..=3 => {
                     let bytes = if rng.chance(0.05) {
@@ -438,15 +438,8 @@ fn network_graph_matches_naive_progressive_filling_on_random_topologies() {
                         );
                     }
                 }
-                // Mid-run link capacity change.
-                5 => {
-                    let link = links[rng.index(links.len())];
-                    let capacity = rng.uniform(2e5, 5e6);
-                    fast.set_link_capacity(link, capacity, now);
-                    naive.set_link_capacity(link, capacity, now);
-                }
                 // Run to the next completion and retire that flow.
-                6..=7 => {
+                5..=6 => {
                     let naive_next = naive.next_completion(now);
                     let fast_next = fast.next_completion(now);
                     match (naive_next, fast_next) {
@@ -1174,13 +1167,9 @@ impl mfc_webserver::ServerControl for Watcher {
         mfc_webserver::AdmissionVerdict::Accept
     }
 
-    fn on_tick(
-        &mut self,
-        _now: SimTime,
-        _sample: &mfc_webserver::TickSample,
-        _actions: &mut Vec<mfc_webserver::ControlAction>,
-    ) {
+    fn on_tick(&mut self, _now: SimTime, _sample: &mfc_webserver::TickSample) -> Option<usize> {
         self.ticks += 1;
+        None
     }
 }
 
@@ -1269,8 +1258,9 @@ fn cluster_sweep_matches_per_replica_sessions_under_coincident_events() {
     );
 }
 
-/// Sheds, throttles, steps the access link and scales the CPU at random,
-/// from its own seeded stream, so a clone replays the same decisions.
+/// Sheds and throttles at random, from its own seeded stream, so a clone
+/// replays the same decisions.  Its ticks step the sweep and change
+/// nothing.
 #[derive(Clone)]
 struct Meddler {
     rng: SimRng,
@@ -1294,20 +1284,8 @@ impl mfc_webserver::ServerControl for Meddler {
         }
     }
 
-    fn on_tick(
-        &mut self,
-        _now: SimTime,
-        _sample: &mfc_webserver::TickSample,
-        actions: &mut Vec<mfc_webserver::ControlAction>,
-    ) {
-        use mfc_webserver::ControlAction;
-        match self.rng.index(12) {
-            0 => actions.push(ControlAction::SetAccessLink(
-                self.rng.uniform(200_000.0, 2e6),
-            )),
-            1 => actions.push(ControlAction::ScaleCpu(self.rng.uniform(0.3, 1.5))),
-            _ => {}
-        }
+    fn on_tick(&mut self, _now: SimTime, _sample: &mfc_webserver::TickSample) -> Option<usize> {
+        None
     }
 }
 
@@ -1327,13 +1305,8 @@ impl mfc_webserver::ServerControl for ScaleTo {
         mfc_webserver::AdmissionVerdict::Accept
     }
 
-    fn on_tick(
-        &mut self,
-        _now: SimTime,
-        _sample: &mfc_webserver::TickSample,
-        actions: &mut Vec<mfc_webserver::ControlAction>,
-    ) {
-        actions.push(mfc_webserver::ControlAction::SetReplicas(self.0));
+    fn on_tick(&mut self, _now: SimTime, _sample: &mfc_webserver::TickSample) -> Option<usize> {
+        Some(self.0)
     }
 }
 
@@ -1382,8 +1355,8 @@ fn a_reused_session_matches_a_newly_built_one() {
     // A cluster keeps its finished sessions' buffers and reuses them in
     // the next run.  Before every run, a clone of the cluster is given the
     // same topology again, which drops the kept buffers, so its sessions
-    // are built new from the same caches, replica count and capacity
-    // overrides.  Both must report the same run.
+    // are built new from the same caches and replica count.  Both must
+    // report the same run.
     let topologies = [
         TopologySpec::direct(),
         TopologySpec::star(&[mbps(4.0), mbps(20.0), mbps(20.0)])

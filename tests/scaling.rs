@@ -156,14 +156,14 @@ fn thousand_request_large_object_crowd_completes_quickly() {
 }
 
 #[test]
-fn ten_k_crowd_with_all_four_defenses_stays_under_wall_clock_budget() {
+fn ten_k_crowd_with_all_three_defenses_stays_under_wall_clock_budget() {
     // The dynamics layer adds a control loop on top of the engine: ticks,
-    // per-client token buckets, admission windows, replica scaling and a
-    // capacity schedule.  None of that may bend the scaling law — a
-    // 10k-request ramp through all four policies at once must stay firmly
-    // interactive.  The ceiling is an order of magnitude above the
-    // expected debug-mode cost; CI additionally runs this file in release
-    // where the run takes tens of milliseconds.
+    // per-client token buckets, admission windows and replica scaling.
+    // None of that may bend the scaling law — a 10k-request ramp through
+    // all three policies at once must stay firmly interactive.  The
+    // ceiling is an order of magnitude above the expected debug-mode cost;
+    // CI additionally runs this file in release where the run takes tens
+    // of milliseconds.
     let started = Instant::now();
     let config = ServerConfig {
         workers: WorkerConfig {
