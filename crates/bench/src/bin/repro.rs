@@ -7,9 +7,10 @@
 //! MFC_THREADS=1 cargo run --release -p mfc-bench --bin repro -- all --timing
 //! ```
 //!
-//! Without `--full` each experiment runs at [`Scale::Quick`] (small
-//! populations, finishes in seconds); with `--full` the paper's sample
-//! sizes are used.  With `--json DIR` a machine-readable copy of each
+//! Without `--full` each experiment runs at [`Scale::Quick`]: the §5
+//! surveys probe only the first 8 sites of each sample, and every other
+//! experiment is the same as at `--full`, which uses the paper's sample
+//! sizes.  With `--json DIR` a machine-readable copy of each
 //! result is written to `DIR/<experiment>.json`.  With `--timing` a
 //! wall-clock table is printed after the run (and written to
 //! `DIR/timing.json` when `--json` is also given) — the numbers the

@@ -25,8 +25,6 @@ use mfc_webserver::request::central_spread;
 use mfc_webserver::{ContentCatalog, ServerConfig};
 use serde::{Deserialize, Serialize};
 
-use crate::Scale;
-
 /// Result of the ablation experiments.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AblationResult {
@@ -120,14 +118,14 @@ fn arrival_spread(compensated: bool, crowd: usize, seed: u64) -> f64 {
 
 /// Runs the Large Object stage with a configurable detector quantile and
 /// returns the stopping crowd.
-fn large_object_stop(quantile: f64, scale: Scale, seed: u64) -> Option<usize> {
+fn large_object_stop(quantile: f64, seed: u64) -> Option<usize> {
     let spec =
         SimTargetSpec::single_server(ServerConfig::lab_apache(), ContentCatalog::lab_validation());
     let mut backend = SimBackend::new(spec, 60, seed);
     let mut config = MfcConfig::standard()
         .with_stages(vec![Stage::LargeObject])
-        .with_max_crowd(scale.pick(40, 50))
-        .with_increment(scale.pick(10, 5));
+        .with_max_crowd(50)
+        .with_increment(5);
     config.large_object_quantile = quantile;
     let report = Coordinator::new(config)
         .with_seed(seed)
@@ -149,8 +147,8 @@ enum AblationOutcome {
 }
 
 /// Runs both ablations.
-pub fn run(scale: Scale, seed: u64) -> AblationResult {
-    let crowd = scale.pick(45, 65);
+pub fn run(seed: u64) -> AblationResult {
+    let crowd = 65;
     let trials = vec![
         AblationTrial::Spread { compensated: true },
         AblationTrial::Spread { compensated: false },
@@ -163,7 +161,7 @@ pub fn run(scale: Scale, seed: u64) -> AblationResult {
                 AblationOutcome::Spread(arrival_spread(compensated, crowd, seed))
             }
             AblationTrial::Stop { quantile } => {
-                AblationOutcome::Stop(large_object_stop(quantile, scale, seed))
+                AblationOutcome::Stop(large_object_stop(quantile, seed))
             }
         })
         .into_iter();
@@ -193,7 +191,7 @@ mod tests {
     #[test]
     fn compensation_tightens_arrival_spread() {
         for seed in [17, 1] {
-            let result = run(Scale::Quick, seed);
+            let result = run(seed);
             assert!(
                 result.scheduling_helps(),
                 "seed {seed}: compensated spread {:.3}s should beat naive {:.3}s",
@@ -206,7 +204,7 @@ mod tests {
 
     #[test]
     fn median_detector_stops_no_later_than_p90() {
-        let result = run(Scale::Quick, 18);
+        let result = run(18);
         // The median is a laxer detector: it cannot require a larger crowd
         // than the 90th percentile to trigger.
         match (

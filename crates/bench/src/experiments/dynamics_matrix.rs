@@ -21,8 +21,6 @@ use mfc_sites::CoopSite;
 use mfc_webserver::BackgroundTraffic;
 use serde::{Deserialize, Serialize};
 
-use crate::Scale;
-
 /// The defense scenarios on the matrix's columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Scenario {
@@ -139,23 +137,13 @@ impl DynamicsMatrixResult {
     }
 }
 
-fn run_cell(
-    site: CoopSite,
-    scenario: Scenario,
-    clients: usize,
-    scale: Scale,
-    seed: u64,
-) -> MatrixCell {
+fn run_cell(site: CoopSite, scenario: Scenario, clients: usize, seed: u64) -> MatrixCell {
     let spec = site
         .target_spec()
         .with_background(BackgroundTraffic::at_rate(site.paper_background_rate()))
         .with_defenses(scenario.defenses());
-    let config = match scale {
-        Scale::Quick => site.mfc_config().with_increment(15).with_max_crowd(60),
-        Scale::Paper => site.mfc_config(),
-    };
     let mut backend = SimBackend::new(spec, clients, seed);
-    let report = Coordinator::new(config)
+    let report = Coordinator::new(site.mfc_config())
         .with_seed(seed)
         .run(&mut backend)
         .expect("enough clients");
@@ -176,14 +164,11 @@ fn run_cell(
 
 /// Runs the matrix: each (site, scenario) cell is an independent trial on
 /// the shared [`TrialRunner`](mfc_core::runner::TrialRunner).
-pub fn run(scale: Scale, seed: u64) -> DynamicsMatrixResult {
-    let clients = scale.pick(60, 75);
-    let sites = match scale {
-        Scale::Quick => vec![CoopSite::Qtnp, CoopSite::Univ3],
-        Scale::Paper => vec![CoopSite::Qtnp, CoopSite::Univ2, CoopSite::Univ3],
-    };
+pub fn run(seed: u64) -> DynamicsMatrixResult {
+    let clients = 75;
+    let sites = [CoopSite::Qtnp, CoopSite::Univ2, CoopSite::Univ3];
     let cells = super::grid(&sites, &Scenario::ALL, seed, |site, scenario, cell_seed| {
-        run_cell(site, scenario, clients, scale, cell_seed)
+        run_cell(site, scenario, clients, cell_seed)
     });
     DynamicsMatrixResult { cells }
 }
@@ -194,8 +179,8 @@ mod tests {
 
     #[test]
     fn matrix_flags_defended_rows_and_not_static_ones() {
-        let result = run(Scale::Quick, 91);
-        assert_eq!(result.cells.len(), 8);
+        let result = run(91);
+        assert_eq!(result.cells.len(), 12);
         for scenario in Scenario::ALL {
             assert!(result.cell("QTNP", scenario).is_some());
             assert!(result.cell("Univ-3", scenario).is_some());

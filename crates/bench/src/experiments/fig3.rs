@@ -15,8 +15,6 @@ use mfc_simcore::SimTime;
 use mfc_webserver::{ContentCatalog, ServerConfig};
 use serde::{Deserialize, Serialize};
 
-use crate::Scale;
-
 /// Result of the synchronization experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Fig3Result {
@@ -84,9 +82,9 @@ fn fraction_within(offsets_ms: &[f64], window_ms: f64) -> f64 {
 }
 
 /// Runs the Figure 3 experiment.
-pub fn run(scale: Scale, seed: u64) -> Fig3Result {
-    let crowd = scale.pick(45, 45);
-    let clients = scale.pick(65, 65);
+pub fn run(seed: u64) -> Fig3Result {
+    let crowd = 45;
+    let clients = 65;
     let spec = SimTargetSpec::single_server(
         ServerConfig::validation_server(),
         ContentCatalog::lab_validation(),
@@ -166,7 +164,7 @@ mod tests {
 
     #[test]
     fn synchronization_matches_paper_shape() {
-        let result = run(Scale::Quick, 7);
+        let result = run(7);
         assert_eq!(result.arrival_offsets_ms.len(), result.crowd);
         // The delay-compensating scheduler must land the bulk of the crowd
         // within tens of milliseconds, as in the paper.

@@ -14,7 +14,7 @@ use mfc_simcore::SimDuration;
 use mfc_webserver::{ResponseModel, SyntheticServer};
 use serde::{Deserialize, Serialize};
 
-use crate::{Scale, SyntheticBackend};
+use crate::SyntheticBackend;
 
 /// One point of the tracking curve.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -102,12 +102,9 @@ fn track(
 }
 
 /// Runs the Figure 4 experiment.
-pub fn run(scale: Scale, seed: u64) -> Fig4Result {
-    let crowds: Vec<usize> = match scale {
-        Scale::Quick => vec![5, 15, 30, 45, 60],
-        Scale::Paper => (1..=13).map(|i| i * 5).collect(),
-    };
-    let clients = scale.pick(65, 65);
+pub fn run(seed: u64) -> Fig4Result {
+    let crowds: Vec<usize> = (1..=13).map(|i| i * 5).collect();
+    let clients = 65;
     Fig4Result {
         linear: track(
             ResponseModel::Linear { slope_ms: 5.0 },
@@ -135,7 +132,7 @@ mod tests {
 
     #[test]
     fn measured_medians_track_both_models() {
-        let result = run(Scale::Quick, 3);
+        let result = run(3);
         for curve in [&result.linear, &result.exponential] {
             // The measured curve must be increasing in the crowd size…
             let increasing = curve

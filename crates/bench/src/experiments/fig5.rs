@@ -9,8 +9,6 @@ use mfc_core::types::Stage;
 use mfc_webserver::ServerConfig;
 use serde::{Deserialize, Serialize};
 
-use crate::Scale;
-
 /// One crowd-size sample of the Figure 5 sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Fig5Point {
@@ -72,11 +70,8 @@ impl Fig5Result {
 }
 
 /// Runs the Figure 5 sweep.
-pub fn run(scale: Scale, seed: u64) -> Fig5Result {
-    let crowds: Vec<usize> = match scale {
-        Scale::Quick => vec![5, 15, 30, 50],
-        Scale::Paper => (1..=10).map(|i| i * 5).collect(),
-    };
+pub fn run(seed: u64) -> Fig5Result {
+    let crowds: Vec<usize> = (1..=10).map(|i| i * 5).collect();
     let points = super::lab_sweep(
         Stage::LargeObject,
         ServerConfig::lab_apache(),
@@ -101,8 +96,8 @@ mod tests {
     #[test]
     fn network_bound_shape_matches_paper() {
         for seed in [5, 1] {
-            let result = run(Scale::Quick, seed);
-            assert_eq!(result.points.len(), 4);
+            let result = run(seed);
+            assert_eq!(result.points.len(), 10);
             // Response time grows with the crowd.
             assert!(
                 result.points.last().unwrap().median_response_ms

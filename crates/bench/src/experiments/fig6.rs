@@ -12,8 +12,6 @@ use mfc_core::types::Stage;
 use mfc_webserver::ServerConfig;
 use serde::{Deserialize, Serialize};
 
-use crate::Scale;
-
 /// One crowd-size sample.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Fig6Point {
@@ -86,11 +84,8 @@ fn sweep(config: ServerConfig, crowds: &[usize], seed: u64) -> Vec<Fig6Point> {
 }
 
 /// Runs the Figure 6 sweep.
-pub fn run(scale: Scale, seed: u64) -> Fig6Result {
-    let crowds: Vec<usize> = match scale {
-        Scale::Quick => vec![5, 20, 35, 50],
-        Scale::Paper => (1..=10).map(|i| i * 5).collect(),
-    };
+pub fn run(seed: u64) -> Fig6Result {
+    let crowds: Vec<usize> = (1..=10).map(|i| i * 5).collect();
     Fig6Result {
         fastcgi: sweep(ServerConfig::lab_apache(), &crowds, seed),
         mongrel: sweep(ServerConfig::lab_apache_mongrel(), &crowds, seed),
@@ -104,7 +99,7 @@ mod tests {
     #[test]
     fn fastcgi_memory_blowup_matches_paper() {
         for seed in [9, 1] {
-            let result = run(Scale::Quick, seed);
+            let result = run(seed);
             assert!(
                 result.fastcgi_blows_up_and_mongrel_does_not(),
                 "seed {seed}: FastCGI: {:?}\nMongrel: {:?}",

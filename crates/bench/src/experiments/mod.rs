@@ -36,6 +36,7 @@ use mfc_core::coordinator::Coordinator;
 use mfc_core::runner::TrialRunner;
 use mfc_core::types::Stage;
 use mfc_simnet::PopulationProfile;
+use mfc_sites::{SiteClass, SurveyConfig};
 use mfc_webserver::{ContentCatalog, ServerConfig, UtilizationReport};
 
 use crate::Scale;
@@ -59,14 +60,21 @@ pub struct Rendered {
     pub json: String,
 }
 
-/// An [`Experiment`] whose `run` renders the result of
-/// `$run($($stage,)? scale, seed)`.
+/// An [`Experiment`] whose `run` renders the result of `$run(seed)`, or of
+/// `$run($($stage,)? scale, seed)` for a §5 survey, the only experiments
+/// that read the scale.
 macro_rules! experiment {
-    ($name:literal, $run:path $(, $stage:expr)?) => {
+    ($name:literal, survey $run:path $(, $stage:expr)?) => {
+        experiment!(@render $name, |scale, seed| $run($($stage,)? scale, seed))
+    };
+    ($name:literal, $run:path) => {
+        experiment!(@render $name, |_, seed| $run(seed))
+    };
+    (@render $name:literal, |$scale:pat_param, $seed:ident| $call:expr) => {
         Experiment {
             name: $name,
-            run: |scale, seed| {
-                let result = $run($($stage,)? scale, seed);
+            run: |$scale, $seed| {
+                let result = $call;
                 Rendered {
                     text: result.render_text(),
                     json: serde_json::to_string_pretty(&result).expect("results serialize"),
@@ -85,11 +93,11 @@ pub const EXPERIMENTS: &[Experiment] = &[
     experiment!("table1", table1::run),
     experiment!("table2", table2::run),
     experiment!("table3", table3::run),
-    experiment!("fig7", rank_figs::run, Stage::Base),
-    experiment!("fig8", rank_figs::run, Stage::SmallQuery),
-    experiment!("fig9", rank_figs::run, Stage::LargeObject),
-    experiment!("table4", special_tables::run_table4),
-    experiment!("table5", special_tables::run_table5),
+    experiment!("fig7", survey rank_figs::run, Stage::Base),
+    experiment!("fig8", survey rank_figs::run, Stage::SmallQuery),
+    experiment!("fig9", survey rank_figs::run, Stage::LargeObject),
+    experiment!("table4", survey special_tables::run_table4),
+    experiment!("table5", survey special_tables::run_table5),
     experiment!("ablation", ablation::run),
     experiment!("dynamics", dynamics_matrix::run),
     experiment!("topology", topology_matrix::run),
@@ -162,6 +170,21 @@ fn lab_sweep<P: Send>(
             .expect("simulation always reports utilization");
         point(summary.crowd_size, median, utilization)
     })
+}
+
+/// The §5 survey of `class` on `stage` at `scale`, its seed mixed with
+/// `seed`.  Quick probes the first 8 sites of the paper's sample.
+fn survey_config(class: SiteClass, stage: Stage, scale: Scale, seed: u64) -> SurveyConfig {
+    let mut config = match scale {
+        Scale::Quick => SurveyConfig::quick(class, stage, 8),
+        Scale::Paper => SurveyConfig::paper_section5(class, stage),
+    };
+    config.seed ^= seed;
+    if scale == Scale::Paper && class == SiteClass::Startup && stage == Stage::SmallQuery {
+        // The paper measured 82 startup servers for the Small Query stage.
+        config.sites = 82;
+    }
+    config
 }
 
 /// Runs `cell(row, column, cell_seed)` for every cell of a matrix on the

@@ -17,7 +17,7 @@
 //!   lower-rank classes look better here than they do for Small Query.
 
 use mfc_core::types::Stage;
-use mfc_sites::{survey, SiteClass, SurveyConfig, SurveyResult};
+use mfc_sites::{survey, SiteClass, SurveyResult};
 use serde::{Deserialize, Serialize};
 
 use crate::Scale;
@@ -81,14 +81,7 @@ impl RankFigureResult {
 pub fn run(stage: Stage, scale: Scale, seed: u64) -> RankFigureResult {
     let surveys = SiteClass::RANKS
         .iter()
-        .map(|&class| {
-            let mut config = match scale {
-                Scale::Quick => SurveyConfig::quick(class, stage, 8),
-                Scale::Paper => SurveyConfig::paper_section5(class, stage),
-            };
-            config.seed ^= seed;
-            survey::run_survey(class, &config)
-        })
+        .map(|&class| survey::run_survey(class, &super::survey_config(class, stage, scale, seed)))
         .collect();
     RankFigureResult { stage, surveys }
 }

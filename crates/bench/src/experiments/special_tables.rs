@@ -10,7 +10,7 @@
 //!   and about half never degrade.
 
 use mfc_core::types::Stage;
-use mfc_sites::{survey, SiteClass, StoppingBucket, SurveyConfig, SurveyResult};
+use mfc_sites::{survey, SiteClass, StoppingBucket, SurveyResult};
 use serde::{Deserialize, Serialize};
 
 use crate::Scale;
@@ -83,28 +83,15 @@ impl Table5Result {
     }
 }
 
-fn config_for(class: SiteClass, stage: Stage, scale: Scale, seed: u64) -> SurveyConfig {
-    let mut config = match scale {
-        Scale::Quick => SurveyConfig::quick(class, stage, 8),
-        Scale::Paper => SurveyConfig::paper_section5(class, stage),
-    };
-    config.seed ^= seed;
-    if scale == Scale::Paper && class == SiteClass::Startup && stage == Stage::SmallQuery {
-        // The paper measured 82 startup servers for the Small Query stage.
-        config.sites = 82;
-    }
-    config
-}
-
 /// Runs the Table 4 reproduction.
 pub fn run_table4(scale: Scale, seed: u64) -> Table4Result {
     let base = survey::run_survey(
         SiteClass::Startup,
-        &config_for(SiteClass::Startup, Stage::Base, scale, seed),
+        &super::survey_config(SiteClass::Startup, Stage::Base, scale, seed),
     );
     let small_query = survey::run_survey(
         SiteClass::Startup,
-        &config_for(SiteClass::Startup, Stage::SmallQuery, scale, seed),
+        &super::survey_config(SiteClass::Startup, Stage::SmallQuery, scale, seed),
     );
     Table4Result { base, small_query }
 }
@@ -113,11 +100,11 @@ pub fn run_table4(scale: Scale, seed: u64) -> Table4Result {
 pub fn run_table5(scale: Scale, seed: u64) -> Table5Result {
     let base = survey::run_survey(
         SiteClass::Phishing,
-        &config_for(SiteClass::Phishing, Stage::Base, scale, seed),
+        &super::survey_config(SiteClass::Phishing, Stage::Base, scale, seed),
     );
     let low_rank_reference = survey::run_survey(
         SiteClass::Rank100KTo1M,
-        &config_for(SiteClass::Rank100KTo1M, Stage::Base, scale, seed),
+        &super::survey_config(SiteClass::Rank100KTo1M, Stage::Base, scale, seed),
     );
     Table5Result {
         base,

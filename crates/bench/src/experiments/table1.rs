@@ -15,8 +15,6 @@ use mfc_core::types::Stage;
 use mfc_sites::CoopSite;
 use serde::{Deserialize, Serialize};
 
-use crate::Scale;
-
 /// One row of Table 1 (one MFC run against QTNP).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Table1Row {
@@ -100,25 +98,12 @@ impl Table1Result {
 /// Runs the Table 1 reproduction: two standard MFC runs plus one MFC-mr run
 /// against the QTNP configuration.  The three runs are independent trials
 /// and execute on the shared [`TrialRunner`].
-pub fn run(scale: Scale, seed: u64) -> Table1Result {
-    let clients = scale.pick(55, 65);
-    let standard_config = match scale {
-        Scale::Quick => CoopSite::Qtnp.mfc_config().with_increment(10),
-        Scale::Paper => CoopSite::Qtnp.mfc_config(),
-    };
-    let mr_clients = scale.pick(60, 75);
-    let mr_config = match scale {
-        Scale::Quick => CoopSite::qtnp_mr_config()
-            .with_increment(15)
-            .with_max_crowd(60),
-        Scale::Paper => CoopSite::qtnp_mr_config(),
-    };
-
+pub fn run(seed: u64) -> Table1Result {
     // (label, clients, seed, config) for each independent run.
     let trials = vec![
-        ("MFC 100ms #1", clients, seed, standard_config.clone()),
-        ("MFC 100ms #2", clients, seed + 1, standard_config),
-        ("MFC-mr 250ms", mr_clients, seed + 2, mr_config),
+        ("MFC 100ms #1", 65, seed, CoopSite::Qtnp.mfc_config()),
+        ("MFC 100ms #2", 65, seed + 1, CoopSite::Qtnp.mfc_config()),
+        ("MFC-mr 250ms", 75, seed + 2, CoopSite::qtnp_mr_config()),
     ];
     let rows = TrialRunner::from_env().run(trials, |_, (label, clients, run_seed, config)| {
         let mut backend = SimBackend::new(CoopSite::Qtnp.target_spec(), clients, run_seed);
@@ -138,7 +123,7 @@ mod tests {
 
     #[test]
     fn qtnp_shape_matches_paper() {
-        let result = run(Scale::Quick, 21);
+        let result = run(21);
         assert_eq!(result.rows.len(), 3);
         for row in &result.rows[..2] {
             // Large Object must never stop on this well-connected server.

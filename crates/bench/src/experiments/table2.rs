@@ -17,8 +17,6 @@ use mfc_core::types::Stage;
 use mfc_sites::CoopSite;
 use serde::{Deserialize, Serialize};
 
-use crate::Scale;
-
 /// One epoch row of Table 2.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Table2Row {
@@ -82,15 +80,9 @@ impl Table2Result {
 
 /// Runs the Table 2 reproduction: a full MFC-mr(5) experiment against the
 /// QTP cluster, reporting per-epoch synchronization quality.
-pub fn run(scale: Scale, seed: u64) -> Table2Result {
-    let clients = scale.pick(60, 75);
-    let config = match scale {
-        Scale::Quick => CoopSite::Qtp
-            .mfc_config()
-            .with_increment(15)
-            .with_max_crowd(45),
-        Scale::Paper => CoopSite::Qtp.mfc_config(),
-    };
+pub fn run(seed: u64) -> Table2Result {
+    let clients = 75;
+    let config = CoopSite::Qtp.mfc_config();
     // A single full MFC-mr run: epochs within one run are inherently
     // sequential (each reacts to the previous), so this experiment is one
     // trial on the shared runner rather than a fan-out.
@@ -142,7 +134,7 @@ mod tests {
     #[test]
     fn qtp_absorbs_the_crowd_with_tight_sync() {
         for seed in [13, 1] {
-            let result = run(Scale::Quick, seed);
+            let result = run(seed);
             assert!(!result.rows.is_empty());
             // The production cluster never degrades.
             assert!(!result.any_stage_stopped, "seed {seed}");

@@ -19,8 +19,6 @@ use mfc_sites::CoopSite;
 use mfc_webserver::BackgroundTraffic;
 use serde::{Deserialize, Serialize};
 
-use crate::Scale;
-
 /// One experiment row (one run against one university at one time of day).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Table3Row {
@@ -89,18 +87,13 @@ fn run_site(
     when: &str,
     background_rate: f64,
     clients: usize,
-    scale: Scale,
     seed: u64,
 ) -> Table3Row {
     let spec = site
         .target_spec()
         .with_background(BackgroundTraffic::at_rate(background_rate));
-    let config = match scale {
-        Scale::Quick => site.mfc_config().with_increment(15).with_max_crowd(60),
-        Scale::Paper => site.mfc_config(),
-    };
     let mut backend = SimBackend::new(spec, clients, seed);
-    let report = Coordinator::new(config)
+    let report = Coordinator::new(site.mfc_config())
         .with_seed(seed)
         .run(&mut backend)
         .expect("enough clients");
@@ -120,18 +113,17 @@ fn run_site(
 /// background-traffic levels the paper reports for each time of day.  Every
 /// (site, time-of-day) run is an independent trial on the shared
 /// [`TrialRunner`].
-pub fn run(scale: Scale, seed: u64) -> Table3Result {
-    let clients = scale.pick(60, 75);
-    let runs_per_site = scale.pick(2, 3);
+pub fn run(seed: u64) -> Table3Result {
+    let clients = 75;
     let univ2_rates = [4.2, 2.9, 3.5];
     let univ3_rates = [20.3, 18.7, 12.5];
     let labels = ["morning", "afternoon", "late evening"];
 
     let mut trials = Vec::new();
-    for i in 0..runs_per_site {
+    for i in 0..labels.len() {
         trials.push((CoopSite::Univ2, labels[i], univ2_rates[i], seed + i as u64));
     }
-    for i in 0..runs_per_site {
+    for i in 0..labels.len() {
         trials.push((
             CoopSite::Univ3,
             labels[i],
@@ -140,7 +132,7 @@ pub fn run(scale: Scale, seed: u64) -> Table3Result {
         ));
     }
     let rows = TrialRunner::from_env().run(trials, |_, (site, when, rate, run_seed)| {
-        run_site(site, when, rate, clients, scale, run_seed)
+        run_site(site, when, rate, clients, run_seed)
     });
     Table3Result { rows }
 }
@@ -151,7 +143,7 @@ mod tests {
 
     #[test]
     fn university_shapes_match_paper() {
-        let result = run(Scale::Quick, 37);
+        let result = run(37);
         let univ3 = result.rows_for("Univ-3");
         assert!(!univ3.is_empty());
         for row in &univ3 {

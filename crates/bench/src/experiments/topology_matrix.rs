@@ -35,7 +35,6 @@ use mfc_topology::TopologySpec;
 use serde::{Deserialize, Serialize};
 
 use super::TargetRow;
-use crate::Scale;
 
 /// The network scenarios on the matrix's columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -206,19 +205,11 @@ fn run_cell(server: TargetRow, scenario: NetScenario, clients: usize, seed: u64)
 
 /// Runs the matrix: each (server, scenario) cell is an independent trial on
 /// the shared [`TrialRunner`](mfc_core::runner::TrialRunner).
-pub fn run(scale: Scale, seed: u64) -> TopologyMatrixResult {
-    let clients = scale.pick(60, 75);
-    let scenarios: Vec<NetScenario> = match scale {
-        Scale::Quick => vec![
-            NetScenario::Direct,
-            NetScenario::TransitPinned,
-            NetScenario::RateLimited,
-        ],
-        Scale::Paper => NetScenario::ALL.to_vec(),
-    };
+pub fn run(seed: u64) -> TopologyMatrixResult {
+    let clients = 75;
     let cells = super::grid(
         &TargetRow::ALL,
-        &scenarios,
+        &NetScenario::ALL,
         seed,
         |server, scenario, cell_seed| run_cell(server, scenario, clients, cell_seed),
     );
@@ -231,8 +222,8 @@ mod tests {
 
     #[test]
     fn matrix_localizes_the_moved_bottleneck() {
-        let result = run(Scale::Quick, 77);
-        assert_eq!(result.cells.len(), 6);
+        let result = run(77);
+        assert_eq!(result.cells.len(), 10);
 
         // The fortress shrugs off the crowd over a transparent network...
         let baseline = result

@@ -33,7 +33,6 @@ use mfc_workload::{
 use serde::{Deserialize, Serialize};
 
 use super::TargetRow;
-use crate::Scale;
 
 /// The background-workload scenarios on the matrix's columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -220,19 +219,11 @@ fn run_cell(
 
 /// Runs the matrix: each (target, scenario) cell is an independent trial on
 /// the shared [`TrialRunner`](mfc_core::runner::TrialRunner).
-pub fn run(scale: Scale, seed: u64) -> WorkloadMatrixResult {
-    let clients = scale.pick(60, 75);
-    let scenarios: Vec<WorkloadScenario> = match scale {
-        Scale::Quick => vec![
-            WorkloadScenario::Quiescent,
-            WorkloadScenario::Diurnal,
-            WorkloadScenario::FlashCrowd,
-        ],
-        Scale::Paper => WorkloadScenario::ALL.to_vec(),
-    };
+pub fn run(seed: u64) -> WorkloadMatrixResult {
+    let clients = 75;
     let cells = super::grid(
         &TargetRow::ALL,
-        &scenarios,
+        &WorkloadScenario::ALL,
         seed,
         |target, scenario, cell_seed| run_cell(target, scenario, clients, cell_seed),
     );
@@ -245,8 +236,8 @@ mod tests {
 
     #[test]
     fn matrix_flags_the_surge_and_only_the_surge() {
-        let result = run(Scale::Quick, 104);
-        assert_eq!(result.cells.len(), 6);
+        let result = run(104);
+        assert_eq!(result.cells.len(), 8);
 
         // The thin link under a quiet background: a genuine constraint.
         let quiet = result

@@ -11,9 +11,11 @@
 //!   experiment at [`Scale::Quick`], and
 //! * `EXPERIMENTS.md` records the measured numbers next to the paper's.
 //!
-//! [`Scale::Quick`] runs small populations/crowds so everything completes in
-//! seconds; [`Scale::Paper`] uses the paper's sample sizes (hundreds of
-//! servers, crowds up to the paper's ceilings).
+//! Every experiment runs the paper's MFC configuration, client counts and
+//! crowd lists at both scales.  [`Scale`] sets only how many sites a §5
+//! survey samples: [`Scale::Quick`] probes the first 8 of each sample, so
+//! everything completes in well under a second; [`Scale::Paper`] probes the
+//! paper's sample sizes (hundreds of servers per class).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

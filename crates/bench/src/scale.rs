@@ -2,35 +2,21 @@
 
 use serde::{Deserialize, Serialize};
 
-/// How big an experiment to run.
+/// How many sites a §5 survey (Figures 7–9, Tables 4 and 5) samples.
+///
+/// Scale never changes a trial's parameters: every experiment runs the
+/// paper's MFC configuration, client counts, crowd lists and scenarios at
+/// both scales, and the §4 and lab experiments run identically.  A quick
+/// survey probes the first sites of the paper's sample, so each of its
+/// outcome lists is a prefix of the paper-scale one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Scale {
-    /// Small populations and crowds: every experiment finishes in seconds.
-    /// Used by the `experiments` bench and the unit tests.
+    /// The first 8 sites of each survey, so every experiment finishes in
+    /// well under a second.  Used by the `experiments` bench and the unit
+    /// tests.
     Quick,
-    /// The paper's sample sizes (hundreds of servers per class, crowds up
-    /// to the paper's ceilings).  Used by `repro --full` to produce the
-    /// numbers recorded in `EXPERIMENTS.md`.
+    /// The paper's survey sample sizes (hundreds of servers per class).
+    /// Used by `repro --full` to produce the numbers recorded in
+    /// `EXPERIMENTS.md`.
     Paper,
-}
-
-impl Scale {
-    /// Picks between the quick and paper values.
-    pub fn pick<T>(self, quick: T, paper: T) -> T {
-        match self {
-            Scale::Quick => quick,
-            Scale::Paper => paper,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pick_selects_by_scale() {
-        assert_eq!(Scale::Quick.pick(1, 100), 1);
-        assert_eq!(Scale::Paper.pick(1, 100), 100);
-    }
 }

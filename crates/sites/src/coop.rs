@@ -290,6 +290,9 @@ impl CoopSite {
                 // A 1.5 GHz Sun V240: adequate HTTP processing, generous
                 // bandwidth, but a legacy application stack that does not
                 // cache query responses and serializes them aggressively.
+                // It runs Solaris, whose TCP send buffer defaults to 48 KB
+                // (`tcp_xmit_hiwat` = 49152), so each response stream is
+                // held to 48 KB per round trip.
                 let server = ServerConfig {
                     hardware: HardwareSpec {
                         cpu_cores: 2,
@@ -317,7 +320,10 @@ impl CoopSite {
                         cache_hit_cpu: 0.001,
                     },
                     object_cache: ObjectCacheConfig::default(),
-                    tcp: TcpModel::default(),
+                    tcp: TcpModel {
+                        max_window_bytes: 48 * 1024,
+                        ..TcpModel::default()
+                    },
                     baseline_memory: 500 * 1024 * 1024,
                     swap_penalty: 8.0,
                 };

@@ -164,14 +164,12 @@ impl SurveyConfig {
         self
     }
 
-    /// A scaled-down version (fewer sites) for quick examples and tests.
+    /// The §5 setup over only the first `sites` sites of the paper's
+    /// sample: the same MFC, clients and seed, so its outcomes are a prefix
+    /// of [`SurveyConfig::paper_section5`]'s.
     pub fn quick(class: SiteClass, stage: Stage, sites: usize) -> SurveyConfig {
         SurveyConfig {
             sites,
-            mfc: MfcConfig::standard()
-                .with_stages(vec![stage])
-                .with_max_crowd(50)
-                .with_increment(10),
             ..SurveyConfig::paper_section5(class, stage)
         }
     }
@@ -343,6 +341,23 @@ mod tests {
         assert_eq!(config.sites, 114);
         assert_eq!(config.clients, 65);
         assert_eq!(config.mfc.max_crowd, 50);
+    }
+
+    #[test]
+    fn quick_is_the_paper_config_with_fewer_sites() {
+        for class in [SiteClass::Top1K, SiteClass::Startup, SiteClass::Phishing] {
+            for stage in Stage::ALL {
+                let quick = SurveyConfig::quick(class, stage, 8);
+                assert_eq!(quick.sites, 8);
+                assert_eq!(
+                    SurveyConfig {
+                        sites: class.paper_sample_size(),
+                        ..quick
+                    },
+                    SurveyConfig::paper_section5(class, stage)
+                );
+            }
+        }
     }
 
     #[test]

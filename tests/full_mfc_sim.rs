@@ -266,9 +266,9 @@ fn quiescence_flags_exactly_the_epochs_above_the_one_surge_threshold() {
     use mfc_core::config::QuiescencePolicy;
     use mfc_core::inference::surge_threshold;
 
-    // The workload matrix's thin-link flash-crowd cell at quick scale
-    // (60 clients, seed 104 + 12), with the coordinator allowed to wait
-    // the surge out.
+    // A thin-link flash-crowd cell built as the workload matrix builds it
+    // (here with 60 clients and seed 116), with the coordinator allowed to
+    // wait the surge out.
     let seed = 116;
     let spec = lab_target().with_workload(WorkloadScenario::FlashCrowd.workload().unwrap());
     let config = MfcConfig::standard()
