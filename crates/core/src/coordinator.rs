@@ -16,20 +16,31 @@
 //!    *stopping crowd size* as soon as one of them also exceeds θ,
 //! 5. otherwise progresses until the crowd cap is reached and declares the
 //!    sub-system unconstrained ("NoStop").
+//!
+//! The module has three parts.  The *stage machine* (`StageMachine`) is the
+//! rule of steps 3–5 together with the quiescence retries, and nothing
+//! else: it takes each epoch's [`EpochSummary`] and answers with the gap to
+//! wait and the next epoch to run, or the stage's outcome.  The
+//! *summarizer* (`EpochSummary::from_observation`) turns what a backend
+//! observed in one epoch into that summary; it calls no backend and draws
+//! nothing.  The *driver*, [`Coordinator`], registers and calibrates the
+//! clients, plans each epoch (random participants, synchronized send
+//! times), runs it on an [`MfcBackend`], summarizes it, steps the machine
+//! and waits.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use mfc_simcore::{stats, SimDuration, SimRng};
 
 use crate::backend::MfcBackend;
-use crate::config::MfcConfig;
+use crate::config::{MfcConfig, QuiescencePolicy};
 use crate::inference::{surge_threshold, InferenceReport};
 use crate::profile::TargetProfile;
 use crate::report::{MfcReport, StageReport};
 use crate::sync::{ClientLatency, SyncScheduler};
 use crate::types::{
-    ClientId, EpochObservation, EpochPlan, EpochSummary, RequestCommand, RequestSpec, Stage,
-    StageOutcome,
+    ClientId, EpochObservation, EpochPlan, EpochSummary, ProbeStatus, RequestCommand, RequestSpec,
+    Stage, StageOutcome,
 };
 
 /// Minimum crowd size before the check phase may terminate a stage (below
@@ -136,18 +147,276 @@ fn calibrate(
         .collect()
 }
 
-/// Accumulated state of one stage run: the epoch trace, the request
-/// budget, and the background-rate baseline the quiescence policy
-/// compares against.
+/// An epoch the stage machine asks the driver to run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct EpochRequest {
+    /// Distinct clients in the crowd.
+    pub(crate) crowd: usize,
+    /// Epoch number within the stage; check epochs and re-runs keep the
+    /// number of the epoch they follow.
+    pub(crate) index: u32,
+    /// Whether the epoch belongs to a check phase.
+    pub(crate) check_phase: bool,
+}
+
+/// What the stage machine wants after an epoch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum NextAction {
+    /// Run this epoch.
+    Epoch(EpochRequest),
+    /// The stage is over.
+    Finish(StageOutcome),
+}
+
+/// The stopping rule of one stage (paper Figure 2(a)) with the quiescence
+/// retries, as a pure state machine.  `epoch` names the epoch to run
+/// first; the driver runs each epoch it is asked for, feeds its summary
+/// to `step`, and waits the gap that `step` returns before the next
+/// action.
+///
+/// Quiescence: when an epoch's server-reported background rate exceeds
+/// the surge threshold over the stage's clean rates, the epoch is flagged
+/// `surge_suspected`, kept in the report for audit, and re-run after the
+/// policy's backoff — up to `max_retries` times (paper §4's "quiet
+/// hours", automated).  Once the retries run out the flagged result
+/// stands, and the inference layer sees the confound.
 #[derive(Debug, Default)]
-struct StageRun {
+pub(crate) struct StageMachine {
+    threshold_ms: f64,
+    quiescence: Option<QuiescencePolicy>,
+    /// The crowd schedule, each rung capped at the calibrated clients.
+    ladder: Vec<usize>,
+    /// The ladder's current rung.
+    rung: usize,
+    /// The current epoch's position in the rung's check phase, if one runs.
+    check: Option<usize>,
+    /// Calibrated clients: the cap of every check crowd too.
+    clients: usize,
+    /// Surge-flagged re-runs of the current epoch so far.
+    retries: u32,
+    /// Every epoch run so far, flagged re-runs included: the stage's
+    /// request count and largest tested crowd are read from it.
     epochs: Vec<EpochSummary>,
-    requests_issued: usize,
-    max_crowd_tested: usize,
     /// Server-reported background rates of epochs that were *not*
     /// surge-flagged: what `surge_threshold` takes the stage's baseline
     /// from.
     clean_rates: Vec<f64>,
+}
+
+impl StageMachine {
+    /// The machine for a stage with `clients` calibrated clients.
+    pub(crate) fn new(config: &MfcConfig, clients: usize) -> Self {
+        StageMachine {
+            threshold_ms: config.threshold.as_millis_f64(),
+            quiescence: config.quiescence.clone(),
+            ladder: config
+                .crowd_schedule()
+                .into_iter()
+                .map(|crowd| crowd.min(clients))
+                .collect(),
+            clients,
+            ..StageMachine::default()
+        }
+    }
+
+    /// The epoch to run now: the current rung's crowd, or the `N−1`, `N`
+    /// or `N+1` of its check phase.
+    pub(crate) fn epoch(&self) -> EpochRequest {
+        let crowd = self.ladder[self.rung];
+        EpochRequest {
+            crowd: self.check.map_or(crowd, |position| {
+                [crowd.saturating_sub(1).max(1), crowd, crowd + 1][position].min(self.clients)
+            }),
+            index: self.rung as u32 + 1,
+            check_phase: self.check.is_some(),
+        }
+    }
+
+    /// Takes the summary of the epoch the machine asked for and returns the
+    /// gap to wait (the policy's backoff before a re-run, `EPOCH_GAP`
+    /// otherwise) and the next action.
+    pub(crate) fn step(&mut self, mut summary: EpochSummary) -> (SimDuration, NextAction) {
+        if let (Some(policy), Some(rate)) = (&self.quiescence, summary.background_rate) {
+            // The baseline needs at least one clean epoch; the stage's first
+            // epoch seeds it.
+            if surge_threshold(&self.clean_rates).is_some_and(|threshold| rate > threshold) {
+                summary.surge_suspected = true;
+                if self.retries < policy.max_retries {
+                    self.retries += 1;
+                    self.epochs.push(summary);
+                    return (policy.backoff, NextAction::Epoch(self.epoch()));
+                }
+            } else {
+                self.clean_rates.push(rate);
+            }
+        }
+        self.retries = 0;
+        let exceeded = summary.detector_ms > self.threshold_ms;
+        self.epochs.push(summary);
+        let crowd = self.ladder[self.rung];
+        match self.check {
+            Some(_) if exceeded => {
+                let outcome = StageOutcome::Stopped { crowd_size: crowd };
+                return (EPOCH_GAP, NextAction::Finish(outcome));
+            }
+            Some(position) if position < 2 => self.check = Some(position + 1),
+            // Below the minimum crowd the median is not trusted; progress.
+            None if exceeded && crowd >= MIN_CROWD_FOR_INFERENCE => self.check = Some(0),
+            // Nothing triggered, or the check failed (the degradation was
+            // stochastic): keep going.
+            _ => {
+                self.check = None;
+                self.rung += 1;
+            }
+        }
+        let next = if self.rung < self.ladder.len() {
+            NextAction::Epoch(self.epoch())
+        } else {
+            let max_crowd_tested = self.epochs.iter().map(|e| e.crowd_size).max();
+            NextAction::Finish(StageOutcome::NoStop {
+                max_crowd_tested: max_crowd_tested.unwrap_or(0),
+            })
+        };
+        (EPOCH_GAP, next)
+    }
+
+    /// The stage's report, once the machine finished it with `outcome`.
+    pub(crate) fn into_report(self, stage: Stage, outcome: StageOutcome) -> StageReport {
+        let requests_issued = self.epochs.iter().map(|e| e.requests_scheduled).sum();
+        StageReport {
+            stage,
+            outcome,
+            epochs: self.epochs,
+            requests_issued,
+        }
+    }
+}
+
+impl EpochSummary {
+    /// Summarizes what a backend observed when it ran `plan`.  Every sample
+    /// is normalized against its client's base time in `base_of`, and the
+    /// detector is the `quantile` of the normalized samples.  Pure: it calls
+    /// no backend and draws nothing.
+    pub(crate) fn from_observation(
+        plan: &EpochPlan,
+        observation: &EpochObservation,
+        base_of: &HashMap<ClientId, SimDuration>,
+        quantile: f64,
+        check_phase: bool,
+    ) -> EpochSummary {
+        // NORMALIZATION: each sample less the reporting client's base time
+        // from this stage's calibration, floored at zero.  Every sample
+        // comes from a participant; a stray one is taken as is.
+        let samples: Vec<(u32, f64)> = observation
+            .observations
+            .iter()
+            .filter(|o| o.status.produced_sample())
+            .map(|o| {
+                let base = base_of.get(&o.client).copied().unwrap_or(SimDuration::ZERO);
+                (
+                    o.group,
+                    o.response_time.saturating_sub(base).as_millis_f64(),
+                )
+            })
+            .collect();
+        let normalized: Vec<f64> = samples.iter().map(|&(_, ms)| ms).collect();
+        let detector_ms = stats::percentile(&normalized, quantile).unwrap_or(0.0);
+        let median_ms = stats::median(&normalized).unwrap_or(0.0);
+        let arrival_spread_90 =
+            mfc_webserver::request::central_spread(&observation.target_arrivals, 0.9);
+
+        // Vantage-aware localization input: the per-group medians of the
+        // normalized response times.  A skewed profile (one group far above
+        // θ, the rest flat) is the remote fingerprint of a shared *path*
+        // bottleneck rather than a server constraint.
+        let mut by_group: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
+        for &(group, ms) in &samples {
+            by_group.entry(group).or_default().push(ms);
+        }
+        let group_median_ms: Vec<(u32, f64)> = if by_group.len() > 1 {
+            by_group
+                .iter()
+                .filter_map(|(&g, samples)| stats::median(samples).map(|m| (g, m)))
+                .collect()
+        } else {
+            Vec::new()
+        };
+
+        // Defense-fingerprint observables (used by the inference layer to
+        // tell a fighting-back server from a genuinely constrained one).
+        let errors = observation
+            .observations
+            .iter()
+            // Server errors only: a 503 is what a shedding defense sends;
+            // 4xx responses (missing paths, auth walls) are not evidence of
+            // load shedding.
+            .filter(|o| matches!(o.status, ProbeStatus::HttpError(code) if code >= 500))
+            .count();
+        // Every HTTP error is a sample, so no samples means no errors.
+        let error_rate = errors as f64 / samples.len().max(1) as f64;
+        // Timed-out transfers still contribute: bytes/timeout is an
+        // *optimistic* per-client goodput bound, which keeps the clamp
+        // fingerprint visible even when a harsh limiter starves every
+        // probe past the client timeout (under a genuinely saturated link
+        // the same bound sums to roughly the link capacity, so it does not
+        // create false defense flags).
+        let goodputs: Vec<f64> = observation
+            .observations
+            .iter()
+            .filter(|o| {
+                matches!(o.status, ProbeStatus::Ok | ProbeStatus::TimedOut)
+                    && o.bytes > 0
+                    && o.response_time > SimDuration::ZERO
+            })
+            .map(|o| o.bytes as f64 / o.response_time.as_secs_f64())
+            .collect();
+        let (client_goodput_median, client_goodput_cov, aggregate_goodput) = if goodputs.is_empty()
+        {
+            (None, None, None)
+        } else {
+            let mut spread = stats::OnlineStats::new();
+            for &goodput in &goodputs {
+                spread.push(goodput);
+            }
+            // Every goodput is positive, and so is their mean.
+            (
+                stats::median(&goodputs),
+                Some(spread.std_dev() / spread.mean()),
+                Some(goodputs.iter().sum()),
+            )
+        };
+        let link_capacity = observation
+            .server_utilization
+            .as_ref()
+            .map(|u| u.link_capacity)
+            .filter(|&c| c > 0.0);
+        // The non-MFC request rate the target served while the epoch ran,
+        // per second of the server's busy window.
+        let background_rate = observation.server_utilization.as_ref().and_then(|u| {
+            let secs = u.window.as_secs_f64();
+            (secs > 0.0).then(|| observation.background_requests as f64 / secs)
+        });
+
+        EpochSummary {
+            index: plan.index,
+            crowd_size: plan.crowd_size(),
+            requests_scheduled: plan.request_count(),
+            requests_observed: observation.observations.len(),
+            detector_ms,
+            median_ms,
+            check_phase,
+            commands_lost: observation.lost_commands,
+            arrival_spread_90,
+            group_median_ms,
+            error_rate,
+            client_goodput_median,
+            client_goodput_cov,
+            aggregate_goodput,
+            link_capacity,
+            background_rate,
+            surge_suspected: false,
+        }
+    }
 }
 
 /// The coordinator.
@@ -226,10 +495,17 @@ impl Coordinator {
         let responsive = register(backend, crowd)?;
         let profile = backend.profile_target();
         let clients = calibrate(backend, stage, &profile, &responsive[..crowd]);
-        Ok(self.execute_epoch(backend, stage, &clients, crowd, 1, false, &mut rng))
+        let epoch = EpochRequest {
+            crowd,
+            index: 1,
+            check_phase: false,
+        };
+        Ok(self.execute_epoch(backend, stage, &clients, epoch, &mut rng))
     }
 
-    /// Runs one stage to termination.
+    /// Runs one stage to termination: each epoch the stage machine asks
+    /// for is run, summarized and fed back to it, and the gap it answers
+    /// with is waited.
     fn run_stage(
         &self,
         backend: &mut dyn MfcBackend,
@@ -243,150 +519,33 @@ impl Coordinator {
         if clients.is_empty() {
             return StageReport::skipped(stage);
         }
-
-        let threshold_ms = self.config.threshold.as_millis_f64();
-        let mut state = StageRun::default();
-
-        for (epoch_number, crowd) in self.config.crowd_schedule().into_iter().enumerate() {
-            let crowd = crowd.min(clients.len());
-            let summary = self.run_epoch_quiesced(
-                backend,
-                stage,
-                &clients,
-                crowd,
-                epoch_number as u32 + 1,
-                false,
-                rng,
-                &mut state,
-            );
-            let triggered = summary.detector_ms > threshold_ms;
-            state.epochs.push(summary);
-            backend.wait(EPOCH_GAP);
-
-            if !triggered {
-                continue;
-            }
-            // Below the minimum crowd the median is not trusted; progress.
-            if crowd < MIN_CROWD_FOR_INFERENCE {
-                continue;
-            }
-
-            // CHECK PHASE: N−1, a repeat of N, and N+1.
-            let candidates = [crowd.saturating_sub(1).max(1), crowd, crowd + 1];
-            let mut confirmed = false;
-            for check_crowd in candidates {
-                let check_crowd = check_crowd.min(clients.len());
-                let summary = self.run_epoch_quiesced(
-                    backend,
-                    stage,
-                    &clients,
-                    check_crowd,
-                    epoch_number as u32 + 1,
-                    true,
-                    rng,
-                    &mut state,
-                );
-                let exceeded = summary.detector_ms > threshold_ms;
-                state.epochs.push(summary);
-                backend.wait(EPOCH_GAP);
-                if exceeded {
-                    confirmed = true;
-                    break;
-                }
-            }
-            if confirmed {
-                return StageReport {
-                    stage,
-                    outcome: StageOutcome::Stopped { crowd_size: crowd },
-                    epochs: state.epochs,
-                    requests_issued: state.requests_issued,
-                };
-            }
-            // Check failed: the degradation was stochastic; keep going.
-        }
-
-        StageReport {
-            stage,
-            outcome: StageOutcome::NoStop {
-                max_crowd_tested: state.max_crowd_tested,
-            },
-            epochs: state.epochs,
-            requests_issued: state.requests_issued,
-        }
-    }
-
-    /// Executes one epoch under the quiescence policy: when the epoch's
-    /// server-reported background rate exceeds the surge threshold over the
-    /// stage's baseline, the epoch is flagged `surge_suspected`, kept in
-    /// the report for audit, and re-run after the policy's backoff — up to
-    /// `max_retries` times (paper §4's "quiet hours", automated).  Without
-    /// a policy this is exactly one [`Coordinator::execute_epoch`] call.
-    #[allow(clippy::too_many_arguments)]
-    fn run_epoch_quiesced(
-        &self,
-        backend: &mut dyn MfcBackend,
-        stage: Stage,
-        clients: &[ClientState],
-        crowd: usize,
-        index: u32,
-        check_phase: bool,
-        rng: &mut SimRng,
-        state: &mut StageRun,
-    ) -> EpochSummary {
-        let mut attempts = 0u32;
+        let mut machine = StageMachine::new(&self.config, clients.len());
+        let mut epoch = machine.epoch();
         loop {
-            let (mut summary, _) =
-                self.execute_epoch(backend, stage, clients, crowd, index, check_phase, rng);
-            state.requests_issued += summary.requests_scheduled;
-            state.max_crowd_tested = state.max_crowd_tested.max(summary.crowd_size);
-            let surged = match (&self.config.quiescence, summary.background_rate) {
-                (Some(_), Some(rate)) => {
-                    // The baseline needs at least one clean epoch; the
-                    // stage's first epoch seeds it.
-                    surge_threshold(&state.clean_rates).is_some_and(|threshold| rate > threshold)
-                }
-                _ => false,
-            };
-            if surged {
-                summary.surge_suspected = true;
-                let policy = self
-                    .config
-                    .quiescence
-                    .as_ref()
-                    .expect("a surge implies a policy");
-                if attempts < policy.max_retries {
-                    attempts += 1;
-                    state.epochs.push(summary);
-                    backend.wait(policy.backoff);
-                    continue;
-                }
-                // Retries exhausted: the surged result stands, flagged, and
-                // the inference layer will see the confound.
-                return summary;
+            let (summary, _) = self.execute_epoch(backend, stage, &clients, epoch, rng);
+            let (gap, next) = machine.step(summary);
+            backend.wait(gap);
+            match next {
+                NextAction::Epoch(next) => epoch = next,
+                NextAction::Finish(outcome) => return machine.into_report(stage, outcome),
             }
-            if let Some(rate) = summary.background_rate {
-                state.clean_rates.push(rate);
-            }
-            return summary;
         }
     }
 
-    /// Schedules, executes and summarizes a single epoch.
-    #[allow(clippy::too_many_arguments)]
+    /// Plans one epoch (random participants, synchronized send times), runs
+    /// it on `backend` and summarizes what came back.
     fn execute_epoch(
         &self,
         backend: &mut dyn MfcBackend,
         stage: Stage,
         clients: &[ClientState],
-        crowd: usize,
-        index: u32,
-        check_phase: bool,
+        epoch: EpochRequest,
         rng: &mut SimRng,
     ) -> (EpochSummary, EpochObservation) {
         // Participants are chosen at random each epoch so that an observed
         // degradation reflects the crowd size, not the local conditions of
         // any fixed subset of clients (paper §2.3).
-        let participants = rng.sample(clients, crowd.min(clients.len()).max(1));
+        let participants = rng.sample(clients, epoch.crowd.min(clients.len()).max(1));
 
         let scheduler = match self.config.stagger {
             Some(spacing) => SyncScheduler::staggered(self.config.schedule_lead, spacing),
@@ -410,144 +569,26 @@ impl Coordinator {
 
         let plan = EpochPlan {
             stage,
-            index,
+            index: epoch.index,
             commands,
             timeout: CLIENT_TIMEOUT,
         };
         let observation = backend.run_epoch(&plan);
-
-        // NORMALIZATION: each sample less the reporting client's base time
-        // from this stage's calibration, floored at zero.  Every sample
-        // comes from a participant; a stray one is taken as is.
         let base_of: HashMap<ClientId, SimDuration> = participants
             .iter()
             .map(|c| (c.latency.client, c.base_response_time))
             .collect();
-        let samples: Vec<(u32, f64)> = observation
-            .observations
-            .iter()
-            .filter(|o| o.status.produced_sample())
-            .map(|o| {
-                let base = base_of.get(&o.client).copied().unwrap_or(SimDuration::ZERO);
-                (
-                    o.group,
-                    o.response_time.saturating_sub(base).as_millis_f64(),
-                )
-            })
-            .collect();
-        let normalized: Vec<f64> = samples.iter().map(|&(_, ms)| ms).collect();
         let quantile = match stage {
             Stage::LargeObject => self.config.large_object_quantile,
             _ => stage.detection_quantile(),
         };
-        let detector_ms = stats::percentile(&normalized, quantile).unwrap_or(0.0);
-        let median_ms = stats::median(&normalized).unwrap_or(0.0);
-        let arrival_spread_90 =
-            mfc_webserver::request::central_spread(&observation.target_arrivals, 0.9);
-
-        // Vantage-aware localization input: the per-group medians of the
-        // normalized response times.  A skewed profile (one group far above
-        // θ, the rest flat) is the remote fingerprint of a shared *path*
-        // bottleneck rather than a server constraint.
-        let mut by_group: std::collections::BTreeMap<u32, Vec<f64>> =
-            std::collections::BTreeMap::new();
-        for &(group, ms) in &samples {
-            by_group.entry(group).or_default().push(ms);
-        }
-        let group_median_ms: Vec<(u32, f64)> = if by_group.len() > 1 {
-            by_group
-                .iter()
-                .filter_map(|(&g, samples)| stats::median(samples).map(|m| (g, m)))
-                .collect()
-        } else {
-            Vec::new()
-        };
-
-        // Defense-fingerprint observables (used by the inference layer to
-        // tell a fighting-back server from a genuinely constrained one).
-        let errors = observation
-            .observations
-            .iter()
-            // Server errors only: a 503 is what a shedding defense sends;
-            // 4xx responses (missing paths, auth walls) are not evidence of
-            // load shedding.
-            .filter(
-                |o| matches!(o.status, crate::types::ProbeStatus::HttpError(code) if code >= 500),
-            )
-            .count();
-        let error_rate = if !samples.is_empty() {
-            errors as f64 / samples.len() as f64
-        } else {
-            0.0
-        };
-        // Timed-out transfers still contribute: bytes/timeout is an
-        // *optimistic* per-client goodput bound, which keeps the clamp
-        // fingerprint visible even when a harsh limiter starves every
-        // probe past the client timeout (under a genuinely saturated link
-        // the same bound sums to roughly the link capacity, so it does not
-        // create false defense flags).
-        let goodputs: Vec<f64> = observation
-            .observations
-            .iter()
-            .filter(|o| {
-                matches!(
-                    o.status,
-                    crate::types::ProbeStatus::Ok | crate::types::ProbeStatus::TimedOut
-                ) && o.bytes > 0
-                    && o.response_time > SimDuration::ZERO
-            })
-            .map(|o| o.bytes as f64 / o.response_time.as_secs_f64())
-            .collect();
-        let (client_goodput_median, client_goodput_cov, aggregate_goodput) = if goodputs.is_empty()
-        {
-            (None, None, None)
-        } else {
-            let mut spread = stats::OnlineStats::new();
-            for &goodput in &goodputs {
-                spread.push(goodput);
-            }
-            let cov = if spread.mean() > 0.0 {
-                spread.std_dev() / spread.mean()
-            } else {
-                0.0
-            };
-            (
-                stats::median(&goodputs),
-                Some(cov),
-                Some(goodputs.iter().sum()),
-            )
-        };
-        let link_capacity = observation
-            .server_utilization
-            .as_ref()
-            .map(|u| u.link_capacity)
-            .filter(|&c| c > 0.0);
-        // The non-MFC request rate the target served while the epoch ran,
-        // per second of the server's busy window.
-        let background_rate = observation.server_utilization.as_ref().and_then(|u| {
-            let secs = u.window.as_secs_f64();
-            (secs > 0.0).then(|| observation.background_requests as f64 / secs)
-        });
-
-        let summary = EpochSummary {
-            index,
-            crowd_size: plan.crowd_size(),
-            requests_scheduled: plan.request_count(),
-            requests_observed: observation.observations.len(),
-            detector_ms,
-            median_ms,
-            check_phase,
-            commands_lost: observation.lost_commands,
-            arrival_spread_90,
-            group_median_ms,
-            error_rate,
-            client_goodput_median,
-            client_goodput_cov,
-            aggregate_goodput,
-            link_capacity,
-            background_rate,
-            surge_suspected: false,
-        };
+        let summary = EpochSummary::from_observation(
+            &plan,
+            &observation,
+            &base_of,
+            quantile,
+            epoch.check_phase,
+        );
         (summary, observation)
     }
 }
@@ -1411,5 +1452,323 @@ mod tests {
             .unwrap();
         assert_eq!(backend.measured, [ClientId(1), ClientId(2), ClientId(3)]);
         assert_eq!(summary.crowd_size, 3);
+    }
+
+    /// A scripted summary of `epoch` with the given detector and
+    /// background rate.
+    fn scripted(epoch: EpochRequest, detector_ms: f64, background_rate: f64) -> EpochSummary {
+        EpochSummary {
+            index: epoch.index,
+            crowd_size: epoch.crowd,
+            requests_scheduled: epoch.crowd,
+            requests_observed: epoch.crowd,
+            detector_ms,
+            median_ms: detector_ms,
+            check_phase: epoch.check_phase,
+            commands_lost: 0,
+            arrival_spread_90: None,
+            group_median_ms: Vec::new(),
+            error_rate: 0.0,
+            client_goodput_median: None,
+            client_goodput_cov: None,
+            aggregate_goodput: None,
+            link_capacity: None,
+            background_rate: Some(background_rate),
+            surge_suspected: false,
+        }
+    }
+
+    type Trace = Vec<(EpochRequest, SimDuration)>;
+
+    /// Runs the stage machine to its end: `summarize` answers every epoch
+    /// it asks for, and each epoch lands in the trace with the gap the
+    /// machine waits after it.
+    fn drive(
+        config: &MfcConfig,
+        clients: usize,
+        mut summarize: impl FnMut(EpochRequest) -> EpochSummary,
+    ) -> (StageReport, Trace) {
+        let mut machine = StageMachine::new(config, clients);
+        let mut trace = Vec::new();
+        let mut epoch = machine.epoch();
+        loop {
+            let (gap, next) = machine.step(summarize(epoch));
+            trace.push((epoch, gap));
+            match next {
+                NextAction::Epoch(next) => epoch = next,
+                NextAction::Finish(outcome) => {
+                    return (machine.into_report(Stage::Base, outcome), trace)
+                }
+            }
+        }
+    }
+
+    /// The stopping rule and the quiescence retries written out as plain
+    /// nested loops, with the paper's constants spelled out: the reference
+    /// the stage machine is checked against.
+    struct Reference<'a, F> {
+        config: &'a MfcConfig,
+        summarize: F,
+        epochs: Vec<EpochSummary>,
+        clean_rates: Vec<f64>,
+        trace: Trace,
+    }
+
+    impl<F: FnMut(EpochRequest) -> EpochSummary> Reference<'_, F> {
+        fn run(config: &MfcConfig, clients: usize, summarize: F) -> (StageReport, Trace) {
+            let mut reference = Reference {
+                config,
+                summarize,
+                epochs: Vec::new(),
+                clean_rates: Vec::new(),
+                trace: Vec::new(),
+            };
+            let outcome = reference.stage(clients);
+            let report = StageReport {
+                stage: Stage::Base,
+                outcome,
+                requests_issued: reference.epochs.iter().map(|e| e.requests_scheduled).sum(),
+                epochs: reference.epochs,
+            };
+            (report, reference.trace)
+        }
+
+        fn stage(&mut self, clients: usize) -> StageOutcome {
+            let threshold_ms = self.config.threshold.as_millis_f64();
+            let mut max_crowd_tested = 0;
+            for (n, crowd) in self.config.crowd_schedule().into_iter().enumerate() {
+                let index = n as u32 + 1;
+                let crowd = crowd.min(clients);
+                let first = EpochRequest {
+                    crowd,
+                    index,
+                    check_phase: false,
+                };
+                max_crowd_tested = max_crowd_tested.max(crowd);
+                if self.quiesced(first) <= threshold_ms || crowd < 15 {
+                    continue;
+                }
+                for check in [crowd - 1, crowd, crowd + 1] {
+                    let check = EpochRequest {
+                        crowd: check.min(clients),
+                        index,
+                        check_phase: true,
+                    };
+                    max_crowd_tested = max_crowd_tested.max(check.crowd);
+                    if self.quiesced(check) > threshold_ms {
+                        return StageOutcome::Stopped { crowd_size: crowd };
+                    }
+                }
+            }
+            StageOutcome::NoStop { max_crowd_tested }
+        }
+
+        /// Runs `epoch` until it is not surge-flagged or its retries run
+        /// out, and returns the detector of the result that stands.
+        fn quiesced(&mut self, epoch: EpochRequest) -> f64 {
+            let mut retries = 0;
+            loop {
+                let mut summary = (self.summarize)(epoch);
+                let policy = self.config.quiescence.clone();
+                let surged = match (&policy, summary.background_rate) {
+                    (Some(_), Some(rate)) => {
+                        surge_threshold(&self.clean_rates).is_some_and(|t| rate > t)
+                    }
+                    _ => false,
+                };
+                if surged {
+                    summary.surge_suspected = true;
+                    let policy = policy.unwrap();
+                    if retries < policy.max_retries {
+                        retries += 1;
+                        self.epochs.push(summary);
+                        self.trace.push((epoch, policy.backoff));
+                        continue;
+                    }
+                } else if let (Some(_), Some(rate)) = (&policy, summary.background_rate) {
+                    self.clean_rates.push(rate);
+                }
+                let detector_ms = summary.detector_ms;
+                self.epochs.push(summary);
+                self.trace.push((epoch, SimDuration::from_secs(10)));
+                return detector_ms;
+            }
+        }
+    }
+
+    /// A script over the bits of `pattern`, `bits` (1 or 2) per epoch run,
+    /// re-runs included: the `run`-th epoch reads above θ when bit
+    /// `bits·run` is set and, with 2 bits, surged (50 req/s, else 2) when
+    /// bit `bits·run + 1` is set.  Epochs past the pattern read below θ and
+    /// quiet.  "Below θ" is θ itself, which does not exceed it.
+    fn script(theta: f64, pattern: u32, bits: u32) -> impl FnMut(EpochRequest) -> EpochSummary {
+        let mut run = 0;
+        move |epoch| {
+            let bit = |k: u32| (bits * run + k < 32) && pattern >> (bits * run + k) & 1 == 1;
+            let detector_ms = if bit(0) { theta + 0.5 } else { theta };
+            let rate = if bits > 1 && bit(1) { 50.0 } else { 2.0 };
+            run += 1;
+            scripted(epoch, detector_ms, rate)
+        }
+    }
+
+    #[test]
+    fn the_stage_machine_follows_the_stopping_rule_on_every_threshold_pattern() {
+        let config = MfcConfig::standard().with_increment(5).with_max_crowd(25);
+        assert_eq!(config.crowd_schedule(), [5, 10, 15, 20, 25]);
+        let theta = config.threshold.as_millis_f64();
+        // Five rungs and three check epochs for each of 15, 20 and 25: at
+        // most 14 epochs.  23 clients also cap the top rung and its checks.
+        for clients in [60, 23] {
+            let mut stops = std::collections::BTreeSet::new();
+            let mut longest = 0;
+            for pattern in 0..1 << 14 {
+                let machine = drive(&config, clients, script(theta, pattern, 1));
+                let reference = Reference::run(&config, clients, script(theta, pattern, 1));
+                assert_eq!(
+                    machine, reference,
+                    "pattern {pattern:#016b}, {clients} clients"
+                );
+                stops.insert(machine.0.outcome.stopping_crowd());
+                longest = longest.max(machine.1.len());
+            }
+            let top = clients.min(25);
+            assert_eq!(stops, [None, Some(15), Some(20), Some(top)].into());
+            assert_eq!(longest, 14);
+        }
+    }
+
+    #[test]
+    fn the_stage_machine_retries_surged_epochs_like_the_rule() {
+        // Each of the first seven epochs run is above θ or not, and surged
+        // (50 req/s) or quiet (2 req/s); later ones are quiet and below θ.
+        for max_retries in [1, 2] {
+            let config = MfcConfig::standard()
+                .with_increment(5)
+                .with_max_crowd(20)
+                .with_quiescence(QuiescencePolicy {
+                    backoff: SimDuration::from_secs(60),
+                    max_retries,
+                });
+            let theta = config.threshold.as_millis_f64();
+            let mut flagged_stops = 0;
+            for pattern in 0..1 << 14 {
+                let machine = drive(&config, 60, script(theta, pattern, 2));
+                let reference = Reference::run(&config, 60, script(theta, pattern, 2));
+                assert_eq!(
+                    machine, reference,
+                    "pattern {pattern:#016b}, {max_retries} retries"
+                );
+                let (report, _) = &machine;
+                if report.outcome.stopping_crowd().is_some()
+                    && report.epochs.last().is_some_and(|e| e.surge_suspected)
+                {
+                    flagged_stops += 1;
+                }
+            }
+            // Some stops stand on a surged epoch whose retries ran out.
+            assert!(flagged_stops > 0, "{max_retries} retries");
+        }
+    }
+
+    #[test]
+    fn the_summary_normalizes_counts_and_rates_one_observation() {
+        use crate::types::{ClientObservation, ProbeStatus::*};
+        let ms = SimDuration::from_millis;
+        let command = |client| RequestCommand {
+            client: ClientId(client),
+            request: RequestSpec {
+                method: crate::types::ProbeMethod::Head,
+                path: "/".to_string(),
+                stage: Stage::Base,
+                expected_bytes: 0,
+            },
+            send_offset: SimDuration::ZERO,
+            intended_arrival: SimDuration::ZERO,
+        };
+        // Client 0 sends two requests (MFC-mr); client 5 is a stray.
+        let plan = EpochPlan {
+            stage: Stage::Base,
+            index: 3,
+            commands: [0, 0, 1, 2, 3, 4].map(command).to_vec(),
+            timeout: CLIENT_TIMEOUT,
+        };
+        let base_of: HashMap<ClientId, SimDuration> = [(0, 50), (1, 50), (2, 10), (3, 10), (4, 10)]
+            .map(|(client, base)| (ClientId(client), ms(base)))
+            .into();
+        let observe = |client, group, status, bytes, response_ms| ClientObservation {
+            client: ClientId(client),
+            group,
+            status,
+            bytes,
+            response_time: ms(response_ms),
+        };
+        let mut observation = EpochObservation {
+            observations: vec![
+                observe(0, 0, Ok, 3_000, 250),           // 200 ms, 12 KB/s
+                observe(0, 0, Failed, 0, 9_999),         // no sample
+                observe(1, 1, Ok, 0, 30),                // 20 ms under its base: 0
+                observe(2, 0, HttpError(503), 0, 60),    // 50 ms, a server error
+                observe(3, 0, HttpError(404), 0, 70),    // 60 ms, not one
+                observe(4, 0, ConnectionRefused, 0, 40), // 30 ms, not one
+                observe(5, 2, TimedOut, 5_000, 10_000),  // stray: 10 s, 500 B/s
+            ],
+            target_arrivals: Vec::new(),
+            lost_commands: 2,
+            background_requests: 40,
+            server_utilization: Some(mfc_webserver::UtilizationReport {
+                window: SimDuration::ZERO,
+                cpu_utilization: 0.0,
+                peak_memory_bytes: 0,
+                mean_memory_bytes: 0.0,
+                network_bytes_sent: 0,
+                disk_operations: 0,
+                mean_busy_workers: 0.0,
+                peak_busy_workers: 0,
+                refused_requests: 0,
+                completed_requests: 0,
+                shed_requests: 0,
+                throttled_requests: 0,
+                link_capacity: 1e6,
+            }),
+        };
+        let summary = EpochSummary::from_observation(&plan, &observation, &base_of, 0.9, true);
+        // Samples 0, 30, 50, 60, 200, 10000.
+        let cov = summary.client_goodput_cov.unwrap();
+        assert!((cov - 5_750.0 / 6_250.0).abs() < 1e-12, "{cov}");
+        assert_eq!(
+            summary,
+            EpochSummary {
+                index: 3,
+                crowd_size: 5,
+                requests_scheduled: 6,
+                requests_observed: 7,
+                detector_ms: 5_100.0,
+                median_ms: 55.0,
+                check_phase: true,
+                commands_lost: 2,
+                arrival_spread_90: None,
+                group_median_ms: vec![(0, 55.0), (1, 0.0), (2, 10_000.0)],
+                error_rate: 1.0 / 6.0,
+                client_goodput_median: Some(6_250.0),
+                client_goodput_cov: Some(cov),
+                aggregate_goodput: Some(12_500.0),
+                link_capacity: Some(1e6),
+                background_rate: None,
+                surge_suspected: false,
+            }
+        );
+        // One vantage group: no per-group medians, and nothing else moves.
+        for o in &mut observation.observations {
+            o.group = 7;
+        }
+        let single = EpochSummary::from_observation(&plan, &observation, &base_of, 0.9, true);
+        assert_eq!(
+            single,
+            EpochSummary {
+                group_median_ms: Vec::new(),
+                ..summary
+            }
+        );
     }
 }

@@ -15,11 +15,6 @@ pub enum DelayModel {
     /// No artificial delay (resource effects only).
     #[default]
     None,
-    /// A fixed delay regardless of load.
-    Constant {
-        /// Added delay per request.
-        delay: Duration,
-    },
     /// Delay grows linearly: `per_request × n`.
     Linear {
         /// Added delay per concurrent request.
@@ -39,7 +34,6 @@ impl DelayModel {
     pub fn delay_for(&self, concurrent: usize) -> Duration {
         match *self {
             DelayModel::None => Duration::ZERO,
-            DelayModel::Constant { delay } => delay,
             DelayModel::Linear { per_request } => per_request
                 .checked_mul(concurrent as u32)
                 .unwrap_or(Duration::from_secs(30)),
@@ -60,13 +54,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn none_and_constant() {
+    fn none_adds_no_delay() {
         assert_eq!(DelayModel::None.delay_for(100), Duration::ZERO);
-        let c = DelayModel::Constant {
-            delay: Duration::from_millis(7),
-        };
-        assert_eq!(c.delay_for(0), Duration::from_millis(7));
-        assert_eq!(c.delay_for(50), Duration::from_millis(7));
     }
 
     #[test]

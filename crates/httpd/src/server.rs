@@ -356,8 +356,9 @@ mod tests {
         let slow = HttpServer::new(
             SiteContent::validation_site(),
             ServerOptions {
-                delay: DelayModel::Constant {
-                    delay: Duration::from_millis(80),
+                // The request itself is the one in flight: 1 × 80 ms.
+                delay: DelayModel::Linear {
+                    per_request: Duration::from_millis(80),
                 },
                 ..ServerOptions::default()
             },

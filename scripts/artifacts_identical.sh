@@ -6,11 +6,14 @@
 # directory, runs `repro all --json` at quick and `--full` scale with
 # MFC_THREADS=1 and 8 on both sides, and compares every artifact against
 # the parent's MFC_THREADS=1 output of the same scale.  It also runs the
-# `quickstart` and `profile_cluster` examples on both sides and diffs their
-# stdout: no `repro` artifact carries an `InferenceReport`'s notes, ranking
-# or DDoS exposure, and these two examples print all three.  Prints one
-# line per run and per example and exits non-zero on any missing, extra or
-# differing file or output.
+# `quickstart`, `profile_cluster` and `ddos_assessment` examples on both
+# sides and diffs their stdout: no `repro` artifact carries an
+# `InferenceReport`'s notes, ranking or DDoS exposure, and the first two
+# examples print all three; `ddos_assessment` is the only run outside the
+# tests that re-runs surged epochs under a quiescence policy.  Its
+# wall-clock figures ("<n> ms wall…" to the end of the line) are masked on
+# both sides before the diff.  Prints one line per run and per example and
+# exits non-zero on any missing, extra or differing file or output.
 #
 # Usage:
 #   scripts/artifacts_identical.sh PARENT_TREE
@@ -22,7 +25,7 @@
 set -euo pipefail
 
 if [ "$#" -ne 1 ]; then
-    sed -n '2,21p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,24p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent_tree="$(cd "$1" && pwd)"
@@ -31,7 +34,7 @@ parent_target="${PARENT_TARGET_DIR:-$(mktemp -d)}"
 change_target="${CHANGE_TARGET_DIR:-$(mktemp -d)}"
 out="${ARTIFACTS_DIR:-$(mktemp -d)}"
 
-examples=(quickstart profile_cluster)
+examples=(quickstart profile_cluster ddos_assessment)
 build() { # tree target_dir
     CARGO_TARGET_DIR="$2" cargo build --release --offline --quiet \
         --manifest-path "$1/Cargo.toml" -p mfc-bench --bin repro
@@ -78,7 +81,8 @@ for example in "${examples[@]}"; do
     for side in parent change; do
         target="$parent_target"
         [ "$side" = change ] && target="$change_target"
-        "$target/release/examples/$example" > "$out/examples/$example.$side.txt"
+        "$target/release/examples/$example" | sed -E 's/[0-9]+ ms wall.*$//' \
+            > "$out/examples/$example.$side.txt"
     done
     if diff "$out/examples/$example.parent.txt" "$out/examples/$example.change.txt" \
         > "$out/examples/$example.diff"; then
